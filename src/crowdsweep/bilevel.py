@@ -24,6 +24,10 @@ from .dynamics import (
     Scenario,
     SegmentSet,
     Trajectory,
+    _catchup_lanes,
+    _require_member,
+    _set_scale,
+    _translation_path,
     check_feasibility,
     cost_lower,
     cost_upper,
@@ -140,15 +144,6 @@ class CaseStudyParams:
 # inner problem
 
 
-def _integrate_translation(y0_i: np.ndarray, v: ControlProfile) -> np.ndarray:
-    steps = np.diff(v.grid)[:, None] * v.values[:, :2]
-    path = np.empty((v.K + 1, 2))
-    path[0] = y0_i
-    np.cumsum(steps, axis=0, out=path[1:])
-    path[1:] += y0_i
-    return path
-
-
 def _min_abs_in_interval(lo: float, hi: float) -> Optional[float]:
     if lo > hi:
         return None
@@ -228,7 +223,7 @@ def _greedy_step_control(drift, cset, x, h, center, r_eff):
     if float(np.linalg.norm(p0 - center)) <= r_eff:
         return np.zeros(cset.dim)
     for phase in range(3):
-        scale = _control_scale(cset)
+        scale = _set_scale(cset)
         radii = np.linspace(0, scale, 9 * (phase + 1))[1:]
         angles = np.linspace(0, 2 * math.pi, 24 * (phase + 1), endpoint=False)
         for r in radii:
@@ -242,37 +237,6 @@ def _greedy_step_control(drift, cset, x, h, center, r_eff):
         if best is not None:
             break
     return best
-
-
-def _control_scale(cset) -> float:
-    if isinstance(cset, IntervalSet):
-        return float(np.max(np.abs(np.concatenate([cset.lo, cset.hi])))) or 1.0
-    if isinstance(cset, SegmentSet):
-        return cset.halflength or 1.0
-    return cset.radius or 1.0
-
-
-def _simulate_single(scenario, i, ypath, grid, x0_i, uvals) -> Optional[np.ndarray]:
-    """Catch-up run for one participant; None on a truncation violation."""
-    drift = scenario.drift[i]
-    cap = float(scenario.M[i])
-    R = scenario.R
-    x = np.asarray(x0_i, float).copy()
-    out = np.empty((grid.size, 2))
-    out[0] = x
-    for k in range(grid.size - 1):
-        h = grid[k + 1] - grid[k]
-        pred = x + h * drift.value(x, uvals[k])
-        off = pred - ypath[k + 1]
-        dist = float(np.hypot(off[0], off[1]))
-        if dist > R:
-            if (dist - R) / h > cap * (1 + 1e-9) + 1e-12:
-                return None
-            x = ypath[k + 1] + (R / dist) * off
-        else:
-            x = pred
-        out[k + 1] = x
-    return out
 
 
 def _greedy_min_effort(scenario, i, ypath, grid, x0_i):
@@ -310,18 +274,20 @@ def _descend_blocks(scenario, i, ypath, grid, x0_i, u0, opts, rng):
     K = u0.shape[0]
     m = u0.shape[1]
     blocks = np.array_split(np.arange(K), min(opts.refine_blocks, K))
-    scale = _control_scale(cset)
+    scale = _set_scale(cset)
+    x0 = np.asarray(x0_i, float).reshape(1, 2)
 
-    def cost_of(offsets):
+    def cost_of(offsets, below=math.inf):
+        # (effort, controls), or (None, None) when the one-lane catch-up run
+        # breaks the cap; a profile that cannot beat ``below`` is not run
         u = u0.copy()
         for b, block in enumerate(blocks):
             u[block] += offsets[b]
         u = np.array([cset.project(row) for row in u])
-        xs = _simulate_single(scenario, i, ypath, grid, x0_i, u)
-        if xs is None:
+        cost = float(np.sum(np.diff(grid) * np.sum(u**2, axis=1)))
+        if not cost < below or _catchup_lanes(scenario, [i], ypath[:, None], grid, x0, [u])[2]:
             return None, None
-        h = np.diff(grid)
-        return float(np.sum(h * np.sum(u**2, axis=1))), u
+        return cost, u
 
     base_cost, base_u = cost_of(np.zeros((len(blocks), m)))
     best = (base_cost, base_u)
@@ -341,8 +307,8 @@ def _descend_blocks(scenario, i, ypath, grid, x0_i, u0, opts, rng):
                     for sgn in (-1.0, 1.0):
                         trial = offs.copy()
                         trial[b, j] += sgn * step
-                        c2, u2 = cost_of(trial)
-                        if c2 is not None and c2 < cost - 1e-12:
+                        c2, u2 = cost_of(trial, below=cost - 1e-12)
+                        if c2 is not None:
                             offs, cost, u = trial, c2, u2
                             improved = True
             if not improved:
@@ -380,11 +346,9 @@ def value_function(
     """
     opts = inner or InnerOptions()
     rng = np.random.default_rng(opts.seed)
-    bad = v_i.max_set_distance(scenario.V[i])
-    if bad > 1e-9 * max(1.0, _control_scale(scenario.V[i])):
-        raise ValueError(f"participant {i+1}: v leaves V by {bad:.3g}")
-    ypath = _integrate_translation(scenario.y0[i], v_i)
+    _require_member(i, v_i, scenario.V[i], "v leaves V")
     grid = v_i.grid
+    ypath = _translation_path(scenario.y0[i], grid, v_i.values[:, :2])
 
     best: Tuple[Optional[float], Optional[np.ndarray], Optional[np.ndarray]] = (None, None, None)
     for x0_i in _x0_candidates(scenario, i, opts, rng):
@@ -486,8 +450,8 @@ def _param_bounds(scenario, K) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _embed_profile(profile: ControlProfile, fine_grid: np.ndarray) -> ControlProfile:
-    vals = np.array([profile.value_at(0.5 * (fine_grid[k] + fine_grid[k + 1]))
-                     for k in range(fine_grid.size - 1)])
+    # the fine grid refines the coarse one: sim_K is a multiple of its K
+    vals = np.repeat(profile.values, (fine_grid.size - 1) // profile.K, axis=0)
     return ControlProfile(grid=fine_grid, values=vals)
 
 

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -224,12 +224,13 @@ def scenario_hash(scenario: Scenario) -> str:
 # artifact emission
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
+    """Write the text, or a stream of text chunks, to path atomically."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -237,7 +238,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _trajectory_csv(scenario, y, x, u, v) -> str:
+_CSV_BLOCK_ROWS = 256
+
+
+def _trajectory_csv(scenario, y, x, u, v) -> Iterator[str]:
+    """trajectory.csv in blocks of rows, each row through one ``%.12g``
+    format (the text of ``_fmt``; contact flags print as 0/1)."""
     header = ["t"]
     for i in range(scenario.N):
         header += [f"y{i+1}_1", f"y{i+1}_2", f"x{i+1}_1", f"x{i+1}_2"]
@@ -246,21 +252,18 @@ def _trajectory_csv(scenario, y, x, u, v) -> str:
         header += [f"v{i+1}_1", f"v{i+1}_2"]
     for i in range(scenario.N):
         header += [f"contact{i+1}"]
-    lines = [",".join(header)]
+    yield ",".join(header) + "\n"
+    row_format = ",".join(["%.12g"] * len(header)) + "\n"
     K = y.grid.size - 1
-    for k in range(K + 1):
-        kk = min(k, K - 1)        # controls: last row repeats the final interval
-        row = [_fmt(y.grid[k])]
-        for i in range(scenario.N):
-            row += [_fmt(y.states[k, i, 0]), _fmt(y.states[k, i, 1]),
-                    _fmt(x.states[k, i, 0]), _fmt(x.states[k, i, 1])]
-        for i in range(scenario.N):
-            row += [_fmt(val) for val in u[i].values[kk]]
-            row += [_fmt(v[i].values[kk, 0]), _fmt(v[i].values[kk, 1])]
-        for i in range(scenario.N):
-            row += ["1" if x.contact[k, i] else "0"]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    for start in range(0, K + 1, _CSV_BLOCK_ROWS):
+        k = np.arange(start, min(start + _CSV_BLOCK_ROWS, K + 1))
+        kk = np.minimum(k, K - 1)        # controls: last row repeats the final interval
+        block = np.hstack(
+            [y.grid[k, None], np.concatenate([y.states[k], x.states[k]], axis=2).reshape(k.size, -1)]
+            + [np.hstack([u[i].values[kk], v[i].values[kk]]) for i in range(scenario.N)]
+            + [x.contact[k]]
+        )
+        yield "".join([row_format % tuple(row) for row in block.tolist()])
 
 
 def _tree_lines(node, indent: int = 0) -> List[str]:
@@ -316,14 +319,22 @@ def _controls_csv(scenario, grid, u, v) -> str:
 
 
 def _read_controls(path: str, scenario: Scenario):
-    """Parse a controls file back into per-participant profiles."""
+    """Parse a controls file (a header and two or more rows of finite
+    numbers, one per column) back into per-participant profiles."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [line.strip() for line in fh if line.strip()]
+        data = np.array([[float(val) for val in line.split(",")] for line in rows[1:]])
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
-    header = rows[0].split(",")
-    data = np.array([[float(val) for val in line.split(",")] for line in rows[1:]])
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
+    header = rows[0].split(",") if rows else []
+    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
+        raise ScenarioFormatError(f"{path}: need a header and two or more full rows")
+    bad = ~np.isfinite(data).all(axis=0)
+    if bad.any():
+        raise ScenarioFormatError(f"{path}: non-finite value in column {header[np.argmax(bad)]!r}")
     cols = {name: j for j, name in enumerate(header)}
     if "t" not in cols:
         raise ScenarioFormatError(f"{path}: missing 't' column")

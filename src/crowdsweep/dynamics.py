@@ -15,8 +15,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import Disk
-
 __all__ = [
     "ScaledLinearDrift",
     "AffineDrift",
@@ -131,13 +129,6 @@ class AffineDrift:
     def control_gradient(self, x) -> np.ndarray:
         return self.B.copy()
 
-    def satisfies_interior_drift_condition(self, control_set) -> bool:
-        # Full row rank B together with a control set containing a ball keeps
-        # a ball inside f(x, U) uniformly in x.
-        if np.linalg.matrix_rank(self.B) < 2:
-            return False
-        return isinstance(control_set, BallSet) and control_set.radius > 0
-
 
 DriftSpec = Union[ScaledLinearDrift, AffineDrift]
 
@@ -146,8 +137,21 @@ DriftSpec = Union[ScaledLinearDrift, AffineDrift]
 # control sets (compact convex by construction)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # the batched matmul reduces each row through the same BLAS dot as
+    # np.linalg.norm of that row alone; einsum and sum round differently
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+class _ControlSet:
+    """``distances`` maps a (K, m) block of controls to each row's distance."""
+
+    def distance(self, u) -> float:
+        return float(self.distances(np.reshape(u, (1, -1)))[0])
+
+
 @dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(_ControlSet):
     """Per-coordinate box [lo, hi]."""
 
     lo: np.ndarray
@@ -168,9 +172,9 @@ class IntervalSet:
     def project(self, u) -> np.ndarray:
         return np.clip(np.asarray(u, float).ravel(), self.lo, self.hi)
 
-    def distance(self, u) -> float:
-        u = np.asarray(u, float).ravel()
-        return float(np.linalg.norm(u - self.project(u)))
+    def distances(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, float)
+        return _row_norms(rows - np.clip(rows, self.lo, self.hi))
 
     def support(self, d) -> float:
         d = np.asarray(d, float).ravel()
@@ -182,7 +186,7 @@ class IntervalSet:
 
 
 @dataclass(frozen=True)
-class SegmentSet:
+class SegmentSet(_ControlSet):
     """{a * direction : a in [-halflength, halflength]} embedded in the plane."""
 
     direction: np.ndarray
@@ -208,9 +212,11 @@ class SegmentSet:
         a = np.clip(self.coordinate(u), -self.halflength, self.halflength)
         return a * self.direction
 
-    def distance(self, u) -> float:
-        u = np.asarray(u, float).ravel()
-        return float(np.linalg.norm(u - self.project(u)))
+    def distances(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, float)
+        coords = (rows[:, None, :] @ self.direction[:, None])[:, 0, 0]
+        a = np.clip(coords, -self.halflength, self.halflength)
+        return _row_norms(rows - a[:, None] * self.direction)
 
     def support(self, d) -> float:
         return self.halflength * abs(float(np.dot(np.asarray(d, float).ravel(), self.direction)))
@@ -221,7 +227,7 @@ class SegmentSet:
 
 
 @dataclass(frozen=True)
-class BallSet:
+class BallSet(_ControlSet):
     """Euclidean ball of the given radius centered at the origin."""
 
     radius: float
@@ -241,8 +247,8 @@ class BallSet:
             return u.copy()
         return (self.radius / n) * u
 
-    def distance(self, u) -> float:
-        return max(0.0, float(np.linalg.norm(np.asarray(u, float).ravel())) - self.radius)
+    def distances(self, rows) -> np.ndarray:
+        return np.maximum(0.0, _row_norms(np.asarray(rows, float)) - self.radius)
 
     def support(self, d) -> float:
         return self.radius * float(np.linalg.norm(np.asarray(d, float).ravel()))
@@ -258,8 +264,19 @@ class BallSet:
 ControlSetSpec = Union[IntervalSet, SegmentSet, BallSet]
 
 
-def _set_contains(cset: ControlSetSpec, u, tol: float = 1e-9) -> bool:
-    return cset.distance(u) <= tol
+def _set_scale(cset: ControlSetSpec) -> float:
+    if isinstance(cset, IntervalSet):
+        return float(np.max(np.abs(np.concatenate([cset.lo, cset.hi])))) or 1.0
+    if isinstance(cset, SegmentSet):
+        return cset.halflength or 1.0
+    return cset.radius or 1.0
+
+
+def _require_member(i: int, profile: "ControlProfile", cset: ControlSetSpec, what: str) -> None:
+    bad = profile.max_set_distance(cset)
+    # a NaN distance fails this test, where it would pass ``bad > tol``
+    if not bad <= 1e-9 * max(1.0, _set_scale(cset)):
+        raise InfeasibleControlError(f"participant {i+1}: {what} by {bad:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +347,6 @@ class Scenario:
                     f"{dr.control_dim}, set has {u.dim}"
                 )
 
-    def disk(self, i: int, center) -> Disk:
-        return Disk(center=np.asarray(center, float), radius=self.R)
-
-    def grid(self, K: Optional[int] = None) -> np.ndarray:
-        return uniform_grid(self.T, K or DEFAULT_GRID_K)
-
 
 def uniform_grid(T: float, K: int) -> np.ndarray:
     if K < 1:
@@ -374,13 +385,8 @@ class ControlProfile:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def value_at(self, t: float) -> np.ndarray:
-        k = int(np.searchsorted(self.grid, t, side="right") - 1)
-        k = min(max(k, 0), self.K - 1)
-        return self.values[k]
-
     def max_set_distance(self, cset: ControlSetSpec) -> float:
-        return max(float(cset.distance(v)) for v in self.values)
+        return float(np.max(cset.distances(self.values)))
 
 
 def constant_profile(grid, value) -> ControlProfile:
@@ -424,6 +430,15 @@ def _check_grid_match(a: np.ndarray, b: np.ndarray, what: str) -> None:
 # integrators
 
 
+def _translation_path(y0: np.ndarray, grid: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+    """Disk centers y0 + sum of h_k v_k on the grid; ``np.cumsum`` adds
+    ((y0 + s_0) + s_1) + ..., in the order of a step-by-step loop."""
+    path = np.empty((grid.size,) + y0.shape)
+    path[0] = y0
+    path[1:] = np.diff(grid).reshape((-1,) + (1,) * y0.ndim) * velocities
+    return np.cumsum(path, axis=0, out=path)
+
+
 def integrate_upper(scenario: Scenario, v: Sequence[ControlProfile]) -> Trajectory:
     """Integrate the disk translations (exact for piecewise-constant controls)."""
     if len(v) != scenario.N:
@@ -432,27 +447,67 @@ def integrate_upper(scenario: Scenario, v: Sequence[ControlProfile]) -> Trajecto
     for p in v[1:]:
         _check_grid_match(grid, p.grid, "integrate_upper")
     for i, p in enumerate(v):
-        bad = p.max_set_distance(scenario.V[i])
-        if bad > 1e-9 * max(1.0, _set_scale(scenario.V[i])):
-            raise InfeasibleControlError(
-                f"participant {i+1}: upper control leaves V by {bad:.3g}"
-            )
-    K = grid.size - 1
-    h = np.diff(grid)
-    states = np.empty((K + 1, scenario.N, 2))
-    states[0] = scenario.y0
-    for k in range(K):
-        for i in range(scenario.N):
-            states[k + 1, i] = states[k, i] + h[k] * v[i].values[k]
-    return Trajectory(grid=grid, states=states)
+        _require_member(i, p, scenario.V[i], "upper control leaves V")
+    velocities = np.stack([p.values for p in v], axis=1)
+    return Trajectory(grid=grid, states=_translation_path(scenario.y0, grid, velocities))
 
 
-def _set_scale(cset: ControlSetSpec) -> float:
-    if isinstance(cset, IntervalSet):
-        return float(np.max(np.abs(np.concatenate([cset.lo, cset.hi]))) or 1.0)
-    if isinstance(cset, SegmentSet):
-        return cset.halflength or 1.0
-    return cset.radius or 1.0
+def _lane_drift(scenario: Scenario, lanes: Sequence[int], uvals: Sequence[np.ndarray]):
+    """``f(k, x)``: the lanes' drifts at states x (L, 2) under their k-th
+    controls (``uvals``: one (K, m) array per lane).  Both families are
+    affine in x for a fixed control, f = s x + A x + B u + b with s = c u
+    (scaled-linear) or 0 (affine); s and B u are computed up front, and the
+    batched ``A @ x`` reproduces the per-row product bit for bit.  The zero
+    terms can only turn a drift component of -0.0 into +0.0."""
+    K, L = len(uvals[0]), len(lanes)
+    s, A = np.zeros((K, L, 1)), np.zeros((L, 2, 2))
+    Bu, b = np.zeros((K, L, 2)), np.zeros((L, 2))
+    affine = False
+    for lane, (i, uv) in enumerate(zip(lanes, uvals)):
+        drift = scenario.drift[i]
+        if isinstance(drift, ScaledLinearDrift):
+            s[:, lane, 0] = drift.coeff * uv[:, 0]
+        else:
+            affine = True
+            A[lane], b[lane] = drift.A, drift.b
+            Bu[:, lane] = (drift.B @ uv[..., None])[..., 0]
+
+    def f(k: int, x: np.ndarray) -> np.ndarray:
+        fx = s[k] * x
+        return ((fx + (A @ x[..., None])[..., 0]) + Bu[k]) + b if affine else fx
+
+    return f
+
+
+def _catchup_lanes(scenario: Scenario, lanes: Sequence[int], centers: np.ndarray,
+                   grid: np.ndarray, x0: np.ndarray, uvals: Sequence[np.ndarray]):
+    """Catching-up steps of independent lanes, sequential in k.
+
+    Returns ``(states, dist, violation)``: ``dist[k]`` is each lane's distance
+    to its disk center before the k-th projection; ``violation`` is None or
+    ``(lane, k, correction)`` for the lowest lane over its cap, at its own
+    first such step, as a lane-by-lane sweep would report it."""
+    K, R, h = grid.size - 1, scenario.R, np.diff(grid)
+    drift = _lane_drift(scenario, lanes, uvals)
+    states, dist = np.empty((K + 1, len(lanes), 2)), np.empty((K + 1, len(lanes)))
+    states[0] = x = x0
+    dist[0] = _row_norms(x0 - centers[0])
+    # the projection is computed for every lane and kept where a lane left
+    # its disk; a lane resting on its center divides by zero there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, center in enumerate(centers[1:]):
+            pred = x + h[k] * drift(k, x)
+            off = pred - center
+            d = dist[k + 1] = np.hypot(off[:, 0], off[:, 1])
+            x = states[k + 1] = np.where((d > R)[:, None], center + (R / d)[:, None] * off, pred)
+    corr = (dist[1:] - R) / h[:, None]
+    over = corr > scenario.M[list(lanes)] * (1.0 + _TRUNCATION_SLACK) + 1e-12
+    failed = np.flatnonzero(over.any(axis=0))
+    if not failed.size:
+        return states, dist, None
+    lane = int(failed[0])
+    k = int(np.argmax(over[:, lane]))
+    return states, dist, (lane, k, float(corr[k, lane]))
 
 
 def integrate_lower_catchup(
@@ -464,10 +519,11 @@ def integrate_lower_catchup(
 ) -> Trajectory:
     """Catching-up time stepping for the confined population states.
 
-    Each step applies the drift explicitly and then projects back onto the
-    translated disk at the new time.  The implied correction per unit time
-    must stay within the truncation cap; exceeding it is a hard diagnostic
-    error, not a clamp.
+    All participants advance together as lanes.  Each step applies the
+    drift explicitly and then projects back onto the translated disk at the
+    new time.  The implied correction per unit time must stay within the
+    truncation cap; exceeding it is a hard diagnostic error, not a clamp,
+    naming the lowest-index participant over its cap at its first such step.
     """
     grid = y.grid
     if step is not None:
@@ -479,49 +535,20 @@ def integrate_lower_catchup(
     for p in u:
         _check_grid_match(grid, p.grid, "integrate_lower_catchup")
     for i, p in enumerate(u):
-        bad = p.max_set_distance(scenario.U[i])
-        if bad > 1e-9 * max(1.0, _set_scale(scenario.U[i])):
-            raise InfeasibleControlError(
-                f"participant {i+1}: lower control leaves U by {bad:.3g}"
-            )
+        _require_member(i, p, scenario.U[i], "lower control leaves U")
     x0 = np.asarray(x0, float).reshape(scenario.N, 2)
-    for i in range(scenario.N):
-        d = float(np.linalg.norm(x0[i] - y.states[0, i]))
-        if d > scenario.R + 1e-9 * scenario.R:
-            raise ValueError(f"participant {i+1}: x0 outside the initial disk")
-
-    K = grid.size - 1
-    states = np.empty((K + 1, scenario.N, 2))
-    contact = np.zeros((K + 1, scenario.N), dtype=bool)
-    states[0] = x0
     R = scenario.R
-    act_tol = 1e-9 * R
-    for i in range(scenario.N):
-        contact[0, i] = np.linalg.norm(x0[i] - y.states[0, i]) >= R - act_tol
+    outside = np.flatnonzero(_row_norms(x0 - y.states[0]) > R + 1e-9 * R)
+    if outside.size:
+        raise ValueError(f"participant {outside[0] + 1}: x0 outside the initial disk")
 
-    for i in range(scenario.N):
-        drift = scenario.drift[i]
-        cap = float(scenario.M[i])
-        uv = u[i].values
-        yv = y.states[:, i, :]
-        x = states[0, i].copy()
-        for k in range(K):
-            h = grid[k + 1] - grid[k]
-            pred = x + h * drift.value(x, uv[k])
-            center = yv[k + 1]
-            off = pred - center
-            dist = float(np.hypot(off[0], off[1]))
-            if dist > R:
-                corr = (dist - R) / h
-                if corr > cap * (1.0 + _TRUNCATION_SLACK) + 1e-12:
-                    raise TruncationViolationError(i, float(grid[k + 1]), corr, cap)
-                x = center + (R / dist) * off
-                contact[k + 1, i] = True
-            else:
-                x = pred
-                contact[k + 1, i] = dist >= R - act_tol
-            states[k + 1, i] = x
-    return Trajectory(grid=grid, states=states, contact=contact)
+    states, dist, violation = _catchup_lanes(
+        scenario, range(scenario.N), y.states, grid, x0, [p.values for p in u]
+    )
+    if violation is not None:
+        i, k, corr = violation
+        raise TruncationViolationError(i, float(grid[k + 1]), corr, float(scenario.M[i]))
+    return Trajectory(grid=grid, states=states, contact=dist >= R - 1e-9 * R)
 
 
 def integrate_lower_penalty(
@@ -549,40 +576,29 @@ def integrate_lower_penalty(
     grid = y.grid
     for p in u:
         _check_grid_match(grid, p.grid, "integrate_lower_penalty")
-    x0 = np.asarray(x0, float).reshape(scenario.N, 2)
-    delta = 1.0 / math.sqrt(k)
-    R = scenario.R
-    layer = R * (1.0 - delta)
+    layer = scenario.R * (1.0 - 1.0 / math.sqrt(k))
 
-    K = grid.size - 1
-    states = np.empty((K + 1, scenario.N, 2))
-    contact = np.zeros((K + 1, scenario.N), dtype=bool)
-    states[0] = x0
-    for i in range(scenario.N):
-        drift = scenario.drift[i]
-        cap = float(scenario.M[i])
-        uv = u[i].values
-        x = x0[i].copy()
+    K, N = grid.size - 1, scenario.N
+    drift = _lane_drift(scenario, range(N), [p.values for p in u])
+    states = np.empty((K + 1, N, 2))
+    contact = np.zeros((K + 1, N), dtype=bool)
+    states[0] = x = np.asarray(x0, float).reshape(N, 2)
+    # the pull is computed for every lane and kept outside the layer; a lane
+    # on its disk center divides by zero there
+    with np.errstate(divide="ignore", invalid="ignore"):
         for kk in range(K):
             h = grid[kk + 1] - grid[kk]
             nsub = max(1, int(math.ceil(h / step)))
             hs = h / nsub
-            y0k = y.states[kk, i]
-            dy = (y.states[kk + 1, i] - y0k) / h
-            for s in range(nsub):
-                t_loc = (s + 0.5) * hs
-                yc = y0k + t_loc * dy
-                off = x - yc
-                dist = float(np.hypot(off[0], off[1]))
-                f = drift.value(x, uv[kk])
-                if dist > layer and dist > 0.0:
-                    mag = min(k * (dist - layer), cap)
-                    f = f - (mag / dist) * off
-                x = x + hs * f
-            states[kk + 1, i] = x
-            contact[kk + 1, i] = (
-                float(np.linalg.norm(x - y.states[kk + 1, i])) >= layer
-            )
+            dy = (y.states[kk + 1] - y.states[kk]) / h
+            for sub in range(nsub):
+                off = x - (y.states[kk] + ((sub + 0.5) * hs) * dy)
+                dist = np.hypot(off[:, 0], off[:, 1])
+                f = drift(kk, x)
+                pull = (np.minimum(k * (dist - layer), scenario.M) / dist)[:, None] * off
+                x = x + hs * np.where(((dist > layer) & (dist > 0.0))[:, None], f - pull, f)
+            states[kk + 1] = x
+            contact[kk + 1] = _row_norms(x - y.states[kk + 1]) >= layer
     return Trajectory(grid=grid, states=states, contact=contact)
 
 
@@ -619,13 +635,15 @@ def check_feasibility(
     u: Sequence[ControlProfile],
     v: Sequence[ControlProfile],
 ) -> FeasibilityReport:
-    """Audit non-overlap, confinement, and control-set membership."""
+    """Audit non-overlap, confinement, and control-set membership; each worst
+    violation is the first maximum in (pair or participant, time) order."""
     _check_grid_match(y.grid, x.grid, "check_feasibility")
-    grid = y.grid
+    grid, N = y.grid, scenario.N
 
+    # one pair at a time keeps the memory at O(K)
     overlap, o_time, o_pair = 0.0, 0.0, None
-    for i in range(scenario.N):
-        for j in range(i + 1, scenario.N):
+    for i in range(N):
+        for j in range(i + 1, N):
             gaps = 2 * scenario.R - np.linalg.norm(
                 y.states[:, i, :] - y.states[:, j, :], axis=1
             )
@@ -633,20 +651,20 @@ def check_feasibility(
             if gaps[k] > overlap:
                 overlap, o_time, o_pair = float(gaps[k]), float(grid[k]), (i, j)
 
+    exc = np.linalg.norm(x.states - y.states, axis=2) - scenario.R
+    ks = np.argmax(exc, axis=0)
+    i = int(np.argmax(exc[ks, np.arange(N)]))
     confine, c_time, c_part = 0.0, 0.0, None
-    for i in range(scenario.N):
-        exc = np.linalg.norm(x.states[:, i, :] - y.states[:, i, :], axis=1) - scenario.R
-        k = int(np.argmax(exc))
-        if exc[k] > confine:
-            confine, c_time, c_part = float(exc[k]), float(grid[k]), i
+    if exc[ks[i], i] > confine:
+        confine, c_time, c_part = float(exc[ks[i], i]), float(grid[ks[i]]), i
 
     ctrl, k_time, k_part = 0.0, 0.0, None
-    for i in range(scenario.N):
+    for i in range(N):
         for prof, cset in ((u[i], scenario.U[i]), (v[i], scenario.V[i])):
-            for k in range(prof.K):
-                d = float(cset.distance(prof.values[k]))
-                if d > ctrl:
-                    ctrl, k_time, k_part = d, float(prof.grid[k]), i
+            dists = cset.distances(prof.values)
+            k = int(np.argmax(dists))
+            if dists[k] > ctrl:
+                ctrl, k_time, k_part = float(dists[k]), float(prof.grid[k]), i
 
     return FeasibilityReport(
         overlap_violation=max(0.0, overlap),

@@ -31,6 +31,7 @@ from .dynamics import (
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
+    _translation_path,
 )
 from .geometry import contact_jacobian, sigma_active_gradient, sigma_support
 
@@ -1312,15 +1313,14 @@ def fd_value_gradient(
     profiles skip membership validation.  Cost: two inner solves per
     interval and coordinate, intended for coarse grids.
     """
-    from .bilevel import _greedy_min_effort, _integrate_translation
+    from .bilevel import _greedy_min_effort
 
     grid = v_i.grid
     h = np.diff(grid)
     K = v_i.K
 
     def phi_of(values: np.ndarray) -> float:
-        prof = ControlProfile(grid=grid, values=values)
-        ypath = _integrate_translation(scenario.y0[i], prof)
+        ypath = _translation_path(scenario.y0[i], grid, values[:, :2])
         x0_i = scenario.y0[i] if scenario.x0_free else scenario.x0[i]
         uvals, _fail = _greedy_min_effort(scenario, i, ypath, grid, x0_i)
         if uvals is None:

@@ -170,6 +170,22 @@ class TestCommands:
         code = run("simulate", TWODISK, out=str(out), controls=str(controls))
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n",
+        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,0,nan,0,0,0\n",
+        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,inf,0,0,0,0\n",
+        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,0,0,0,0\n",
+        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,zero,0,0,0,0\n",
+    ], ids=["empty", "header-only", "nan", "inf", "short-row", "not-a-number"])
+    def test_malformed_controls_file_is_an_input_error(self, tmp_path, capsys, text):
+        controls = tmp_path / "controls.csv"
+        controls.write_text(text)
+        code = run("simulate", TWODISK, out=str(tmp_path / "sim"), controls=str(controls))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: input: ") and "Traceback" not in err
+
     def test_verify_without_controls_on_non_family_scenario(self, tmp_path):
         def shrink(doc):
             doc["problem"]["N"] = 1

@@ -8,12 +8,14 @@ from crowdsweep.dynamics import (
     AffineDrift,
     BallSet,
     ControlProfile,
+    FeasibilityReport,
     IntervalSet,
     InfeasibleControlError,
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
     StabilityError,
+    Trajectory,
     TruncationViolationError,
     check_feasibility,
     constant_profile,
@@ -117,6 +119,127 @@ class TestCatchUp:
         with pytest.raises(ValueError):
             integrate_lower_catchup(scn, y, u, scn.x0)
 
+    def test_lowest_participant_reported_at_its_own_first_violation(self):
+        # both disks outrun their populations; participant 2 is faster and
+        # leaves its cap behind first, yet a participant-by-participant
+        # sweep reports participant 1 at its own first violating step
+        speeds = (4.0, 9.0)
+        scn = Scenario(
+            N=2, R=3.0, T=3.0,
+            y0=[[0.0, 0.0], [20.0, 0.0]],
+            drift=[ScaledLinearDrift(-8.0)] * 2,
+            U=[IntervalSet([0.0], [1.0])] * 2,
+            V=[BallSet(10.0)] * 2,
+            M=[0.5, 0.5],
+            rho=[1.0, 1.0],
+            x0=[[0.0, 0.0], [20.0, 0.0]],
+        )
+        grid = uniform_grid(3.0, 300)
+        v = [constant_profile(grid, [0.0, c]) for c in speeds]
+        u = [constant_profile(grid, [0.0])] * 2
+        y = integrate_upper(scn, v)
+        with pytest.raises(TruncationViolationError) as both:
+            integrate_lower_catchup(scn, y, u, scn.x0)
+        alone = []
+        for i in range(2):
+            one = Scenario(N=1, R=3.0, T=3.0, y0=scn.y0[i : i + 1], drift=scn.drift[:1],
+                           U=scn.U[:1], V=scn.V[:1], M=[0.5], rho=[1.0],
+                           x0=scn.x0[i : i + 1])
+            with pytest.raises(TruncationViolationError) as err:
+                integrate_lower_catchup(one, integrate_upper(one, [v[i]]), [u[i]], one.x0)
+            alone.append(err.value)
+        assert alone[1].time < alone[0].time
+        assert both.value.participant == 0
+        assert (both.value.time, both.value.magnitude) == (alone[0].time, alone[0].magnitude)
+
+    def test_non_finite_controls_rejected(self):
+        scn = single_disk()
+        grid = uniform_grid(6.0, 10)
+        bad = np.zeros((10, 2))
+        bad[3, 1] = np.nan
+        with pytest.raises(InfeasibleControlError):
+            integrate_upper(scn, [ControlProfile(grid=grid, values=bad)])
+        y = integrate_upper(scn, [constant_profile(grid, np.zeros(2))])
+        u = np.zeros((10, 1))
+        u[7] = np.nan
+        with pytest.raises(InfeasibleControlError):
+            integrate_lower_catchup(scn, y, [ControlProfile(grid=grid, values=u)], scn.x0)
+
+
+def _reference_catchup(scenario, y, u, x0):
+    """Participant-by-participant catch-up loop, one grid step at a time."""
+    K, R = y.grid.size - 1, scenario.R
+    states = np.empty((K + 1, scenario.N, 2))
+    contact = np.zeros((K + 1, scenario.N), dtype=bool)
+    for i in range(scenario.N):
+        x = states[0, i] = x0[i]
+        contact[0, i] = np.linalg.norm(x0[i] - y.states[0, i]) >= R - 1e-9 * R
+        for k in range(K):
+            h = y.grid[k + 1] - y.grid[k]
+            pred = x + h * scenario.drift[i].value(x, u[i].values[k])
+            off = pred - y.states[k + 1, i]
+            dist = float(np.hypot(off[0], off[1]))
+            x = y.states[k + 1, i] + (R / dist) * off if dist > R else pred
+            states[k + 1, i], contact[k + 1, i] = x, dist >= R - 1e-9 * R
+    return states, contact
+
+
+def _reference_penalty(scenario, y, u, x0, step, k):
+    """Participant-by-participant penalty loop with explicit substeps."""
+    K, layer = y.grid.size - 1, scenario.R * (1.0 - 1.0 / math.sqrt(k))
+    states = np.empty((K + 1, scenario.N, 2))
+    for i in range(scenario.N):
+        x = states[0, i] = x0[i]
+        for kk in range(K):
+            h = y.grid[kk + 1] - y.grid[kk]
+            nsub = max(1, int(math.ceil(h / step)))
+            hs = h / nsub
+            dy = (y.states[kk + 1, i] - y.states[kk, i]) / h
+            for sub in range(nsub):
+                off = x - (y.states[kk, i] + ((sub + 0.5) * hs) * dy)
+                dist = float(np.hypot(off[0], off[1]))
+                f = scenario.drift[i].value(x, u[i].values[kk])
+                if dist > layer and dist > 0.0:
+                    f = f - (min(k * (dist - layer), scenario.M[i]) / dist) * off
+                x = x + hs * f
+            states[kk + 1, i] = x
+    return states
+
+
+class TestLanesMatchPerParticipantLoops:
+    @pytest.fixture
+    def mixed(self):
+        """Scaled-linear and affine lanes side by side, riding their disks."""
+        rng = np.random.default_rng(8)
+        scn = Scenario(
+            N=3, R=1.0, T=2.0,
+            y0=[[3.0, 1.0], [-3.0, 2.0], [0.5, -4.0]],
+            drift=[ScaledLinearDrift(-0.7),
+                   AffineDrift([[0.1, -0.4], [0.4, -0.2]], [[1.0, 0.3], [0.0, 0.8]], [0.2, -0.1]),
+                   AffineDrift([[0.0, 0.3], [-0.3, 0.0]], [[0.5], [1.0]], [-0.3, 0.1])],
+            U=[IntervalSet([0.0], [1.0]), BallSet(1.0), IntervalSet([-1.0], [1.0])],
+            V=[BallSet(1.5)] * 3, M=[4.0] * 3, rho=[1.0] * 3,
+            x0=[[3.2, 1.1], [-3.0, 1.5], [0.2, -4.3]],
+        )
+        grid = uniform_grid(2.0, 160)
+        v = [ControlProfile(grid=grid, values=np.resize(rng.uniform(-1, 1, (7, 2)), (160, 2)))
+             for _ in range(3)]
+        u = [ControlProfile(grid=grid, values=np.resize(rng.uniform(lo, hi, (5, m)), (160, m)))
+             for lo, hi, m in ((0, 1, 1), (-0.6, 0.6, 2), (-1, 1, 1))]
+        return scn, integrate_upper(scn, v), u
+
+    def test_catchup_matches(self, mixed):
+        scn, y, u = mixed
+        x = integrate_lower_catchup(scn, y, u, scn.x0)
+        states, contact = _reference_catchup(scn, y, u, scn.x0)
+        assert x.contact[1:].any() and not x.contact.all()
+        assert np.array_equal(x.states, states) and np.array_equal(x.contact, contact)
+
+    def test_penalty_matches(self, mixed):
+        scn, y, u = mixed
+        x = integrate_lower_penalty(scn, y, u, scn.x0, step=2e-3, stiffness=250.0)
+        assert np.array_equal(x.states, _reference_penalty(scn, y, u, scn.x0, 2e-3, 250.0))
+
 
 class TestPenalty:
     def test_interior_trajectory_matches_catchup(self):
@@ -179,6 +302,87 @@ class TestFeasibilityReport:
         report = check_feasibility(twodisk, y, x, u, v)
         assert report.control_violation == pytest.approx(0.4)
         assert report.control_participant == 0
+
+
+def _reference_distance(cset, row):
+    """Point-to-set distance of one control value, written out per set."""
+    if isinstance(cset, BallSet):
+        return max(0.0, float(np.linalg.norm(row)) - cset.radius)
+    return float(np.linalg.norm(row - cset.project(row)))
+
+
+def _reference_feasibility(scenario, y, x, u, v):
+    """Per-row loops with strict improvement: the first worst violation in
+    (pair or participant, time) order."""
+    grid, N, R = y.grid, scenario.N, scenario.R
+    overlap = (0.0, 0.0, None)
+    for i in range(N):
+        for j in range(i + 1, N):
+            for k in range(grid.size):
+                gap = 2 * R - float(np.linalg.norm(y.states[k, i] - y.states[k, j]))
+                if gap > overlap[0]:
+                    overlap = (gap, float(grid[k]), (i, j))
+    confine = (0.0, 0.0, None)
+    for i in range(N):
+        for k in range(grid.size):
+            exc = float(np.linalg.norm(x.states[k, i] - y.states[k, i])) - R
+            if exc > confine[0]:
+                confine = (exc, float(grid[k]), i)
+    ctrl = (0.0, 0.0, None)
+    for i in range(N):
+        for prof, cset in ((u[i], scenario.U[i]), (v[i], scenario.V[i])):
+            for k in range(prof.K):
+                d = _reference_distance(cset, prof.values[k])
+                if d > ctrl[0]:
+                    ctrl = (d, float(prof.grid[k]), i)
+    return FeasibilityReport(*overlap, *confine, *ctrl)
+
+
+class TestVectorizedAudit:
+    SETS = [IntervalSet([-0.5, 0.0], [0.5, 1.0]), SegmentSet([1.0, 2.0], 0.7), BallSet(0.8),
+            IntervalSet([0.0], [1.0])]
+
+    def test_set_distances_match_per_row_reference(self):
+        rng = np.random.default_rng(5)
+        for cset in self.SETS:
+            rows = rng.normal(size=(500, cset.dim)) * np.exp(rng.normal(size=(500, 1)))
+            expect = [_reference_distance(cset, row) for row in rows]
+            assert cset.distances(rows).tolist() == expect
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_report_matches_per_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        N, K, R = 4, 30, 1.0
+        U = [self.SETS[(seed + i) % 4] for i in range(N)]
+        V = [self.SETS[(seed + i + 1) % 3] for i in range(N)]
+        scn = Scenario(
+            N=N, R=R, T=1.0,
+            y0=[[10.0 * i, 0.0] for i in range(N)],
+            drift=[AffineDrift(np.zeros((2, 2)), np.ones((2, cset.dim)), np.zeros(2))
+                   for cset in U],
+            U=U, V=V, M=[1.0] * N, rho=[1.0] * N,
+        )
+        grid = uniform_grid(1.0, K)
+
+        def dyadic(*shape):
+            # multiples of 1/8 and a period of 10 rows: shifted copies and
+            # repeated rows then tie exactly, and the first index must win
+            period = np.round(8 * rng.normal(size=(10,) + shape)) / 8
+            return np.resize(period, (K + 1,) + shape)
+
+        ys = dyadic(N, 2)
+        ys[:, 2:] = ys[:, :2] + [16.0, 0.0]        # pair (2, 3) ties pair (0, 1)
+        offsets = dyadic(N, 2)
+        offsets[:, 1] *= 2
+        offsets[:, 3] = offsets[:, 1]              # participant 3 ties participant 1
+        y = Trajectory(grid=grid, states=ys)
+        x = Trajectory(grid=grid, states=ys + offsets)
+        u = [ControlProfile(grid=grid, values=dyadic(c.dim)[:K]) for c in U]
+        v = [ControlProfile(grid=grid, values=dyadic(2)[:K]) for _ in V]
+        report = check_feasibility(scn, y, x, u, v)
+        assert report == _reference_feasibility(scn, y, x, u, v)
+        assert report.overlap_pair is not None and report.confinement_participant is not None
+        assert report.control_participant is not None
 
 
 class TestCosts:
