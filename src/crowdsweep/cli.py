@@ -7,7 +7,8 @@ plus a key/value summary tree carrying the scenario hash and the full flag
 set, and identical invocations produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage error, 2 infeasibility, 3 verification
-failed.
+failed.  Diagnostics are ``error: <kind>: <detail>`` lines on stderr; a
+rejected scenario file, controls file or flag value is ``error: input:``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -50,7 +52,7 @@ from .dynamics import (
     integrate_upper,
     uniform_grid,
 )
-from .nco import fit_multipliers, max_condition_lower, verify
+from .nco import fit_multipliers
 
 __all__ = ["parse_scenario", "serialize_scenario", "run", "main"]
 
@@ -61,7 +63,8 @@ EXIT_NOT_VERIFIED = 3
 
 
 class ScenarioFormatError(ValueError):
-    """Scenario file rejected; the message names the offending field."""
+    """Input rejected (a scenario or controls file, or a flag value); the
+    message names the offending field."""
 
 
 def _fmt(x: float) -> str:
@@ -127,11 +130,15 @@ def parse_scenario(path: str) -> Tuple[Scenario, dict]:
     _require(meta, f"{path}:meta", [], ["name"])
     problem = doc["problem"]
     _require(problem, f"{path}:problem", ["N", "R", "T"])
-    participants = doc["participants"]
-    if not isinstance(participants, list) or len(participants) != int(problem["N"]):
+    try:
+        N = int(problem["N"])
+    except (TypeError, ValueError):
         raise ScenarioFormatError(
-            f"{path}:participants: expected {problem['N']} entries"
-        )
+            f"{path}:problem: N must be an integer, got {problem['N']!r}"
+        ) from None
+    participants = doc["participants"]
+    if not isinstance(participants, list) or len(participants) != N:
+        raise ScenarioFormatError(f"{path}:participants: expected {N} entries")
     y0, x0, drifts, U, V, M, rho = [], [], [], [], [], [], []
     x0_free = False
     for idx, node in enumerate(participants):
@@ -155,7 +162,7 @@ def parse_scenario(path: str) -> Tuple[Scenario, dict]:
     _require(solver, f"{path}:solver", [], ["grid_K", "h", "seed", "tol", "penalty_k"])
     try:
         scenario = Scenario(
-            N=int(problem["N"]),
+            N=N,
             R=float(problem["R"]),
             T=float(problem["T"]),
             y0=np.vstack(y0),
@@ -339,6 +346,15 @@ def _read_controls(path: str, scenario: Scenario):
     if "t" not in cols:
         raise ScenarioFormatError(f"{path}: missing 't' column")
     grid = data[:, cols["t"]]
+    if np.any(np.diff(grid) <= 0):
+        raise ScenarioFormatError(f"{path}: times in column 't' must increase strictly")
+    # a grid that ends before T is accepted: it simulates the first part of the run
+    slack = 1e-9 * scenario.T
+    if abs(grid[0]) > slack or grid[-1] > scenario.T + slack:
+        raise ScenarioFormatError(
+            f"{path}: times run from {grid[0]:.12g} to {grid[-1]:.12g}, "
+            f"not from 0 to at most the horizon T={scenario.T:.12g}"
+        )
     v, u = [], []
     for i in range(scenario.N):
         try:
@@ -356,13 +372,19 @@ def _read_controls(path: str, scenario: Scenario):
 # commands
 
 
+def _setting(flags, solver_cfg, key):
+    """A flag, else the scenario's solver default for it, else None."""
+    return flags[key] if flags.get(key) is not None else solver_cfg.get(key)
+
+
 def _default_grid(scenario, solver_cfg, flags) -> np.ndarray:
-    h = flags.get("h") or solver_cfg.get("h")
-    if h:
-        K = max(1, int(round(scenario.T / float(h))))
-    else:
-        K = DEFAULT_GRID_K
-    return uniform_grid(scenario.T, K)
+    h = _setting(flags, solver_cfg, "h")
+    if h is None:
+        return uniform_grid(scenario.T, DEFAULT_GRID_K)
+    h = float(h)
+    if not (math.isfinite(h) and h > 0):
+        raise ScenarioFormatError(f"time step h must be a positive number, got {h!r}")
+    return uniform_grid(scenario.T, max(1, int(round(scenario.T / h))))
 
 
 def _emit(outdir: str, name: str, text: str) -> None:
@@ -420,7 +442,10 @@ def _solution_artifacts(out, command, scenario, flags, sol: BilevelSolution,
 
 
 def _solve(scenario, solver_cfg, flags, out) -> int:
-    grid_K = int(flags.get("grid_K") or solver_cfg.get("grid_K") or 8)
+    grid_K = _setting(flags, solver_cfg, "grid_K")
+    grid_K = 8 if grid_K is None else int(grid_K)
+    if grid_K < 2:
+        raise ScenarioFormatError(f"grid-K must be at least 2 coarse intervals, got {grid_K}")
     seed = int(flags.get("seed") if flags.get("seed") is not None
                else solver_cfg.get("seed", 0))
     sol = solve_bilevel_direct(scenario, coarse_grid_K=grid_K, seed=seed)
@@ -463,12 +488,14 @@ def _verification_solution(scenario, solver_cfg, flags) -> BilevelSolution:
 def _verify(scenario, solver_cfg, flags, out) -> int:
     sol = _verification_solution(scenario, solver_cfg, flags)
     tol = float(flags.get("tol") or solver_cfg.get("tol") or 1e-3)
-    upper, lowers, achieved = fit_multipliers(sol, tol=tol)
-    report = verify(sol, upper, lowers, tol=tol)
-    gap = float(np.max(max_condition_lower(sol, upper)))
+    fit = fit_multipliers(sol, tol=tol)
+    upper, _lowers, achieved = fit
+    report = fit.report
     conditions = [(name, f"{_fmt(report.residuals[name])} "
                          f"{'pass' if report.verdicts[name] else 'FAIL'}")
                   for name in sorted(report.residuals)]
+    worst_at = [(name, f"t={_fmt(t)} participant={i + 1}")
+                for name, (t, i) in sorted(report.worst_at.items())]
     summary = [
         ("run", [("command", "verify"), ("scenario", scenario.name),
                  ("scenario_hash", scenario_hash(scenario)),
@@ -478,9 +505,10 @@ def _verify(scenario, solver_cfg, flags, out) -> int:
             ("achieved_relative_residual", achieved),
             ("tolerance", report.tol),
             ("scale", report.scale),
-            ("max_lower_gap", gap),
+            ("max_lower_gap", report.residuals["max_lower"]),
             ("objective_weight", upper.objective_weight),
             ("conditions", conditions),
+            ("worst_at", worst_at),
             ("notes", [(f"note_{j+1}", note) for j, note in enumerate(report.notes)]),
         ]),
     ]
@@ -540,10 +568,6 @@ def run(command: str, scenario_path: str, **flags) -> int:
     out = flags.get("out") or "."
     try:
         scenario, solver_cfg = parse_scenario(scenario_path)
-    except ScenarioFormatError as exc:
-        print(f"error: scenario: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return _COMMANDS[command](scenario, solver_cfg, flags, out)
     except (TruncationViolationError, InfeasibleControlError, StabilityError,
             InnerInfeasibleError) as exc:
@@ -552,7 +576,8 @@ def run(command: str, scenario_path: str, **flags) -> int:
     except UnsupportedFamilyError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ScenarioFormatError as exc:
+    except ValueError as exc:
+        # rejected input files and flag values, and any other bad value
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

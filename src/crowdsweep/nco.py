@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,9 +31,11 @@ from .dynamics import (
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
+    _lane_drift,
+    _row_norms,
     _translation_path,
 )
-from .geometry import contact_jacobian, sigma_active_gradient, sigma_support
+from .geometry import SingularConfigurationError, sigma_active_gradient, sigma_support
 
 __all__ = [
     "UpperMultipliers",
@@ -48,6 +50,7 @@ __all__ = [
     "max_condition_upper",
     "verify",
     "fit_multipliers",
+    "MultiplierFit",
     "fd_value_gradient",
 ]
 
@@ -187,13 +190,15 @@ class LowerMultipliers:
 
 @dataclass
 class NCOReport:
-    """Residuals and verdicts, one entry per condition."""
+    """Residuals and verdicts, one entry per condition; ``worst_at`` gives
+    the (time, participant index) of each condition's largest residual."""
 
     residuals: Dict[str, float]
     verdicts: Dict[str, bool]
     tol: float
     scale: float
     notes: List[str] = field(default_factory=list)
+    worst_at: Dict[str, Tuple[float, int]] = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -204,11 +209,25 @@ def _total_variation(path: np.ndarray) -> float:
     return float(np.sum(np.abs(np.diff(np.asarray(path, float), axis=0))))
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products; the batched matmul rounds each row as
+    ``np.dot`` of that row alone does (``b`` may be a single row)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # solution-derived data shared by all checks
 
 
 class _SolutionData:
+    """Arrays of a candidate solution that every check reads.
+
+    Nodes carry the states, the offsets z = x - y, contact flags and outward
+    normals; intervals carry the drift ``f`` at the claimed controls, the
+    realized velocity ``xdot`` and the sweeping correction ``cone`` (their
+    difference along the outward normal at the landing node).
+    """
+
     def __init__(self, solution: BilevelSolution):
         scn = solution.scenario
         self.scn = scn
@@ -221,221 +240,297 @@ class _SolutionData:
         self.u = [p.values for p in solution.u]
         self.v = [p.values for p in solution.v]
         R = scn.R
-        self.contact = np.linalg.norm(self.z, axis=2) >= R - ACTIVATION_TOL
-        self.normals = np.zeros_like(self.z)
         nz = np.linalg.norm(self.z, axis=2)
+        self.contact = nz >= R - ACTIVATION_TOL
+        self.normals = np.zeros_like(self.z)
         mask = nz > 1e-12
         self.normals[mask] = self.z[mask] / nz[mask][:, None]
-        # realized sweeping correction per interval (signed along the outward
-        # normal at the landing node), from the claimed controls and states
-        self.cone = np.zeros((self.K, scn.N))
-        for i in range(scn.N):
-            drift = scn.drift[i]
-            for k in range(self.K):
-                f = drift.value(self.x[k, i], self.u[i][k])
-                xdot = (self.x[k + 1, i] - self.x[k, i]) / self.h[k]
-                self.cone[k, i] = max(0.0, float(np.dot(f - xdot, self.normals[k + 1, i])))
+        self.f = _lane_drift(scn, range(scn.N), self.u)(slice(None), self.x[:-1])
+        self.xdot = (self.x[1:] - self.x[:-1]) / self.h[:, None, None]
+        self.cone = np.maximum(0.0, _rowdot(self.f - self.xdot, self.normals[1:]))
         self.pair_gap = np.zeros((self.K + 1, scn.N, scn.N))
         for i in range(scn.N):
-            for j in range(scn.N):
-                if i != j:
-                    self.pair_gap[:, i, j] = (
-                        np.linalg.norm(self.y[:, i, :] - self.y[:, j, :], axis=1) - 2 * R
-                    )
+            self.pair_gap[:, i] = np.linalg.norm(self.y[:, i, None] - self.y, axis=2) - 2 * R
+            self.pair_gap[:, i, i] = 0.0
 
-    def unit_sep(self, k: int, i: int, j: int) -> np.ndarray:
-        d = self.y[k, i] - self.y[k, j]
-        return d / float(np.linalg.norm(d))
-
-    def pair_term(self, k: int, i: int, overlap_row: np.ndarray) -> np.ndarray:
-        out = np.zeros(2)
+    def pair_term(self, i: int, nodes: slice, overlap: np.ndarray) -> np.ndarray:
+        """sum_j overlap[:, j] (y_i - y_j) / |y_i - y_j| at the nodes, one
+        overlap row per node; pairs of zero weight are skipped."""
+        y = self.y[nodes]
+        out = np.zeros((y.shape[0], 2))
         for j in range(self.scn.N):
-            if j != i and overlap_row[j] != 0.0:
-                out += overlap_row[j] * self.unit_sep(k, i, j)
+            weight = overlap[:, j, None]
+            if j != i and weight.any():
+                d = y[:, i] - y[:, j]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out += np.where(weight != 0.0, weight * (d / _row_norms(d)[:, None]), 0.0)
         return out
 
+    def add_contact_terms(self, base: np.ndarray, i: int, overlap: np.ndarray,
+                          v: np.ndarray) -> np.ndarray:
+        """base + sum_j overlap[:, j] D_ij v per interval, with D_ij the
+        contact Jacobian of the pair at the landing node."""
+        y = self.y[1:]
+        for j in range(self.scn.N):
+            weight = overlap[:, j, None]
+            if j != i and weight.any():
+                d = y[:, i] - y[:, j]
+                r = _row_norms(d)[:, None, None]
+                if np.any((r[:, 0, 0] < 1e-12) & (weight[:, 0] != 0.0)):
+                    raise SingularConfigurationError("coincident centers")
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    jac = np.eye(2) / r - (d[:, :, None] * d[:, None, :]) / r**3
+                    term = weight * (jac @ v[..., None])[..., 0]
+                base = base + np.where(weight != 0.0, term, 0.0)
+        return base
 
-def _kink_band(q: np.ndarray, nu: float, R: float) -> float:
-    return KINK_BAND_FRAC * (float(np.linalg.norm(q)) + abs(nu) * R) + 1e-12
+
+def _check_multiplier_grid(a: np.ndarray, b: np.ndarray) -> None:
+    if a.size != b.size or not np.allclose(a, b, rtol=0.0, atol=1e-12):
+        raise ValueError("multiplier grid does not match the trajectory grid")
 
 
-def _sigma_branch(m: float, band: float) -> str:
-    if m < -band:
-        return "active"
-    if m <= band:
-        return "kink"
-    return "inactive"
+def _worst(paths: np.ndarray, times: np.ndarray,
+           participant: Optional[int] = None) -> Tuple[float, Tuple[float, int]]:
+    """Largest entry of a residual path, (rows,) for one participant or
+    (rows, N), and its (time, participant)."""
+    flat = int(np.argmax(paths))
+    if paths.ndim == 1:
+        return float(paths[flat]), (float(times[flat]), participant)
+    k, i = divmod(flat, paths.shape[1])
+    return float(paths[k, i]), (float(times[k]), i)
 
 
 # ---------------------------------------------------------------------------
-# small exact optimizers
+# drift terms for rows of states, controls and costates
+
+
+def _drift_rows(scn: Scenario, i: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """f(x, u) of participant i for rows of states and controls."""
+    return _lane_drift(scn, [i], [u])(slice(None), x[:, None])[:, 0]
+
+
+def _jac_t_w(drift, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """J_x f(x, u)^T w: c u w (scaled-linear) or A^T w (affine)."""
+    if isinstance(drift, ScaledLinearDrift):
+        return (drift.coeff * u[:, :1]) * w
+    return (drift.A.T @ w[..., None])[..., 0]
+
+
+def _gradient_t_w(drift, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(d f / d u)^T w, one row of the control dimension per state row."""
+    if isinstance(drift, ScaledLinearDrift):
+        return _rowdot(drift.coeff * x, w)[:, None]
+    return (drift.B.T @ w[..., None])[..., 0]
+
+
+def _control_column(data: _SolutionData, i: int) -> np.ndarray:
+    """Dynamics direction of the scalar control coordinate, per interval."""
+    drift, cset = data.scn.drift[i], data.scn.U[i]
+    if isinstance(drift, ScaledLinearDrift):
+        return drift.coeff * data.x[:-1, i]
+    col = drift.B @ cset.direction if isinstance(cset, SegmentSet) else drift.B[:, 0]
+    return np.broadcast_to(col, (data.K, 2))
+
+
+def _ball_gain(drift) -> float:
+    """Radius of B(unit ball) for the constant control matrix of a ball set."""
+    B = drift.B
+    if abs(B[0, 0] - B[1, 1]) < 1e-12 and abs(B[0, 1]) < 1e-12 and abs(B[1, 0]) < 1e-12:
+        return abs(B[0, 0])
+    return float(np.linalg.norm(B, 2))
+
+
+# ---------------------------------------------------------------------------
+# small exact optimizers, row by row
+
+
+def _sup_effort(g: np.ndarray, alpha: float, cset) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximize <g, u> - alpha*||u||^2 over the control set for each row of g;
+    returns the suprema and the maximizers, exact for all three set shapes."""
+    if isinstance(cset, IntervalSet):
+        if alpha > 0:
+            u = np.clip(g / (2 * alpha), cset.lo, cset.hi)
+        else:
+            u = np.where(g >= 0, cset.hi, cset.lo)
+        return _rowdot(g, u) - alpha * _rowdot(u, u), u
+    if isinstance(cset, SegmentSet):
+        gc = _rowdot(g, cset.direction)
+        L = cset.halflength
+        if alpha > 0:
+            a = np.clip(gc / (2 * alpha), -L, L)
+        else:
+            a = np.where(gc != 0, np.copysign(L, gc), 0.0)
+        return gc * a - alpha * a * a, a[:, None] * cset.direction
+    gn = _row_norms(g)
+    r = cset.radius
+    if alpha > 0:
+        s = np.clip(gn / (2 * alpha), 0.0, r)
+    else:
+        s = np.where(gn > 0, r, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(gn[:, None] > 0, (s / gn)[:, None] * g, 0.0)
+    return gn * s - alpha * s * s, u
 
 
 def _sup_effort_quadratic(g: np.ndarray, alpha: float, cset) -> Tuple[float, np.ndarray, bool]:
-    """Maximize <g, u> - alpha*||u||^2 over the control set.
-
-    Exact for interval, segment, and ball sets; the boolean flags a dense
-    fallback (resolution 1e-3 of the set scale) for anything else.
-    """
-    g = np.asarray(g, float).ravel()
-    if isinstance(cset, IntervalSet):
-        u = np.empty(cset.dim)
-        for j in range(cset.dim):
-            if alpha > 0:
-                u[j] = min(max(g[j] / (2 * alpha), cset.lo[j]), cset.hi[j])
-            else:
-                u[j] = cset.hi[j] if g[j] >= 0 else cset.lo[j]
-        return float(np.dot(g, u) - alpha * np.dot(u, u)), u, True
-    if isinstance(cset, SegmentSet):
-        gc = float(np.dot(g, cset.direction))
-        L = cset.halflength
-        if alpha > 0:
-            a = min(max(gc / (2 * alpha), -L), L)
-        else:
-            a = math.copysign(L, gc) if gc != 0 else 0.0
-        u = a * cset.direction
-        return gc * a - alpha * a * a, u, True
-    if isinstance(cset, BallSet):
-        gn = float(np.linalg.norm(g))
-        r = cset.radius
-        if alpha > 0:
-            s = min(max(gn / (2 * alpha), 0.0), r)
-        else:
-            s = r if gn > 0 else 0.0
-        u = (s / gn) * g if gn > 0 else np.zeros(cset.dim)
-        return gn * s - alpha * s * s, u, True
-    # dense fallback, documented resolution 1e-3 of the unit scale
-    best, ubest = -math.inf, None
-    for ax in np.linspace(-1.0, 1.0, 2001):
-        u = cset.project(np.array([ax, 0.0]))
-        val = float(np.dot(g, u)) - alpha * float(np.dot(u, u))
-        if val > best:
-            best, ubest = val, u
-    return best, ubest, False
+    """One-point form of :func:`_sup_effort`: ``(sup, maximizer, exact)``."""
+    sup, u = _sup_effort(np.reshape(np.asarray(g, float), (1, -1)), alpha, cset)
+    return float(sup[0]), u[0], True
 
 
-def _scalar_sup_active_interval(
-    gc: float, alpha: float, lo: float, hi: float
-) -> Tuple[float, float, float]:
-    """Superlevel interval of a concave scalar map near its supremum.
+def _sup_active_range(gc: np.ndarray, alpha: float, lo: float,
+                      hi: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Superlevel range of the concave scalar map gc*a - alpha*a^2 on [lo, hi].
 
-    Returns ``(sup, lo*, hi*)`` where ``[lo*, hi*]`` collects the controls
-    within the relative slack of the supremum of ``gc*a - alpha*a^2`` on
-    ``[lo, hi]``; the hull of their dynamics gradients is the Clarke set of
-    the flat supremum.
+    Collects the controls within the relative slack of the supremum; the
+    hull of their dynamics gradients is the Clarke set of a flat supremum.
     """
     if alpha > 0:
-        a_star = min(max(gc / (2 * alpha), lo), hi)
+        peak = gc / (2 * alpha)
+        a_star = np.clip(peak, lo, hi)
     else:
-        a_star = hi if gc >= 0 else lo
-    sup = gc * a_star - alpha * a_star * a_star
-    eps = SUP_ACTIVE_FRAC * (1.0 + abs(sup)) + 1e-12
+        a_star = np.where(gc >= 0, hi, lo)
+    eps = SUP_ACTIVE_FRAC * (1.0 + np.abs(gc * a_star - alpha * a_star * a_star)) + 1e-12
     if alpha > 0:
-        half = math.sqrt(eps / alpha)
-        lo_s = max(lo, gc / (2 * alpha) - half)
-        hi_s = min(hi, gc / (2 * alpha) + half)
-        lo_s = min(lo_s, a_star)
-        hi_s = max(hi_s, a_star)
-    elif abs(gc) * (hi - lo) <= eps:
-        lo_s, hi_s = lo, hi
-    elif gc > 0:
-        lo_s, hi_s = hi - eps / gc, hi
-    else:
-        lo_s, hi_s = lo, lo + eps / abs(gc)
-    return sup, lo_s, hi_s
+        half = np.sqrt(eps / alpha)
+        lo_s = np.minimum(np.maximum(lo, peak - half), a_star)
+        hi_s = np.maximum(np.minimum(hi, peak + half), a_star)
+        return lo_s, hi_s
+    flat = np.abs(gc) * (hi - lo) <= eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo_s = np.where(flat | (gc <= 0), lo, hi - eps / gc)
+        hi_s = np.where(flat | (gc > 0), hi, lo + eps / np.abs(gc))
+    return lo_s, hi_s
 
 
-def _dist_to_hull(
-    point: np.ndarray,
-    base: np.ndarray,
-    cols: List[np.ndarray],
-    los: List[float],
-    his: List[float],
-    ball_radius: float = 0.0,
-) -> float:
-    """Distance to {base + sum_j a_j cols_j : a_j in [lo_j, hi_j]} + r*B.
+_POINT, _INTERVAL, _BALL = 0, 1, 2
 
-    Exact for up to two columns (interior stationary point, then edges);
-    the Minkowski ball term subtracts from the hull distance.
+
+class _Hull(NamedTuple):
+    """Near-argmax structure of the inner control supremum, per row."""
+
+    kind: np.ndarray      # _POINT (unique maximizer u), _INTERVAL (range
+    lo: np.ndarray        # [lo, hi] of the scalar control coordinate) or
+    hi: np.ndarray        # _BALL (flat supremum over a ball set)
+    u: np.ndarray
+
+
+def _u_hull(data: _SolutionData, i: int, w: np.ndarray, alpha: float,
+            rows: slice = slice(None)) -> _Hull:
+    """Near-argmax structure on the intervals ``rows`` for the rows of w."""
+    drift, cset = data.scn.drift[i], data.scn.U[i]
+    g = _gradient_t_w(drift, data.x[:-1, i][rows], w)
+    if isinstance(cset, SegmentSet) or (isinstance(cset, IntervalSet) and cset.dim == 1):
+        if isinstance(cset, SegmentSet):
+            gc, lo, hi, unit = _rowdot(g, cset.direction), -cset.halflength, cset.halflength, cset.direction
+        else:
+            gc, lo, hi, unit = g[:, 0], float(cset.lo[0]), float(cset.hi[0]), np.ones(1)
+        lo_s, hi_s = _sup_active_range(gc, alpha, lo, hi)
+        kind = np.where(hi_s - lo_s < 1e-14, _POINT, _INTERVAL)
+        return _Hull(kind, lo_s, hi_s, lo_s[:, None] * unit)
+    _sup, u = _sup_effort(g, alpha, cset)
+    kind = np.full(len(w), _POINT)
+    if isinstance(cset, BallSet) and alpha <= 0:
+        gr = _row_norms(g) * cset.radius
+        kind[gr <= SUP_ACTIVE_FRAC * (1.0 + gr) + 1e-12] = _BALL
+    zeros = np.zeros(len(w))
+    return _Hull(kind, zeros, zeros, u)
+
+
+# ---------------------------------------------------------------------------
+# distances to hulls and normal cones, row by row
+
+
+def _segment_distance(r: np.ndarray, c: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray) -> np.ndarray:
+    """Distance of each row of r to {a c : a in [lo, hi]}; a zero column
+    leaves |r|."""
+    cc = _rowdot(c, c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(cc > 0, _rowdot(r, c) / cc, 0.0)
+    a = np.minimum(np.maximum(a, lo), hi)
+    return _row_norms(r - a[:, None] * c)
+
+
+def _dist_to_hull(r: np.ndarray, c1: np.ndarray, lo1: np.ndarray, hi1: np.ndarray,
+                  c2: np.ndarray, lo2: np.ndarray, hi2: np.ndarray,
+                  two: np.ndarray, ball: np.ndarray) -> np.ndarray:
+    """Distance of each row of r to {a1 c1 + a2 c2 : a in box} + ball*B.
+
+    The second column counts only on the rows ``two``; a zero first column
+    stands for no column.  With two columns the minimum is taken over the
+    interior stationary point (a 2x2 solve) and the four edges, which is
+    exact; the Minkowski ball term subtracts from the hull distance.
     """
-    r = np.asarray(point, float) - np.asarray(base, float)
-    cols = [np.asarray(c, float) for c in cols]
-    if not cols:
-        return max(0.0, float(np.linalg.norm(r)) - ball_radius)
-    if len(cols) == 1:
-        c = cols[0]
-        cc = float(np.dot(c, c))
-        a = float(np.dot(r, c)) / cc if cc > 0 else 0.0
-        a = min(max(a, los[0]), his[0])
-        return max(0.0, float(np.linalg.norm(r - a * c)) - ball_radius)
-    best = math.inf
-    A = np.column_stack(cols[:2])
-    G = A.T @ A
-    rhs = A.T @ r
-    try:
-        sol = np.linalg.solve(G + 1e-15 * np.eye(2), rhs)
-        if los[0] - 1e-12 <= sol[0] <= his[0] + 1e-12 and los[1] - 1e-12 <= sol[1] <= his[1] + 1e-12:
-            a = np.clip(sol, los[:2], his[:2])
-            best = float(np.linalg.norm(r - A @ a))
-    except np.linalg.LinAlgError:
-        pass
-    for j, fixed in ((0, los[0]), (0, his[0]), (1, los[1]), (1, his[1])):
-        o = 1 - j
-        rr = r - fixed * cols[j]
-        cc = float(np.dot(cols[o], cols[o]))
-        a = float(np.dot(rr, cols[o])) / cc if cc > 0 else 0.0
-        a = min(max(a, los[o]), his[o])
-        best = min(best, float(np.linalg.norm(rr - a * cols[o])))
-    return max(0.0, best - ball_radius)
+    best = _segment_distance(r, c1, lo1, hi1)
+    if two.any():
+        r, a, b = r[two], c1[two], c2[two]
+        l1, h1, l2, h2 = lo1[two], hi1[two], lo2[two], hi2[two]
+        g00 = _rowdot(a, a) + 1e-15
+        g11 = _rowdot(b, b) + 1e-15
+        g01 = _rowdot(a, b)
+        ra, rb = _rowdot(a, r), _rowdot(b, r)
+        det = g00 * g11 - g01 * g01
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (g11 * ra - g01 * rb) / det
+            t = (g00 * rb - g01 * ra) / det
+        inside = ((det != 0) & (l1 - 1e-12 <= s) & (s <= h1 + 1e-12)
+                  & (l2 - 1e-12 <= t) & (t <= h2 + 1e-12))
+        s, t = np.clip(s, l1, h1), np.clip(t, l2, h2)
+        with np.errstate(invalid="ignore"):
+            d = np.where(inside, _row_norms(r - s[:, None] * a - t[:, None] * b), np.inf)
+        for fixed, col, other, lo, hi in ((l1, a, b, l2, h2), (h1, a, b, l2, h2),
+                                          (l2, b, a, l1, h1), (h2, b, a, l1, h1)):
+            d = np.minimum(d, _segment_distance(r - fixed[:, None] * col, other, lo, hi))
+        best[two] = d
+    return np.maximum(0.0, best - ball)
 
 
-def _dist_to_control_normal_cone(point: np.ndarray, cset, v: np.ndarray,
-                                 negate: bool = True) -> float:
-    """Distance from a point to (minus) the normal cone of the control set at v.
+def _normal_cone_distance(w: np.ndarray, cset, v: np.ndarray) -> np.ndarray:
+    """Distance of each row of w to minus the normal cone of the control set
+    at the matching row of v.
 
     Interval sets give per-coordinate rays, a segment contributes its whole
     orthogonal complement plus an outward halfplane at the endpoints, a ball
     the outward radial ray on its boundary.
     """
-    w = np.asarray(point, float).copy()
-    sgn = -1.0 if negate else 1.0
-    v = np.asarray(v, float).ravel()
     tol = 1e-9
     if isinstance(cset, IntervalSet):
-        res = 0.0
+        res = np.zeros(len(w))
         for j in range(cset.dim):
             span = max(1.0, abs(cset.hi[j]) + abs(cset.lo[j]))
-            at_hi = v[j] >= cset.hi[j] - tol * span
-            at_lo = v[j] <= cset.lo[j] + tol * span
-            pos_ok = (at_hi and sgn > 0) or (at_lo and sgn < 0)
-            neg_ok = (at_lo and sgn > 0) or (at_hi and sgn < 0)
-            if w[j] > 0 and not pos_ok:
-                res += w[j] ** 2
-            elif w[j] < 0 and not neg_ok:
-                res += w[j] ** 2
-        return math.sqrt(res)
+            at_hi = v[:, j] >= cset.hi[j] - tol * span
+            at_lo = v[:, j] <= cset.lo[j] + tol * span
+            off = ((w[:, j] > 0) & ~at_lo) | ((w[:, j] < 0) & ~at_hi)
+            res = res + np.where(off, w[:, j] ** 2, 0.0)
+        return np.sqrt(res)
     if isinstance(cset, SegmentSet):
         L = cset.halflength
         if L == 0.0:
-            return 0.0          # normal cone of a singleton is the whole plane
-        a = cset.coordinate(v)
-        along = float(np.dot(w, cset.direction))
+            return np.zeros(len(w))      # normal cone of a singleton is the whole plane
+        a = _rowdot(v, cset.direction)
+        along = _rowdot(w, cset.direction)
         span = max(1.0, L)
-        if a >= L - tol * span:
-            return max(0.0, -sgn * along)
-        if a <= -L + tol * span:
-            return max(0.0, sgn * along)
-        return abs(along)
-    if isinstance(cset, BallSet):
-        if cset.radius == 0.0:
-            return 0.0
-        rn = float(np.linalg.norm(v))
-        if rn >= cset.radius - tol * max(1.0, cset.radius):
-            ray = sgn * v / rn
-            t = max(0.0, float(np.dot(w, ray)))
-            return float(np.linalg.norm(w - t * ray))
-        return float(np.linalg.norm(w))
-    return float(np.linalg.norm(w))
+        return np.where(a >= L - tol * span, np.maximum(0.0, along),
+                        np.where(a <= -L + tol * span, np.maximum(0.0, -along), np.abs(along)))
+    if cset.radius == 0.0:
+        return np.zeros(len(w))
+    rn = _row_norms(v)
+    on = rn >= cset.radius - tol * max(1.0, cset.radius)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ray = -v / rn[:, None]
+        t = np.maximum(0.0, _rowdot(w, ray))
+        return np.where(on, _row_norms(w - t[:, None] * ray), _row_norms(w))
+
+
+def _initial_defect(data: _SolutionData, w0: np.ndarray, i) -> np.ndarray:
+    """Defect of w0 = q(0) - nu(0) z(0) at the initial node(s) of i: its
+    distance to the normal line at a contact start (an initial atom of the
+    measure together with the outward ray spans it), else |w0|."""
+    n0 = data.normals[0, i]
+    along = w0 - _rowdot(w0, n0)[..., None] * n0
+    return np.where(data.contact[0, i], _row_norms(along), _row_norms(w0))
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +572,6 @@ def hamiltonian_upper(
                 d = y[i] - y[j]
                 nd = float(np.linalg.norm(d))
                 if nd < 1e-12:
-                    from .geometry import SingularConfigurationError
-
                     raise SingularConfigurationError(
                         f"coincident centers in active pair ({i+1},{j+1})"
                     )
@@ -528,174 +621,174 @@ def hamiltonian_lower(
 
 
 # ---------------------------------------------------------------------------
-# control-supremum structure shared by adjoint and primal checks
+# the cone support on each interval
 
 
-def _u_hull_structure(data: _SolutionData, i: int, k: int, w: np.ndarray,
-                      effort_weight: float):
-    """Near-argmax structure of the inner control supremum.
-
-    Returns one of
-      ("interval", lo, hi)  scalar control coordinate range of near-maximizers
-      ("point", u)          unique maximizer
-      ("ball", radius)      flat supremum over a ball set
-    """
-    scn = data.scn
-    drift = scn.drift[i]
-    cset = scn.U[i]
-    x = data.x[k, i]
-    g = drift.control_gradient(x).T @ w
-    if isinstance(cset, IntervalSet) and cset.dim == 1:
-        _sup, lo_s, hi_s = _scalar_sup_active_interval(
-            float(g[0]), effort_weight, float(cset.lo[0]), float(cset.hi[0])
-        )
-        if hi_s - lo_s < 1e-14:
-            return "point", np.array([lo_s])
-        return "interval", lo_s, hi_s
-    if isinstance(cset, SegmentSet):
-        gc = float(np.dot(g, cset.direction))
-        _sup, lo_s, hi_s = _scalar_sup_active_interval(
-            gc, effort_weight, -cset.halflength, cset.halflength
-        )
-        if hi_s - lo_s < 1e-14:
-            return "point", lo_s * cset.direction
-        return "interval", lo_s, hi_s
-    if isinstance(cset, BallSet):
-        gn = float(np.linalg.norm(g))
-        eps = SUP_ACTIVE_FRAC * (1.0 + gn * cset.radius) + 1e-12
-        if effort_weight <= 0 and gn * cset.radius <= eps:
-            return "ball", cset.radius
-        _val, u, _exact = _sup_effort_quadratic(g, effort_weight, cset)
-        return "point", u
-    _val, u, _exact = _sup_effort_quadratic(g, effort_weight, cset)
-    return "point", u
-
-
-def _u_direction_column(data: _SolutionData, i: int, k: int) -> np.ndarray:
-    """Control direction of the drift as seen by the scalar hull coordinate."""
-    drift = data.scn.drift[i]
-    x = data.x[k, i]
-    cset = data.scn.U[i]
-    if isinstance(cset, SegmentSet):
-        return drift.control_gradient(x) @ cset.direction
-    return drift.control_gradient(x)[:, 0]
+def _cone_branches(data: _SolutionData, i: int, q_next: np.ndarray, nu: np.ndarray,
+                   w: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks of the active and kink branches of the cone support (both need
+    contact at the landing node), from the activation <w, n> against the
+    kink band, and the active-branch gradient g per interval."""
+    R = data.scn.R
+    m = _rowdot(w, data.normals[1:, i])
+    band = KINK_BAND_FRAC * (_row_norms(q_next) + np.abs(nu) * R) + 1e-12
+    contact = data.contact[1:, i]
+    g = sigma_active_gradient(data.z[1:, i], q_next, nu[:, None], R, data.scn.M[i])
+    return contact & (m < -band), contact & (m >= -band) & (m <= band), g
 
 
 # ---------------------------------------------------------------------------
-# adjoint machinery
+# upper-level checks
 
 
-def _upper_adjoint_interval_residual(
-    data: _SolutionData,
-    i: int,
-    k: int,
-    q_lo_next: np.ndarray,
-    q_lo_cur: np.ndarray,
-    q_hi_next: np.ndarray,
-    q_hi_cur: np.ndarray,
-    nu: float,
-    overlap_row: np.ndarray,
-) -> Tuple[float, float]:
-    """Joint residual of the two upper adjoint inclusions on one interval.
+def _upper_adjoint_paths(data: _SolutionData,
+                         upper: UpperMultipliers) -> Tuple[np.ndarray, np.ndarray]:
+    """(K, N) distances of the finite-difference rates of q_lower and q_upper
+    to the right-hand sides of their adjoint inclusions.
 
-    The claimed control enters the right-hand side directly; at a kink of
-    the cone support both inclusions share the convexification parameter,
-    so the parameter is fit jointly before the norms are split.
+    The claimed control enters the right-hand sides directly.  At a kink of
+    the cone support both inclusions share the convexification parameter
+    theta in [0, 1]; theta is fitted to the pair, and each distance is taken
+    at that theta.
     """
-    scn = data.scn
-    h = data.h[k]
-    x_left = data.x[k, i]
-    zk = data.z[k + 1, i]
-    nk = data.normals[k + 1, i]
-    drift = scn.drift[i]
-    uk = data.u[i][k]
-    f = drift.value(x_left, uk)
-    J = drift.jac_x(x_left, uk)
-    vk = data.v[i][k]
-    w = q_lo_next - nu * zk
+    scn, K, h = data.scn, data.K, data.h[:, None]
+    r_lo_all = np.empty((K, scn.N))
+    r_hi_all = np.empty((K, scn.N))
+    for i in range(scn.N):
+        q_lo, q_hi = upper.q_lower[:, i], upper.q_upper[:, i]
+        nu = upper.confinement[:K, i]
+        f, v = data.f[:, i], data.v[i]
+        w = q_lo[1:] - nu[:, None] * data.z[1:, i]
+        base_lo = _jac_t_w(scn.drift[i], data.u[i], w) - nu[:, None] * f + nu[:, None] * v
+        base_hi = data.add_contact_terms(nu[:, None] * f - nu[:, None] * v, i,
+                                         upper.overlap[:K, i], v)
+        r_lo = -(q_lo[1:] - q_lo[:-1]) / h - base_lo
+        r_hi = -(q_hi[1:] - q_hi[:-1]) / h - base_hi
+        active, kink, g = _cone_branches(data, i, q_lo[1:], nu, w)
+        gg = _rowdot(g, g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fit = np.clip((_rowdot(r_lo, g) - _rowdot(r_hi, g)) / (2 * gg), 0.0, 1.0)
+        theta = np.where(kink & (gg > 1e-30), fit, np.where(active, 1.0, 0.0))[:, None]
+        r_lo_all[:, i] = _row_norms(r_lo - theta * g)
+        r_hi_all[:, i] = _row_norms(r_hi + theta * g)
+    return r_lo_all, r_hi_all
 
-    base_lo = J.T @ w - nu * f + nu * vk
-    base_hi = nu * f - nu * vk
-    for j in range(scn.N):
-        if j != i and overlap_row[j] != 0.0:
-            d = contact_jacobian(data.y[k + 1, i], data.y[k + 1, j])
-            base_hi = base_hi + overlap_row[j] * (d @ vk)
 
-    r_lo = -(q_lo_next - q_lo_cur) / h - base_lo
-    r_hi = -(q_hi_next - q_hi_cur) / h - base_hi
+def _upper_boundary(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
+    """(2, N) worst transversality defects at t=0 (row 0) and at T (row 1)."""
+    K, N = data.K, data.scn.N
+    nuT = upper.confinement[-1][:, None]
+    zT = data.z[-1]
+    pair = np.vstack([data.pair_term(i, slice(K, K + 1), upper.overlap[-1:, i]) for i in range(N)])
+    target_hi = -upper.objective_weight * data.y[-1] - nuT * zT - pair
+    end = np.maximum(_row_norms(upper.q_upper[-1] - target_hi),
+                     _row_norms(upper.q_lower[-1] - nuT * zT))
+    w0 = upper.q_lower[0] - upper.confinement[0][:, None] * data.z[0]
+    return np.stack([_initial_defect(data, w0, slice(None)), end])
 
-    if not data.contact[k + 1, i]:
-        return float(np.linalg.norm(r_lo)), float(np.linalg.norm(r_hi))
-    m = float(np.dot(w, nk))
-    g = sigma_active_gradient(zk, q_lo_next, nu, scn.R, scn.M[i])
-    branch = _sigma_branch(m, _kink_band(q_lo_next, nu, scn.R))
-    if branch == "inactive":
-        return float(np.linalg.norm(r_lo)), float(np.linalg.norm(r_hi))
-    if branch == "active":
-        return float(np.linalg.norm(r_lo - g)), float(np.linalg.norm(r_hi + g))
-    gg = float(np.dot(g, g))
-    theta = 0.0
-    if gg > 1e-30:
-        theta = (float(np.dot(r_lo, g)) - float(np.dot(r_hi, g))) / (2 * gg)
-        theta = min(max(theta, 0.0), 1.0)
-    return (
-        float(np.linalg.norm(r_lo - theta * g)),
-        float(np.linalg.norm(r_hi + theta * g)),
-    )
+
+def _max_lower_gaps(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
+    """(K, N) gaps of the inner-control maximum condition: the supremum of
+    the concave map over the control set minus its value at the claimed
+    control, nonnegative by construction."""
+    scn, K = data.scn, data.K
+    gaps = np.empty((K, scn.N))
+    for i in range(scn.N):
+        alpha = float(upper.effort_weights[i])
+        w = upper.q_lower[1:, i] - upper.confinement[:K, i, None] * data.z[1:, i]
+        g = _gradient_t_w(scn.drift[i], data.x[1:, i], w)
+        sup, _u = _sup_effort(g, alpha, scn.U[i])
+        uk = data.u[i]
+        gaps[:, i] = np.maximum(0.0, sup - (_rowdot(g, uk) - alpha * _rowdot(uk, uk)))
+    return gaps
+
+
+def _sum_participants(gaps: np.ndarray) -> np.ndarray:
+    """Row sums added participant by participant from zero; ``sum(axis=1)``
+    may add in another order."""
+    total = np.zeros(gaps.shape[0])
+    for col in gaps.T:
+        total += col
+    return total
+
+
+def _sensitivity(data: _SolutionData, i: int, lowers, phi_gradients) -> np.ndarray:
+    """Value-function sensitivity path of participant i: a supplied
+    estimate, the witness's stored path, or the witness formula when its
+    effort weight is positive."""
+    K = data.K
+    if phi_gradients is not None and phi_gradients[i] is not None:
+        return np.asarray(phi_gradients[i], float)[:K]
+    low = lowers[i] if lowers is not None else None
+    if low is not None:
+        if low.value_gradient is not None:
+            return np.asarray(low.value_gradient, float)[:K]
+        if low.effort_weight > 0:
+            vec = (low.p_upper[1:] + low.confinement[:K, None] * data.z[1:, i]
+                   + data.pair_term(i, slice(1, None), low.overlap[:K]))
+            return -vec / low.effort_weight
+    raise IndeterminateWitnessError(f"participant {i+1}: no value-function sensitivity available")
+
+
+def _max_upper_paths(data: _SolutionData, upper: UpperMultipliers, lowers,
+                     phi_gradients) -> np.ndarray:
+    """(K, N) distances of the disk-velocity maximum condition's left-hand
+    vectors to minus the normal cones of the velocity sets."""
+    scn, K = data.scn, data.K
+    alpha = upper.effort_weights
+    res = np.empty((K, scn.N))
+    for i in range(scn.N):
+        lhs = (upper.q_upper[1:, i] + upper.confinement[:K, i, None] * data.z[1:, i]
+               + data.pair_term(i, slice(1, None), upper.overlap[:K, i]))
+        if alpha[i] != 0.0:
+            lhs = lhs - alpha[i] * _sensitivity(data, i, lowers, phi_gradients)
+        res[:, i] = _normal_cone_distance(lhs, scn.V[i], data.v[i])
+    return res
+
+
+def _shape_violations(path: np.ndarray, inactive_steps: np.ndarray) -> np.ndarray:
+    """Per-step violation of a measure path: any increase, and any movement
+    on a step where its constraint is inactive throughout."""
+    diffs = np.diff(np.asarray(path, float))
+    return np.maximum(0.0, np.where(inactive_steps, np.abs(diffs), diffs))
+
+
+def _inactive_steps(data: _SolutionData, i: int, j: Optional[int] = None) -> np.ndarray:
+    """Steps on which disk i stays clear of disk j, or (j None) its
+    population stays clear of its disk boundary."""
+    clear = data.pair_gap[:, i, j] > ACTIVATION_TOL if j is not None else ~data.contact[:, i]
+    return clear[:-1] & clear[1:]
+
+
+def _upper_measure_paths(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
+    """(K, N) shape violations of the upper measures; a pair's measure is
+    charged to its lower index."""
+    N = data.scn.N
+    out = np.empty((data.K, N))
+    for i in range(N):
+        out[:, i] = _shape_violations(upper.confinement[:, i], _inactive_steps(data, i))
+        for j in range(i + 1, N):
+            out[:, i] = np.maximum(out[:, i], _shape_violations(
+                upper.overlap[:, i, j], _inactive_steps(data, i, j)))
+    return out
 
 
 def adjoint_residual(solution: BilevelSolution, upper: UpperMultipliers) -> Tuple[float, float]:
-    """Max-over-time distances of the finite-difference costate rates to the
-    right-hand-side selection sets of the two adjoint inclusions."""
+    """Max-over-time distances of the finite-difference costate rates of
+    q_lower and q_upper to the right-hand-side selection sets of their
+    adjoint inclusions (at a cone-support kink, both at the jointly fitted
+    convexification parameter)."""
     data = _SolutionData(solution)
     _check_multiplier_grid(upper.grid, data.grid)
-    r_lo_max = 0.0
-    r_hi_max = 0.0
-    for i in range(data.scn.N):
-        for k in range(data.K):
-            r_lo, r_hi = _upper_adjoint_interval_residual(
-                data,
-                i,
-                k,
-                upper.q_lower[k + 1, i],
-                upper.q_lower[k, i],
-                upper.q_upper[k + 1, i],
-                upper.q_upper[k, i],
-                float(upper.confinement[k, i]),
-                upper.overlap[k, i],
-            )
-            r_lo_max = max(r_lo_max, r_lo)
-            r_hi_max = max(r_hi_max, r_hi)
-    return r_lo_max, r_hi_max
-
-
-def _check_multiplier_grid(a: np.ndarray, b: np.ndarray) -> None:
-    if a.size != b.size or not np.allclose(a, b, rtol=0.0, atol=1e-12):
-        raise ValueError("multiplier grid does not match the trajectory grid")
+    r_lo, r_hi = _upper_adjoint_paths(data, upper)
+    return float(np.max(r_lo)), float(np.max(r_hi))
 
 
 def boundary_residual(solution: BilevelSolution, upper: UpperMultipliers) -> float:
     """Worst defect of the transversality relations at both ends."""
     data = _SolutionData(solution)
     _check_multiplier_grid(upper.grid, data.grid)
-    scn = data.scn
-    lam = upper.objective_weight
-    worst = 0.0
-    for i in range(scn.N):
-        zT = data.z[-1, i]
-        nuT = float(upper.confinement[-1, i])
-        target_hi = -lam * data.y[-1, i] - nuT * zT - data.pair_term(data.K, i, upper.overlap[-1, i])
-        worst = max(worst, float(np.linalg.norm(upper.q_upper[-1, i] - target_hi)))
-        worst = max(worst, float(np.linalg.norm(upper.q_lower[-1, i] - nuT * zT)))
-        w0 = upper.q_lower[0, i] - float(upper.confinement[0, i]) * data.z[0, i]
-        if data.contact[0, i]:
-            # the measure may carry an initial atom at a contact start, which
-            # together with the outward ray spans the whole normal line
-            n0 = data.normals[0, i]
-            worst = max(worst, float(np.linalg.norm(w0 - np.dot(w0, n0) * n0)))
-        else:
-            worst = max(worst, float(np.linalg.norm(w0)))
-    return worst
+    return float(np.max(_upper_boundary(data, upper)))
 
 
 def max_condition_lower(solution: BilevelSolution, upper: UpperMultipliers) -> np.ndarray:
@@ -707,23 +800,7 @@ def max_condition_lower(solution: BilevelSolution, upper: UpperMultipliers) -> n
     """
     data = _SolutionData(solution)
     _check_multiplier_grid(upper.grid, data.grid)
-    scn = data.scn
-    alpha = upper.effort_weights
-    gaps = np.zeros(data.K)
-    for k in range(data.K):
-        total = 0.0
-        for i in range(scn.N):
-            x = data.x[k + 1, i]
-            z = data.z[k + 1, i]
-            nu = float(upper.confinement[k, i])
-            w = upper.q_lower[k + 1, i] - nu * z
-            g = scn.drift[i].control_gradient(x).T @ w
-            sup_val, _ustar, _exact = _sup_effort_quadratic(g, float(alpha[i]), scn.U[i])
-            uk = np.asarray(data.u[i][k], float).ravel()
-            val = float(np.dot(g, uk)) - float(alpha[i]) * float(np.dot(uk, uk))
-            total += max(0.0, sup_val - val)
-        gaps[k] = total
-    return gaps
+    return _sum_participants(_max_lower_gaps(data, upper))
 
 
 def max_condition_upper(
@@ -743,242 +820,109 @@ def max_condition_upper(
     """
     data = _SolutionData(solution)
     _check_multiplier_grid(upper.grid, data.grid)
-    scn = data.scn
-    alpha = upper.effort_weights
-    res = np.zeros(data.K)
-    for k in range(data.K):
-        worst = 0.0
-        for i in range(scn.N):
-            lhs = (
-                upper.q_upper[k + 1, i]
-                + float(upper.confinement[k, i]) * data.z[k + 1, i]
-                + data.pair_term(k + 1, i, upper.overlap[k, i])
-            )
-            if alpha[i] != 0.0:
-                zeta = None
-                if phi_gradients is not None and phi_gradients[i] is not None:
-                    zeta = np.asarray(phi_gradients[i], float)[k]
-                elif lowers is not None and lowers[i] is not None:
-                    low = lowers[i]
-                    if low.value_gradient is not None:
-                        zeta = np.asarray(low.value_gradient, float)[k]
-                    elif low.effort_weight > 0:
-                        zeta = -(
-                            low.p_upper[k + 1]
-                            + float(low.confinement[k]) * data.z[k + 1, i]
-                            + data.pair_term(k + 1, i, low.overlap[k])
-                        ) / low.effort_weight
-                if zeta is None:
-                    raise IndeterminateWitnessError(
-                        f"participant {i+1}: no value-function sensitivity available"
-                    )
-                lhs = lhs - alpha[i] * zeta
-            worst = max(
-                worst,
-                _dist_to_control_normal_cone(lhs, scn.V[i], data.v[i][k], negate=True),
-            )
-        res[k] = worst
-    return res
+    return np.max(_max_upper_paths(data, upper, lowers, phi_gradients), axis=1)
 
 
 # ---------------------------------------------------------------------------
 # inner-relation checks (per participant)
 
 
-def _p_system_interval_residual(
-    data: _SolutionData, low: LowerMultipliers, k: int
-) -> Tuple[float, float]:
-    """Joint residual of the two inner adjoint inclusions on one interval.
+def _inner_paths(data: _SolutionData, low: LowerMultipliers) -> Dict[str, np.ndarray]:
+    """Per-interval residual paths of one participant's stationarity relation.
 
-    Both right-hand sides are Danskin derivatives of the control supremum,
-    so a flat supremum turns its gradient into a hull over the near-argmax
-    control range; the hull coordinate and the cone-kink parameter are fit
-    jointly across the stacked system before splitting the norms.
+    ``adjoint`` is the distance of the stacked finite-difference rates of
+    (p_lower, p_upper) to the hull of the stacked right-hand sides: both are
+    Danskin derivatives of the control supremum, so a flat supremum adds a
+    column over its near-argmax control range, and a cone-support kink a
+    column over the convexification parameter; both parameters are shared
+    by the two inclusions, so the distance is one joint 4-vector distance.
+    ``primal`` is the larger of the population velocity's distance to its
+    velocity hull and the disk velocity's defect.
     """
-    scn = data.scn
-    i = low.participant
-    h = data.h[k]
-    x_left = data.x[k, i]
-    zk = data.z[k + 1, i]
-    nk = data.normals[k + 1, i]
-    drift = scn.drift[i]
-    vk = data.v[i][k]
-    nu = float(low.confinement[k])
-    p_lo_next, p_lo_cur = low.p_lower[k + 1], low.p_lower[k]
-    p_hi_next, p_hi_cur = low.p_upper[k + 1], low.p_upper[k]
-    w = p_lo_next - nu * zk
+    scn, K, i = data.scn, data.K, low.participant
+    drift, v, h = scn.drift[i], data.v[i], data.h[:, None]
+    nu = low.confinement[:K]
+    x_left = data.x[:-1, i]
+    w = low.p_lower[1:] - nu[:, None] * data.z[1:, i]
+    hull = _u_hull(data, i, w, low.effort_weight)
+    interval, ball = hull.kind == _INTERVAL, hull.kind == _BALL
+    u_eval = np.where((hull.kind == _POINT)[:, None], hull.u, 0.0)
+    f = _drift_rows(scn, i, x_left, u_eval)
+    base_lo = nu[:, None] * v + _jac_t_w(drift, u_eval, w) - nu[:, None] * f
+    base_hi = data.add_contact_terms(-nu[:, None] * v, i, low.overlap[:K], v) + nu[:, None] * f
+    r_lo = -(low.p_lower[1:] - low.p_lower[:-1]) / h - base_lo
+    r_hi = -(low.p_upper[1:] - low.p_upper[:-1]) / h - base_hi
+    active, kink, g = _cone_branches(data, i, low.p_lower[1:], nu, w)
+    r_lo = np.where(active[:, None], r_lo - g, r_lo)
+    r_hi = np.where(active[:, None], r_hi + g, r_hi)
 
-    struct = _u_hull_structure(data, i, k, w, low.effort_weight)
-    base_lo = nu * vk
-    base_hi = -nu * vk
-    for j in range(scn.N):
-        if j != i and low.overlap[k, j] != 0.0:
-            d = contact_jacobian(data.y[k + 1, i], data.y[k + 1, j])
-            base_hi = base_hi + low.overlap[k, j] * (d @ vk)
+    col = _control_column(data, i)
+    col_lo = drift.coeff * w - nu[:, None] * col if isinstance(drift, ScaledLinearDrift) \
+        else -nu[:, None] * col
+    hull_col = np.hstack([col_lo, nu[:, None] * col])
+    kink_col = np.hstack([g, -g])
+    gain = _ball_gain(drift) * scn.U[i].radius if ball.any() else 0.0
+    zeros, ones = np.zeros(K), np.ones(K)
+    adjoint = _dist_to_hull(
+        np.hstack([r_lo, r_hi]),
+        np.where(interval[:, None], hull_col, np.where(kink[:, None], kink_col, 0.0)),
+        np.where(interval, hull.lo, 0.0), np.where(interval, hull.hi, kink * 1.0),
+        kink_col, zeros, ones, interval & kink,
+        np.where(ball, np.abs(nu) * gain * math.sqrt(2), 0.0),
+    )
 
-    cols_lo: List[np.ndarray] = []
-    cols_hi: List[np.ndarray] = []
-    los: List[float] = []
-    his: List[float] = []
-    ball_r = 0.0
-    if struct[0] == "point":
-        u_hat = struct[1]
-        f = drift.value(x_left, u_hat)
-        base_lo = base_lo + drift.jac_x(x_left, u_hat).T @ w - nu * f
-        base_hi = base_hi + nu * f
-    elif struct[0] == "interval":
-        lo_s, hi_s = struct[1], struct[2]
-        f0 = drift.value(x_left, np.zeros(drift.control_dim))
-        base_lo = base_lo + drift.jac_x(x_left, np.zeros(drift.control_dim)).T @ w - nu * f0
-        base_hi = base_hi + nu * f0
-        col = _u_direction_column(data, i, k)
-        if isinstance(drift, ScaledLinearDrift):
-            # J_f^T w is itself control-scaled for the bilinear family
-            cols_lo.append(drift.coeff * w - nu * col)
-        else:
-            cols_lo.append(-nu * col)
-        cols_hi.append(nu * col)
-        los.append(lo_s)
-        his.append(hi_s)
-    else:  # flat over a ball
-        f0 = drift.value(x_left, np.zeros(drift.control_dim))
-        base_lo = base_lo + drift.jac_x(x_left, np.zeros(drift.control_dim)).T @ w - nu * f0
-        base_hi = base_hi + nu * f0
-        B = drift.control_gradient(x_left)
-        if abs(B[0, 0] - B[1, 1]) < 1e-12 and abs(B[0, 1]) < 1e-12 and abs(B[1, 0]) < 1e-12:
-            ball_r = abs(nu) * abs(B[0, 0]) * struct[1]
-        else:
-            ball_r = abs(nu) * float(np.linalg.norm(B, 2)) * struct[1]
-
-    r_lo = -(p_lo_next - p_lo_cur) / h - base_lo
-    r_hi = -(p_hi_next - p_hi_cur) / h - base_hi
-
-    g = np.zeros(2)
-    use_kink = False
-    if data.contact[k + 1, i]:
-        m = float(np.dot(w, nk))
-        branch = _sigma_branch(m, _kink_band(p_lo_next, nu, scn.R))
-        g = sigma_active_gradient(zk, p_lo_next, nu, scn.R, scn.M[i])
-        if branch == "active":
-            r_lo = r_lo - g
-            r_hi = r_hi + g
-            g = np.zeros(2)
-        elif branch == "kink":
-            use_kink = True
-
-    point = np.concatenate([r_lo, r_hi])
-    cols: List[np.ndarray] = []
-    clos: List[float] = []
-    chis: List[float] = []
-    if cols_lo:
-        cols.append(np.concatenate([cols_lo[0], cols_hi[0]]))
-        clos.append(los[0])
-        chis.append(his[0])
-    if use_kink:
-        cols.append(np.concatenate([g, -g]))
-        clos.append(0.0)
-        chis.append(1.0)
-    dist = _dist_to_hull(point, np.zeros(4), cols, clos, chis, ball_radius=ball_r * math.sqrt(2))
-    # split norms at the jointly fitted parameters for reporting
-    return dist, dist
+    contact = data.contact[1:, i]
+    normal_col = -data.normals[1:, i]
+    cap = float(scn.M[i])
+    velocity = _dist_to_hull(
+        data.xdot[:, i] - f,
+        np.where(interval[:, None], col, np.where(contact[:, None], normal_col, 0.0)),
+        np.where(interval, hull.lo, 0.0), np.where(interval, hull.hi, contact * cap),
+        normal_col, zeros, np.full(K, cap), interval & contact,
+        np.where(ball, gain, 0.0),
+    )
+    ydot = (data.y[1:, i] - data.y[:-1, i]) / h
+    return {"adjoint": adjoint, "primal_inclusion": np.maximum(velocity, _row_norms(ydot - v))}
 
 
-def _primal_velocity_residual(data: _SolutionData, low: LowerMultipliers, k: int) -> float:
-    """Distance of the realized population velocity to the velocity hull."""
-    scn = data.scn
-    i = low.participant
-    drift = scn.drift[i]
-    x_left = data.x[k, i]
-    nu = float(low.confinement[k])
-    w = low.p_lower[k + 1] - nu * data.z[k + 1, i]
-    xdot = (data.x[k + 1, i] - data.x[k, i]) / data.h[k]
-    struct = _u_hull_structure(data, i, k, w, low.effort_weight)
-    cols: List[np.ndarray] = []
-    los: List[float] = []
-    his: List[float] = []
-    ball_r = 0.0
-    if struct[0] == "point":
-        base = drift.value(x_left, struct[1])
-    elif struct[0] == "interval":
-        base = drift.value(x_left, np.zeros(drift.control_dim))
-        cols.append(_u_direction_column(data, i, k))
-        los.append(struct[1])
-        his.append(struct[2])
-    else:
-        base = drift.value(x_left, np.zeros(drift.control_dim))
-        B = drift.control_gradient(x_left)
-        if abs(B[0, 0] - B[1, 1]) < 1e-12 and abs(B[0, 1]) < 1e-12 and abs(B[1, 0]) < 1e-12:
-            ball_r = abs(B[0, 0]) * struct[1]
-        else:
-            ball_r = float(np.linalg.norm(B, 2)) * struct[1]
-    if data.contact[k + 1, i]:
-        cols.append(-data.normals[k + 1, i])
-        los.append(0.0)
-        his.append(float(scn.M[i]))
-    return _dist_to_hull(xdot, base, cols[:2], los[:2], his[:2], ball_radius=ball_r)
-
-
-def _lower_condition_residuals(
-    data: _SolutionData,
-    low: LowerMultipliers,
-) -> Dict[str, float]:
-    """Residuals of the per-participant stationarity relation."""
-    i = low.participant
-    K = data.K
-    res_adj = 0.0
-    res_primal = 0.0
-    for k in range(K):
-        r_joint, _ = _p_system_interval_residual(data, low, k)
-        res_adj = max(res_adj, r_joint)
-        res_primal = max(res_primal, _primal_velocity_residual(data, low, k))
-        ydot = (data.y[k + 1, i] - data.y[k, i]) / data.h[k]
-        res_primal = max(res_primal, float(np.linalg.norm(ydot - data.v[i][k])))
-
-    zT = data.z[-1, i]
-    muT = float(low.confinement[-1])
-    res_bnd = float(np.linalg.norm(low.p_lower[-1] - muT * zT))
-    target = -muT * zT - data.pair_term(K, i, low.overlap[-1])
-    res_bnd = max(res_bnd, float(np.linalg.norm(low.p_upper[-1] - target)))
+def _inner_boundary(data: _SolutionData, low: LowerMultipliers) -> Tuple[float, float]:
+    """Worst transversality defect of one participant's witness, and the
+    time where it sits (0 or T)."""
+    K, i = data.K, low.participant
+    muT, zT = float(low.confinement[-1]), data.z[-1, i]
+    target = -muT * zT - data.pair_term(i, slice(K, K + 1), low.overlap[-1:])[0]
+    end = max(float(_row_norms((low.p_lower[-1] - muT * zT)[None])[0]),
+              float(_row_norms((low.p_upper[-1] - target)[None])[0]))
     w0 = low.p_lower[0] - float(low.confinement[0]) * data.z[0, i]
-    if data.contact[0, i]:
-        # initial measure atoms widen the outward ray to the normal line
-        n0 = data.normals[0, i]
-        res_bnd = max(res_bnd, float(np.linalg.norm(w0 - np.dot(w0, n0) * n0)))
-    else:
-        res_bnd = max(res_bnd, float(np.linalg.norm(w0)))
-
-    return {
-        "adjoint": res_adj,
-        "primal_inclusion": res_primal,
-        "boundary": res_bnd,
-    }
+    start = float(_initial_defect(data, w0[None], i)[0])
+    return (end, data.grid[-1]) if end > start else (start, data.grid[0])
 
 
-# ---------------------------------------------------------------------------
-# monotonicity / constancy of the measures
-
-
-def _measure_shape_residual(path: np.ndarray, inactive_steps: np.ndarray) -> float:
-    """Max of monotonicity violations and movement on inactive steps."""
-    diffs = np.diff(np.asarray(path, float))
-    worst = float(np.max(diffs, initial=0.0))          # any increase
-    if inactive_steps.any():
-        worst = max(worst, float(np.max(np.abs(diffs[inactive_steps]), initial=0.0)))
-    return max(0.0, worst)
-
-
-def _upper_measure_residual(data: _SolutionData, upper: UpperMultipliers) -> float:
-    worst = 0.0
-    scn = data.scn
-    for i in range(scn.N):
-        for j in range(i + 1, scn.N):
-            inactive = data.pair_gap[:, i, j] > ACTIVATION_TOL
-            steps = inactive[:-1] & inactive[1:]
-            worst = max(worst, _measure_shape_residual(upper.overlap[:, i, j], steps))
-        interior = np.linalg.norm(data.z[:, i, :], axis=1) < scn.R - ACTIVATION_TOL
-        steps = interior[:-1] & interior[1:]
-        worst = max(worst, _measure_shape_residual(upper.confinement[:, i], steps))
-    return worst
+def _inner_checks(data: _SolutionData, low: LowerMultipliers):
+    """``(name, residual, (time, participant))`` of every inner condition
+    of one participant except nontriviality."""
+    i, K = low.participant, data.K
+    starts = data.grid[:-1]
+    for name, path in _inner_paths(data, low).items():
+        yield (name,) + _worst(path, starts, i)
+    value, t = _inner_boundary(data, low)
+    yield "boundary", value, (float(t), i)
+    shape = _shape_violations(low.confinement, _inactive_steps(data, i))
+    for j in range(data.scn.N):
+        if j != i:
+            shape = np.maximum(shape, _shape_violations(low.overlap[:, j], _inactive_steps(data, i, j)))
+    yield ("monotonicity",) + _worst(shape, starts, i)
+    # stationarity articulation: the witness formula against the
+    # velocity-set normal cone; with a positive effort weight and no stored
+    # sensitivity the relation defines the sensitivity, leaving nothing to check
+    if low.effort_weight > 0 and low.value_gradient is None:
+        yield "articulation", 0.0, None
+        return
+    vec = (low.p_upper[1:] + low.confinement[:K, None] * data.z[1:, i]
+           + data.pair_term(i, slice(1, None), low.overlap[:K]))
+    if low.effort_weight > 0:
+        vec = vec + low.effort_weight * np.asarray(low.value_gradient, float)[:K]
+    yield ("articulation",) + _worst(_normal_cone_distance(vec, data.scn.V[i], data.v[i]), starts, i)
 
 
 # ---------------------------------------------------------------------------
@@ -996,101 +940,74 @@ def verify(
 
     The tolerance is scale-aware: each condition passes when its residual
     stays below ``tol * (1 + sup-norm of the relevant costates)``.
-    Nontriviality is the one condition checked from below.
+    Nontriviality is the one condition checked from below.  ``worst_at``
+    of the report places each other condition's largest nonzero residual
+    at a (time, participant): a per-interval residual at the start of its
+    interval, a boundary defect at 0 or T.  ``solution`` may also be the
+    solution data that :func:`fit_multipliers` builds once for all its
+    candidates.
     """
-    data = _SolutionData(solution)
+    data = solution if isinstance(solution, _SolutionData) else _SolutionData(solution)
+    _check_multiplier_grid(upper.grid, data.grid)
     scn = data.scn
+    starts = data.grid[:-1]
     scale = 1.0 + max(
         float(np.max(np.abs(upper.q_upper))), float(np.max(np.abs(upper.q_lower)))
     )
-    residuals: Dict[str, float] = {}
-    verdicts: Dict[str, bool] = {}
-    notes: List[str] = [
+    report = NCOReport(residuals={}, verdicts={}, tol=tol, scale=scale, notes=[
         "inner optimal-solution sets are approximated by the stored minimizers"
-    ]
+    ])
+
+    def record(name: str, value: float, at, bound: float) -> None:
+        report.residuals[name] = value
+        report.verdicts[name] = value <= bound
+        if at is not None and value != 0.0:
+            report.worst_at[name] = at
 
     nontriv = upper.nontriviality()
-    residuals["nontriviality"] = nontriv
-    verdicts["nontriviality"] = nontriv >= NONTRIVIALITY_TOL
+    report.residuals["nontriviality"] = nontriv
+    report.verdicts["nontriviality"] = nontriv >= NONTRIVIALITY_TOL
 
-    r_lo, r_hi = adjoint_residual(solution, upper)
-    residuals["adjoint_q_lower"] = r_lo
-    residuals["adjoint_q_upper"] = r_hi
-    residuals["boundary"] = boundary_residual(solution, upper)
-    residuals["max_lower"] = float(np.max(max_condition_lower(solution, upper)))
+    bound = tol * scale
+    r_lo, r_hi = _upper_adjoint_paths(data, upper)
+    record("adjoint_q_lower", *_worst(r_lo, starts), bound)
+    record("adjoint_q_upper", *_worst(r_hi, starts), bound)
+    record("boundary", *_worst(_upper_boundary(data, upper), data.grid[[0, -1]]), bound)
+    gaps = _max_lower_gaps(data, upper)
+    gap_path = _sum_participants(gaps)
+    k = int(np.argmax(gap_path))
+    record("max_lower", float(gap_path[k]), (float(starts[k]), int(np.argmax(gaps[k]))), bound)
     try:
-        residuals["max_upper"] = float(
-            np.max(max_condition_upper(solution, upper, lowers, phi_gradients))
-        )
+        record("max_upper", *_worst(_max_upper_paths(data, upper, lowers, phi_gradients), starts),
+               bound)
     except IndeterminateWitnessError:
-        residuals["max_upper"] = math.inf
-        notes.append("upper maximum condition indeterminate: no sensitivity witness")
-    residuals["monotonicity"] = _upper_measure_residual(data, upper)
-
-    for name in ("adjoint_q_lower", "adjoint_q_upper", "boundary", "max_lower",
-                 "max_upper", "monotonicity"):
-        verdicts[name] = residuals[name] <= tol * scale
+        record("max_upper", math.inf, None, bound)
+        report.notes.append("upper maximum condition indeterminate: no sensitivity witness")
+    record("monotonicity", *_worst(_upper_measure_paths(data, upper), starts), bound)
 
     if lowers is not None:
         for i in range(scn.N):
             low = lowers[i]
-            tag = f"inner_{i+1}"
             if low is None:
                 continue
+            tag = f"inner_{i+1}"
             _check_multiplier_grid(low.grid, data.grid)
             p_scale = 1.0 + max(
                 float(np.max(np.abs(low.p_upper))), float(np.max(np.abs(low.p_lower)))
             )
             nt = low.nontriviality()
-            residuals[f"{tag}_nontriviality"] = nt
-            verdicts[f"{tag}_nontriviality"] = nt >= NONTRIVIALITY_TOL
-            inner = _lower_condition_residuals(data, low)
-            for key, val in inner.items():
-                residuals[f"{tag}_{key}"] = val
-                verdicts[f"{tag}_{key}"] = val <= tol * p_scale
-            inactive_pairs = 0.0
-            for j in range(scn.N):
-                if j != i:
-                    inactive = data.pair_gap[:, i, j] > ACTIVATION_TOL
-                    steps = inactive[:-1] & inactive[1:]
-                    inactive_pairs = max(
-                        inactive_pairs,
-                        _measure_shape_residual(low.overlap[:, j], steps),
-                    )
-            interior = np.linalg.norm(data.z[:, i, :], axis=1) < scn.R - ACTIVATION_TOL
-            steps = interior[:-1] & interior[1:]
-            mres = max(inactive_pairs, _measure_shape_residual(low.confinement, steps))
-            residuals[f"{tag}_monotonicity"] = mres
-            verdicts[f"{tag}_monotonicity"] = mres <= tol * p_scale
-            # stationarity articulation: the witness formula against the
-            # velocity-set normal cone
-            dres = 0.0
-            for k in range(data.K):
-                vec = (
-                    low.p_upper[k + 1]
-                    + float(low.confinement[k]) * data.z[k + 1, i]
-                    + data.pair_term(k + 1, i, low.overlap[k])
-                )
-                if low.effort_weight > 0 and low.value_gradient is not None:
-                    vec = vec + low.effort_weight * np.asarray(low.value_gradient, float)[k]
-                elif low.effort_weight > 0:
-                    # without a stored sensitivity the relation defines it;
-                    # nothing independent to check at this node
-                    continue
-                dres = max(
-                    dres,
-                    _dist_to_control_normal_cone(vec, scn.V[i], data.v[i][k], negate=True),
-                )
-            residuals[f"{tag}_articulation"] = dres
-            verdicts[f"{tag}_articulation"] = dres <= tol * p_scale
+            report.residuals[f"{tag}_nontriviality"] = nt
+            report.verdicts[f"{tag}_nontriviality"] = nt >= NONTRIVIALITY_TOL
+            for name, value, at in _inner_checks(data, low):
+                record(f"{tag}_{name}", value, at, tol * p_scale)
 
     degenerate = int(np.sum(np.linalg.norm(data.z, axis=2) < 1e-12))
     if degenerate:
-        notes.append(
+        report.notes.append(
             f"{degenerate} node(s) with coincident population/center: zero "
             "support-gradient selection used"
         )
-    return NCOReport(residuals=residuals, verdicts=verdicts, tol=tol, scale=scale, notes=notes)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1104,69 +1021,93 @@ def _backward_pair(
     q_hi_T: np.ndarray,
     nu_path: np.ndarray,
     overlap_rows: np.ndarray,
-    u_of_k: Callable[[int, np.ndarray], np.ndarray],
+    effort_weight: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Backward Euler integration of the coupled adjoint selections.
 
-    Inside the kink band of the cone support the convexification parameter
-    is chosen to pin the activation at zero, which removes the exponential
-    drift of the degenerate arcs; outside the band the branch is forced.
+    The controls are the claimed ones; with ``effort_weight`` set, the
+    inner maximizer at that weight replaces the claimed control wherever it
+    is unique.  Inside the kink band of the cone support the
+    convexification parameter is chosen to pin the activation at zero,
+    which removes the exponential drift of the degenerate arcs; outside the
+    band the branch is forced.  Every term that does not depend on the
+    costate is computed before the loop, which carries q_lower alone;
+    q_upper is then a cumulative sum.
     """
-    scn = data.scn
-    K = data.K
-    q_lo = np.zeros((K + 1, 2))
-    q_hi = np.zeros((K + 1, 2))
+    scn, K, h = data.scn, data.K, data.h
+    R, cap, drift = scn.R, float(scn.M[i]), scn.drift[i]
+    nu = nu_path[:K]
+    x_left, u, v = data.x[:-1, i], data.u[i], data.v[i]
+    z = data.z[1:, i]
+    nz, nv = nu[:, None] * z, nu[:, None] * v
+    f = data.f[:, i].copy()
+    nf = nu[:, None] * f
+    scaled = isinstance(drift, ScaledLinearDrift)
+    # per-step rows and scalars, taken out of the arrays once
+    steps = list(zip(h.tolist(), nu.tolist(), nz, nv, data.contact[1:, i].tolist(),
+                     data.normals[1:, i], (2.0 * nu)[:, None] * z, (np.abs(nu) * R).tolist(),
+                     data.contact[:-1, i].tolist(), data.z[:-1, i], data.normals[:-1, i],
+                     np.clip(data.cone[:, i] / cap, 0.0, 1.0).tolist(),
+                     (drift.coeff * u[:, 0]).tolist() if scaled else [None] * K))
+    gain, jac_t = -(cap / R), None if scaled else drift.A.T
+
+    q_lo = np.empty((K + 1, 2))
     q_lo[K] = q_lo_T
-    q_hi[K] = q_hi_T
-    R = scn.R
-    cap = float(scn.M[i])
-    for k in range(K - 1, -1, -1):
-        h = data.h[k]
-        x_left = data.x[k, i]
-        zk = data.z[k + 1, i]
-        nk = data.normals[k + 1, i]
-        nu = float(nu_path[k])
-        drift = scn.drift[i]
-        qn = q_lo[k + 1]
-        w = qn - nu * zk
-        u_eval = u_of_k(k, w)
-        f = drift.value(x_left, u_eval)
-        J = drift.jac_x(x_left, u_eval)
-        vk = data.v[i][k]
-        base_lo = J.T @ w - nu * f + nu * vk
-        base_hi = nu * f - nu * vk
-        for j in range(scn.N):
-            if j != i and overlap_rows[k, j] != 0.0:
-                d = contact_jacobian(data.y[k + 1, i], data.y[k + 1, j])
-                base_hi = base_hi + overlap_rows[k, j] * (d @ vk)
-        sig = np.zeros(2)
-        if data.contact[k + 1, i]:
-            m = float(np.dot(w, nk))
-            g = sigma_active_gradient(zk, qn, nu, R, cap)
-            branch = _sigma_branch(m, _kink_band(qn, nu, R))
-            if branch == "active":
-                sig = g
-            elif branch == "kink":
-                if data.contact[k, i]:
-                    # pin the next (backward) activation at zero: it is
-                    # affine in the convexification parameter
-                    nu_prev = float(nu_path[k])
-                    z_prev = data.z[k, i]
-                    n_prev = data.normals[k, i]
-                    q_prev0 = qn + h * base_lo
-                    m0 = float(np.dot(q_prev0 - nu_prev * z_prev, n_prev))
-                    slope = h * float(np.dot(g, n_prev))
-                    if abs(slope) > 1e-30:
-                        theta = min(max(-m0 / slope, 0.0), 1.0)
-                    else:
-                        theta = min(max(data.cone[k, i] / cap, 0.0), 1.0)
-                else:
-                    # contact onset interval: use the realized cone fraction
-                    theta = min(max(data.cone[k, i] / cap, 0.0), 1.0)
-                sig = theta * g
-        q_lo[k] = q_lo[k + 1] + h * (base_lo + sig)
-        q_hi[k] = q_hi[k + 1] + h * (base_hi - sig)
-    return q_lo, q_hi
+    sig = np.zeros((K, 2))
+
+    def sweep(top: int, checked: int) -> None:
+        """Steps top, ..., 0; from step ``checked`` down, the inner
+        maximizer is evaluated at each step's costate."""
+        q = q_lo[top + 1]
+        for k in range(top, -1, -1):
+            hk, nuk, nzk, nvk, contact, n, twice_nz, band_nu, contact_prev, z_prev, n_prev, \
+                theta_cone, slope_u = steps[k]
+            w = q - nzk
+            point = k <= checked
+            if point:
+                hull = _u_hull(data, i, w[None], effort_weight, slice(k, k + 1))
+                point = hull.kind[0] == _POINT
+            if point:
+                f[k] = drift.value(x_left[k], hull.u[0])
+                base_lo = drift.jac_x(x_left[k], hull.u[0]).T @ w - nuk * f[k] + nvk
+                nf[k] = nuk * f[k]
+            else:
+                base_lo = (slope_u * w if scaled else jac_t @ w) - nf[k] + nvk
+            if contact:
+                m = float(w @ n)
+                g = gain * (q - twice_nz)
+                band = KINK_BAND_FRAC * (math.sqrt(float(q @ q)) + band_nu) + 1e-12
+                if m < -band:
+                    sig[k] = g
+                elif m <= band:
+                    theta = theta_cone
+                    if contact_prev:
+                        # pin the next (backward) activation at zero: it is
+                        # affine in the convexification parameter
+                        m0 = float((q + hk * base_lo - nuk * z_prev) @ n_prev)
+                        slope = hk * float(g @ n_prev)
+                        if abs(slope) > 1e-30:
+                            theta = min(max(-m0 / slope, 0.0), 1.0)
+                    # else: contact onset interval, the realized cone fraction
+                    sig[k] = theta * g
+            q = q_lo[k] = q + hk * (base_lo + sig[k])
+
+    sweep(K - 1, -1)
+    if effort_weight is not None:
+        # the pass with the claimed controls is the answer unless the
+        # maximizer at its costates is unique somewhere; the steps above the
+        # last such step match, and the sweep is redone from there on
+        points = np.flatnonzero(_u_hull(data, i, q_lo[1:] - nz, effort_weight).kind == _POINT)
+        if points.size:
+            top = int(points[-1])
+            sig[:top + 1] = 0.0
+            sweep(top, top)
+
+    base_hi = data.add_contact_terms(nf - nv, i, overlap_rows[:K], v)
+    q_hi = np.empty((K + 1, 2))
+    q_hi[0] = q_hi_T
+    q_hi[1:] = (h[:, None] * (base_hi - sig))[::-1]
+    return q_lo, np.cumsum(q_hi, axis=0)[::-1]
 
 
 def _build_upper_family(
@@ -1188,12 +1129,8 @@ def _build_upper_family(
     for i in range(scn.N):
         q_lo_T = nu[K, i] * data.z[K, i]
         q_hi_T = -lam * data.y[K, i] - nu[K, i] * data.z[K, i]
-
-        def u_claimed(k, _w, _i=i):
-            return data.u[_i][k]
-
         q_lo[:, i, :], q_hi[:, i, :] = _backward_pair(
-            data, i, q_lo_T, q_hi_T, nu[:, i], overlap[:, i, :], u_claimed
+            data, i, q_lo_T, q_hi_T, nu[:, i], overlap[:, i, :]
         )
     upper = UpperMultipliers(
         grid=data.grid,
@@ -1226,15 +1163,8 @@ def _build_lower_family(
     overlap = np.zeros((K + 1, scn.N))
     p_lo_T = mu[K] * data.z[K, i]
     p_hi_T = -mu[K] * data.z[K, i]
-
-    def u_argmax(k, w):
-        struct = _u_hull_structure(data, i, k, w, lam_bar)
-        if struct[0] == "point":
-            return struct[1]
-        # flat supremum: the claimed control is a valid near-maximizer
-        return data.u[i][k]
-
-    p_lo, p_hi = _backward_pair(data, i, p_lo_T, p_hi_T, mu, overlap, u_argmax)
+    # a flat supremum keeps the claimed control, a valid near-maximizer
+    p_lo, p_hi = _backward_pair(data, i, p_lo_T, p_hi_T, mu, overlap, effort_weight=lam_bar)
     low = LowerMultipliers(
         participant=i,
         grid=data.grid,
@@ -1250,12 +1180,26 @@ def _build_lower_family(
     return low
 
 
+class MultiplierFit(tuple):
+    """What :func:`fit_multipliers` returns: the tuple ``(upper, lowers,
+    achieved)``, carrying the winning candidate's :class:`NCOReport` as
+    ``report``."""
+
+    def __new__(cls, upper, lowers, achieved, report):
+        fit = super().__new__(cls, (upper, lowers, achieved))
+        fit.report = report
+        return fit
+
+    def __getnewargs__(self):
+        return (*self, self.report)
+
+
 def fit_multipliers(
     solution: BilevelSolution,
     families: Optional[Sequence[str]] = None,
     tol: float = 1e-3,
     seed: int = 0,
-) -> Tuple[UpperMultipliers, List[LowerMultipliers], float]:
+) -> MultiplierFit:
     """Search the structured witness families for the best multiplier tuple.
 
     The candidate costates come from backward integration of the adjoint
@@ -1263,7 +1207,9 @@ def fit_multipliers(
     objective weight; every candidate is normalized to unit aggregate
     weight.  Returns the best witness and its achieved worst relative
     residual; a residual above the tolerance means not-verified, never a
-    disproof of optimality.
+    disproof of optimality.  The solution data is built once, and each
+    family is checked by one :func:`verify` call, whose report for the
+    winner rides along as ``report``.
     """
     audit = solution.feasibility
     if not audit.ok():
@@ -1277,7 +1223,7 @@ def fit_multipliers(
     for kind in fam:
         upper = _build_upper_family(data, kind)
         lowers = [_build_lower_family(data, i, kind) for i in range(data.scn.N)]
-        report = verify(solution, upper, lowers, tol=tol)
+        report = verify(data, upper, lowers, tol=tol)
         rel = 0.0
         for name, value in report.residuals.items():
             if name.endswith("nontriviality"):
@@ -1289,9 +1235,9 @@ def fit_multipliers(
         if not report.verdicts["nontriviality"]:
             rel = math.inf
         if best is None or rel < best[0]:
-            best = (rel, upper, lowers)
+            best = (rel, upper, lowers, report)
     assert best is not None
-    return best[1], best[2], best[0]
+    return MultiplierFit(best[1], best[2], best[0], best[3])
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,34 @@ class TestCommands:
         assert code == EXIT_USAGE
         assert err.startswith("error: input: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", [
+        "N-not-an-integer", "controls-times-repeat", "grid-K-1", "negative-h",
+        "controls-start-after-0", "controls-run-past-T",
+    ])
+    def test_rejected_input_is_an_input_error(self, tmp_path, capsys, case):
+        def controls(times):
+            rows = ["t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1"] + [f"{t!r},0,0,0,0,0,0" for t in times]
+            path = tmp_path / "controls.csv"
+            path.write_text("\n".join(rows) + "\n")
+            return str(path)
+
+        argv = {
+            "N-not-an-integer": lambda: [
+                "simulate", write_scenario(tmp_path, lambda d: d["problem"].update(N="two"))],
+            "controls-times-repeat": lambda: [
+                "simulate", TWODISK, "--controls", controls([0.0, 3.0, 3.0, 6.0])],
+            "grid-K-1": lambda: ["solve", TWODISK, "--grid-K", "1"],
+            "negative-h": lambda: ["casestudy", TWODISK, "--h", "-1"],
+            "controls-start-after-0": lambda: [
+                "simulate", TWODISK, "--controls", controls([0.5, 3.0, 6.0])],
+            "controls-run-past-T": lambda: [
+                "simulate", TWODISK, "--controls", controls([0.0, 3.0, 6.5])],
+        }[case]()
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: input: ") and "Traceback" not in err
+
     def test_verify_without_controls_on_non_family_scenario(self, tmp_path):
         def shrink(doc):
             doc["problem"]["N"] = 1
