@@ -1,13 +1,10 @@
 """Bilevel sweeping-process control for disk-confined crowd groups."""
 
 from .geometry import (
-    ConeSection,
     Disk,
     contact_jacobian,
-    diamond,
     project_to_disk,
     sigma_support,
-    truncated_normal_cone,
 )
 from .dynamics import (
     AffineDrift,
@@ -33,7 +30,6 @@ from .bilevel import (
     CaseStudyParams,
     InnerOptions,
     closed_form_controls,
-    penalized_objective,
     solve_bilevel_direct,
     solve_twodisk_parametric,
     value_function,
@@ -45,8 +41,6 @@ from .nco import (
     adjoint_residual,
     boundary_residual,
     fit_multipliers,
-    hamiltonian_lower,
-    hamiltonian_upper,
     max_condition_lower,
     max_condition_upper,
     verify,

@@ -1,16 +1,17 @@
 """Bilevel solvers for the articulated disk-ensemble control problem.
 
 Three layers: the per-participant inner problem (minimum confinement effort
-for a given disk motion), the value-function penalized outer search over
-piecewise-constant disk velocities, and a closed-form parametric solver for
-the aligned two-disk family that serves as a reference oracle.
+for a given disk motion), a derivative-free outer search over
+piecewise-constant disk velocities that scores each plan with a greedy
+inner solve, and a closed-form parametric solver for the aligned two-disk
+family that serves as a reference oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "BilevelSolution",
     "CaseStudyParams",
     "value_function",
-    "penalized_objective",
     "solve_bilevel_direct",
     "solve_twodisk_parametric",
     "closed_form_controls",
@@ -119,11 +119,6 @@ class CaseStudyParams:
         sat = self.decay * self.gamma2(self.t_b) + self.cap
         if abs(self.v_bar - sat) > 1e-6 * max(1.0, self.v_bar):
             raise ValueError("saturation relation v_bar = a*gamma2(t_b) + M violated")
-
-    @property
-    def linear_piece(self) -> Tuple[float, float]:
-        """(intercept, slope): gamma2 = intercept - slope * t on [t_a, t_b]."""
-        return (self.gamma0 + self.R, self.v_bar)
 
     @property
     def exp_piece(self) -> Tuple[float, float, float]:
@@ -376,35 +371,6 @@ def value_function(
     return phi, (best[2], ControlProfile(grid=grid, values=best[1]))
 
 
-def penalized_objective(
-    scenario: Scenario,
-    candidate: Tuple[Sequence[ControlProfile], Sequence[ControlProfile], np.ndarray],
-    rho: Optional[np.ndarray] = None,
-    inner: Optional[InnerOptions] = None,
-) -> float:
-    """Flattened objective: terminal cost plus the penalized inner-optimality gap.
-
-    The penalty term sums rho_i * (effort of the candidate's control minus
-    the value function at its disk motion) and is nonnegative by definition
-    of the value function.
-    """
-    v, u, x0 = candidate
-    rho = scenario.rho if rho is None else np.asarray(rho, float).reshape(scenario.N)
-    y = integrate_upper(scenario, list(v))
-    x = integrate_lower_catchup(scenario, y, list(u), x0)
-    audit = check_feasibility(scenario, y, x, list(u), list(v))
-    if not audit.ok():
-        raise ValueError(
-            f"candidate infeasible: worst violation {audit.max_violation:.3g}"
-        )
-    total = cost_upper(y.terminal())
-    for i in range(scenario.N):
-        phi, _argmin = value_function(scenario, i, v[i], inner)
-        gap = cost_lower(u[i]) - phi
-        total += rho[i] * max(0.0, gap)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # direct outer solver
 
@@ -458,7 +424,6 @@ def _embed_profile(profile: ControlProfile, fine_grid: np.ndarray) -> ControlPro
 def solve_bilevel_direct(
     scenario: Scenario,
     coarse_grid_K: int = 8,
-    rho: Optional[np.ndarray] = None,
     seed: int = 0,
     sim_K: int = 600,
     starts: int = 5,
@@ -466,16 +431,15 @@ def solve_bilevel_direct(
 ) -> BilevelSolution:
     """Derivative-free outer search over piecewise-constant disk velocities.
 
-    Each candidate velocity plan is scored by the flattened objective with
-    the inner control taken at its own optimum (so the calmness penalty
-    vanishes and feasibility is delegated to the inner solver).  Pattern
-    search polls single coordinates, per-interval groups, and the full
-    vector, from structured plus seeded random starts.  Deterministic for a
-    fixed seed.
+    Each candidate velocity plan is scored by its terminal cost, with the
+    inner controls from the greedy feasibility-first solve (no
+    value-function penalty; a plan without a feasible greedy inner control
+    is rejected) and a penalty on disk overlap.  Pattern search polls
+    single coordinates, per-interval groups, and the full vector, from
+    structured plus seeded random starts.  Deterministic for a fixed seed.
     """
     if coarse_grid_K < 2:
         raise ValueError("need at least K=2 coarse intervals")
-    rho = scenario.rho if rho is None else np.asarray(rho, float).reshape(scenario.N)
     rng = np.random.default_rng(seed)
     sim_K = int(math.ceil(sim_K / coarse_grid_K)) * coarse_grid_K
     coarse = uniform_grid(scenario.T, coarse_grid_K)

@@ -291,8 +291,11 @@ def _summary_text(sections) -> str:
     return "\n".join(_tree_lines(sections)) + "\n"
 
 
-def _flags_node(flags: dict) -> list:
-    return [(key, flags[key]) for key in sorted(flags)]
+def _run_node(command: str, scenario: Scenario, flags: dict) -> tuple:
+    """The summary's ``run`` section: command, scenario and every flag."""
+    return ("run", [("command", command), ("scenario", scenario.name),
+                    ("scenario_hash", scenario_hash(scenario)),
+                    ("flags", [(key, flags[key]) for key in sorted(flags)])])
 
 
 def _feasibility_node(report) -> list:
@@ -377,19 +380,38 @@ def _setting(flags, solver_cfg, key):
     return flags[key] if flags.get(key) is not None else solver_cfg.get(key)
 
 
+def _positive(value, what: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ScenarioFormatError(f"{what} must be a positive number, got {value!r}")
+    return value
+
+
 def _default_grid(scenario, solver_cfg, flags) -> np.ndarray:
     h = _setting(flags, solver_cfg, "h")
     if h is None:
         return uniform_grid(scenario.T, DEFAULT_GRID_K)
-    h = float(h)
-    if not (math.isfinite(h) and h > 0):
-        raise ScenarioFormatError(f"time step h must be a positive number, got {h!r}")
+    h = _positive(h, "time step h")
     return uniform_grid(scenario.T, max(1, int(round(scenario.T / h))))
 
 
 def _emit(outdir: str, name: str, text: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     _atomic_write(os.path.join(outdir, name), text)
+
+
+def _forward(scenario, v, u) -> BilevelSolution:
+    """Run supplied controls from x0 (the disk centers when x0 is free):
+    both integrators, then the feasibility audit."""
+    y = integrate_upper(scenario, v)
+    x0 = scenario.x0 if scenario.x0 is not None else scenario.y0
+    x = integrate_lower_catchup(scenario, y, u, x0)
+    return BilevelSolution(
+        scenario=scenario, v=v, u=u, x0=x0, y=y, x=x,
+        J_H=cost_upper(y.terminal()),
+        J_L=np.array([cost_lower(p) for p in u]),
+        method="supplied", feasibility=check_feasibility(scenario, y, x, u, v),
+    )
 
 
 def _simulate(scenario, solver_cfg, flags, out) -> int:
@@ -402,22 +424,17 @@ def _simulate(scenario, solver_cfg, flags, out) -> int:
             constant_profile(grid, np.zeros(scenario.drift[i].control_dim))
             for i in range(scenario.N)
         ]
-    y = integrate_upper(scenario, v)
-    x0 = scenario.x0 if scenario.x0 is not None else scenario.y0
-    x = integrate_lower_catchup(scenario, y, u, x0)
-    audit = check_feasibility(scenario, y, x, u, v)
-    _emit(out, "trajectory.csv", _trajectory_csv(scenario, y, x, u, v))
+    sol = _forward(scenario, v, u)
+    _emit(out, "trajectory.csv", _trajectory_csv(scenario, sol.y, sol.x, sol.u, sol.v))
     summary = [
-        ("run", [("command", "simulate"), ("scenario", scenario.name),
-                 ("scenario_hash", scenario_hash(scenario)),
-                 ("flags", _flags_node(flags))]),
-        ("result", [("feasibility", _feasibility_node(audit)),
-                    ("cost_upper", cost_upper(y.terminal())),
-                    ("cost_lower", [(f"participant_{i+1}", cost_lower(u[i]))
+        _run_node("simulate", scenario, flags),
+        ("result", [("feasibility", _feasibility_node(sol.feasibility)),
+                    ("cost_upper", sol.J_H),
+                    ("cost_lower", [(f"participant_{i+1}", float(sol.J_L[i]))
                                     for i in range(scenario.N)])]),
     ]
     _emit(out, "summary.txt", _summary_text(summary))
-    return EXIT_OK if audit.ok() else EXIT_INFEASIBLE
+    return EXIT_OK if sol.feasibility.ok() else EXIT_INFEASIBLE
 
 
 def _solution_artifacts(out, command, scenario, flags, sol: BilevelSolution,
@@ -432,13 +449,8 @@ def _solution_artifacts(out, command, scenario, flags, sol: BilevelSolution,
     ]
     if extra:
         result = extra + result
-    summary = [
-        ("run", [("command", command), ("scenario", scenario.name),
-                 ("scenario_hash", scenario_hash(scenario)),
-                 ("flags", _flags_node(flags))]),
-        ("result", result),
-    ]
-    _emit(out, "summary.txt", _summary_text(summary))
+    _emit(out, "summary.txt", _summary_text([_run_node(command, scenario, flags),
+                                             ("result", result)]))
 
 
 def _solve(scenario, solver_cfg, flags, out) -> int:
@@ -446,8 +458,8 @@ def _solve(scenario, solver_cfg, flags, out) -> int:
     grid_K = 8 if grid_K is None else int(grid_K)
     if grid_K < 2:
         raise ScenarioFormatError(f"grid-K must be at least 2 coarse intervals, got {grid_K}")
-    seed = int(flags.get("seed") if flags.get("seed") is not None
-               else solver_cfg.get("seed", 0))
+    seed = _setting(flags, solver_cfg, "seed")
+    seed = 0 if seed is None else int(seed)
     sol = solve_bilevel_direct(scenario, coarse_grid_K=grid_K, seed=seed)
     _solution_artifacts(out, "solve", scenario, flags, sol)
     return EXIT_OK
@@ -468,26 +480,34 @@ def _casestudy(scenario, solver_cfg, flags, out) -> int:
 
 def _verification_solution(scenario, solver_cfg, flags) -> BilevelSolution:
     if flags.get("controls"):
-        v, u = _read_controls(flags["controls"], scenario)
-        y = integrate_upper(scenario, v)
-        x0 = scenario.x0 if scenario.x0 is not None else scenario.y0
-        x = integrate_lower_catchup(scenario, y, u, x0)
-        audit = check_feasibility(scenario, y, x, u, v)
-        return BilevelSolution(
-            scenario=scenario, v=v, u=u, x0=x0, y=y, x=x,
-            J_H=cost_upper(y.terminal()),
-            J_L=np.array([cost_lower(p) for p in u]),
-            method="supplied", feasibility=audit,
-        )
+        return _forward(scenario, *_read_controls(flags["controls"], scenario))
     _params, sol = solve_twodisk_parametric(
         scenario, grid_K=_default_grid(scenario, solver_cfg, flags).size - 1
     )
     return sol
 
 
+def _worst_violation(report) -> str:
+    """The largest violation of a feasibility report and where it sits."""
+    worst = report.max_violation
+    if report.overlap_violation == worst:
+        i, j = report.overlap_pair
+        return (f"disks {i + 1} and {j + 1} overlap by {worst:.6g} "
+                f"at t={report.overlap_time:.6g}")
+    if report.confinement_violation == worst:
+        return (f"participant {report.confinement_participant + 1} leaves its disk "
+                f"by {worst:.6g} at t={report.confinement_time:.6g}")
+    return (f"participant {report.control_participant + 1}: control outside its set "
+            f"by {worst:.6g} at t={report.control_time:.6g}")
+
+
 def _verify(scenario, solver_cfg, flags, out) -> int:
+    tol = _setting(flags, solver_cfg, "tol")
+    tol = 1e-3 if tol is None else _positive(tol, "verification tolerance tol")
     sol = _verification_solution(scenario, solver_cfg, flags)
-    tol = float(flags.get("tol") or solver_cfg.get("tol") or 1e-3)
+    if not sol.feasibility.ok():
+        print(f"error: infeasible: {_worst_violation(sol.feasibility)}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     fit = fit_multipliers(sol, tol=tol)
     upper, _lowers, achieved = fit
     report = fit.report
@@ -497,9 +517,7 @@ def _verify(scenario, solver_cfg, flags, out) -> int:
     worst_at = [(name, f"t={_fmt(t)} participant={i + 1}")
                 for name, (t, i) in sorted(report.worst_at.items())]
     summary = [
-        ("run", [("command", "verify"), ("scenario", scenario.name),
-                 ("scenario_hash", scenario_hash(scenario)),
-                 ("flags", _flags_node(flags))]),
+        _run_node("verify", scenario, flags),
         ("result", [
             ("verified", str(report.all_pass).lower()),
             ("achieved_relative_residual", achieved),
@@ -527,14 +545,13 @@ def _h5check(scenario, solver_cfg, flags, out) -> int:
                 rows.append((sol.x.states[k, i], sol.y.states[k, i]))
         samples.append(rows)
     if any(not rows for rows in samples):
-        print("error: no contact samples found on the supplied path", file=sys.stderr)
+        print("error: infeasible: no contact samples found on the supplied path",
+              file=sys.stderr)
         return EXIT_INFEASIBLE
     bounds = h5_bounds(scenario, samples)
     ok = all(lower < scenario.M[i] < upper for i, (upper, lower) in enumerate(bounds))
     summary = [
-        ("run", [("command", "h5check"), ("scenario", scenario.name),
-                 ("scenario_hash", scenario_hash(scenario)),
-                 ("flags", _flags_node(flags))]),
+        _run_node("h5check", scenario, flags),
         ("result", [
             ("bracket_holds", str(ok).lower()),
             ("participants", [
@@ -563,7 +580,7 @@ _COMMANDS = {
 def run(command: str, scenario_path: str, **flags) -> int:
     """Dispatch one command; returns the process exit code."""
     if command not in _COMMANDS:
-        print(f"error: unknown command {command!r}", file=sys.stderr)
+        print(f"error: usage: unknown command {command!r}", file=sys.stderr)
         return EXIT_USAGE
     out = flags.get("out") or "."
     try:
@@ -596,8 +613,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None,
                         help="verification tolerance")
-    parser.add_argument("--penalty-k", type=float, default=None, dest="penalty_k",
-                        help="stiffness of the penalty integrator")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--controls", default=None,
                         help="controls file for simulate/verify")

@@ -63,12 +63,12 @@ class TruncationViolationError(RuntimeError):
     """The projection step needs a correction larger than the cone cap."""
 
     def __init__(self, participant: int, time: float, magnitude: float, cap: float):
-        self.participant = participant
+        self.participant = participant      # 0-based; the message counts from 1
         self.time = time
         self.magnitude = magnitude
         self.cap = cap
         super().__init__(
-            f"participant {participant} at t={time:.6g}: required cone correction "
+            f"participant {participant + 1} at t={time:.6g}: required cone correction "
             f"{magnitude:.6g} exceeds cap {cap:.6g}"
         )
 
@@ -180,9 +180,6 @@ class IntervalSet(_ControlSet):
         d = np.asarray(d, float).ravel()
         return float(np.sum(np.where(d >= 0, d * self.hi, d * self.lo)))
 
-    def arg_support(self, d) -> np.ndarray:
-        d = np.asarray(d, float).ravel()
-        return np.where(d >= 0, self.hi, self.lo).astype(float)
 
 
 @dataclass(frozen=True)
@@ -221,10 +218,6 @@ class SegmentSet(_ControlSet):
     def support(self, d) -> float:
         return self.halflength * abs(float(np.dot(np.asarray(d, float).ravel(), self.direction)))
 
-    def arg_support(self, d) -> np.ndarray:
-        s = float(np.dot(np.asarray(d, float).ravel(), self.direction))
-        return math.copysign(self.halflength, s) * self.direction
-
 
 @dataclass(frozen=True)
 class BallSet(_ControlSet):
@@ -252,13 +245,6 @@ class BallSet(_ControlSet):
 
     def support(self, d) -> float:
         return self.radius * float(np.linalg.norm(np.asarray(d, float).ravel()))
-
-    def arg_support(self, d) -> np.ndarray:
-        d = np.asarray(d, float).ravel()
-        n = float(np.linalg.norm(d))
-        if n == 0.0:
-            return np.zeros(self.dim)
-        return (self.radius / n) * d
 
 
 ControlSetSpec = Union[IntervalSet, SegmentSet, BallSet]
@@ -369,11 +355,7 @@ class ControlProfile:
         self.grid = np.asarray(self.grid, float).ravel()
         self.values = np.atleast_2d(np.asarray(self.values, float))
         if self.values.shape[0] != self.grid.size - 1:
-            # accept (m, K) input transposed by mistake only when unambiguous
-            if self.values.shape[1] == self.grid.size - 1:
-                self.values = self.values.T
-            else:
-                raise ValueError("need one control value per grid interval")
+            raise ValueError("need one control value per grid interval")
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing")
 
@@ -515,7 +497,6 @@ def integrate_lower_catchup(
     y: Trajectory,
     u: Sequence[ControlProfile],
     x0: np.ndarray,
-    step: Optional[float] = None,
 ) -> Trajectory:
     """Catching-up time stepping for the confined population states.
 
@@ -526,10 +507,6 @@ def integrate_lower_catchup(
     naming the lowest-index participant over its cap at its first such step.
     """
     grid = y.grid
-    if step is not None:
-        hs = np.diff(grid)
-        if abs(float(hs[0]) - step) > 1e-12 or np.ptp(hs) > 1e-12:
-            raise ValueError("step does not match the trajectory grid spacing")
     if len(u) != scenario.N:
         raise ValueError("need one lower control profile per participant")
     for p in u:

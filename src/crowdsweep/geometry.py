@@ -1,41 +1,32 @@
 """Disk geometry and the algebraic kernels of the optimality system.
 
-Everything here is a pure function of its arguments: truncated normal cones
-of (translated) disks, Euclidean projection, the contact Jacobian of the
-pairwise unit-separation map, blockwise scalar products, and the support
-value of the truncated cone together with its gradient selections.
+Everything here is a pure function of its arguments: Euclidean projection
+onto a disk, the contact Jacobian of the pairwise unit-separation map, and
+the support value of the truncated normal cone with its active-branch
+gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "Disk",
-    "ConeSection",
     "InfeasiblePointError",
     "SingularConfigurationError",
     "active_tolerance",
-    "truncated_normal_cone",
     "project_to_disk",
     "contact_jacobian",
-    "diamond",
     "sigma_support",
     "sigma_boundary_branch",
     "sigma_active_gradient",
-    "sigma_gradient_selection",
 ]
 
 # Active-set tolerance for geometric predicates, relative to the disk radius.
 # Feasibility *reporting* uses a looser tolerance owned by the dynamics module.
 ACTIVE_TOL_FACTOR = 1e-9
-
-# Step for the central finite-difference fallback at kinks of the cone
-# support value.
-FD_STEP = 1e-6
 
 
 class InfeasiblePointError(ValueError):
@@ -64,56 +55,6 @@ class Disk:
         if not self.radius > 0:
             raise ValueError("disk radius must be positive")
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return float(np.linalg.norm(np.asarray(x, float) - self.center)) <= self.radius + tol
-
-
-@dataclass(frozen=True)
-class ConeSection:
-    """Truncated normal cone of a disk at a point.
-
-    ``kind`` is ``"zero"`` in the interior (the cone is the origin) and
-    ``"ray"`` on the boundary, where the cone is the segment
-    ``{s * direction : 0 <= s <= cap}`` along the outward unit normal.
-    """
-
-    kind: str
-    direction: Optional[np.ndarray]
-    cap: float
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "ray"):
-            raise ValueError(f"unknown cone kind {self.kind!r}")
-        if self.cap < 0:
-            raise ValueError("cone cap must be nonnegative")
-        if self.kind == "ray":
-            d = np.asarray(self.direction, dtype=float)
-            object.__setattr__(self, "direction", d)
-            if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
-                raise ValueError("ray direction must be a unit vector")
-        elif self.direction is not None:
-            raise ValueError("zero section carries no direction")
-
-
-def truncated_normal_cone(disk: Disk, x, cap: float) -> ConeSection:
-    """Truncated normal cone of ``disk`` at the feasible point ``x``.
-
-    Interior points return the zero section; boundary points (within the
-    active-set tolerance) return the outward radial ray with the given cap.
-    Points beyond ``radius + tol`` are rejected.
-    """
-    x = np.asarray(x, dtype=float)
-    tol = active_tolerance(disk.radius)
-    offset = x - disk.center
-    dist = float(np.linalg.norm(offset))
-    if dist > disk.radius + tol:
-        raise InfeasiblePointError(
-            f"point at distance {dist:.12g} outside disk of radius {disk.radius:.12g}"
-        )
-    if dist < disk.radius - tol:
-        return ConeSection(kind="zero", direction=None, cap=float(cap))
-    return ConeSection(kind="ray", direction=offset / dist, cap=float(cap))
-
 
 def project_to_disk(disk: Disk, x) -> np.ndarray:
     """Euclidean projection onto the disk (identity on the interior)."""
@@ -138,26 +79,12 @@ def contact_jacobian(y_i, y_j) -> np.ndarray:
     return np.eye(2) / r - np.outer(d, d) / r**3
 
 
-def diamond(a, b) -> np.ndarray:
-    """Blockwise scalar product: block i of ``b`` scaled by ``a[i]``.
-
-    ``b`` must have length ``m * len(a)`` for an integer m >= 1.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    k = a.size
-    if k == 0 or b.size == 0 or b.size % k != 0:
-        raise ValueError(f"incompatible lengths {k} and {b.size}")
-    m = b.size // k
-    return (a[:, None] * b.reshape(k, m)).ravel()
-
-
 def sigma_boundary_branch(disk_offset, q, nu: float, radius: float, cap: float) -> float:
     """Boundary-branch value of the cone support, extended smoothly off contact.
 
     With z the disk offset, this evaluates ``cap * max(0, -<q - nu*z, z/radius>)``.
-    It agrees with :func:`sigma_support` at contact and is the function the
-    gradient selections differentiate.
+    It agrees with :func:`sigma_support` at contact, and
+    :func:`sigma_active_gradient` is its gradient where it is positive.
     """
     z = np.asarray(disk_offset, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -194,34 +121,3 @@ def sigma_active_gradient(disk_offset, q, nu: float, radius: float, cap: float) 
     z = np.asarray(disk_offset, dtype=float)
     q = np.asarray(q, dtype=float)
     return -(cap / radius) * (q - 2.0 * nu * z)
-
-
-def sigma_gradient_selection(disk_offset, q, nu: float, radius: float, cap: float):
-    """One measurable selection of the support-value subgradients.
-
-    Returns ``(grad_x, grad_y, at_kink, degenerate)``.  Smooth pieces use the
-    closed form; at the kink (activation crossing zero) a central finite
-    difference of the boundary branch supplies the selection; a degenerate
-    offset (x = y) returns the zero selection and is flagged.
-    """
-    z = np.asarray(disk_offset, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if float(np.linalg.norm(z)) < 1e-12:
-        return np.zeros(2), np.zeros(2), False, True
-    activation = -float(np.dot(q - nu * z, z)) / radius
-    scale = 1.0 + float(np.linalg.norm(q)) + abs(nu) * radius
-    kink_tol = 1e-9 * scale
-    if activation > kink_tol:
-        g = sigma_active_gradient(z, q, nu, radius, cap)
-        return g, -g, False, False
-    if activation < -kink_tol:
-        return np.zeros(2), np.zeros(2), False, False
-    gx = np.empty(2)
-    for j in range(2):
-        dz = np.zeros(2)
-        dz[j] = FD_STEP
-        gx[j] = (
-            sigma_boundary_branch(z + dz, q, nu, radius, cap)
-            - sigma_boundary_branch(z - dz, q, nu, radius, cap)
-        ) / (2 * FD_STEP)
-    return gx, -gx, True, False

@@ -31,19 +31,18 @@ from .dynamics import (
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
+    _check_grid_match,
     _lane_drift,
     _row_norms,
     _translation_path,
 )
-from .geometry import SingularConfigurationError, sigma_active_gradient, sigma_support
+from .geometry import SingularConfigurationError, sigma_active_gradient
 
 __all__ = [
     "UpperMultipliers",
     "LowerMultipliers",
     "NCOReport",
     "IndeterminateWitnessError",
-    "hamiltonian_upper",
-    "hamiltonian_lower",
     "adjoint_residual",
     "boundary_residual",
     "max_condition_lower",
@@ -285,11 +284,6 @@ class _SolutionData:
         return base
 
 
-def _check_multiplier_grid(a: np.ndarray, b: np.ndarray) -> None:
-    if a.size != b.size or not np.allclose(a, b, rtol=0.0, atol=1e-12):
-        raise ValueError("multiplier grid does not match the trajectory grid")
-
-
 def _worst(paths: np.ndarray, times: np.ndarray,
            participant: Optional[int] = None) -> Tuple[float, Tuple[float, int]]:
     """Largest entry of a residual path, (rows,) for one participant or
@@ -371,12 +365,6 @@ def _sup_effort(g: np.ndarray, alpha: float, cset) -> Tuple[np.ndarray, np.ndarr
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(gn[:, None] > 0, (s / gn)[:, None] * g, 0.0)
     return gn * s - alpha * s * s, u
-
-
-def _sup_effort_quadratic(g: np.ndarray, alpha: float, cset) -> Tuple[float, np.ndarray, bool]:
-    """One-point form of :func:`_sup_effort`: ``(sup, maximizer, exact)``."""
-    sup, u = _sup_effort(np.reshape(np.asarray(g, float), (1, -1)), alpha, cset)
-    return float(sup[0]), u[0], True
 
 
 def _sup_active_range(gc: np.ndarray, alpha: float, lo: float,
@@ -531,93 +519,6 @@ def _initial_defect(data: _SolutionData, w0: np.ndarray, i) -> np.ndarray:
     n0 = data.normals[0, i]
     along = w0 - _rowdot(w0, n0)[..., None] * n0
     return np.where(data.contact[0, i], _row_norms(along), _row_norms(w0))
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonians
-
-
-def hamiltonian_upper(
-    scenario: Scenario,
-    y: np.ndarray,
-    x: np.ndarray,
-    v: Sequence[np.ndarray],
-    u: Sequence[np.ndarray],
-    q_upper: np.ndarray,
-    q_lower: np.ndarray,
-    overlap: np.ndarray,
-    confinement: np.ndarray,
-    effort_weights: np.ndarray,
-) -> float:
-    """Pointwise upper-level Hamiltonian, summed over participants."""
-    y = np.asarray(y, float).reshape(scenario.N, 2)
-    x = np.asarray(x, float).reshape(scenario.N, 2)
-    q_upper = np.asarray(q_upper, float).reshape(scenario.N, 2)
-    q_lower = np.asarray(q_lower, float).reshape(scenario.N, 2)
-    overlap = _symmetrize_pairs(np.asarray(overlap, float)[None])[0]
-    confinement = np.asarray(confinement, float).reshape(scenario.N)
-    effort_weights = np.asarray(effort_weights, float).reshape(scenario.N)
-    total = 0.0
-    for i in range(scenario.N):
-        z = x[i] - y[i]
-        f = scenario.drift[i].value(x[i], u[i])
-        w = q_lower[i] - confinement[i] * z
-        total += float(np.dot(w, f))
-        total += confinement[i] * float(np.dot(z, v[i]))
-        total += sigma_support(z, q_lower[i], confinement[i], scenario.R, scenario.M[i])
-        total -= effort_weights[i] * float(np.sum(np.asarray(u[i], float) ** 2))
-        pair = q_upper[i].copy()
-        for j in range(scenario.N):
-            if j != i and overlap[i, j] != 0.0:
-                d = y[i] - y[j]
-                nd = float(np.linalg.norm(d))
-                if nd < 1e-12:
-                    raise SingularConfigurationError(
-                        f"coincident centers in active pair ({i+1},{j+1})"
-                    )
-                pair += overlap[i, j] * d / nd
-        total += float(np.dot(pair, v[i]))
-    return total
-
-
-def hamiltonian_lower(
-    scenario: Scenario,
-    i: int,
-    y: np.ndarray,
-    x: np.ndarray,
-    v: np.ndarray,
-    p_upper: np.ndarray,
-    p_lower: np.ndarray,
-    overlap_row: np.ndarray,
-    confinement: float,
-    effort_weight: float,
-    y_others: Optional[np.ndarray] = None,
-) -> float:
-    """Pointwise inner Hamiltonian of one participant.
-
-    The supremum over the control set is closed form for the supported
-    drift/set pairs (concave scalar or radial quadratics); the cone
-    supremum is the same segment form as the support value.
-    """
-    x = np.asarray(x, float).reshape(2)
-    y = np.asarray(y, float).reshape(2)
-    z = x - y
-    w = np.asarray(p_lower, float) - confinement * z
-    total = confinement * float(np.dot(z, v))
-    total += sigma_support(z, np.asarray(p_lower, float), confinement, scenario.R, scenario.M[i])
-    g = scenario.drift[i].control_gradient(x).T @ w
-    base = float(np.dot(w, scenario.drift[i].value(x, np.zeros(scenario.drift[i].control_dim))))
-    sup_val, _u, _exact = _sup_effort_quadratic(g, effort_weight, scenario.U[i])
-    total += base + sup_val
-    pair = np.asarray(p_upper, float).copy()
-    if y_others is not None:
-        y_others = np.asarray(y_others, float).reshape(-1, 2)
-        for j in range(y_others.shape[0]):
-            if j != i and overlap_row[j] != 0.0:
-                d = y - y_others[j]
-                pair += overlap_row[j] * d / float(np.linalg.norm(d))
-    total += float(np.dot(pair, v))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +680,7 @@ def adjoint_residual(solution: BilevelSolution, upper: UpperMultipliers) -> Tupl
     adjoint inclusions (at a cone-support kink, both at the jointly fitted
     convexification parameter)."""
     data = _SolutionData(solution)
-    _check_multiplier_grid(upper.grid, data.grid)
+    _check_grid_match(upper.grid, data.grid, "multipliers")
     r_lo, r_hi = _upper_adjoint_paths(data, upper)
     return float(np.max(r_lo)), float(np.max(r_hi))
 
@@ -787,7 +688,7 @@ def adjoint_residual(solution: BilevelSolution, upper: UpperMultipliers) -> Tupl
 def boundary_residual(solution: BilevelSolution, upper: UpperMultipliers) -> float:
     """Worst defect of the transversality relations at both ends."""
     data = _SolutionData(solution)
-    _check_multiplier_grid(upper.grid, data.grid)
+    _check_grid_match(upper.grid, data.grid, "multipliers")
     return float(np.max(_upper_boundary(data, upper)))
 
 
@@ -799,7 +700,7 @@ def max_condition_lower(solution: BilevelSolution, upper: UpperMultipliers) -> n
     claimed control, hence nonnegative by construction.
     """
     data = _SolutionData(solution)
-    _check_multiplier_grid(upper.grid, data.grid)
+    _check_grid_match(upper.grid, data.grid, "multipliers")
     return _sum_participants(_max_lower_gaps(data, upper))
 
 
@@ -819,7 +720,7 @@ def max_condition_upper(
     term drops out entirely.
     """
     data = _SolutionData(solution)
-    _check_multiplier_grid(upper.grid, data.grid)
+    _check_grid_match(upper.grid, data.grid, "multipliers")
     return np.max(_max_upper_paths(data, upper, lowers, phi_gradients), axis=1)
 
 
@@ -948,7 +849,7 @@ def verify(
     candidates.
     """
     data = solution if isinstance(solution, _SolutionData) else _SolutionData(solution)
-    _check_multiplier_grid(upper.grid, data.grid)
+    _check_grid_match(upper.grid, data.grid, "multipliers")
     scn = data.scn
     starts = data.grid[:-1]
     scale = 1.0 + max(
@@ -991,7 +892,7 @@ def verify(
             if low is None:
                 continue
             tag = f"inner_{i+1}"
-            _check_multiplier_grid(low.grid, data.grid)
+            _check_grid_match(low.grid, data.grid, "multipliers")
             p_scale = 1.0 + max(
                 float(np.max(np.abs(low.p_upper))), float(np.max(np.abs(low.p_lower)))
             )
@@ -1110,19 +1011,14 @@ def _backward_pair(
     return q_lo, np.cumsum(q_hi, axis=0)[::-1]
 
 
-def _build_upper_family(
-    data: _SolutionData, kind: str, level: float = 1.0
-) -> UpperMultipliers:
+def _build_upper_family(data: _SolutionData, kind: str) -> UpperMultipliers:
+    """The ``"measure"`` witness (unit confinement measures) or the
+    ``"terminal"`` one (unit objective weight), normalized."""
     scn = data.scn
     K = data.K
-    nu = np.zeros((K + 1, scn.N))
-    lam = 0.0
-    if kind == "measure":
-        nu[:] = level
-    elif kind == "terminal":
-        lam = 1.0
-    else:
-        raise ValueError(f"unknown upper witness family {kind!r}")
+    measure = kind == "measure"
+    nu = np.full((K + 1, scn.N), 1.0 if measure else 0.0)
+    lam = 0.0 if measure else 1.0
     overlap = np.zeros((K + 1, scn.N, scn.N))
     q_lo = np.zeros((K + 1, scn.N, 2))
     q_hi = np.zeros((K + 1, scn.N, 2))
@@ -1147,19 +1043,13 @@ def _build_upper_family(
     return upper
 
 
-def _build_lower_family(
-    data: _SolutionData, i: int, kind: str, level: float = 1.0
-) -> LowerMultipliers:
+def _build_lower_family(data: _SolutionData, i: int, kind: str) -> LowerMultipliers:
+    """Participant i's inner witness of the family ``kind``, normalized."""
     scn = data.scn
     K = data.K
-    mu = np.zeros(K + 1)
-    lam_bar = 0.0
-    if kind == "measure":
-        mu[:] = level
-    elif kind == "terminal":
-        lam_bar = 1.0
-    else:
-        raise ValueError(f"unknown inner witness family {kind!r}")
+    measure = kind == "measure"
+    mu = np.full(K + 1, 1.0 if measure else 0.0)
+    lam_bar = 0.0 if measure else 1.0
     overlap = np.zeros((K + 1, scn.N))
     p_lo_T = mu[K] * data.z[K, i]
     p_hi_T = -mu[K] * data.z[K, i]
@@ -1194,20 +1084,15 @@ class MultiplierFit(tuple):
         return (*self, self.report)
 
 
-def fit_multipliers(
-    solution: BilevelSolution,
-    families: Optional[Sequence[str]] = None,
-    tol: float = 1e-3,
-    seed: int = 0,
-) -> MultiplierFit:
-    """Search the structured witness families for the best multiplier tuple.
+def fit_multipliers(solution: BilevelSolution, tol: float = 1e-3) -> MultiplierFit:
+    """Pick the better of the two structured witness families.
 
-    The candidate costates come from backward integration of the adjoint
-    selections, so the search reduces to the measure levels and the
-    objective weight; every candidate is normalized to unit aggregate
-    weight.  Returns the best witness and its achieved worst relative
-    residual; a residual above the tolerance means not-verified, never a
-    disproof of optimality.  The solution data is built once, and each
+    The candidates are the measure-backed witness (unit confinement
+    measures) and the terminal-cost-backed one (unit objective weight); the
+    costates come from backward integration of the adjoint selections, and
+    every candidate is normalized to unit aggregate weight.  Returns the
+    best witness and its achieved worst relative residual; a residual above
+    the tolerance means not-verified, never a disproof of optimality.  The solution data is built once, and each
     family is checked by one :func:`verify` call, whose report for the
     winner rides along as ``report``.
     """
@@ -1218,9 +1103,8 @@ def fit_multipliers(
             "fit requires a feasible solution"
         )
     data = _SolutionData(solution)
-    fam = list(families) if families is not None else ["measure", "terminal"]
     best = None
-    for kind in fam:
+    for kind in ("measure", "terminal"):
         upper = _build_upper_family(data, kind)
         lowers = [_build_lower_family(data, i, kind) for i in range(data.scn.N)]
         report = verify(data, upper, lowers, tol=tol)

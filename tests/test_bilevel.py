@@ -9,7 +9,6 @@ from crowdsweep.bilevel import (
     InnerOptions,
     UnsupportedFamilyError,
     closed_form_controls,
-    penalized_objective,
     solve_bilevel_direct,
     solve_twodisk_parametric,
     value_function,
@@ -21,8 +20,6 @@ from crowdsweep.dynamics import (
     SegmentSet,
     constant_profile,
     cost_lower,
-    integrate_lower_catchup,
-    integrate_upper,
     uniform_grid,
 )
 
@@ -116,31 +113,6 @@ class TestValueFunction:
             phis.append(phi)
         assert phis[0] <= phis[1] <= phis[2]
         assert phis[0] < phis[2]
-
-
-class TestPenalizedObjective:
-    def test_inner_argmin_gives_terminal_cost(self, twodisk, twodisk_solution):
-        params, sol = twodisk_solution
-        opts = InnerOptions(refine=False, multistart=1)
-        for rho in (np.zeros(2), np.array([3.0, 7.0])):
-            val = penalized_objective(
-                twodisk, (sol.v, sol.u, sol.x0), rho=rho, inner=opts
-            )
-            assert val == pytest.approx(9.0, abs=0.05)
-
-    def test_wasteful_control_strictly_exceeds(self, twodisk, twodisk_solution):
-        params, sol = twodisk_solution
-        wasteful = [
-            constant_profile(sol.u[i].grid, [0.0]) for i in range(2)
-        ]
-        for i in range(2):
-            wasteful[i].values[:] = np.maximum(sol.u[i].values, 0.02)
-        y = integrate_upper(twodisk, sol.v)
-        integrate_lower_catchup(twodisk, y, wasteful, twodisk.x0)  # stays feasible
-        opts = InnerOptions(refine=False, multistart=1)
-        base = penalized_objective(twodisk, (sol.v, sol.u, sol.x0), inner=opts)
-        bumped = penalized_objective(twodisk, (sol.v, wasteful, sol.x0), inner=opts)
-        assert bumped > base + 1e-4
 
 
 class TestParametricSolver:

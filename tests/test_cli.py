@@ -20,6 +20,21 @@ from crowdsweep.cli import (
 S2 = math.sqrt(2)
 
 TWODISK = os.path.join(os.path.dirname(__file__), "..", "scenarios", "twodisk.scn")
+VHAT = np.array([-S2 / 2, S2 / 2])   # from the exit toward the disks
+
+
+def write_controls(tmp_path, velocities, times=np.linspace(0.0, 6.0, 61)):
+    """A two-disk controls file with constant disk velocities and zero
+    population controls."""
+    lines = ["t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1"]
+    for t in times:
+        row = [f"{t:.12g}"]
+        for v in velocities:
+            row += [f"{v[0]:.12g}", f"{v[1]:.12g}", "0"]
+        lines.append(",".join(row))
+    path = tmp_path / "controls.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 def write_scenario(tmp_path, mutate=None, name="case.scn"):
@@ -151,24 +166,29 @@ class TestCommands:
         assert code == EXIT_OK
         assert "verified: true" in (out / "summary.txt").read_text()
 
-    def test_simulate_with_infeasible_controls(self, tmp_path):
-        scenario, _solver = parse_scenario(TWODISK)
-        grid = np.linspace(0.0, 6.0, 61)
-        header = ["t"]
-        for i in range(2):
-            header += [f"v{i+1}_1", f"v{i+1}_2", f"u{i+1}_1"]
-        lines = [",".join(header)]
-        v = -12.0 * np.array([-S2 / 2, S2 / 2])
-        for t in grid:
-            row = [f"{t:.12g}"]
-            for _ in range(2):
-                row += [f"{v[0]:.12g}", f"{v[1]:.12g}", "0"]
-            lines.append(",".join(row))
-        controls = tmp_path / "controls.csv"
-        controls.write_text("\n".join(lines) + "\n")
+    def test_simulate_with_infeasible_controls(self, tmp_path, capsys):
+        controls = write_controls(tmp_path, [-12.0 * VHAT] * 2)
         out = tmp_path / "sim"
-        code = run("simulate", TWODISK, out=str(out), controls=str(controls))
+        code = run("simulate", TWODISK, out=str(out), controls=controls)
         assert code == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith("error: infeasible: participant 1 at t=")
+
+    def test_verify_with_overlapping_controls_is_infeasible(self, tmp_path, capsys):
+        # disk 1 drives along the exit ray into disk 2, which stays at rest
+        controls = write_controls(tmp_path, [-3.0 * VHAT, np.zeros(2)])
+        assert run("simulate", TWODISK, out=str(tmp_path / "sim"),
+                   controls=controls) == EXIT_INFEASIBLE
+        assert run("verify", TWODISK, out=str(tmp_path / "vf"),
+                   controls=controls) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: infeasible: disks 1 and 2 overlap by ")
+        assert "Traceback" not in err
+
+    def test_h5check_without_contact_samples_is_infeasible(self, tmp_path, capsys):
+        controls = write_controls(tmp_path, [np.zeros(2)] * 2)
+        code = run("h5check", TWODISK, out=str(tmp_path / "h5"), controls=controls)
+        assert code == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith("error: infeasible: no contact samples ")
 
     @pytest.mark.parametrize("text", [
         "",
@@ -188,14 +208,11 @@ class TestCommands:
 
     @pytest.mark.parametrize("case", [
         "N-not-an-integer", "controls-times-repeat", "grid-K-1", "negative-h",
-        "controls-start-after-0", "controls-run-past-T",
+        "controls-start-after-0", "controls-run-past-T", "tol-0", "tol-negative",
     ])
     def test_rejected_input_is_an_input_error(self, tmp_path, capsys, case):
         def controls(times):
-            rows = ["t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1"] + [f"{t!r},0,0,0,0,0,0" for t in times]
-            path = tmp_path / "controls.csv"
-            path.write_text("\n".join(rows) + "\n")
-            return str(path)
+            return write_controls(tmp_path, [np.zeros(2)] * 2, times)
 
         argv = {
             "N-not-an-integer": lambda: [
@@ -208,25 +225,30 @@ class TestCommands:
                 "simulate", TWODISK, "--controls", controls([0.5, 3.0, 6.0])],
             "controls-run-past-T": lambda: [
                 "simulate", TWODISK, "--controls", controls([0.0, 3.0, 6.5])],
+            "tol-0": lambda: ["verify", TWODISK, "--tol", "0"],
+            "tol-negative": lambda: ["verify", TWODISK, "--tol", "-1"],
         }[case]()
         code = main(argv + ["--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith("error: input: ") and "Traceback" not in err
 
-    def test_verify_without_controls_on_non_family_scenario(self, tmp_path):
+    def test_verify_without_controls_on_non_family_scenario(self, tmp_path, capsys):
         def shrink(doc):
             doc["problem"]["N"] = 1
             doc["participants"] = doc["participants"][:1]
 
         path = write_scenario(tmp_path, shrink)
         assert run("verify", path, out=str(tmp_path / "x")) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: usage: family requires ")
 
-    def test_unknown_command_and_bad_file(self, tmp_path):
+    def test_unknown_command_and_bad_file(self, tmp_path, capsys):
         assert run("dance", TWODISK) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: usage: unknown command 'dance'\n"
         bad = tmp_path / "bad.scn"
         bad.write_text("{not json")
         assert run("simulate", str(bad), out=str(tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: input: ")
 
     def test_main_entrypoint(self, tmp_path):
         code = main(["h5check", TWODISK, "--out", str(tmp_path / "m"), "--h", "0.01"])

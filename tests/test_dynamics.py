@@ -109,6 +109,7 @@ class TestCatchUp:
         with pytest.raises(TruncationViolationError) as err:
             integrate_lower_catchup(scn, y, u, scn.x0)
         assert err.value.participant == 0
+        assert str(err.value).startswith("participant 1 at t=")
         assert err.value.magnitude > 0.5
 
     def test_mismatched_grid_rejected(self):

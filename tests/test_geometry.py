@@ -4,61 +4,17 @@ import numpy as np
 import pytest
 
 from crowdsweep.geometry import (
-    ConeSection,
     Disk,
     InfeasiblePointError,
     SingularConfigurationError,
     contact_jacobian,
-    diamond,
     project_to_disk,
     sigma_active_gradient,
     sigma_boundary_branch,
-    sigma_gradient_selection,
     sigma_support,
-    truncated_normal_cone,
 )
 
 S2 = math.sqrt(2)
-
-
-class TestTruncatedNormalCone:
-    def test_interior_point_gives_zero_section(self):
-        cone = truncated_normal_cone(Disk((0, 0), 3.0), (1, 0), cap=6.0)
-        assert cone.kind == "zero"
-
-    def test_boundary_normal_is_radial(self):
-        cone = truncated_normal_cone(Disk((0, 0), 3.0), (3, 0), cap=6.0)
-        assert cone.kind == "ray"
-        assert np.allclose(cone.direction, [1, 0])
-        assert cone.cap == 6.0
-
-    def test_translated_disk_contact_direction(self):
-        center = np.array([-48.0, 48.0])
-        d = np.array([-S2 / 2, S2 / 2])
-        cone = truncated_normal_cone(Disk(center, 3.0), center + 3 * d, cap=6.0)
-        assert cone.kind == "ray"
-        assert np.allclose(cone.direction, d, atol=1e-12)
-
-    def test_outside_point_rejected(self):
-        with pytest.raises(InfeasiblePointError):
-            truncated_normal_cone(Disk((0, 0), 3.0), (4, 0), cap=6.0)
-
-    def test_ray_satisfies_normal_cone_inequality(self):
-        # every sampled cone element must make an obtuse angle with every
-        # direction into the disk
-        rng = np.random.default_rng(7)
-        disk = Disk((1.0, -2.0), 2.5)
-        for _ in range(50):
-            ang = 2 * math.pi * rng.random()
-            x = disk.center + disk.radius * np.array([math.cos(ang), math.sin(ang)])
-            cone = truncated_normal_cone(disk, x, cap=4.0)
-            for s in np.linspace(0, cone.cap, 5):
-                xi = s * cone.direction
-                for _ in range(20):
-                    r = disk.radius * math.sqrt(rng.random())
-                    a = 2 * math.pi * rng.random()
-                    z = disk.center + r * np.array([math.cos(a), math.sin(a)])
-                    assert np.dot(xi, z - x) <= 1e-9
 
 
 class TestProjection:
@@ -106,32 +62,6 @@ class TestContactJacobian:
             contact_jacobian((1, 1), (1, 1))
 
 
-class TestDiamond:
-    def test_identity_scaling(self):
-        assert np.allclose(diamond([1, 1], [3, 4, 5, 6]), [3, 4, 5, 6])
-
-    def test_blockwise_scalar_multiply(self):
-        assert np.allclose(diamond([2, 0], [1, 1, 7, 7]), [2, 2, 0, 0])
-
-    def test_matches_bruteforce_blockwise_expansion(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=3)
-        b = rng.normal(size=6)
-        expected = np.concatenate([a[i] * b[2 * i : 2 * i + 2] for i in range(3)])
-        assert np.allclose(diamond(a, b), expected)
-
-    def test_bilinear(self):
-        rng = np.random.default_rng(3)
-        a, a2 = rng.normal(size=(2, 4))
-        b, b2 = rng.normal(size=(2, 8))
-        assert np.allclose(diamond(2 * a + a2, b), 2 * diamond(a, b) + diamond(a2, b))
-        assert np.allclose(diamond(a, 3 * b - b2), 3 * diamond(a, b) - diamond(a, b2))
-
-    def test_incompatible_lengths(self):
-        with pytest.raises(ValueError):
-            diamond([1, 2], [1, 2, 3])
-
-
 class TestSigmaSupport:
     def test_interior_offset_is_zero(self):
         assert sigma_support((0.5, 0.0), (3, -1), 0.2, radius=3.0, cap=6.0) == 0.0
@@ -160,6 +90,8 @@ class TestSigmaSupport:
 
 class TestSigmaGradients:
     def test_selection_matches_central_differences_on_smooth_branch(self):
+        # the selection the verifier uses off the kink: the active-branch
+        # gradient where the boundary branch is positive, zero where it is 0
         rng = np.random.default_rng(5)
         step = 1e-6
         checked = 0
@@ -171,8 +103,7 @@ class TestSigmaGradients:
             activation = -np.dot(q - nu * z, z) / 3.0
             if abs(activation) < 1e-2:
                 continue  # keep away from the kink
-            gx, gy, at_kink, degenerate = sigma_gradient_selection(z, q, nu, 3.0, 6.0)
-            assert not at_kink and not degenerate
+            gx = sigma_active_gradient(z, q, nu, 3.0, 6.0) if activation > 0 else np.zeros(2)
             fd = np.empty(2)
             for j in range(2):
                 dz = np.zeros(2)
@@ -182,7 +113,6 @@ class TestSigmaGradients:
                     - sigma_boundary_branch(z - dz, q, nu, 3.0, 6.0)
                 ) / (2 * step)
             assert np.allclose(gx, fd, atol=1e-5)
-            assert np.allclose(gy, -gx)
             checked += 1
 
     def test_active_gradient_closed_form(self):
@@ -192,17 +122,7 @@ class TestSigmaGradients:
         g = sigma_active_gradient(z, q, nu, 3.0, 6.0)
         assert np.allclose(g, -(6.0 / 3.0) * (q - 2 * nu * z))
 
-    def test_degenerate_offset_flagged(self):
-        _gx, _gy, _kink, degenerate = sigma_gradient_selection(
-            (0.0, 0.0), (1.0, 0.0), 0.0, 3.0, 6.0
-        )
-        assert degenerate
 
-
-def test_cone_section_validation():
-    with pytest.raises(ValueError):
-        ConeSection(kind="ray", direction=(2, 0), cap=1.0)
-    with pytest.raises(ValueError):
-        ConeSection(kind="zero", direction=None, cap=-1.0)
+def test_disk_validation():
     with pytest.raises(ValueError):
         Disk((0, 0), 0.0)

@@ -37,13 +37,10 @@ from crowdsweep.nco import (
     boundary_residual,
     fd_value_gradient,
     fit_multipliers,
-    hamiltonian_lower,
-    hamiltonian_upper,
     max_condition_lower,
     max_condition_upper,
     verify,
 )
-from crowdsweep.nco import _sup_effort_quadratic
 
 from conftest import S2, VHAT
 
@@ -94,73 +91,8 @@ def frozen_solution():
 
 
 class TestHamiltonians:
-    def test_upper_vanishes_with_zero_multipliers(self, twodisk):
-        rng = np.random.default_rng(0)
-        y = twodisk.y0
-        x = twodisk.x0
-        v = [rng.normal(size=2) for _ in range(2)]
-        u = [rng.random(1) for _ in range(2)]
-        val = hamiltonian_upper(
-            twodisk, y, x, v, u,
-            np.zeros((2, 2)), np.zeros((2, 2)),
-            np.zeros((2, 2)), np.zeros(2), np.zeros(2),
-        )
-        assert val == pytest.approx(0.0, abs=1e-12)
-
-    def test_single_disk_surviving_terms(self):
-        scn = frozen_scenario()
-        rng = np.random.default_rng(1)
-        x = scn.x0[0] + np.array([0.5, -0.3])       # interior
-        y = scn.y0[0]
-        v = rng.normal(size=2)
-        u = rng.random(1)
-        q_upper = rng.normal(size=(1, 2))
-        q_lower = rng.normal(size=(1, 2))
-        alpha = np.array([0.7])
-        got = hamiltonian_upper(
-            scn, y[None], x[None], [v], [u], q_upper, q_lower,
-            np.zeros((1, 1)), np.zeros(1), alpha,
-        )
-        f = scn.drift[0].value(x, u)
-        manual = (
-            float(np.dot(q_lower[0], f))
-            - alpha[0] * float(u[0] ** 2)
-            + float(np.dot(q_upper[0], v))
-        )
-        assert got == pytest.approx(manual, abs=1e-12)
-
-    def test_reference_configuration_term_by_term(self, twodisk, twodisk_solution):
-        params, sol = twodisk_solution
-        k = sol.x.grid.size // 2            # inside (t_a, t_b)
-        i = params.near
-        q_lower = np.array([0.3, -0.2])
-        x = sol.x.states[k, i]
-        y = sol.y.states[k, i]
-        u = sol.u[i].values[k - 1]
-        v = sol.v[i].values[k - 1]
-        got = hamiltonian_upper(
-            twodisk,
-            np.vstack([sol.y.states[k, params.far], y]),
-            np.vstack([sol.x.states[k, params.far], x]),
-            [sol.v[params.far].values[k - 1], v],
-            [sol.u[params.far].values[k - 1], u],
-            np.zeros((2, 2)),
-            np.vstack([np.zeros(2), q_lower]),
-            np.zeros((2, 2)), np.zeros(2), np.zeros(2),
-        )
-        f = twodisk.drift[i].value(x, u)
-        manual = float(np.dot(q_lower, f)) + sigma_support(
-            x - y, q_lower, 0.0, twodisk.R, twodisk.M[i]
-        )
-        assert got == pytest.approx(manual, abs=1e-12)
-
-    def test_lower_sup_attained_at_rest_when_weighted(self):
-        scn = frozen_scenario()
-        val = hamiltonian_lower(
-            scn, 0, scn.y0[0], scn.x0[0], np.zeros(2),
-            np.zeros(2), np.zeros(2), np.zeros(1), 0.0, 1.0,
-        )
-        assert val == pytest.approx(0.0, abs=1e-12)
+    """The two suprema inside the Hamiltonians: the cone support value and
+    the control supremum of the maximum conditions."""
 
     def test_contact_cone_supremum_matches_support_value(self, twodisk, twodisk_solution):
         params, sol = twodisk_solution
@@ -182,10 +114,9 @@ class TestHamiltonians:
         for _ in range(10_000):
             g = rng.normal(scale=5.0, size=1)
             alpha = abs(rng.normal())
-            sup, _u, exact = _sup_effort_quadratic(g, alpha, cset)
-            assert exact
+            sup, _u = nco._sup_effort(g[None], alpha, cset)
             dense = np.max(g[0] * us - alpha * us**2)
-            worst = max(worst, dense - sup)
+            worst = max(worst, dense - sup[0])
         assert worst <= 1e-12
 
 
