@@ -8,7 +8,8 @@ set, and identical invocations produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage error, 2 infeasibility, 3 verification
 failed.  Diagnostics are ``error: <kind>: <detail>`` lines on stderr; a
-rejected scenario file, controls file or flag value is ``error: input:``.
+rejected scenario file, controls file or flag value is ``error: input:``,
+and a command line the argument parser rejects is ``error: usage:``.
 """
 
 from __future__ import annotations
@@ -75,8 +76,10 @@ def _fmt(x: float) -> str:
 # scenario files
 
 
-def _require(mapping: dict, path: str, required: Sequence[str],
+def _require(mapping, path: str, required: Sequence[str],
              optional: Sequence[str] = ()) -> None:
+    if not isinstance(mapping, dict):
+        raise ScenarioFormatError(f"{path}: expected a JSON object")
     for key in required:
         if key not in mapping:
             raise ScenarioFormatError(f"{path}: missing required key {key!r}")
@@ -85,16 +88,45 @@ def _require(mapping: dict, path: str, required: Sequence[str],
             raise ScenarioFormatError(f"{path}: unknown key {key!r}")
 
 
+def _finite(node: dict, key: str, path: str, shape: Tuple[Optional[int], ...] = ()):
+    """node[key] as a float, or as a float array of the given shape (None
+    matches any nonzero length) read from nested lists; every entry must be
+    a finite JSON number."""
+    value = node[key]
+
+    def numbers(v, depth: int) -> bool:
+        if depth == len(shape):
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+        return isinstance(v, list) and all(numbers(item, depth + 1) for item in v)
+
+    try:
+        arr = np.array(value, float) if numbers(value, 0) else None
+    except (ValueError, OverflowError):     # ragged lists, integers beyond float range
+        arr = None
+    if arr is None or arr.ndim != len(shape) or not np.isfinite(arr).all() or any(
+            m == 0 if n is None else m != n for n, m in zip(shape, arr.shape)):
+        dims = "x".join("n" if n is None else str(n) for n in shape)
+        kind = f"a {dims} array of finite numbers" if shape else "a finite number"
+        raise ScenarioFormatError(f"{path}: {key} must be {kind}")
+    return arr if shape else float(arr)
+
+
+def _integer(node: dict, key: str, path: str) -> int:
+    if not isinstance(node[key], int) or isinstance(node[key], bool):
+        raise ScenarioFormatError(f"{path}: {key} must be an integer, got {node[key]!r}")
+    return node[key]
+
+
 def _parse_drift(node: dict, path: str):
     _require(node, path, ["family"], ["c", "A", "B", "b"])
     family = node["family"]
     if family == "scaled_linear":
         _require(node, path, ["family", "c"])
-        return ScaledLinearDrift(float(node["c"]))
+        return ScaledLinearDrift(_finite(node, "c", path))
     if family == "affine":
         _require(node, path, ["family", "A", "B", "b"])
-        return AffineDrift(np.array(node["A"], float), np.array(node["B"], float),
-                           np.array(node["b"], float))
+        return AffineDrift(_finite(node, "A", path, (2, 2)), _finite(node, "B", path, (2, None)),
+                           _finite(node, "b", path, (2,)))
     raise ScenarioFormatError(f"{path}: unknown drift family {family!r}")
 
 
@@ -103,14 +135,13 @@ def _parse_control_set(node: dict, path: str):
     shape = node["shape"]
     if shape == "interval":
         _require(node, path, ["shape", "lo", "hi"])
-        return IntervalSet(np.atleast_1d(np.array(node["lo"], float)),
-                           np.atleast_1d(np.array(node["hi"], float)))
+        return IntervalSet(_finite(node, "lo", path, (None,)), _finite(node, "hi", path, (None,)))
     if shape == "segment":
         _require(node, path, ["shape", "direction", "halflength"])
-        return SegmentSet(np.array(node["direction"], float), float(node["halflength"]))
+        return SegmentSet(_finite(node, "direction", path, (2,)), _finite(node, "halflength", path))
     if shape == "ball":
         _require(node, path, ["shape", "radius"])
-        return BallSet(float(node["radius"]))
+        return BallSet(_finite(node, "radius", path))
     raise ScenarioFormatError(f"{path}: unknown control-set shape {shape!r}")
 
 
@@ -128,14 +159,12 @@ def parse_scenario(path: str) -> Tuple[Scenario, dict]:
     _require(doc, path, ["problem", "participants"], ["meta", "solver"])
     meta = doc.get("meta", {})
     _require(meta, f"{path}:meta", [], ["name"])
+    if not isinstance(meta.get("name", ""), str):
+        raise ScenarioFormatError(f"{path}:meta: name must be a string")
     problem = doc["problem"]
     _require(problem, f"{path}:problem", ["N", "R", "T"])
-    try:
-        N = int(problem["N"])
-    except (TypeError, ValueError):
-        raise ScenarioFormatError(
-            f"{path}:problem: N must be an integer, got {problem['N']!r}"
-        ) from None
+    N = _integer(problem, "N", f"{path}:problem")
+    R, T = _finite(problem, "R", f"{path}:problem"), _finite(problem, "T", f"{path}:problem")
     participants = doc["participants"]
     if not isinstance(participants, list) or len(participants) != N:
         raise ScenarioFormatError(f"{path}:participants: expected {N} entries")
@@ -144,27 +173,33 @@ def parse_scenario(path: str) -> Tuple[Scenario, dict]:
     for idx, node in enumerate(participants):
         ppath = f"{path}:participants[{idx}]"
         _require(node, ppath, ["y0", "x0", "drift", "U", "V", "M", "rho"])
-        y0.append(np.array(node["y0"], float))
+        y0.append(_finite(node, "y0", ppath, (2,)))
         if node["x0"] == "free":
             x0_free = True
         else:
-            x0.append(np.array(node["x0"], float))
+            x0.append(_finite(node, "x0", ppath, (2,)))
         drifts.append(_parse_drift(node["drift"], f"{ppath}.drift"))
         U.append(_parse_control_set(node["U"], f"{ppath}.U"))
         V.append(_parse_control_set(node["V"], f"{ppath}.V"))
-        M.append(float(node["M"]))
-        rho.append(float(node["rho"]))
+        M.append(_finite(node, "M", ppath))
+        rho.append(_finite(node, "rho", ppath))
     if x0_free and x0:
         raise ScenarioFormatError(
             f"{path}:participants: x0 must be 'free' for all participants or none"
         )
     solver = doc.get("solver", {})
-    _require(solver, f"{path}:solver", [], ["grid_K", "h", "seed", "tol", "penalty_k"])
+    spath = f"{path}:solver"
+    _require(solver, spath, [], ["grid_K", "h", "seed", "tol", "penalty_k"])
+    for key in solver:
+        if key in ("grid_K", "seed"):
+            _integer(solver, key, spath)
+        else:
+            _finite(solver, key, spath)
     try:
         scenario = Scenario(
             N=N,
-            R=float(problem["R"]),
-            T=float(problem["T"]),
+            R=R,
+            T=T,
             y0=np.vstack(y0),
             drift=drifts,
             U=U,
@@ -434,7 +469,7 @@ def _simulate(scenario, solver_cfg, flags, out) -> int:
                                     for i in range(scenario.N)])]),
     ]
     _emit(out, "summary.txt", _summary_text(summary))
-    return EXIT_OK if sol.feasibility.ok() else EXIT_INFEASIBLE
+    return EXIT_OK if sol.feasibility.ok() else _infeasible(sol.feasibility)
 
 
 def _solution_artifacts(out, command, scenario, flags, sol: BilevelSolution,
@@ -487,18 +522,21 @@ def _verification_solution(scenario, solver_cfg, flags) -> BilevelSolution:
     return sol
 
 
-def _worst_violation(report) -> str:
-    """The largest violation of a feasibility report and where it sits."""
+def _infeasible(report) -> int:
+    """Report the largest violation of a failed feasibility audit, and where
+    it sits; returns the infeasibility exit code."""
     worst = report.max_violation
     if report.overlap_violation == worst:
         i, j = report.overlap_pair
-        return (f"disks {i + 1} and {j + 1} overlap by {worst:.6g} "
-                f"at t={report.overlap_time:.6g}")
-    if report.confinement_violation == worst:
-        return (f"participant {report.confinement_participant + 1} leaves its disk "
-                f"by {worst:.6g} at t={report.confinement_time:.6g}")
-    return (f"participant {report.control_participant + 1}: control outside its set "
-            f"by {worst:.6g} at t={report.control_time:.6g}")
+        where = f"disks {i + 1} and {j + 1} overlap by {worst:.6g} at t={report.overlap_time:.6g}"
+    elif report.confinement_violation == worst:
+        where = (f"participant {report.confinement_participant + 1} leaves its disk "
+                 f"by {worst:.6g} at t={report.confinement_time:.6g}")
+    else:
+        where = (f"participant {report.control_participant + 1}: control outside its set "
+                 f"by {worst:.6g} at t={report.control_time:.6g}")
+    print(f"error: infeasible: {where}", file=sys.stderr)
+    return EXIT_INFEASIBLE
 
 
 def _verify(scenario, solver_cfg, flags, out) -> int:
@@ -506,8 +544,7 @@ def _verify(scenario, solver_cfg, flags, out) -> int:
     tol = 1e-3 if tol is None else _positive(tol, "verification tolerance tol")
     sol = _verification_solution(scenario, solver_cfg, flags)
     if not sol.feasibility.ok():
-        print(f"error: infeasible: {_worst_violation(sol.feasibility)}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _infeasible(sol.feasibility)
     fit = fit_multipliers(sol, tol=tol)
     upper, _lowers, achieved = fit
     report = fit.report
@@ -599,8 +636,16 @@ def run(command: str, scenario_path: str, **flags) -> int:
         return EXIT_USAGE
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a rejected command line, where argparse prints its usage text
+    and exits 2, the infeasibility code."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="crowdsweep",
         description="Simulate and solve disk-ensemble sweeping control problems "
                     "and verify first-order optimality of candidate solutions.",
@@ -616,7 +661,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--controls", default=None,
                         help="controls file for simulate/verify")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: usage: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     flags = {
         key: value
         for key, value in vars(args).items()

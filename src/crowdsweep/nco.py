@@ -18,7 +18,7 @@ a disproof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,8 +87,50 @@ def _symmetrize_pairs(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Lanes(NamedTuple):
+    """A witness level as lanes, one per participant it covers: the costates
+    of the translation (``q_hi``) and population (``q_lo``) states, the
+    confinement measure, the row of pair measures, and the weights.  The
+    inner level is one lane with objective weight 0."""
+
+    lanes: Tuple[int, ...]
+    q_hi: np.ndarray             # (K+1, n, 2)
+    q_lo: np.ndarray             # (K+1, n, 2)
+    nu: np.ndarray               # (K+1, n)
+    pairs: np.ndarray            # (K+1, n, N)
+    objective_weight: float
+    effort: np.ndarray           # (n,)
+
+
+def _pair_measures(lv: _Lanes):
+    """(lane, participant, other) of each pair measure of a level, once per
+    pair: a pair of two lanes is charged to its lower index."""
+    for l, i in enumerate(lv.lanes):
+        for j in range(lv.pairs.shape[2]):
+            if j != i and (j > i or j not in lv.lanes):
+                yield l, i, j
+
+
+def _costate_sup(lv: _Lanes) -> float:
+    return max(float(np.max(np.abs(lv.q_hi))), float(np.max(np.abs(lv.q_lo))))
+
+
+class _Witness:
+    """Rescaling and the aggregate weight, shared by both witness levels."""
+
+    def scaled(self, factor: float):
+        return replace(self, **{name: factor * getattr(self, name) for name in self._SCALED})
+
+    def nontriviality(self) -> float:
+        lv = self._lanes()
+        tv = _total_variation(lv.nu)
+        for l, _i, j in _pair_measures(lv):
+            tv += _total_variation(lv.pairs[:, l, j])
+        return _costate_sup(lv) + tv + lv.objective_weight + float(np.sum(np.abs(lv.effort)))
+
+
 @dataclass
-class UpperMultipliers:
+class UpperMultipliers(_Witness):
     """Witness paths for the upper-level stationarity system.
 
     ``q_upper`` and ``q_lower`` are the costates of the translation and
@@ -106,6 +148,8 @@ class UpperMultipliers:
     objective_weight: float
     rho: np.ndarray              # (N,)
 
+    _SCALED = ("q_upper", "q_lower", "overlap", "confinement", "objective_weight")
+
     def __post_init__(self):
         self.grid = np.asarray(self.grid, float).ravel()
         self.q_upper = np.asarray(self.q_upper, float)
@@ -122,28 +166,13 @@ class UpperMultipliers:
     def effort_weights(self) -> np.ndarray:
         return self.objective_weight * self.rho
 
-    def scaled(self, factor: float) -> "UpperMultipliers":
-        return UpperMultipliers(
-            grid=self.grid,
-            q_upper=factor * self.q_upper,
-            q_lower=factor * self.q_lower,
-            overlap=factor * self.overlap,
-            confinement=factor * self.confinement,
-            objective_weight=factor * self.objective_weight,
-            rho=self.rho,
-        )
-
-    def nontriviality(self) -> float:
-        q_sup = max(float(np.max(np.abs(self.q_upper))), float(np.max(np.abs(self.q_lower))))
-        tv = _total_variation(self.confinement)
-        for i in range(self.overlap.shape[1]):
-            for j in range(i + 1, self.overlap.shape[2]):
-                tv += _total_variation(self.overlap[:, i, j])
-        return q_sup + tv + self.objective_weight + float(np.sum(np.abs(self.effort_weights)))
+    def _lanes(self) -> _Lanes:
+        return _Lanes(tuple(range(self.rho.size)), self.q_upper, self.q_lower, self.confinement,
+                      self.overlap, self.objective_weight, self.effort_weights)
 
 
 @dataclass
-class LowerMultipliers:
+class LowerMultipliers(_Witness):
     """Per-participant witness paths for the inner stationarity relation."""
 
     participant: int
@@ -154,6 +183,8 @@ class LowerMultipliers:
     confinement: np.ndarray      # (K+1,)
     effort_weight: float         # nonnegative scalar weighting the effort term
     value_gradient: Optional[np.ndarray] = None   # (K, 2) sensitivity path
+
+    _SCALED = ("p_upper", "p_lower", "overlap", "confinement", "effort_weight")
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, float).ravel()
@@ -166,25 +197,10 @@ class LowerMultipliers:
         if np.any(self.overlap < -1e-12) or np.any(self.confinement < -1e-12):
             raise ValueError("measure multipliers must be nonnegative")
 
-    def scaled(self, factor: float) -> "LowerMultipliers":
-        return LowerMultipliers(
-            participant=self.participant,
-            grid=self.grid,
-            p_upper=factor * self.p_upper,
-            p_lower=factor * self.p_lower,
-            overlap=factor * self.overlap,
-            confinement=factor * self.confinement,
-            effort_weight=factor * self.effort_weight,
-            value_gradient=self.value_gradient,
-        )
-
-    def nontriviality(self) -> float:
-        p_sup = max(float(np.max(np.abs(self.p_upper))), float(np.max(np.abs(self.p_lower))))
-        tv = _total_variation(self.confinement)
-        for j in range(self.overlap.shape[1]):
-            if j != self.participant:
-                tv += _total_variation(self.overlap[:, j])
-        return p_sup + tv + self.effort_weight
+    def _lanes(self) -> _Lanes:
+        return _Lanes((self.participant,), self.p_upper[:, None], self.p_lower[:, None],
+                      self.confinement[:, None], self.overlap[:, None], 0.0,
+                      np.array([self.effort_weight]))
 
 
 @dataclass
@@ -285,14 +301,20 @@ class _SolutionData:
 
 
 def _worst(paths: np.ndarray, times: np.ndarray,
-           participant: Optional[int] = None) -> Tuple[float, Tuple[float, int]]:
-    """Largest entry of a residual path, (rows,) for one participant or
-    (rows, N), and its (time, participant)."""
-    flat = int(np.argmax(paths))
-    if paths.ndim == 1:
-        return float(paths[flat]), (float(times[flat]), participant)
-    k, i = divmod(flat, paths.shape[1])
-    return float(paths[k, i]), (float(times[k]), i)
+           lanes: Sequence[int]) -> Tuple[float, Tuple[float, int]]:
+    """Largest entry of a residual path, (rows,) for one lane or (rows,
+    lanes), and its (time, participant)."""
+    paths = paths.reshape(len(times), -1)
+    k, l = divmod(int(np.argmax(paths)), paths.shape[1])
+    return float(paths[k, l]), (float(times[k]), lanes[l])
+
+
+def _prepared(solution, upper: UpperMultipliers) -> _SolutionData:
+    """The solution data of a solution (or the data itself), checked
+    against the multipliers' grid."""
+    data = solution if isinstance(solution, _SolutionData) else _SolutionData(solution)
+    _check_grid_match(upper.grid, data.grid, "multipliers")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +561,67 @@ def _cone_branches(data: _SolutionData, i: int, q_next: np.ndarray, nu: np.ndarr
 
 
 # ---------------------------------------------------------------------------
+# checks shared by both witness levels, lane by lane
+
+
+def _lane_rates(data: _SolutionData, lv: _Lanes, l: int):
+    """Per interval of lane l: its confinement measure nu, w = q_lower - nu z
+    at the landing node, the negated finite-difference rates of q_lower and
+    q_upper, and the active mask, kink mask and active gradient of the cone
+    support."""
+    K, i, h = data.K, lv.lanes[l], data.h[:, None]
+    q_lo, q_hi, nu = lv.q_lo[:, l], lv.q_hi[:, l], lv.nu[:K, l]
+    w = q_lo[1:] - nu[:, None] * data.z[1:, i]
+    rates = (-(q_lo[1:] - q_lo[:-1]) / h, -(q_hi[1:] - q_hi[:-1]) / h)
+    return (nu, w) + rates + _cone_branches(data, i, q_lo[1:], nu, w)
+
+
+def _boundary(data: _SolutionData, lv: _Lanes) -> np.ndarray:
+    """(2, lanes) worst transversality defects at t=0 (row 0) and at T (row 1)."""
+    K, idx = data.K, list(lv.lanes)
+    nuT, zT = lv.nu[-1][:, None], data.z[-1, idx]
+    pair = np.vstack([data.pair_term(i, slice(K, K + 1), lv.pairs[-1:, l])
+                      for l, i in enumerate(idx)])
+    target_hi = -lv.objective_weight * data.y[-1, idx] - nuT * zT - pair
+    end = np.maximum(_row_norms(lv.q_hi[-1] - target_hi), _row_norms(lv.q_lo[-1] - nuT * zT))
+    w0 = lv.q_lo[0] - lv.nu[0][:, None] * data.z[0, idx]
+    return np.stack([_initial_defect(data, w0, idx), end])
+
+
+def _shape_violations(path: np.ndarray, inactive_steps: np.ndarray) -> np.ndarray:
+    """Per-step violation of a measure path: any increase, and any movement
+    on a step where its constraint is inactive throughout."""
+    diffs = np.diff(np.asarray(path, float))
+    return np.maximum(0.0, np.where(inactive_steps, np.abs(diffs), diffs))
+
+
+def _inactive_steps(data: _SolutionData, i: int, j: Optional[int] = None) -> np.ndarray:
+    """Steps on which disk i stays clear of disk j, or (j None) its
+    population stays clear of its disk boundary."""
+    clear = data.pair_gap[:, i, j] > ACTIVATION_TOL if j is not None else ~data.contact[:, i]
+    return clear[:-1] & clear[1:]
+
+
+def _measure_paths(data: _SolutionData, lv: _Lanes) -> np.ndarray:
+    """(K, lanes) shape violations of a level's measures, each pair's
+    measure charged once (see :func:`_pair_measures`)."""
+    out = np.stack([_shape_violations(lv.nu[:, l], _inactive_steps(data, i))
+                    for l, i in enumerate(lv.lanes)], axis=1)
+    for l, i, j in _pair_measures(lv):
+        out[:, l] = np.maximum(out[:, l], _shape_violations(lv.pairs[:, l, j],
+                                                            _inactive_steps(data, i, j)))
+    return out
+
+
+def _velocity_lhs(data: _SolutionData, lv: _Lanes, l: int) -> np.ndarray:
+    """q_upper + nu z + sum_j pair_j per interval of lane l, at the landing
+    node: the left-hand vector of the disk-velocity conditions."""
+    K, i = data.K, lv.lanes[l]
+    return (lv.q_hi[1:, l] + lv.nu[:K, l, None] * data.z[1:, i]
+            + data.pair_term(i, slice(1, None), lv.pairs[:K, l]))
+
+
+# ---------------------------------------------------------------------------
 # upper-level checks
 
 
@@ -552,20 +635,16 @@ def _upper_adjoint_paths(data: _SolutionData,
     theta in [0, 1]; theta is fitted to the pair, and each distance is taken
     at that theta.
     """
-    scn, K, h = data.scn, data.K, data.h[:, None]
+    scn, K = data.scn, data.K
+    lv = upper._lanes()
     r_lo_all = np.empty((K, scn.N))
     r_hi_all = np.empty((K, scn.N))
     for i in range(scn.N):
-        q_lo, q_hi = upper.q_lower[:, i], upper.q_upper[:, i]
-        nu = upper.confinement[:K, i]
+        nu, w, rate_lo, rate_hi, active, kink, g = _lane_rates(data, lv, i)
         f, v = data.f[:, i], data.v[i]
-        w = q_lo[1:] - nu[:, None] * data.z[1:, i]
-        base_lo = _jac_t_w(scn.drift[i], data.u[i], w) - nu[:, None] * f + nu[:, None] * v
-        base_hi = data.add_contact_terms(nu[:, None] * f - nu[:, None] * v, i,
-                                         upper.overlap[:K, i], v)
-        r_lo = -(q_lo[1:] - q_lo[:-1]) / h - base_lo
-        r_hi = -(q_hi[1:] - q_hi[:-1]) / h - base_hi
-        active, kink, g = _cone_branches(data, i, q_lo[1:], nu, w)
+        r_lo = rate_lo - (_jac_t_w(scn.drift[i], data.u[i], w) - nu[:, None] * f + nu[:, None] * v)
+        r_hi = rate_hi - data.add_contact_terms(nu[:, None] * f - nu[:, None] * v, i,
+                                                upper.overlap[:K, i], v)
         gg = _rowdot(g, g)
         with np.errstate(divide="ignore", invalid="ignore"):
             fit = np.clip((_rowdot(r_lo, g) - _rowdot(r_hi, g)) / (2 * gg), 0.0, 1.0)
@@ -573,19 +652,6 @@ def _upper_adjoint_paths(data: _SolutionData,
         r_lo_all[:, i] = _row_norms(r_lo - theta * g)
         r_hi_all[:, i] = _row_norms(r_hi + theta * g)
     return r_lo_all, r_hi_all
-
-
-def _upper_boundary(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
-    """(2, N) worst transversality defects at t=0 (row 0) and at T (row 1)."""
-    K, N = data.K, data.scn.N
-    nuT = upper.confinement[-1][:, None]
-    zT = data.z[-1]
-    pair = np.vstack([data.pair_term(i, slice(K, K + 1), upper.overlap[-1:, i]) for i in range(N)])
-    target_hi = -upper.objective_weight * data.y[-1] - nuT * zT - pair
-    end = np.maximum(_row_norms(upper.q_upper[-1] - target_hi),
-                     _row_norms(upper.q_lower[-1] - nuT * zT))
-    w0 = upper.q_lower[0] - upper.confinement[0][:, None] * data.z[0]
-    return np.stack([_initial_defect(data, w0, slice(None)), end])
 
 
 def _max_lower_gaps(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
@@ -625,9 +691,7 @@ def _sensitivity(data: _SolutionData, i: int, lowers, phi_gradients) -> np.ndarr
         if low.value_gradient is not None:
             return np.asarray(low.value_gradient, float)[:K]
         if low.effort_weight > 0:
-            vec = (low.p_upper[1:] + low.confinement[:K, None] * data.z[1:, i]
-                   + data.pair_term(i, slice(1, None), low.overlap[:K]))
-            return -vec / low.effort_weight
+            return -_velocity_lhs(data, low._lanes(), 0) / low.effort_weight
     raise IndeterminateWitnessError(f"participant {i+1}: no value-function sensitivity available")
 
 
@@ -636,42 +700,14 @@ def _max_upper_paths(data: _SolutionData, upper: UpperMultipliers, lowers,
     """(K, N) distances of the disk-velocity maximum condition's left-hand
     vectors to minus the normal cones of the velocity sets."""
     scn, K = data.scn, data.K
-    alpha = upper.effort_weights
+    lv = upper._lanes()
     res = np.empty((K, scn.N))
     for i in range(scn.N):
-        lhs = (upper.q_upper[1:, i] + upper.confinement[:K, i, None] * data.z[1:, i]
-               + data.pair_term(i, slice(1, None), upper.overlap[:K, i]))
-        if alpha[i] != 0.0:
-            lhs = lhs - alpha[i] * _sensitivity(data, i, lowers, phi_gradients)
+        lhs = _velocity_lhs(data, lv, i)
+        if lv.effort[i] != 0.0:
+            lhs = lhs - lv.effort[i] * _sensitivity(data, i, lowers, phi_gradients)
         res[:, i] = _normal_cone_distance(lhs, scn.V[i], data.v[i])
     return res
-
-
-def _shape_violations(path: np.ndarray, inactive_steps: np.ndarray) -> np.ndarray:
-    """Per-step violation of a measure path: any increase, and any movement
-    on a step where its constraint is inactive throughout."""
-    diffs = np.diff(np.asarray(path, float))
-    return np.maximum(0.0, np.where(inactive_steps, np.abs(diffs), diffs))
-
-
-def _inactive_steps(data: _SolutionData, i: int, j: Optional[int] = None) -> np.ndarray:
-    """Steps on which disk i stays clear of disk j, or (j None) its
-    population stays clear of its disk boundary."""
-    clear = data.pair_gap[:, i, j] > ACTIVATION_TOL if j is not None else ~data.contact[:, i]
-    return clear[:-1] & clear[1:]
-
-
-def _upper_measure_paths(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
-    """(K, N) shape violations of the upper measures; a pair's measure is
-    charged to its lower index."""
-    N = data.scn.N
-    out = np.empty((data.K, N))
-    for i in range(N):
-        out[:, i] = _shape_violations(upper.confinement[:, i], _inactive_steps(data, i))
-        for j in range(i + 1, N):
-            out[:, i] = np.maximum(out[:, i], _shape_violations(
-                upper.overlap[:, i, j], _inactive_steps(data, i, j)))
-    return out
 
 
 def adjoint_residual(solution: BilevelSolution, upper: UpperMultipliers) -> Tuple[float, float]:
@@ -679,17 +715,13 @@ def adjoint_residual(solution: BilevelSolution, upper: UpperMultipliers) -> Tupl
     q_lower and q_upper to the right-hand-side selection sets of their
     adjoint inclusions (at a cone-support kink, both at the jointly fitted
     convexification parameter)."""
-    data = _SolutionData(solution)
-    _check_grid_match(upper.grid, data.grid, "multipliers")
-    r_lo, r_hi = _upper_adjoint_paths(data, upper)
+    r_lo, r_hi = _upper_adjoint_paths(_prepared(solution, upper), upper)
     return float(np.max(r_lo)), float(np.max(r_hi))
 
 
 def boundary_residual(solution: BilevelSolution, upper: UpperMultipliers) -> float:
     """Worst defect of the transversality relations at both ends."""
-    data = _SolutionData(solution)
-    _check_grid_match(upper.grid, data.grid, "multipliers")
-    return float(np.max(_upper_boundary(data, upper)))
+    return float(np.max(_boundary(_prepared(solution, upper), upper._lanes())))
 
 
 def max_condition_lower(solution: BilevelSolution, upper: UpperMultipliers) -> np.ndarray:
@@ -699,9 +731,7 @@ def max_condition_lower(solution: BilevelSolution, upper: UpperMultipliers) -> n
     product control set; the gap is the supremum minus its value at the
     claimed control, hence nonnegative by construction.
     """
-    data = _SolutionData(solution)
-    _check_grid_match(upper.grid, data.grid, "multipliers")
-    return _sum_participants(_max_lower_gaps(data, upper))
+    return _sum_participants(_max_lower_gaps(_prepared(solution, upper), upper))
 
 
 def max_condition_upper(
@@ -719,9 +749,7 @@ def max_condition_upper(
     finite-difference estimate; with zero effort weights the sensitivity
     term drops out entirely.
     """
-    data = _SolutionData(solution)
-    _check_grid_match(upper.grid, data.grid, "multipliers")
-    return np.max(_max_upper_paths(data, upper, lowers, phi_gradients), axis=1)
+    return np.max(_max_upper_paths(_prepared(solution, upper), upper, lowers, phi_gradients), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -741,19 +769,15 @@ def _inner_paths(data: _SolutionData, low: LowerMultipliers) -> Dict[str, np.nda
     velocity hull and the disk velocity's defect.
     """
     scn, K, i = data.scn, data.K, low.participant
-    drift, v, h = scn.drift[i], data.v[i], data.h[:, None]
-    nu = low.confinement[:K]
-    x_left = data.x[:-1, i]
-    w = low.p_lower[1:] - nu[:, None] * data.z[1:, i]
+    drift, v = scn.drift[i], data.v[i]
+    nu, w, rate_lo, rate_hi, active, kink, g = _lane_rates(data, low._lanes(), 0)
     hull = _u_hull(data, i, w, low.effort_weight)
     interval, ball = hull.kind == _INTERVAL, hull.kind == _BALL
     u_eval = np.where((hull.kind == _POINT)[:, None], hull.u, 0.0)
-    f = _drift_rows(scn, i, x_left, u_eval)
-    base_lo = nu[:, None] * v + _jac_t_w(drift, u_eval, w) - nu[:, None] * f
-    base_hi = data.add_contact_terms(-nu[:, None] * v, i, low.overlap[:K], v) + nu[:, None] * f
-    r_lo = -(low.p_lower[1:] - low.p_lower[:-1]) / h - base_lo
-    r_hi = -(low.p_upper[1:] - low.p_upper[:-1]) / h - base_hi
-    active, kink, g = _cone_branches(data, i, low.p_lower[1:], nu, w)
+    f = _drift_rows(scn, i, data.x[:-1, i], u_eval)
+    r_lo = rate_lo - (nu[:, None] * v + _jac_t_w(drift, u_eval, w) - nu[:, None] * f)
+    r_hi = rate_hi - (data.add_contact_terms(-nu[:, None] * v, i, low.overlap[:K], v)
+                      + nu[:, None] * f)
     r_lo = np.where(active[:, None], r_lo - g, r_lo)
     r_hi = np.where(active[:, None], r_hi + g, r_hi)
 
@@ -782,48 +806,28 @@ def _inner_paths(data: _SolutionData, low: LowerMultipliers) -> Dict[str, np.nda
         normal_col, zeros, np.full(K, cap), interval & contact,
         np.where(ball, gain, 0.0),
     )
-    ydot = (data.y[1:, i] - data.y[:-1, i]) / h
+    ydot = (data.y[1:, i] - data.y[:-1, i]) / data.h[:, None]
     return {"adjoint": adjoint, "primal_inclusion": np.maximum(velocity, _row_norms(ydot - v))}
 
 
-def _inner_boundary(data: _SolutionData, low: LowerMultipliers) -> Tuple[float, float]:
-    """Worst transversality defect of one participant's witness, and the
-    time where it sits (0 or T)."""
-    K, i = data.K, low.participant
-    muT, zT = float(low.confinement[-1]), data.z[-1, i]
-    target = -muT * zT - data.pair_term(i, slice(K, K + 1), low.overlap[-1:])[0]
-    end = max(float(_row_norms((low.p_lower[-1] - muT * zT)[None])[0]),
-              float(_row_norms((low.p_upper[-1] - target)[None])[0]))
-    w0 = low.p_lower[0] - float(low.confinement[0]) * data.z[0, i]
-    start = float(_initial_defect(data, w0[None], i)[0])
-    return (end, data.grid[-1]) if end > start else (start, data.grid[0])
-
-
 def _inner_checks(data: _SolutionData, low: LowerMultipliers):
-    """``(name, residual, (time, participant))`` of every inner condition
-    of one participant except nontriviality."""
+    """``(name, residual, (time, participant))`` of the inner conditions of
+    one participant that the upper level does not share."""
     i, K = low.participant, data.K
     starts = data.grid[:-1]
     for name, path in _inner_paths(data, low).items():
-        yield (name,) + _worst(path, starts, i)
-    value, t = _inner_boundary(data, low)
-    yield "boundary", value, (float(t), i)
-    shape = _shape_violations(low.confinement, _inactive_steps(data, i))
-    for j in range(data.scn.N):
-        if j != i:
-            shape = np.maximum(shape, _shape_violations(low.overlap[:, j], _inactive_steps(data, i, j)))
-    yield ("monotonicity",) + _worst(shape, starts, i)
+        yield (name,) + _worst(path, starts, (i,))
     # stationarity articulation: the witness formula against the
     # velocity-set normal cone; with a positive effort weight and no stored
     # sensitivity the relation defines the sensitivity, leaving nothing to check
     if low.effort_weight > 0 and low.value_gradient is None:
         yield "articulation", 0.0, None
         return
-    vec = (low.p_upper[1:] + low.confinement[:K, None] * data.z[1:, i]
-           + data.pair_term(i, slice(1, None), low.overlap[:K]))
+    vec = _velocity_lhs(data, low._lanes(), 0)
     if low.effort_weight > 0:
         vec = vec + low.effort_weight * np.asarray(low.value_gradient, float)[:K]
-    yield ("articulation",) + _worst(_normal_cone_distance(vec, data.scn.V[i], data.v[i]), starts, i)
+    yield ("articulation",) + _worst(_normal_cone_distance(vec, data.scn.V[i], data.v[i]),
+                                     starts, (i,))
 
 
 # ---------------------------------------------------------------------------
@@ -848,13 +852,9 @@ def verify(
     solution data that :func:`fit_multipliers` builds once for all its
     candidates.
     """
-    data = solution if isinstance(solution, _SolutionData) else _SolutionData(solution)
-    _check_grid_match(upper.grid, data.grid, "multipliers")
-    scn = data.scn
+    data = _prepared(solution, upper)
     starts = data.grid[:-1]
-    scale = 1.0 + max(
-        float(np.max(np.abs(upper.q_upper))), float(np.max(np.abs(upper.q_lower)))
-    )
+    scale = 1.0 + _costate_sup(upper._lanes())
     report = NCOReport(residuals={}, verdicts={}, tol=tol, scale=scale, notes=[
         "inner optimal-solution sets are approximated by the stored minimizers"
     ])
@@ -865,42 +865,42 @@ def verify(
         if at is not None and value != 0.0:
             report.worst_at[name] = at
 
-    nontriv = upper.nontriviality()
-    report.residuals["nontriviality"] = nontriv
-    report.verdicts["nontriviality"] = nontriv >= NONTRIVIALITY_TOL
+    def record_level(tag: str, witness) -> float:
+        """The conditions both levels share; returns the level's bound."""
+        lv = witness._lanes()
+        nontriv = witness.nontriviality()
+        report.residuals[f"{tag}nontriviality"] = nontriv
+        report.verdicts[f"{tag}nontriviality"] = nontriv >= NONTRIVIALITY_TOL
+        bound = tol * (1.0 + _costate_sup(lv))
+        record(f"{tag}boundary", *_worst(_boundary(data, lv), data.grid[[0, -1]], lv.lanes), bound)
+        record(f"{tag}monotonicity", *_worst(_measure_paths(data, lv), starts, lv.lanes), bound)
+        return bound
 
-    bound = tol * scale
+    bound = record_level("", upper)
+    lanes = range(data.scn.N)
     r_lo, r_hi = _upper_adjoint_paths(data, upper)
-    record("adjoint_q_lower", *_worst(r_lo, starts), bound)
-    record("adjoint_q_upper", *_worst(r_hi, starts), bound)
-    record("boundary", *_worst(_upper_boundary(data, upper), data.grid[[0, -1]]), bound)
+    record("adjoint_q_lower", *_worst(r_lo, starts, lanes), bound)
+    record("adjoint_q_upper", *_worst(r_hi, starts, lanes), bound)
     gaps = _max_lower_gaps(data, upper)
     gap_path = _sum_participants(gaps)
     k = int(np.argmax(gap_path))
     record("max_lower", float(gap_path[k]), (float(starts[k]), int(np.argmax(gaps[k]))), bound)
     try:
-        record("max_upper", *_worst(_max_upper_paths(data, upper, lowers, phi_gradients), starts),
-               bound)
+        record("max_upper", *_worst(_max_upper_paths(data, upper, lowers, phi_gradients), starts,
+                                    lanes), bound)
     except IndeterminateWitnessError:
         record("max_upper", math.inf, None, bound)
         report.notes.append("upper maximum condition indeterminate: no sensitivity witness")
-    record("monotonicity", *_worst(_upper_measure_paths(data, upper), starts), bound)
 
-    if lowers is not None:
-        for i in range(scn.N):
-            low = lowers[i]
-            if low is None:
-                continue
-            tag = f"inner_{i+1}"
-            _check_grid_match(low.grid, data.grid, "multipliers")
-            p_scale = 1.0 + max(
-                float(np.max(np.abs(low.p_upper))), float(np.max(np.abs(low.p_lower)))
-            )
-            nt = low.nontriviality()
-            report.residuals[f"{tag}_nontriviality"] = nt
-            report.verdicts[f"{tag}_nontriviality"] = nt >= NONTRIVIALITY_TOL
-            for name, value, at in _inner_checks(data, low):
-                record(f"{tag}_{name}", value, at, tol * p_scale)
+    for i in range(data.scn.N if lowers is not None else 0):
+        low = lowers[i]
+        if low is None:
+            continue
+        _check_grid_match(low.grid, data.grid, "multipliers")
+        tag = f"inner_{i+1}_"
+        bound = record_level(tag, low)
+        for name, value, at in _inner_checks(data, low):
+            record(tag + name, value, at, bound)
 
     degenerate = int(np.sum(np.linalg.norm(data.z, axis=2) < 1e-12))
     if degenerate:
@@ -915,25 +915,22 @@ def verify(
 # witness construction
 
 
-def _backward_pair(
-    data: _SolutionData,
-    i: int,
-    q_lo_T: np.ndarray,
-    q_hi_T: np.ndarray,
-    nu_path: np.ndarray,
-    overlap_rows: np.ndarray,
-    effort_weight: Optional[float] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Backward Euler integration of the coupled adjoint selections.
+def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: float):
+    """Backward Euler integration of participant i's coupled adjoint
+    selections, for both witness levels at once.
 
-    The controls are the claimed ones; with ``effort_weight`` set, the
-    inner maximizer at that weight replaces the claimed control wherever it
-    is unique.  Inside the kink band of the cone support the
-    convexification parameter is chosen to pin the activation at zero,
-    which removes the exponential drift of the degenerate arcs; outside the
-    band the branch is forced.  Every term that does not depend on the
-    costate is computed before the loop, which carries q_lower alone;
-    q_upper is then a cumulative sum.
+    Returns ``((q_lower, q_upper), (p_lower, p_upper))``: the upper witness
+    (claimed controls, objective weight ``weight``) and the inner witness
+    (effort weight ``weight``, objective weight 0).  Both start from one
+    pass with the claimed controls, which is the upper answer.  The inner
+    answer replaces the claimed control by the inner maximizer wherever it
+    is unique; if it is unique anywhere, the pass is redone from the last
+    such step, checking each step, and the steps above it are kept.  Inside
+    the kink band of the cone support the convexification parameter is
+    chosen to pin the activation at zero, which removes the exponential
+    drift of the degenerate arcs; outside the band the branch is forced.
+    Every term that does not depend on the costate is computed before the
+    loop, which carries q_lower alone; q_upper is then a cumulative sum.
     """
     scn, K, h = data.scn, data.K, data.h
     R, cap, drift = scn.R, float(scn.M[i]), scn.drift[i]
@@ -953,7 +950,7 @@ def _backward_pair(
     gain, jac_t = -(cap / R), None if scaled else drift.A.T
 
     q_lo = np.empty((K + 1, 2))
-    q_lo[K] = q_lo_T
+    q_lo[K] = nu_path[K] * data.z[K, i]
     sig = np.zeros((K, 2))
 
     def sweep(top: int, checked: int) -> None:
@@ -966,7 +963,7 @@ def _backward_pair(
             w = q - nzk
             point = k <= checked
             if point:
-                hull = _u_hull(data, i, w[None], effort_weight, slice(k, k + 1))
+                hull = _u_hull(data, i, w[None], weight, slice(k, k + 1))
                 point = hull.kind[0] == _POINT
             if point:
                 f[k] = drift.value(x_left[k], hull.u[0])
@@ -993,81 +990,48 @@ def _backward_pair(
                     sig[k] = theta * g
             q = q_lo[k] = q + hk * (base_lo + sig[k])
 
+    def q_upper(q_T: np.ndarray) -> np.ndarray:
+        q_hi = np.empty((K + 1, 2))
+        q_hi[0] = q_T
+        q_hi[1:] = (h[:, None] * (nf - nv - sig))[::-1]
+        return np.cumsum(q_hi, axis=0)[::-1]
+
+    zT = data.z[K, i]
     sweep(K - 1, -1)
-    if effort_weight is not None:
-        # the pass with the claimed controls is the answer unless the
-        # maximizer at its costates is unique somewhere; the steps above the
-        # last such step match, and the sweep is redone from there on
-        points = np.flatnonzero(_u_hull(data, i, q_lo[1:] - nz, effort_weight).kind == _POINT)
-        if points.size:
-            top = int(points[-1])
-            sig[:top + 1] = 0.0
-            sweep(top, top)
-
-    base_hi = data.add_contact_terms(nf - nv, i, overlap_rows[:K], v)
-    q_hi = np.empty((K + 1, 2))
-    q_hi[0] = q_hi_T
-    q_hi[1:] = (h[:, None] * (base_hi - sig))[::-1]
-    return q_lo, np.cumsum(q_hi, axis=0)[::-1]
+    upper = (q_lo, q_upper(-weight * data.y[K, i] - nu_path[K] * zT))
+    points = np.flatnonzero(_u_hull(data, i, q_lo[1:] - nz, weight).kind == _POINT)
+    if points.size:
+        top = int(points[-1])
+        q_lo = q_lo.copy()
+        sig[:top + 1] = 0.0
+        sweep(top, top)
+    return upper, (q_lo, q_upper(-nu_path[K] * zT))
 
 
-def _build_upper_family(data: _SolutionData, kind: str) -> UpperMultipliers:
-    """The ``"measure"`` witness (unit confinement measures) or the
-    ``"terminal"`` one (unit objective weight), normalized."""
-    scn = data.scn
-    K = data.K
-    measure = kind == "measure"
-    nu = np.full((K + 1, scn.N), 1.0 if measure else 0.0)
-    lam = 0.0 if measure else 1.0
-    overlap = np.zeros((K + 1, scn.N, scn.N))
+def _normalized(witness):
+    nt = witness.nontriviality()
+    return witness.scaled(1.0 / nt) if nt > 0 else witness
+
+
+def _build_family(data: _SolutionData, weight: float):
+    """One witness family, normalized: the upper witness and the inner one
+    of each participant.  ``weight`` 0 gives the measure family (unit
+    confinement measures), 1 the terminal family (unit objective weight,
+    unit inner effort weights)."""
+    scn, K = data.scn, data.K
+    nu = np.full((K + 1, scn.N), 1.0 - weight)
     q_lo = np.zeros((K + 1, scn.N, 2))
     q_hi = np.zeros((K + 1, scn.N, 2))
+    lowers = []
     for i in range(scn.N):
-        q_lo_T = nu[K, i] * data.z[K, i]
-        q_hi_T = -lam * data.y[K, i] - nu[K, i] * data.z[K, i]
-        q_lo[:, i, :], q_hi[:, i, :] = _backward_pair(
-            data, i, q_lo_T, q_hi_T, nu[:, i], overlap[:, i, :]
-        )
-    upper = UpperMultipliers(
-        grid=data.grid,
-        q_upper=q_hi,
-        q_lower=q_lo,
-        overlap=overlap,
-        confinement=nu,
-        objective_weight=lam,
-        rho=scn.rho,
-    )
-    nt = upper.nontriviality()
-    if nt > 0:
-        upper = upper.scaled(1.0 / nt)
-    return upper
-
-
-def _build_lower_family(data: _SolutionData, i: int, kind: str) -> LowerMultipliers:
-    """Participant i's inner witness of the family ``kind``, normalized."""
-    scn = data.scn
-    K = data.K
-    measure = kind == "measure"
-    mu = np.full(K + 1, 1.0 if measure else 0.0)
-    lam_bar = 0.0 if measure else 1.0
-    overlap = np.zeros((K + 1, scn.N))
-    p_lo_T = mu[K] * data.z[K, i]
-    p_hi_T = -mu[K] * data.z[K, i]
-    # a flat supremum keeps the claimed control, a valid near-maximizer
-    p_lo, p_hi = _backward_pair(data, i, p_lo_T, p_hi_T, mu, overlap, effort_weight=lam_bar)
-    low = LowerMultipliers(
-        participant=i,
-        grid=data.grid,
-        p_upper=p_hi,
-        p_lower=p_lo,
-        overlap=overlap,
-        confinement=mu,
-        effort_weight=lam_bar,
-    )
-    nt = low.nontriviality()
-    if nt > 0:
-        low = low.scaled(1.0 / nt)
-    return low
+        (q_lo[:, i], q_hi[:, i]), (p_lo, p_hi) = _backward_pair(data, i, nu[:, i], weight)
+        lowers.append(_normalized(LowerMultipliers(
+            participant=i, grid=data.grid, p_upper=p_hi, p_lower=p_lo,
+            overlap=np.zeros((K + 1, scn.N)), confinement=nu[:, i].copy(), effort_weight=weight)))
+    upper = UpperMultipliers(grid=data.grid, q_upper=q_hi, q_lower=q_lo,
+                             overlap=np.zeros((K + 1, scn.N, scn.N)), confinement=nu,
+                             objective_weight=weight, rho=scn.rho)
+    return _normalized(upper), lowers
 
 
 class MultiplierFit(tuple):
@@ -1089,12 +1053,13 @@ def fit_multipliers(solution: BilevelSolution, tol: float = 1e-3) -> MultiplierF
 
     The candidates are the measure-backed witness (unit confinement
     measures) and the terminal-cost-backed one (unit objective weight); the
-    costates come from backward integration of the adjoint selections, and
-    every candidate is normalized to unit aggregate weight.  Returns the
-    best witness and its achieved worst relative residual; a residual above
-    the tolerance means not-verified, never a disproof of optimality.  The solution data is built once, and each
-    family is checked by one :func:`verify` call, whose report for the
-    winner rides along as ``report``.
+    costates come from backward integration of the adjoint selections, one
+    sweep per participant and family for both levels, and every candidate
+    is normalized to unit aggregate weight.  Returns the best witness and
+    its achieved worst relative residual; a residual above the tolerance
+    means not-verified, never a disproof of optimality.  The solution data
+    is built once, and each family is checked by one :func:`verify` call,
+    whose report for the winner rides along as ``report``.
     """
     audit = solution.feasibility
     if not audit.ok():
@@ -1104,9 +1069,8 @@ def fit_multipliers(solution: BilevelSolution, tol: float = 1e-3) -> MultiplierF
         )
     data = _SolutionData(solution)
     best = None
-    for kind in ("measure", "terminal"):
-        upper = _build_upper_family(data, kind)
-        lowers = [_build_lower_family(data, i, kind) for i in range(data.scn.N)]
+    for weight in (0.0, 1.0):           # the measure family, then the terminal one
+        upper, lowers = _build_family(data, weight)
         report = verify(data, upper, lowers, tol=tol)
         rel = 0.0
         for name, value in report.residuals.items():

@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -176,13 +178,17 @@ class TestCommands:
     def test_verify_with_overlapping_controls_is_infeasible(self, tmp_path, capsys):
         # disk 1 drives along the exit ray into disk 2, which stays at rest
         controls = write_controls(tmp_path, [-3.0 * VHAT, np.zeros(2)])
-        assert run("simulate", TWODISK, out=str(tmp_path / "sim"),
-                   controls=controls) == EXIT_INFEASIBLE
+        sim = tmp_path / "sim"
+        assert run("simulate", TWODISK, out=str(sim), controls=controls) == EXIT_INFEASIBLE
+        simulate_err = capsys.readouterr().err
+        assert (sim / "trajectory.csv").exists() and (sim / "summary.txt").exists()
         assert run("verify", TWODISK, out=str(tmp_path / "vf"),
                    controls=controls) == EXIT_INFEASIBLE
-        err = capsys.readouterr().err
-        assert err.startswith("error: infeasible: disks 1 and 2 overlap by ")
-        assert "Traceback" not in err
+        verify_err = capsys.readouterr().err
+        for err in (simulate_err, verify_err):
+            assert err.startswith("error: infeasible: disks 1 and 2 overlap by ")
+            assert err.count("\n") == 1
+        assert simulate_err == verify_err
 
     def test_h5check_without_contact_samples_is_infeasible(self, tmp_path, capsys):
         controls = write_controls(tmp_path, [np.zeros(2)] * 2)
@@ -209,14 +215,37 @@ class TestCommands:
     @pytest.mark.parametrize("case", [
         "N-not-an-integer", "controls-times-repeat", "grid-K-1", "negative-h",
         "controls-start-after-0", "controls-run-past-T", "tol-0", "tol-negative",
+        "M-null", "R-null", "rho-object", "drift-number", "meta-list",
+        "U-nested-lists-casestudy", "U-nested-lists-simulate", "N-not-whole", "R-infinite",
+        "c-NaN", "halflength-NaN", "A-one-row",
     ])
     def test_rejected_input_is_an_input_error(self, tmp_path, capsys, case):
         def controls(times):
             return write_controls(tmp_path, [np.zeros(2)] * 2, times)
 
+        def scenario(mutate, command="simulate"):
+            return [command, write_scenario(tmp_path, mutate)]
+
+        def first(section, **values):
+            return lambda d: d["participants"][0][section].update(values)
+
         argv = {
-            "N-not-an-integer": lambda: [
-                "simulate", write_scenario(tmp_path, lambda d: d["problem"].update(N="two"))],
+            "N-not-an-integer": lambda: scenario(lambda d: d["problem"].update(N="two")),
+            "M-null": lambda: scenario(lambda d: d["participants"][0].update(M=None)),
+            "R-null": lambda: scenario(lambda d: d["problem"].update(R=None)),
+            "rho-object": lambda: scenario(lambda d: d["participants"][0].update(rho={})),
+            "drift-number": lambda: scenario(lambda d: d["participants"][0].update(drift=5)),
+            "meta-list": lambda: scenario(lambda d: d.update(meta=[])),
+            "U-nested-lists-casestudy": lambda: scenario(
+                first("U", lo=[[0.0]], hi=[[1.0]]), "casestudy") + ["--h", "0.05"],
+            "U-nested-lists-simulate": lambda: scenario(first("U", lo=[[0.0]], hi=[[1.0]])),
+            "N-not-whole": lambda: scenario(lambda d: d["problem"].update(N=2.7)),
+            "R-infinite": lambda: scenario(lambda d: d["problem"].update(R=math.inf)),
+            "c-NaN": lambda: scenario(first("drift", c=math.nan), "casestudy") + ["--h", "0.05"],
+            "halflength-NaN": lambda: scenario(first("V", halflength=math.nan)),
+            "A-one-row": lambda: scenario(lambda d: d["participants"][0].update(drift={
+                "family": "affine", "A": [[0.0, 0.0, 0.0, 0.0]], "B": [[0.0], [0.0]],
+                "b": [0.0, 0.0]})),
             "controls-times-repeat": lambda: [
                 "simulate", TWODISK, "--controls", controls([0.0, 3.0, 3.0, 6.0])],
             "grid-K-1": lambda: ["solve", TWODISK, "--grid-K", "1"],
@@ -253,3 +282,93 @@ class TestCommands:
     def test_main_entrypoint(self, tmp_path):
         code = main(["h5check", TWODISK, "--out", str(tmp_path / "m"), "--h", "0.01"])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", TWODISK, "--penalty-k", "5"],
+        ["verify"],
+    ], ids=["unknown-flag", "missing-scenario"])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: ") and err.count("\n") == 1
+
+
+# a scenario value, a controls cell and a command line are each mutated in
+# turn; the replacements cover wrong types, non-finite numbers, wrong shapes
+# and out-of-range values
+SCENARIO_VALUES = [None, True, "x", math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.7, 1e6,
+                   [], {}, [[0.0]], [1.0, 2.0, 3.0], "free"]
+CONTROLS_CELLS = ["", "nan", "inf", "-inf", "x", "1e6", "-1", "0.5", "3", "7"]
+COMMANDS = ["simulate", "simulate", "verify", "casestudy", "h5check"]
+
+
+def _nodes(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate_scenario(doc, rng):
+    paths = [p for p in _nodes(doc) if p]
+    path = paths[rng.integers(len(paths))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    op = rng.integers(4)
+    if op == 0 and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif op == 1 and isinstance(parent[path[-1]], (int, float)) \
+            and not isinstance(parent[path[-1]], bool):
+        parent[path[-1]] *= float(rng.choice([-1.0, 0.0, 0.5, 2.0, 10.0]))
+    elif op == 2 and isinstance(parent, dict):
+        parent["unknown"] = 1
+    else:
+        parent[path[-1]] = copy.deepcopy(SCENARIO_VALUES[rng.integers(len(SCENARIO_VALUES))])
+
+
+def _mutate_controls(rows, rng):
+    k = int(rng.integers(len(rows)))
+    op = rng.integers(5)
+    if op == 0:
+        cells = rows[k].split(",")
+        cells[rng.integers(len(cells))] = CONTROLS_CELLS[rng.integers(len(CONTROLS_CELLS))]
+        rows[k] = ",".join(cells)
+    elif op == 1:
+        del rows[k]
+    elif op == 2:
+        rows.insert(k, rows[k])
+    elif op == 3:
+        rows[k] = rows[k].rsplit(",", 1)[0]
+    else:
+        rows[k] += ",0"
+
+
+def test_fuzzed_inputs_keep_the_cli_contract(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    with open(TWODISK) as fh:
+        base = json.load(fh)
+    times = np.linspace(0.0, 6.0, 13)
+    base_rows = open(write_controls(tmp_path, [-0.5 * VHAT] * 2, times)).read().splitlines()
+    for trial in range(600):
+        doc, rows = copy.deepcopy(base), list(base_rows)
+        command = COMMANDS[rng.integers(len(COMMANDS))]
+        argv = [command, str(tmp_path / "case.scn"), "--out", str(tmp_path / "out"), "--h", "0.1"]
+        target = rng.integers(3)
+        if target == 0:
+            _mutate_scenario(doc, rng)
+        elif target == 1:
+            _mutate_controls(rows, rng)
+        else:
+            argv.insert(int(rng.integers(len(argv) + 1)), str(rng.choice(["--bogus", "-1", "x"])))
+        if command in ("simulate", "verify") and rng.random() < 0.7:
+            argv += ["--controls", str(tmp_path / "controls.csv")]
+        (tmp_path / "case.scn").write_text(json.dumps(doc))
+        (tmp_path / "controls.csv").write_text("\n".join(rows) + "\n")
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), (trial, argv)
+        assert "Traceback" not in out + err, (trial, argv)
+        for line in err.splitlines():
+            assert re.match(r"^error: (input|usage|infeasible): ", line), (trial, argv, line)

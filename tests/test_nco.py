@@ -600,11 +600,18 @@ class LoopReference:
                      + self.pair(k + 1, i, low.overlap[k])) / low.effort_weight
         return None
 
+    @staticmethod
+    def variation(path):
+        return float(np.sum(np.abs(np.diff(path))))
+
     def verify(self, up, lowers=None, tol=1e-3, phi=None):
         """(residuals, verdicts, max_condition_lower path, max_condition_upper path)."""
         scn, K = self.scn, self.K
         scale = 1.0 + max(np.max(np.abs(up.q_upper)), np.max(np.abs(up.q_lower)))
-        res = {"nontriviality": up.nontriviality()}
+        res = {"nontriviality": scale - 1.0 + up.objective_weight + float(np.sum(up.effort_weights))
+               + sum(self.variation(up.confinement[:, i]) for i in range(scn.N))
+               + sum(self.variation(up.overlap[:, i, j])
+                     for i in range(scn.N) for j in range(i + 1, scn.N))}
         adj = [self.upper_adjoint(up, i, k) for i in range(scn.N) for k in range(K)]
         res["adjoint_q_lower"] = max(a for a, _ in adj)
         res["adjoint_q_upper"] = max(b for _, b in adj)
@@ -673,7 +680,10 @@ class LoopReference:
             ):
                 res[f"{tag}_{name}"] = float(value)
                 verdicts[f"{tag}_{name}"] = value <= tol * p_scale
-            res[f"{tag}_nontriviality"] = low.nontriviality()
+            res[f"{tag}_nontriviality"] = (p_scale - 1.0 + low.effort_weight
+                                           + self.variation(low.confinement)
+                                           + sum(self.variation(low.overlap[:, j])
+                                                 for j in range(scn.N) if j != i))
             verdicts[f"{tag}_nontriviality"] = res[f"{tag}_nontriviality"] >= NONTRIVIALITY_TOL
         return res, verdicts, gaps, upper_max
 
@@ -815,17 +825,21 @@ def assert_matches_reference(sol, upper, lowers=None, phi=None, ref=None):
 
 
 def assert_sweeps_match(sol, ref):
-    """Costate sweeps with the claimed controls (measure level 1) and with
-    the inner maximizers at effort weights 0 and 1 and one mixed case."""
+    """Both passes of the costate sweep, the upper one with the claimed
+    controls and the inner one with the inner maximizers at the effort
+    weight, at measure level and weight 1/0, 0/1 and one mixed case."""
     data = nco._SolutionData(sol)
     K, N = data.K, sol.scenario.N
     for i in range(N):
-        for level, alpha in ((1.0, None), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
+        for level, weight in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
             nu = np.full(K + 1, level)
             q_T = nu[K] * data.z[K, i]
-            got = nco._backward_pair(data, i, q_T, 0.3 - q_T, nu, np.zeros((K + 1, N)), alpha)
-            for a, b in zip(got, ref.backward(i, q_T, 0.3 - q_T, nu, alpha)):
-                assert np.allclose(a, b, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(b))))
+            upper, inner = nco._backward_pair(data, i, nu, weight)
+            want = (ref.backward(i, q_T, -weight * data.y[K, i] - q_T, nu),
+                    ref.backward(i, q_T, -q_T, nu, weight))
+            for got, ref_pair in zip((upper, inner), want):
+                for a, b in zip(got, ref_pair):
+                    assert np.allclose(a, b, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(b))))
 
 
 @pytest.fixture(scope="module")
@@ -848,9 +862,9 @@ class TestArrayVerifierMatchesLoopReference:
             upper, lowers, phi = designed_multipliers(sol, 3, objective_weight)
             assert_matches_reference(sol, upper, lowers, phi, ref)
         data = nco._SolutionData(sol)
-        for kind in ("measure", "terminal"):
-            lowers = [nco._build_lower_family(data, i, kind) for i in range(sol.scenario.N)]
-            assert_matches_reference(sol, nco._build_upper_family(data, kind), lowers, ref=ref)
+        for weight in (0.0, 1.0):
+            upper, lowers = nco._build_family(data, weight)
+            assert_matches_reference(sol, upper, lowers, ref=ref)
         assert_sweeps_match(sol, ref)
         assert ref.hits >= {
             "upper-off", "upper-active", "upper-kink", "upper-inactive",
@@ -894,8 +908,8 @@ def test_worst_residual_names_the_perturbed_interval(twodisk_300):
 
 
 def test_cli_verify_builds_the_solution_data_once(tmp_path, monkeypatch):
-    builds, calls = [], []
-    real_verify = nco.verify
+    builds, calls, sweeps = [], [], []
+    real_verify, real_sweep = nco.verify, nco._backward_pair
 
     class CountedData(nco._SolutionData):
         def __init__(self, solution):
@@ -906,10 +920,16 @@ def test_cli_verify_builds_the_solution_data_once(tmp_path, monkeypatch):
         calls.append(args[0])
         return real_verify(*args, **kwargs)
 
+    def counted_sweep(*args, **kwargs):
+        sweeps.append(args[1])
+        return real_sweep(*args, **kwargs)
+
     monkeypatch.setattr(nco, "_SolutionData", CountedData)
     monkeypatch.setattr(nco, "verify", counted_verify)
+    monkeypatch.setattr(nco, "_backward_pair", counted_sweep)
     assert run("verify", TWODISK, out=str(tmp_path), h=0.05) == EXIT_OK
     assert len(builds) == 1
     assert len(calls) == 2                  # the measure and the terminal family
+    assert sweeps == [0, 1, 0, 1]           # one sweep per participant and family
     summary = (tmp_path / "summary.txt").read_text()
     assert "  worst_at:\n    adjoint_q_lower: t=" in summary
