@@ -315,11 +315,13 @@ def _descend_blocks(scenario, i, ypath, grid, x0_i, u0, opts, rng):
     return best
 
 
-def _x0_candidates(scenario, i, opts, rng) -> List[np.ndarray]:
+def _x0_candidates(scenario, i, count, rng) -> List[np.ndarray]:
+    """The fixed initial point, or the disk center and count - 1 uniform
+    draws from the disk when x0 is free."""
     if not scenario.x0_free:
         return [scenario.x0[i]]
     cands = [scenario.y0[i].copy()]
-    for _ in range(max(0, opts.multistart - 1)):
+    for _ in range(max(0, count - 1)):
         r = scenario.R * math.sqrt(rng.random())
         th = 2 * math.pi * rng.random()
         cands.append(scenario.y0[i] + np.array([r * math.cos(th), r * math.sin(th)]))
@@ -346,7 +348,7 @@ def value_function(
     ypath = _translation_path(scenario.y0[i], grid, v_i.values[:, :2])
 
     best: Tuple[Optional[float], Optional[np.ndarray], Optional[np.ndarray]] = (None, None, None)
-    for x0_i in _x0_candidates(scenario, i, opts, rng):
+    for x0_i in _x0_candidates(scenario, i, opts.multistart, rng):
         u0, _fail = _greedy_min_effort(scenario, i, ypath, grid, x0_i)
         if u0 is None:
             continue
@@ -375,50 +377,28 @@ def value_function(
 # direct outer solver
 
 
-def _coords_per_interval(cset) -> int:
+def _coordinates(cset, K) -> Tuple[np.ndarray, np.ndarray]:
+    """Box (lo, hi) of one participant's search coordinates on K intervals:
+    K rows of one segment coordinate, or of the set's own coordinates."""
     if isinstance(cset, SegmentSet):
-        return 1
-    return cset.dim
+        hi = np.full((K, 1), cset.halflength)
+        return -hi, hi
+    if isinstance(cset, IntervalSet):
+        return np.tile(cset.lo, (K, 1)), np.tile(cset.hi, (K, 1))
+    hi = np.full((K, 2), cset.radius)
+    return -hi, hi
 
 
-def _decode_profiles(scenario, grid, params) -> List[ControlProfile]:
-    profiles = []
-    pos = 0
-    K = grid.size - 1
-    for i in range(scenario.N):
-        cset = scenario.V[i]
-        nc = _coords_per_interval(cset)
-        block = params[pos : pos + nc * K].reshape(K, nc)
-        pos += nc * K
-        if isinstance(cset, SegmentSet):
-            vals = block[:, 0:1] * cset.direction[None, :]
-        else:
-            vals = np.array([cset.project(row) for row in block])
-        profiles.append(ControlProfile(grid=grid, values=vals))
-    return profiles
-
-
-def _param_bounds(scenario, K) -> Tuple[np.ndarray, np.ndarray]:
-    lo, hi = [], []
-    for i in range(scenario.N):
-        cset = scenario.V[i]
-        if isinstance(cset, SegmentSet):
-            lo += [-cset.halflength] * K
-            hi += [cset.halflength] * K
-        elif isinstance(cset, IntervalSet):
-            for _ in range(K):
-                lo += list(cset.lo)
-                hi += list(cset.hi)
-        else:
-            lo += [-cset.radius] * (2 * K)
-            hi += [cset.radius] * (2 * K)
-    return np.array(lo), np.array(hi)
-
-
-def _embed_profile(profile: ControlProfile, fine_grid: np.ndarray) -> ControlProfile:
-    # the fine grid refines the coarse one: sim_K is a multiple of its K
-    vals = np.repeat(profile.values, (fine_grid.size - 1) // profile.K, axis=0)
-    return ControlProfile(grid=fine_grid, values=vals)
+def _solution(scenario, v, u, x0, method) -> BilevelSolution:
+    """Integrate both levels under the controls, then cost and audit them."""
+    y = integrate_upper(scenario, v)
+    x = integrate_lower_catchup(scenario, y, u, x0)
+    return BilevelSolution(
+        scenario=scenario, v=v, u=u, x0=x0, y=y, x=x,
+        J_H=cost_upper(y.terminal()),
+        J_L=np.array([cost_lower(p) for p in u]),
+        method=method, feasibility=check_feasibility(scenario, y, x, u, v),
+    )
 
 
 def solve_bilevel_direct(
@@ -426,7 +406,6 @@ def solve_bilevel_direct(
     coarse_grid_K: int = 8,
     seed: int = 0,
     sim_K: int = 600,
-    starts: int = 5,
     max_evals: int = 6000,
 ) -> BilevelSolution:
     """Derivative-free outer search over piecewise-constant disk velocities.
@@ -435,27 +414,40 @@ def solve_bilevel_direct(
     inner controls from the greedy feasibility-first solve (no
     value-function penalty; a plan without a feasible greedy inner control
     is rejected) and a penalty on disk overlap.  Pattern search polls
-    single coordinates, per-interval groups, and the full vector, from
-    structured plus seeded random starts.  Deterministic for a fixed seed.
+    single coordinates, per-interval groups, and the full vector, from five
+    structured starts (three scaled common-speed plans, the per-participant
+    aim and the rest plan); there are no random starts.  The seed drives
+    only the draws of free initial points, so the search is deterministic
+    for a fixed seed.
     """
     if coarse_grid_K < 2:
         raise ValueError("need at least K=2 coarse intervals")
+    K, N, T = coarse_grid_K, scenario.N, scenario.T
     rng = np.random.default_rng(seed)
-    sim_K = int(math.ceil(sim_K / coarse_grid_K)) * coarse_grid_K
-    coarse = uniform_grid(scenario.T, coarse_grid_K)
-    fine = uniform_grid(scenario.T, sim_K)
-    lo, hi = _param_bounds(scenario, coarse_grid_K)
+    sim_K = int(math.ceil(sim_K / K)) * K
+    fine = uniform_grid(T, sim_K)
+    boxes = [_coordinates(cset, K) for cset in scenario.V]
+    lo = np.concatenate([box[0].ravel() for box in boxes])
+    hi = np.concatenate([box[1].ravel() for box in boxes])
+    offsets = np.cumsum([0] + [box[0].size for box in boxes])
     n = lo.size
     evals = [0]
 
     def objective(params):
         evals[0] += 1
-        v_coarse = _decode_profiles(scenario, coarse, params)
-        v = [_embed_profile(p, fine) for p in v_coarse]
+        v = []
+        for i, cset in enumerate(scenario.V):
+            block = params[offsets[i] : offsets[i + 1]].reshape(K, -1)
+            if isinstance(cset, SegmentSet):
+                rows = block[:, 0:1] * cset.direction[None, :]
+            else:
+                rows = np.array([cset.project(row) for row in block])
+            # the fine grid refines the coarse one: sim_K is a multiple of K
+            v.append(ControlProfile(grid=fine, values=np.repeat(rows, sim_K // K, axis=0)))
         y = integrate_upper(scenario, v)
         overlap = 0.0
-        for i in range(scenario.N):
-            for j in range(i + 1, scenario.N):
+        for i in range(N):
+            for j in range(i + 1, N):
                 gap = 2 * scenario.R - np.min(
                     np.linalg.norm(y.states[:, i, :] - y.states[:, j, :], axis=1)
                 )
@@ -464,93 +456,59 @@ def solve_bilevel_direct(
             return None
         total = cost_upper(y.terminal())
         u_list, x0_list = [], []
-        for i in range(scenario.N):
-            found = False
-            for x0_i in _x0_candidates(scenario, i, InnerOptions(multistart=4), rng):
+        for i in range(N):
+            for x0_i in _x0_candidates(scenario, i, 4, rng):
                 uvals, _ = _greedy_min_effort(scenario, i, y.states[:, i, :], fine, x0_i)
                 if uvals is not None:
-                    found = True
                     u_list.append(uvals)
                     x0_list.append(np.asarray(x0_i, float))
                     break
-            if not found:
+            else:
                 return None
         if overlap > 0:
             total += 1e3 * overlap + 1e4 * overlap**2
-        return total, v, u_list, x0_list, overlap
+        return total, v, u_list, x0_list
 
-    def seed_points():
-        # Per-participant aim drives each disk straight at the exit; the
-        # common-speed variant averages the aims so touching ensembles keep
-        # their separation.  The rest plan is always feasible when 0 lies in
-        # every control set and anchors the search on frozen scenarios.
-        aim = np.zeros(n)
-        seg_coords = []
-        pos = 0
-        for i in range(scenario.N):
-            cset = scenario.V[i]
-            nc = _coords_per_interval(cset)
-            if isinstance(cset, SegmentSet):
-                a = -float(np.dot(scenario.y0[i], cset.direction)) / scenario.T
-                a = float(np.clip(a, -cset.halflength, cset.halflength))
-                aim[pos : pos + coarse_grid_K] = a
-                seg_coords.append((pos, coarse_grid_K, a, cset.halflength))
-            elif isinstance(cset, BallSet):
-                w = cset.project(-scenario.y0[i] / scenario.T)
-                aim[pos : pos + 2 * coarse_grid_K] = np.tile(w, coarse_grid_K)
-            else:
-                w = np.clip(-scenario.y0[i][: cset.dim] / scenario.T, cset.lo, cset.hi)
-                aim[pos : pos + nc * coarse_grid_K] = np.tile(w, coarse_grid_K)
-            pos += nc * coarse_grid_K
-        common = aim.copy()
-        if seg_coords:
-            mean_a = float(np.mean([a for (_p, _k, a, _l) in seg_coords]))
-            for (p, k, _a, halflength) in seg_coords:
-                common[p : p + k] = np.clip(mean_a, -halflength, halflength)
-        pts = []
-        for frac in (0.95, 0.8, 0.6):
-            pts.append(np.clip(frac * common, lo, hi))
-        pts.append(np.clip(0.9 * aim, lo, hi))
-        pts.append(np.zeros(n))
-        while len(pts) < starts:
-            noise = 0.05 * (hi - lo) * (rng.random(n) - 0.5)
-            pts.append(np.clip(0.9 * common + noise, lo, hi))
-        return pts[: max(starts, 5)]
+    # Per-participant aim drives each disk straight at the exit; the
+    # common-speed variant averages the segment aims so touching ensembles
+    # keep their separation.  The rest plan is always feasible when 0 lies
+    # in every control set and anchors the search on frozen scenarios.
+    aim = np.zeros(n)
+    segments = [i for i, cset in enumerate(scenario.V) if isinstance(cset, SegmentSet)]
+    for i, cset in enumerate(scenario.V):
+        if isinstance(cset, SegmentSet):
+            a = -float(np.dot(scenario.y0[i], cset.direction)) / T
+            row = np.clip(a, -cset.halflength, cset.halflength)
+        else:
+            row = cset.project(-scenario.y0[i][: cset.dim] / T)
+        aim[offsets[i] : offsets[i + 1]] = np.tile(row, K)
+    common = aim.copy()
+    if segments:
+        mean_a = float(np.mean([aim[offsets[i]] for i in segments]))
+        for i in segments:
+            common[offsets[i] : offsets[i + 1]] = np.clip(
+                mean_a, -scenario.V[i].halflength, scenario.V[i].halflength)
+    starts = [frac * common for frac in (0.95, 0.8, 0.6)] + [0.9 * aim, np.zeros(n)]
+
+    # single coordinates; then coordinated per-interval moves across
+    # participants (the first coordinate of each), which escape the active
+    # non-overlap constraint that single coordinates cannot; then all at once
+    dirs = list(np.eye(n))
+    widths = np.diff(offsets) // K
+    for k in range(K):
+        d = np.zeros(n)
+        d[offsets[:-1] + k * widths] = 1.0
+        dirs.append(d)
+    dirs.append(np.ones(n))
 
     span = hi - lo
-    group_dirs = []
-    pos = 0
-    for i in range(scenario.N):
-        nc = _coords_per_interval(scenario.V[i])
-        for k in range(coarse_grid_K):
-            for c in range(nc):
-                group_dirs.append((i, pos + k * nc + c, k, c))
-        pos += nc * coarse_grid_K
-
-    def poll_directions():
-        dirs = [np.eye(n)[j] for j in range(n)]
-        # coordinated per-interval moves across participants escape the
-        # active non-overlap constraint, which single coordinates cannot
-        for k in range(coarse_grid_K):
-            d = np.zeros(n)
-            for (_i, idx, kk, c) in group_dirs:
-                if kk == k and c == 0:
-                    d[idx] = 1.0
-            dirs.append(d)
-        dirs.append(np.ones(n))
-        return dirs
-
-    dirs = poll_directions()
-    best_val, best_pack, best_params = math.inf, None, None
-    feasible_start = False
-    for start in seed_points():
+    best_val, best_pack = math.inf, None
+    for start in starts:
         x = np.clip(start, lo, hi)
-        res = objective(x)
-        if res is None:
+        pack = objective(x)
+        if pack is None:
             continue
-        feasible_start = True
-        fx = res[0]
-        pack = res
+        fx = pack[0]
         step = 0.25
         while step > 1e-3 and evals[0] < max_evals:
             improved = False
@@ -569,33 +527,18 @@ def solve_bilevel_direct(
             if not improved:
                 step *= 0.5
         if fx < best_val:
-            best_val, best_pack, best_params = fx, pack, x
-
-    if not feasible_start or best_pack is None:
+            best_val, best_pack = fx, pack
+    if best_pack is None:
         raise InnerInfeasibleError("no feasible starting plan found")
 
-    _fx, v, u_list, x0_list, _overlap = best_pack
-    u = [ControlProfile(grid=fine, values=uv) for uv in u_list]
-    x0 = np.vstack(x0_list)
-    y = integrate_upper(scenario, v)
-    x = integrate_lower_catchup(scenario, y, u, x0)
-    audit = check_feasibility(scenario, y, x, u, v)
-    if not audit.ok():
+    _fx, v, u_list, x0_list = best_pack
+    sol = _solution(scenario, v, [ControlProfile(grid=fine, values=uv) for uv in u_list],
+                    np.vstack(x0_list), "direct")
+    if not sol.feasibility.ok():
         raise InnerInfeasibleError(
-            f"search ended on an infeasible plan (violation {audit.max_violation:.3g})"
+            f"search ended on an infeasible plan (violation {sol.feasibility.max_violation:.3g})"
         )
-    return BilevelSolution(
-        scenario=scenario,
-        v=v,
-        u=u,
-        x0=x0,
-        y=y,
-        x=x,
-        J_H=cost_upper(y.terminal()),
-        J_L=np.array([cost_lower(p) for p in u]),
-        method="direct",
-        feasibility=audit,
-    )
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -712,29 +655,13 @@ def solve_twodisk_parametric(
         near=near,
         far=far,
     )
-    grid = uniform_grid(T, grid_K)
-    v, u = closed_form_controls(params, grid)
-    y = integrate_upper(scenario, v)
-    x = integrate_lower_catchup(scenario, y, u, scenario.x0)
-    audit = check_feasibility(scenario, y, x, u, v)
-    solution = BilevelSolution(
-        scenario=scenario,
-        v=v,
-        u=u,
-        x0=scenario.x0.copy(),
-        y=y,
-        x=x,
-        J_H=cost_upper(y.terminal()),
-        J_L=np.array([cost_lower(p) for p in u]),
-        method="parametric",
-        feasibility=audit,
-    )
-    return params, solution
+    v, u = closed_form_controls(params, uniform_grid(T, grid_K))
+    return params, _solution(scenario, v, u, scenario.x0.copy(), "parametric")
 
 
 def closed_form_controls(
     params: CaseStudyParams,
-    grid: Optional[np.ndarray] = None,
+    grid: np.ndarray,
 ) -> Tuple[List[ControlProfile], List[ControlProfile]]:
     """Sample the closed-form optimal controls onto a grid.
 
@@ -748,8 +675,6 @@ def closed_form_controls(
     distance, which is the discretely consistent reading of the arcs: the
     projected run then rides the cone cap exactly from contact onward.
     """
-    if grid is None:
-        grid = uniform_grid(params.T, DEFAULT_GRID_K)
     grid = np.asarray(grid, float)
     K = grid.size - 1
     h = np.diff(grid)

@@ -9,7 +9,8 @@ set, and identical invocations produce byte-identical artifacts.
 Exit codes: 0 success, 1 usage error, 2 infeasibility, 3 verification
 failed.  Diagnostics are ``error: <kind>: <detail>`` lines on stderr; a
 rejected scenario file, controls file or flag value is ``error: input:``,
-and a command line the argument parser rejects is ``error: usage:``.
+and a command line the argument parser rejects, or a flag the command does
+not read, is ``error: usage:``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_NOT_VERIFIED = 3
+
+# the largest grid a time step may ask for: T/h above it is rejected before
+# anything is allocated
+MAX_GRID_K = 10**6
 
 
 class ScenarioFormatError(ValueError):
@@ -427,7 +432,12 @@ def _default_grid(scenario, solver_cfg, flags) -> np.ndarray:
     if h is None:
         return uniform_grid(scenario.T, DEFAULT_GRID_K)
     h = _positive(h, "time step h")
-    return uniform_grid(scenario.T, max(1, int(round(scenario.T / h))))
+    K = scenario.T / h
+    if not K <= MAX_GRID_K:
+        raise ScenarioFormatError(
+            f"time step h={h!r} asks for {K:.3g} grid intervals on T={scenario.T:.12g}, "
+            f"more than {MAX_GRID_K}")
+    return uniform_grid(scenario.T, max(1, int(round(K))))
 
 
 def _emit(outdir: str, name: str, text: str) -> None:
@@ -605,12 +615,13 @@ def _h5check(scenario, solver_cfg, flags, out) -> int:
     return EXIT_OK if ok else EXIT_NOT_VERIFIED
 
 
+# each command and the flags it reads; every command also takes ``out``
 _COMMANDS = {
-    "simulate": _simulate,
-    "solve": _solve,
-    "casestudy": _casestudy,
-    "verify": _verify,
-    "h5check": _h5check,
+    "simulate": (_simulate, ("h", "controls")),
+    "solve": (_solve, ("grid_K", "seed")),
+    "casestudy": (_casestudy, ("h",)),
+    "verify": (_verify, ("h", "tol", "controls")),
+    "h5check": (_h5check, ("h", "controls")),
 }
 
 
@@ -619,10 +630,16 @@ def run(command: str, scenario_path: str, **flags) -> int:
     if command not in _COMMANDS:
         print(f"error: usage: unknown command {command!r}", file=sys.stderr)
         return EXIT_USAGE
+    handler, takes = _COMMANDS[command]
+    unread = sorted(set(flags) - set(takes) - {"out"})
+    if unread:
+        print(f"error: usage: {command} does not take --{unread[0].replace('_', '-')}",
+              file=sys.stderr)
+        return EXIT_USAGE
     out = flags.get("out") or "."
     try:
         scenario, solver_cfg = parse_scenario(scenario_path)
-        return _COMMANDS[command](scenario, solver_cfg, flags, out)
+        return handler(scenario, solver_cfg, flags, out)
     except (TruncationViolationError, InfeasibleControlError, StabilityError,
             InnerInfeasibleError) as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
@@ -652,15 +669,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("scenario", help="scenario file (.scn)")
-    parser.add_argument("--h", type=float, default=None, help="time step")
+    parser.add_argument("--h", type=float, default=None,
+                        help="time step for simulate, casestudy, verify and h5check")
     parser.add_argument("--grid-K", type=int, default=None, dest="grid_K",
                         help="coarse control intervals for solve")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None, help="search seed for solve")
     parser.add_argument("--tol", type=float, default=None,
-                        help="verification tolerance")
+                        help="verification tolerance for verify")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--controls", default=None,
-                        help="controls file for simulate/verify")
+                        help="controls file for simulate, verify and h5check")
     try:
         args = parser.parse_args(argv)
     except argparse.ArgumentError as exc:

@@ -143,15 +143,8 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-class _ControlSet:
-    """``distances`` maps a (K, m) block of controls to each row's distance."""
-
-    def distance(self, u) -> float:
-        return float(self.distances(np.reshape(u, (1, -1)))[0])
-
-
 @dataclass(frozen=True)
-class IntervalSet(_ControlSet):
+class IntervalSet:
     """Per-coordinate box [lo, hi]."""
 
     lo: np.ndarray
@@ -183,7 +176,7 @@ class IntervalSet(_ControlSet):
 
 
 @dataclass(frozen=True)
-class SegmentSet(_ControlSet):
+class SegmentSet:
     """{a * direction : a in [-halflength, halflength]} embedded in the plane."""
 
     direction: np.ndarray
@@ -191,6 +184,8 @@ class SegmentSet(_ControlSet):
 
     def __post_init__(self):
         d = np.asarray(self.direction, float).reshape(2)
+        if np.max(np.abs(d)) > 1e150:       # its squares would overflow in the norm
+            d = d / np.max(np.abs(d))
         n = float(np.linalg.norm(d))
         if n < 1e-12:
             raise ValueError("segment direction must be nonzero")
@@ -220,7 +215,7 @@ class SegmentSet(_ControlSet):
 
 
 @dataclass(frozen=True)
-class BallSet(_ControlSet):
+class BallSet:
     """Euclidean ball of the given radius centered at the origin."""
 
     radius: float
@@ -247,6 +242,7 @@ class BallSet(_ControlSet):
         return self.radius * float(np.linalg.norm(np.asarray(d, float).ravel()))
 
 
+# each set's ``distances`` maps a (K, m) block of controls to each row's distance
 ControlSetSpec = Union[IntervalSet, SegmentSet, BallSet]
 
 
@@ -310,6 +306,15 @@ class Scenario:
             raise ValueError("partial-calmness moduli rho must be nonnegative")
         if not (len(self.drift) == len(self.U) == len(self.V) == self.N):
             raise ValueError("drift/U/V lists must have one entry per participant")
+        # squares of coordinates near the float range overflow in every norm
+        # and cost downstream, so such positions are rejected here
+        with np.errstate(over="ignore"):
+            sizes = [cost_upper(self.y0), np.linalg.norm(self.y0[:, None] - self.y0[None], axis=2)]
+            if self.x0 is not None:
+                sizes.append(np.linalg.norm(self.x0 - self.y0, axis=1))
+        if not all(np.isfinite(size).all() for size in sizes):
+            raise ValueError("initial positions too large: a pair distance or the "
+                             "terminal cost overflows")
         slack = 1e-9 * max(1.0, 2 * self.R)
         for i in range(self.N):
             for j in range(i + 1, self.N):

@@ -23,7 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bilevel import BilevelSolution
+from .bilevel import BilevelSolution, _greedy_min_effort
 from .dynamics import (
     BallSet,
     ControlProfile,
@@ -1107,8 +1107,6 @@ def fd_value_gradient(
     profiles skip membership validation.  Cost: two inner solves per
     interval and coordinate, intended for coarse grids.
     """
-    from .bilevel import _greedy_min_effort
-
     grid = v_i.grid
     h = np.diff(grid)
     K = v_i.K

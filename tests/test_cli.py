@@ -217,7 +217,7 @@ class TestCommands:
         "controls-start-after-0", "controls-run-past-T", "tol-0", "tol-negative",
         "M-null", "R-null", "rho-object", "drift-number", "meta-list",
         "U-nested-lists-casestudy", "U-nested-lists-simulate", "N-not-whole", "R-infinite",
-        "c-NaN", "halflength-NaN", "A-one-row",
+        "c-NaN", "halflength-NaN", "A-one-row", "h-subnormal", "h-1e-9", "positions-1e300",
     ])
     def test_rejected_input_is_an_input_error(self, tmp_path, capsys, case):
         def controls(times):
@@ -250,6 +250,13 @@ class TestCommands:
                 "simulate", TWODISK, "--controls", controls([0.0, 3.0, 3.0, 6.0])],
             "grid-K-1": lambda: ["solve", TWODISK, "--grid-K", "1"],
             "negative-h": lambda: ["casestudy", TWODISK, "--h", "-1"],
+            # T/h is infinite or far above the grid bound: rejected before allocation
+            "h-subnormal": lambda: ["simulate", TWODISK, "--h", "5e-324"],
+            "h-1e-9": lambda: ["casestudy", TWODISK, "--h", "1e-9"],
+            # finite centers whose squares overflow
+            "positions-1e300": lambda: scenario(lambda d: [
+                node.update(y0=[1e300 * c for c in node["y0"]], x0=[1e300 * c for c in node["x0"]])
+                for node in d["participants"]]) + ["--h", "0.1"],
             "controls-start-after-0": lambda: [
                 "simulate", TWODISK, "--controls", controls([0.5, 3.0, 6.0])],
             "controls-run-past-T": lambda: [
@@ -283,14 +290,26 @@ class TestCommands:
         code = main(["h5check", TWODISK, "--out", str(tmp_path / "m"), "--h", "0.01"])
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", TWODISK, "--penalty-k", "5"],
-        ["verify"],
-    ], ids=["unknown-flag", "missing-scenario"])
-    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
-        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", TWODISK, "--penalty-k", "5"], None),
+        (["verify"], None),
+        (["solve", TWODISK, "--h", "0.1"], "solve does not take --h"),
+        (["solve", TWODISK, "--controls", "c.csv"], "solve does not take --controls"),
+        (["casestudy", TWODISK, "--controls", "c.csv"], "casestudy does not take --controls"),
+        (["casestudy", TWODISK, "--grid-K", "4"], "casestudy does not take --grid-K"),
+        (["simulate", TWODISK, "--tol", "0.1"], "simulate does not take --tol"),
+        (["verify", TWODISK, "--seed", "1"], "verify does not take --seed"),
+        (["h5check", TWODISK, "--tol", "0.1"], "h5check does not take --tol"),
+    ], ids=["unknown-flag", "missing-scenario", "solve-h", "solve-controls",
+            "casestudy-controls", "casestudy-grid-K", "simulate-tol", "verify-seed",
+            "h5check-tol"])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: usage: ") and err.count("\n") == 1
+        if message:
+            assert err == f"error: usage: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 # a scenario value, a controls cell and a command line are each mutated in
@@ -321,7 +340,7 @@ def _mutate_scenario(doc, rng):
         del parent[path[-1]]
     elif op == 1 and isinstance(parent[path[-1]], (int, float)) \
             and not isinstance(parent[path[-1]], bool):
-        parent[path[-1]] *= float(rng.choice([-1.0, 0.0, 0.5, 2.0, 10.0]))
+        parent[path[-1]] *= float(rng.choice([-1.0, 0.0, 0.5, 2.0, 10.0, 1e300]))
     elif op == 2 and isinstance(parent, dict):
         parent["unknown"] = 1
     else:

@@ -386,6 +386,22 @@ class TestVectorizedAudit:
         assert report.control_participant is not None
 
 
+class TestMagnitudes:
+    def test_segment_direction_beyond_the_square_range_normalizes(self):
+        assert np.allclose(SegmentSet([1e300, -1e300], 1.0).direction, [S2 / 2, -S2 / 2])
+
+    @pytest.mark.parametrize("y0, x0", [
+        ([(1e300, 0.0), (0.0, 0.0)], [(1e300, 0.0), (0.0, 0.0)]),   # the terminal cost
+        ([(1.1e154, 0.0), (-1.1e154, 0.0)], None),                  # the pair distance
+        ([(0.0, 0.0), (5.0, 0.0)], [(1e200, 0.0), (5.0, 0.0)]),     # x0 to its center
+    ], ids=["cost", "pair-distance", "x0-offset"])
+    def test_positions_whose_squares_overflow_are_rejected(self, y0, x0):
+        with pytest.raises(ValueError, match="overflows"):
+            Scenario(N=2, R=1.0, T=1.0, y0=y0, x0=x0,
+                     drift=[ScaledLinearDrift(-1.0)] * 2, U=[IntervalSet([0.0], [1.0])] * 2,
+                     V=[BallSet(1.0)] * 2, M=[1.0, 1.0], rho=[1.0, 1.0])
+
+
 class TestCosts:
     def test_symmetric_terminal_positions(self):
         yT = np.vstack([3 * VHAT, -3 * VHAT])
