@@ -420,8 +420,9 @@ def solve_bilevel_direct(
     only the draws of free initial points, so the search is deterministic
     for a fixed seed.
     """
-    if coarse_grid_K < 2:
-        raise ValueError("need at least K=2 coarse intervals")
+    if not 2 <= coarse_grid_K <= sim_K:
+        raise ValueError(f"grid-K must be from 2 to {sim_K} coarse intervals (the steps of "
+                         f"the fine grid), got {coarse_grid_K}")
     K, N, T = coarse_grid_K, scenario.N, scenario.T
     rng = np.random.default_rng(seed)
     sim_K = int(math.ceil(sim_K / K)) * K

@@ -67,6 +67,10 @@ EXIT_NOT_VERIFIED = 3
 # anything is allocated
 MAX_GRID_K = 10**6
 
+# the largest magnitude of a scenario number (NaN and infinities fail too): the
+# witness arithmetic squares products of caps, drift coefficients and bounds
+MAX_MAGNITUDE = 1e100
+
 
 class ScenarioFormatError(ValueError):
     """Input rejected (a scenario or controls file, or a flag value); the
@@ -96,7 +100,7 @@ def _require(mapping, path: str, required: Sequence[str],
 def _finite(node: dict, key: str, path: str, shape: Tuple[Optional[int], ...] = ()):
     """node[key] as a float, or as a float array of the given shape (None
     matches any nonzero length) read from nested lists; every entry must be
-    a finite JSON number."""
+    a finite JSON number of magnitude at most ``MAX_MAGNITUDE``."""
     value = node[key]
 
     def numbers(v, depth: int) -> bool:
@@ -108,11 +112,11 @@ def _finite(node: dict, key: str, path: str, shape: Tuple[Optional[int], ...] = 
         arr = np.array(value, float) if numbers(value, 0) else None
     except (ValueError, OverflowError):     # ragged lists, integers beyond float range
         arr = None
-    if arr is None or arr.ndim != len(shape) or not np.isfinite(arr).all() or any(
-            m == 0 if n is None else m != n for n, m in zip(shape, arr.shape)):
+    if arr is None or arr.ndim != len(shape) or not np.all(np.abs(arr) <= MAX_MAGNITUDE) \
+            or any(m == 0 if n is None else m != n for n, m in zip(shape, arr.shape)):
         dims = "x".join("n" if n is None else str(n) for n in shape)
         kind = f"a {dims} array of finite numbers" if shape else "a finite number"
-        raise ScenarioFormatError(f"{path}: {key} must be {kind}")
+        raise ScenarioFormatError(f"{path}: {key} must be {kind} of magnitude <= {MAX_MAGNITUDE:g}")
     return arr if shape else float(arr)
 
 
@@ -501,8 +505,6 @@ def _solution_artifacts(out, command, scenario, flags, sol: BilevelSolution,
 def _solve(scenario, solver_cfg, flags, out) -> int:
     grid_K = _setting(flags, solver_cfg, "grid_K")
     grid_K = 8 if grid_K is None else int(grid_K)
-    if grid_K < 2:
-        raise ScenarioFormatError(f"grid-K must be at least 2 coarse intervals, got {grid_K}")
     seed = _setting(flags, solver_cfg, "seed")
     seed = 0 if seed is None else int(seed)
     sol = solve_bilevel_direct(scenario, coarse_grid_K=grid_K, seed=seed)
@@ -584,14 +586,10 @@ def _verify(scenario, solver_cfg, flags, out) -> int:
 def _h5check(scenario, solver_cfg, flags, out) -> int:
     sol = _verification_solution(scenario, solver_cfg, flags)
     stride = max(1, (sol.x.grid.size - 1) // 200)
-    samples = []
-    for i in range(scenario.N):
-        rows = []
-        for k in range(0, sol.x.grid.size, stride):
-            if sol.x.contact[k, i]:
-                rows.append((sol.x.states[k, i], sol.y.states[k, i]))
-        samples.append(rows)
-    if any(not rows for rows in samples):
+    contact = sol.x.contact[::stride]
+    pairs = np.stack([sol.x.states[::stride], sol.y.states[::stride]], axis=2)
+    samples = [pairs[contact[:, i], i] for i in range(scenario.N)]
+    if not contact.any(axis=0).all():
         print("error: infeasible: no contact samples found on the supplied path",
               file=sys.stderr)
         return EXIT_INFEASIBLE

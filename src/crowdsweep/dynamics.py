@@ -137,10 +137,14 @@ DriftSpec = Union[ScaledLinearDrift, AffineDrift]
 # control sets (compact convex by construction)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products (``b`` may be a single row); the batched matmul
+    rounds each row as ``np.dot`` (and ``np.linalg.norm``) of it alone does."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # the batched matmul reduces each row through the same BLAS dot as
-    # np.linalg.norm of that row alone; einsum and sum round differently
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    return np.sqrt(_rowdot(rows, rows))
 
 
 @dataclass(frozen=True)
@@ -169,10 +173,8 @@ class IntervalSet:
         rows = np.asarray(rows, float)
         return _row_norms(rows - np.clip(rows, self.lo, self.hi))
 
-    def support(self, d) -> float:
-        d = np.asarray(d, float).ravel()
-        return float(np.sum(np.where(d >= 0, d * self.hi, d * self.lo)))
-
+    def support(self, rows: np.ndarray) -> np.ndarray:
+        return np.sum(np.where(rows >= 0, rows * self.hi, rows * self.lo), axis=1)
 
 
 @dataclass(frozen=True)
@@ -206,12 +208,11 @@ class SegmentSet:
 
     def distances(self, rows) -> np.ndarray:
         rows = np.asarray(rows, float)
-        coords = (rows[:, None, :] @ self.direction[:, None])[:, 0, 0]
-        a = np.clip(coords, -self.halflength, self.halflength)
+        a = np.clip(_rowdot(rows, self.direction), -self.halflength, self.halflength)
         return _row_norms(rows - a[:, None] * self.direction)
 
-    def support(self, d) -> float:
-        return self.halflength * abs(float(np.dot(np.asarray(d, float).ravel(), self.direction)))
+    def support(self, rows: np.ndarray) -> np.ndarray:
+        return self.halflength * np.abs(_rowdot(rows, self.direction))
 
 
 @dataclass(frozen=True)
@@ -238,11 +239,11 @@ class BallSet:
     def distances(self, rows) -> np.ndarray:
         return np.maximum(0.0, _row_norms(np.asarray(rows, float)) - self.radius)
 
-    def support(self, d) -> float:
-        return self.radius * float(np.linalg.norm(np.asarray(d, float).ravel()))
+    def support(self, rows: np.ndarray) -> np.ndarray:
+        return self.radius * _row_norms(rows)
 
 
-# each set's ``distances`` maps a (K, m) block of controls to each row's distance
+# each set's ``distances`` and ``support`` map a (K, m) block to one value per row
 ControlSetSpec = Union[IntervalSet, SegmentSet, BallSet]
 
 
@@ -466,6 +467,18 @@ def _lane_drift(scenario: Scenario, lanes: Sequence[int], uvals: Sequence[np.nda
     return f
 
 
+def _drift_rows(scn: Scenario, i: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """f(x, u) of participant i for rows of states and controls."""
+    return _lane_drift(scn, [i], [u])(slice(None), x[:, None])[:, 0]
+
+
+def _gradient_t_w(drift, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(d f / d u)^T w, one row of the control dimension per state row."""
+    if isinstance(drift, ScaledLinearDrift):
+        return _rowdot(drift.coeff * x, w)[:, None]
+    return (drift.B.T @ w[..., None])[..., 0]
+
+
 def _catchup_lanes(scenario: Scenario, lanes: Sequence[int], centers: np.ndarray,
                    grid: np.ndarray, x0: np.ndarray, uvals: Sequence[np.ndarray]):
     """Catching-up steps of independent lanes, sequential in k.
@@ -686,39 +699,32 @@ def h5_bounds(
     For each participant the samples are (x, y) pairs with x on the boundary
     of the translated disk.  The unit outward normals of the samples stand in
     for the normal directions; the inner optimizations over the control sets
-    are linear and solved exactly through support functions.  Returns one
-    (upper, lower) pair per participant: the cap must satisfy
-    ``lower < M < upper``.
+    are linear and solved exactly through support functions, over each
+    participant's samples stacked into rows.  Returns one (upper, lower)
+    pair per participant: the cap must satisfy ``lower < M < upper``.
     """
     if len(boundary_samples) != scenario.N:
         raise ValueError("need one sample list per participant")
     out: List[Tuple[float, float]] = []
-    for i in range(scenario.N):
-        samples = boundary_samples[i]
-        if not samples:
+    for i, samples in enumerate(boundary_samples):
+        if len(samples) == 0:
             raise ValueError(f"participant {i+1}: empty boundary sample set")
         drift, Ui, Vi = scenario.drift[i], scenario.U[i], scenario.V[i]
-        upper = math.inf
-        lower = -math.inf
-        for x, yc in samples:
-            x = np.asarray(x, float)
-            yc = np.asarray(yc, float)
-            z = x - yc
-            nz = float(np.linalg.norm(z))
-            if abs(nz - scenario.R) > 1e-6 * max(1.0, scenario.R):
-                raise ValueError(
-                    f"participant {i+1}: sample offset norm {nz:.6g} is not on the "
-                    f"boundary (R={scenario.R:.6g})"
-                )
-            n = z / nz
-            g = drift.control_gradient(x)          # (2, m)
-            base = float(np.dot(n, drift.value(x, np.zeros(drift.control_dim))))
-            lin = g.T @ n                           # (m,)
-            max_u = base + Ui.support(lin)
-            min_u = base - Ui.support(-lin)
-            max_v = Vi.support(n)
-            min_v = -Vi.support(-n)
-            upper = min(upper, max_u - min_v)
-            lower = max(lower, min_u - max_v)
-        out.append((upper, lower))
+        x, yc = np.asarray(samples, float).transpose(1, 0, 2)  # each (S, 2)
+        z = x - yc
+        nz = _row_norms(z)
+        off = np.flatnonzero(np.abs(nz - scenario.R) > 1e-6 * max(1.0, scenario.R))
+        if off.size:
+            raise ValueError(
+                f"participant {i+1}: sample offset norm {nz[off[0]]:.6g} is not on the "
+                f"boundary (R={scenario.R:.6g})"
+            )
+        n = z / nz[:, None]
+        base = _rowdot(n, _drift_rows(scenario, i, x, np.zeros((len(x), drift.control_dim))))
+        lin = _gradient_t_w(drift, x, n)  # (S, m)
+        max_u = base + Ui.support(lin)
+        min_u = base - Ui.support(-lin)
+        upper = np.min(max_u + Vi.support(-n))
+        lower = np.max(min_u - Vi.support(n))
+        out.append((float(upper), float(lower)))
     return out

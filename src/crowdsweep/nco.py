@@ -32,8 +32,11 @@ from .dynamics import (
     Scenario,
     SegmentSet,
     _check_grid_match,
+    _drift_rows,
+    _gradient_t_w,
     _lane_drift,
     _row_norms,
+    _rowdot,
     _translation_path,
 )
 from .geometry import SingularConfigurationError, sigma_active_gradient
@@ -224,12 +227,6 @@ def _total_variation(path: np.ndarray) -> float:
     return float(np.sum(np.abs(np.diff(np.asarray(path, float), axis=0))))
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products; the batched matmul rounds each row as
-    ``np.dot`` of that row alone does (``b`` may be a single row)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 # ---------------------------------------------------------------------------
 # solution-derived data shared by all checks
 
@@ -321,23 +318,11 @@ def _prepared(solution, upper: UpperMultipliers) -> _SolutionData:
 # drift terms for rows of states, controls and costates
 
 
-def _drift_rows(scn: Scenario, i: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """f(x, u) of participant i for rows of states and controls."""
-    return _lane_drift(scn, [i], [u])(slice(None), x[:, None])[:, 0]
-
-
 def _jac_t_w(drift, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """J_x f(x, u)^T w: c u w (scaled-linear) or A^T w (affine)."""
     if isinstance(drift, ScaledLinearDrift):
         return (drift.coeff * u[:, :1]) * w
     return (drift.A.T @ w[..., None])[..., 0]
-
-
-def _gradient_t_w(drift, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(d f / d u)^T w, one row of the control dimension per state row."""
-    if isinstance(drift, ScaledLinearDrift):
-        return _rowdot(drift.coeff * x, w)[:, None]
-    return (drift.B.T @ w[..., None])[..., 0]
 
 
 def _control_column(data: _SolutionData, i: int) -> np.ndarray:
@@ -931,8 +916,16 @@ def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: flo
     drift of the degenerate arcs; outside the band the branch is forced.
     Every term that does not depend on the costate is computed before the
     loop, which carries q_lower alone; q_upper is then a cumulative sum.
+
+    Without a confinement measure (``nu_path`` zero: the terminal family)
+    nothing is stepped.  The lower recursion is linear and homogeneous in
+    (q, nu) from q_lower(T) = nu(T) z(T) = 0, so both lower costates and
+    p_upper are zero, and q_upper is its terminal value -weight y(T).
     """
     scn, K, h = data.scn, data.K, data.h
+    if not nu_path.any():
+        zero = np.zeros((K + 1, 2))
+        return (zero, np.tile(-weight * data.y[K, i], (K + 1, 1))), (zero, np.zeros((K + 1, 2)))
     R, cap, drift = scn.R, float(scn.M[i]), scn.drift[i]
     nu = nu_path[:K]
     x_left, u, v = data.x[:-1, i], data.u[i], data.v[i]
@@ -1054,12 +1047,14 @@ def fit_multipliers(solution: BilevelSolution, tol: float = 1e-3) -> MultiplierF
     The candidates are the measure-backed witness (unit confinement
     measures) and the terminal-cost-backed one (unit objective weight); the
     costates come from backward integration of the adjoint selections, one
-    sweep per participant and family for both levels, and every candidate
-    is normalized to unit aggregate weight.  Returns the best witness and
-    its achieved worst relative residual; a residual above the tolerance
-    means not-verified, never a disproof of optimality.  The solution data
-    is built once, and each family is checked by one :func:`verify` call,
-    whose report for the winner rides along as ``report``.
+    sweep per participant for both levels of the measure family; the
+    terminal family, without a measure, has closed-form costates.  Every
+    candidate is normalized to unit aggregate weight.  Returns the best
+    witness and its achieved worst relative residual; a residual above the
+    tolerance means not-verified, never a disproof of optimality.  The
+    solution data is built once, and each family is checked by one
+    :func:`verify` call, whose report for the winner rides along as
+    ``report``.
     """
     audit = solution.feasibility
     if not audit.ok():

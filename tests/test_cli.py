@@ -218,6 +218,7 @@ class TestCommands:
         "M-null", "R-null", "rho-object", "drift-number", "meta-list",
         "U-nested-lists-casestudy", "U-nested-lists-simulate", "N-not-whole", "R-infinite",
         "c-NaN", "halflength-NaN", "A-one-row", "h-subnormal", "h-1e-9", "positions-1e300",
+        "M-1e200-verify", "U-hi-1e200-verify", "grid-K-601", "solver-grid-K-601",
     ])
     def test_rejected_input_is_an_input_error(self, tmp_path, capsys, case):
         def controls(times):
@@ -228,6 +229,11 @@ class TestCommands:
 
         def first(section, **values):
             return lambda d: d["participants"][0][section].update(values)
+
+        def verify_solved(mutate):
+            # verify --controls on the case study's own controls
+            assert run("casestudy", TWODISK, out=str(tmp_path / "cs"), h=0.1) == EXIT_OK
+            return scenario(mutate, "verify") + ["--controls", str(tmp_path / "cs" / "controls.csv")]
 
         argv = {
             "N-not-an-integer": lambda: scenario(lambda d: d["problem"].update(N="two")),
@@ -257,6 +263,14 @@ class TestCommands:
             "positions-1e300": lambda: scenario(lambda d: [
                 node.update(y0=[1e300 * c for c in node["y0"]], x0=[1e300 * c for c in node["x0"]])
                 for node in d["participants"]]) + ["--h", "0.1"],
+            # magnitudes whose products overflow in the witness arithmetic
+            "M-1e200-verify": lambda: verify_solved(
+                lambda d: d["participants"][0].update(M=6e200)),
+            "U-hi-1e200-verify": lambda: verify_solved(first("U", hi=[1e200])),
+            # more coarse intervals than the fine grid has steps
+            "grid-K-601": lambda: ["solve", TWODISK, "--grid-K", "601"],
+            "solver-grid-K-601": lambda: scenario(
+                lambda d: d["solver"].update(grid_K=601), "solve"),
             "controls-start-after-0": lambda: [
                 "simulate", TWODISK, "--controls", controls([0.5, 3.0, 6.0])],
             "controls-run-past-T": lambda: [

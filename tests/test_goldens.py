@@ -3,10 +3,11 @@
 The hashes pin ``trajectory.csv``, ``controls.csv`` and the result section
 of ``summary.txt`` of two fixed runs, so any change to the arithmetic order
 of the integrators, the feasibility audit or the CSV emitters shows up
-here.  They were recorded before the dynamics core was vectorized and must
-not move under a pure performance change.  They were recorded on x86-64
-with NumPy 2.4 and its bundled OpenBLAS; a BLAS that rounds its dot
-products differently gives other hashes.
+here.  The ``verify`` and ``h5check`` summaries of the two-disk case pin the
+witness fit, the verifier and the truncation bounds the same way.  None of
+the hashes may move under a pure performance change.  They were recorded
+on x86-64 with NumPy 2.4 and its bundled OpenBLAS; a BLAS that rounds its
+dot products differently gives other hashes.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from crowdsweep.cli import EXIT_OK, run
 
@@ -27,6 +29,15 @@ CASESTUDY_SHA256 = {
 CROWD_SHA256 = {
     "trajectory.csv": "bd0895fc424ff13c19b1182e46f4bed8ccf93c2e13efa225bcf442d18bdb23bd",
     "summary.txt": "efbaf0949d3f2ddda27dd625d8c3e0a06d0cb822024a73ec14b65bc61124a654",
+}
+
+# summary.txt of verify and h5check on twodisk.scn, at --h 0.02 and at the
+# scenario's own h (0.0025)
+CERTIFY_SHA256 = {
+    ("verify", 0.02): "a1f6da5b82ded5bfca1f2d51fd19d21ff4a9c79927727c74f75271f97ec77388",
+    ("verify", None): "c1e2053cea23b2f653979fe6f83b08db22305259605b7694c8b6ffbcec602fdc",
+    ("h5check", 0.02): "543c8cce032bd22572c8a5e9e09ea10ba8796c3a00ae1a7980a0a120721902f6",
+    ("h5check", None): "dd4076b951885763e15f66ec039a689286c172ff79ba23f7778ea53268b8ff2e",
 }
 
 
@@ -89,6 +100,13 @@ def test_casestudy_artifacts_unchanged(tmp_path):
     out = tmp_path / "casestudy"
     assert run("casestudy", TWODISK, out=str(out)) == EXIT_OK
     assert {name: _sha256(out / name) for name in CASESTUDY_SHA256} == CASESTUDY_SHA256
+
+
+@pytest.mark.parametrize("command, h", sorted(CERTIFY_SHA256, key=str))
+def test_certify_summaries_unchanged(tmp_path, command, h):
+    flags = {} if h is None else {"h": h}
+    assert run(command, TWODISK, out=str(tmp_path), **flags) == EXIT_OK
+    assert _sha256(tmp_path / "summary.txt") == CERTIFY_SHA256[command, h]
 
 
 def test_crowd_simulate_trajectory_unchanged(tmp_path):

@@ -21,6 +21,7 @@ from crowdsweep.dynamics import (
     constant_profile,
     cost_lower,
     cost_upper,
+    h5_bounds,
     integrate_lower_catchup,
     integrate_upper,
     uniform_grid,
@@ -757,6 +758,56 @@ def mixed_solution(K=80):
     return solution_from_profiles(scn, profiles(v), profiles(u), scn.x0)
 
 
+def h5_bounds_loop(scenario, boundary_samples):
+    """Per-sample reference for ``h5_bounds``, with each set's support value
+    written out for one direction."""
+    def support(cset, d):
+        if isinstance(cset, IntervalSet):
+            return float(np.sum(np.where(d >= 0, d * cset.hi, d * cset.lo)))
+        if isinstance(cset, SegmentSet):
+            return cset.halflength * abs(float(np.dot(d, cset.direction)))
+        return cset.radius * float(np.linalg.norm(d))
+
+    out = []
+    for i, samples in enumerate(boundary_samples):
+        drift, Ui, Vi = scenario.drift[i], scenario.U[i], scenario.V[i]
+        upper, lower = math.inf, -math.inf
+        for x, yc in samples:
+            z = x - yc
+            n = z / float(np.linalg.norm(z))
+            base = float(np.dot(n, drift.value(x, np.zeros(drift.control_dim))))
+            lin = drift.control_gradient(x).T @ n
+            max_u, min_u = base + support(Ui, lin), base - support(Ui, -lin)
+            max_v, min_v = support(Vi, n), -support(Vi, -n)
+            upper = min(upper, max_u - min_v)
+            lower = max(lower, min_u - max_v)
+        out.append((upper, lower))
+    return out
+
+
+def test_h5_bounds_rows_match_the_per_sample_loop():
+    """Every U and V shape and both drift families, on the contact nodes;
+    the second scenario makes one V interval asymmetric, so the support
+    values of n and -n differ."""
+    sol = mixed_solution()
+    x, y, contact = sol.x.states, sol.y.states, sol.x.contact
+    samples = [[(x[k, i], y[k, i]) for k in np.flatnonzero(contact[:, i])]
+               for i in range(sol.scenario.N)]
+    assert all(len(rows) > 10 for rows in samples)
+    skewed = copy.copy(sol.scenario)
+    skewed.V = [*skewed.V[:2], IntervalSet([-2.0, -0.5], [1.0, 2.0]), skewed.V[3]]
+    for scenario in (sol.scenario, skewed):
+        assert h5_bounds(scenario, samples) == h5_bounds_loop(scenario, samples)
+
+    rows = samples[2]
+    for k, scale in ((3, 1.5), (5, 2.0)):   # two samples off the boundary (R=1)
+        xk, yk = rows[k]
+        rows[k] = (yk + scale * (xk - yk) / np.linalg.norm(xk - yk), yk)
+    with pytest.raises(ValueError, match=r"^participant 3: sample offset norm 1\.5 is not on "
+                                         r"the boundary \(R=1\)$"):
+        h5_bounds(sol.scenario, samples)
+
+
 def steered(q, nu, z, normals, contact, rng, size):
     """Costate rows whose activation <q - nu z, n> cycles through negative,
     zero and positive values at the contact nodes."""
@@ -908,8 +959,8 @@ def test_worst_residual_names_the_perturbed_interval(twodisk_300):
 
 
 def test_cli_verify_builds_the_solution_data_once(tmp_path, monkeypatch):
-    builds, calls, sweeps = [], [], []
-    real_verify, real_sweep = nco.verify, nco._backward_pair
+    builds, calls, sweeps, hulls = [], [], [], []
+    real_verify, real_sweep, real_hull = nco.verify, nco._backward_pair, nco._u_hull
 
     class CountedData(nco._SolutionData):
         def __init__(self, solution):
@@ -920,16 +971,27 @@ def test_cli_verify_builds_the_solution_data_once(tmp_path, monkeypatch):
         calls.append(args[0])
         return real_verify(*args, **kwargs)
 
+    def counted_hull(*args, **kwargs):
+        hulls.append(args[1])
+        return real_hull(*args, **kwargs)
+
     def counted_sweep(*args, **kwargs):
-        sweeps.append(args[1])
-        return real_sweep(*args, **kwargs)
+        before = len(hulls)
+        result = real_sweep(*args, **kwargs)
+        # a pass that steps ends by evaluating the inner maximizers
+        sweeps.append((args[1], len(hulls) > before))
+        return result
 
     monkeypatch.setattr(nco, "_SolutionData", CountedData)
     monkeypatch.setattr(nco, "verify", counted_verify)
     monkeypatch.setattr(nco, "_backward_pair", counted_sweep)
+    monkeypatch.setattr(nco, "_u_hull", counted_hull)
     assert run("verify", TWODISK, out=str(tmp_path), h=0.05) == EXIT_OK
     assert len(builds) == 1
     assert len(calls) == 2                  # the measure and the terminal family
-    assert sweeps == [0, 1, 0, 1]           # one sweep per participant and family
+    # one call per participant and family; the terminal family (no
+    # confinement measure) has closed-form costates and steps nothing
+    assert [i for i, _ in sweeps] == [0, 1, 0, 1]
+    assert [i for i, stepped in sweeps if stepped] == [0, 1]
     summary = (tmp_path / "summary.txt").read_text()
     assert "  worst_at:\n    adjoint_q_lower: t=" in summary
