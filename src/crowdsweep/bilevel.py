@@ -26,6 +26,7 @@ from .dynamics import (
     SegmentSet,
     Trajectory,
     _catchup_lanes,
+    _effort,
     _require_member,
     _set_scale,
     _translation_path,
@@ -44,10 +45,21 @@ __all__ = [
     "BilevelSolution",
     "CaseStudyParams",
     "value_function",
+    "fd_value_gradient",
     "solve_bilevel_direct",
     "solve_twodisk_parametric",
     "closed_form_controls",
 ]
+
+
+# The block descent of value_function: offset blocks, step-halving rounds
+# per start, and the seed of its random starts.
+DESCENT_BLOCKS = 8
+DESCENT_ROUNDS = 2
+DESCENT_SEED = 0
+
+# Velocity step of the central difference in fd_value_gradient.
+FD_STEP = 1e-4
 
 
 class InnerInfeasibleError(RuntimeError):
@@ -63,10 +75,7 @@ class InnerOptions:
     """Knobs for the inner (lower-level) solver."""
 
     multistart: int = 8          # starts for the local descent / free-x0 draw
-    refine_blocks: int = 8       # block resolution of the descent offsets
-    refine_rounds: int = 2       # step-halving rounds per start
     refine: bool = True          # descent polish on top of the feasibility seed
-    seed: int = 0
 
 
 @dataclass
@@ -139,115 +148,97 @@ class CaseStudyParams:
 # inner problem
 
 
-def _min_abs_in_interval(lo: float, hi: float) -> Optional[float]:
-    if lo > hi:
-        return None
-    if lo <= 0.0 <= hi:
-        return 0.0
-    return lo if lo > 0 else hi
+def _greedy_step(drift, cset):
+    """One participant's greedy step rule, chosen once per solve.
 
-
-def _scalar_feasible_interval(p0, w, center, r_eff) -> Optional[Tuple[float, float]]:
-    """Solve ||p0 + s*w - center|| <= r_eff for the scalar s (None if empty)."""
-    d = p0 - center
-    a = float(np.dot(w, w))
-    b = 2.0 * float(np.dot(w, d))
-    c = float(np.dot(d, d)) - r_eff * r_eff
-    if a < 1e-30:
-        return (-math.inf, math.inf) if c <= 0 else None
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return None
-    root = math.sqrt(disc)
-    return ((-b - root) / (2 * a), (-b + root) / (2 * a))
-
-
-def _greedy_step_control(drift, cset, x, h, center, r_eff):
-    """Smallest-norm admissible control keeping the predicted point projectable.
-
-    Returns the control, or None when no admissible control keeps the
-    required projection correction within the cap.
+    ``step(x, h, center, r_eff)`` is the smallest-norm admissible control u
+    whose predicted point x + h f(x, u) lies within r_eff of the center, or
+    None when no admissible control has one.  On a segment or 1-D interval
+    U the control is one coordinate s of u = s * unit and the predicted
+    point moves on a line, so s solves a quadratic; a ball U under an
+    isotropic control channel has a closed form too; any other U is swept
+    over polar candidates, coarse to fine.
     """
-    if isinstance(drift, ScaledLinearDrift):
-        # predicted point moves along the x-direction: scalar problem in u
-        w = h * drift.coeff * np.asarray(x, float)
-        itv = _scalar_feasible_interval(np.asarray(x, float), w, center, r_eff)
-        if itv is None:
-            return None
-        lo = max(itv[0], float(cset.lo[0]))
-        hi = min(itv[1], float(cset.hi[0]))
-        u = _min_abs_in_interval(lo, hi)
-        return None if u is None else np.array([u])
+    zero = np.zeros(drift.control_dim)
+    if isinstance(cset, SegmentSet) or cset.dim == 1:
+        if isinstance(cset, SegmentSet):
+            unit, s_lo, s_hi = cset.direction, -cset.halflength, cset.halflength
+        else:
+            unit, s_lo, s_hi = np.ones(1), float(cset.lo[0]), float(cset.hi[0])
+        scaled = isinstance(drift, ScaledLinearDrift)
 
-    p0 = np.asarray(x, float) + h * drift.value(x, np.zeros(drift.control_dim))
-    W = h * drift.control_gradient(x)
-    if isinstance(cset, SegmentSet):
-        w = W @ cset.direction
-        itv = _scalar_feasible_interval(p0, w, center, r_eff)
-        if itv is None:
-            return None
-        a = _min_abs_in_interval(max(itv[0], -cset.halflength), min(itv[1], cset.halflength))
-        return None if a is None else a * cset.direction
-    if isinstance(cset, IntervalSet) and cset.dim == 1:
-        w = W[:, 0]
-        itv = _scalar_feasible_interval(p0, w, center, r_eff)
-        if itv is None:
-            return None
-        u = _min_abs_in_interval(max(itv[0], float(cset.lo[0])), min(itv[1], float(cset.hi[0])))
-        return None if u is None else np.array([u])
-    if (
-        isinstance(cset, BallSet)
-        and W.shape == (2, 2)
-        and abs(W[0, 0] - W[1, 1]) < 1e-15
-        and abs(W[0, 1]) < 1e-15
-        and abs(W[1, 0]) < 1e-15
-        and W[0, 0] > 0
-    ):
-        # isotropic control channel: the feasible controls form a ball
-        s = W[0, 0]
-        q = (center - p0) / s
-        need = float(np.linalg.norm(q)) - r_eff / s
-        if need <= 0:
-            return np.zeros(2)
-        if need > cset.radius + 1e-12:
-            return None
-        return (need / float(np.linalg.norm(q))) * q
+        def scalar(x, h, center, r_eff):
+            # the line p0 + s * w, in each drift family's order of arithmetic
+            if scaled:
+                p0, w = x, h * drift.coeff * x
+            else:
+                p0, w = x + h * drift.value(x, zero), (h * drift.B) @ unit
+            d = p0 - center
+            a = float(np.dot(w, w))
+            b = 2.0 * float(np.dot(w, d))
+            c = float(np.dot(d, d)) - r_eff * r_eff
+            if a < 1e-30:
+                if c > 0:
+                    return None
+                lo, hi = s_lo, s_hi
+            else:
+                disc = b * b - 4 * a * c
+                if disc < 0:
+                    return None
+                root = math.sqrt(disc)
+                lo, hi = max((-b - root) / (2 * a), s_lo), min((-b + root) / (2 * a), s_hi)
+            if lo > hi:
+                return None
+            return (0.0 if lo <= 0.0 <= hi else lo if lo > 0 else hi) * unit
+        return scalar
 
-    # generic 2-dof fallback: deterministic polar sweep, coarse-to-fine
-    best = None
-    if float(np.linalg.norm(p0 - center)) <= r_eff:
-        return np.zeros(cset.dim)
-    for phase in range(3):
-        scale = _set_scale(cset)
-        radii = np.linspace(0, scale, 9 * (phase + 1))[1:]
-        angles = np.linspace(0, 2 * math.pi, 24 * (phase + 1), endpoint=False)
-        for r in radii:
-            for th in angles:
-                u = cset.project(np.array([r * math.cos(th), r * math.sin(th)]))
-                if float(np.linalg.norm(p0 + W @ u - center)) <= r_eff:
-                    if best is None or np.linalg.norm(u) < np.linalg.norm(best):
-                        best = u
-            if best is not None:
-                break
-        if best is not None:
-            break
-    return best
+    # two control coordinates: the drift is affine
+    scale = _set_scale(cset)
+
+    def planar(x, h, center, r_eff):
+        p0, W = x + h * drift.value(x, zero), h * drift.B
+        if isinstance(cset, BallSet) and abs(W[0, 0] - W[1, 1]) < 1e-15 \
+                and abs(W[0, 1]) < 1e-15 and abs(W[1, 0]) < 1e-15 and W[0, 0] > 0:
+            # isotropic control channel: the feasible controls form a ball
+            q = (center - p0) / W[0, 0]
+            need = float(np.linalg.norm(q)) - r_eff / W[0, 0]
+            if need <= 0:
+                return np.zeros(2)
+            if need > cset.radius + 1e-12:
+                return None
+            return (need / float(np.linalg.norm(q))) * q
+        if float(np.linalg.norm(p0 - center)) <= r_eff:
+            return zero.copy()
+        # rings of fixed radii and angles, three phases finer each; the
+        # first ring with a feasible candidate gives its first smallest one
+        for phase in range(3):
+            angles = np.linspace(0, 2 * math.pi, 24 * (phase + 1), endpoint=False)
+            for r in np.linspace(0, scale, 9 * (phase + 1))[1:]:
+                best = None
+                for th in angles:
+                    u = cset.project(np.array([r * math.cos(th), r * math.sin(th)]))
+                    if float(np.linalg.norm(p0 + W @ u - center)) <= r_eff:
+                        if best is None or np.linalg.norm(u) < np.linalg.norm(best):
+                            best = u
+                if best is not None:
+                    return best
+        return None
+    return planar
 
 
 def _greedy_min_effort(scenario, i, ypath, grid, x0_i):
     """Feasibility-first inner control: per step the smallest-norm admissible
-    control, letting the (free) cone correction do the rest."""
-    drift = scenario.drift[i]
-    cset = scenario.U[i]
-    cap = float(scenario.M[i])
-    R = scenario.R
+    control, letting the (free) cone correction do the rest.  Returns the
+    (K, m) controls and None, or None and the first step without one."""
+    drift, cap, R = scenario.drift[i], float(scenario.M[i]), scenario.R
+    step = _greedy_step(drift, scenario.U[i])
     K = grid.size - 1
     uvals = np.zeros((K, drift.control_dim))
     x = np.asarray(x0_i, float).copy()
     for k in range(K):
         h = grid[k + 1] - grid[k]
         center = ypath[k + 1]
-        u = _greedy_step_control(drift, cset, x, h, center, R + cap * h)
+        u = step(x, h, center, R + cap * h)
         if u is None:
             return None, k
         uvals[k] = u
@@ -258,7 +249,7 @@ def _greedy_min_effort(scenario, i, ypath, grid, x0_i):
     return uvals, None
 
 
-def _descend_blocks(scenario, i, ypath, grid, x0_i, u0, opts, rng):
+def _descend_blocks(scenario, i, ypath, grid, x0_i, u0, multistart, rng):
     """Projected block-coordinate descent on additive control offsets.
 
     Starts are the feasibility seed plus random nonnegative offsets; poll
@@ -266,9 +257,8 @@ def _descend_blocks(scenario, i, ypath, grid, x0_i, u0, opts, rng):
     the cheapest feasible profile it can certify locally.
     """
     cset = scenario.U[i]
-    K = u0.shape[0]
-    m = u0.shape[1]
-    blocks = np.array_split(np.arange(K), min(opts.refine_blocks, K))
+    K, m = u0.shape
+    blocks = np.array_split(np.arange(K), min(DESCENT_BLOCKS, K))
     scale = _set_scale(cset)
     x0 = np.asarray(x0_i, float).reshape(1, 2)
 
@@ -279,7 +269,7 @@ def _descend_blocks(scenario, i, ypath, grid, x0_i, u0, opts, rng):
         for b, block in enumerate(blocks):
             u[block] += offsets[b]
         u = np.array([cset.project(row) for row in u])
-        cost = float(np.sum(np.diff(grid) * np.sum(u**2, axis=1)))
+        cost = _effort(grid, u)
         if not cost < below or _catchup_lanes(scenario, [i], ypath[:, None], grid, x0, [u])[2]:
             return None, None
         return cost, u
@@ -287,7 +277,7 @@ def _descend_blocks(scenario, i, ypath, grid, x0_i, u0, opts, rng):
     base_cost, base_u = cost_of(np.zeros((len(blocks), m)))
     best = (base_cost, base_u)
     starts = [np.zeros((len(blocks), m))]
-    for _ in range(max(0, opts.multistart - 1)):
+    for _ in range(max(0, multistart - 1)):
         starts.append(0.2 * scale * rng.random((len(blocks), m)))
     for s0 in starts:
         offs = s0.copy()
@@ -295,7 +285,7 @@ def _descend_blocks(scenario, i, ypath, grid, x0_i, u0, opts, rng):
         if cost is None:
             continue
         step = 0.25 * scale
-        for _ in range(opts.refine_rounds * 6):
+        for _ in range(DESCENT_ROUNDS * 6):
             improved = False
             for b in range(len(blocks)):
                 for j in range(m):
@@ -342,7 +332,7 @@ def value_function(
     top of a per-step minimal-norm feasibility seed.
     """
     opts = inner or InnerOptions()
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(DESCENT_SEED)
     _require_member(i, v_i, scenario.V[i], "v leaves V")
     grid = v_i.grid
     ypath = _translation_path(scenario.y0[i], grid, v_i.values[:, :2])
@@ -353,10 +343,9 @@ def value_function(
         if u0 is None:
             continue
         if opts.refine:
-            cost, u = _descend_blocks(scenario, i, ypath, grid, x0_i, u0, opts, rng)
+            cost, u = _descend_blocks(scenario, i, ypath, grid, x0_i, u0, opts.multistart, rng)
         else:
-            h = np.diff(grid)
-            cost, u = float(np.sum(h * np.sum(u0**2, axis=1))), u0
+            cost, u = _effort(grid, u0), u0
         if cost is None:
             continue
         if (
@@ -371,6 +360,33 @@ def value_function(
         )
     phi = max(0.0, best[0])
     return phi, (best[2], ControlProfile(grid=grid, values=best[1]))
+
+
+def fd_value_gradient(scenario: Scenario, i: int, v_i: ControlProfile) -> np.ndarray:
+    """Central-difference sensitivity (step ``FD_STEP``) of the greedy inner
+    effort to the disk velocity, interval by interval: entry k estimates the
+    pointwise sensitivity on interval k, comparable with the witness-formula
+    path of :mod:`crowdsweep.nco`.  The sensitivity lives in the ambient
+    space, so the perturbed profiles skip membership validation.  Two greedy
+    solves per interval and coordinate: meant for coarse grids."""
+    grid = v_i.grid
+    h = np.diff(grid)
+    x0_i = scenario.y0[i] if scenario.x0_free else scenario.x0[i]
+    out = np.zeros((v_i.K, 2))
+    for k in range(v_i.K):
+        for c in range(2):
+            efforts = []
+            for sgn in (1.0, -1.0):
+                vals = v_i.values.copy()
+                vals[k, c] += sgn * FD_STEP
+                ypath = _translation_path(scenario.y0[i], grid, vals[:, :2])
+                uvals, _fail = _greedy_min_effort(scenario, i, ypath, grid, x0_i)
+                if uvals is None:
+                    raise InnerInfeasibleError(
+                        f"participant {i+1}: perturbed inner problem infeasible")
+                efforts.append(_effort(grid, uvals))
+            out[k, c] = (efforts[0] - efforts[1]) / (2 * FD_STEP * h[k])
+    return out
 
 
 # ---------------------------------------------------------------------------

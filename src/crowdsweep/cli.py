@@ -43,7 +43,6 @@ from .dynamics import (
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
-    StabilityError,
     TruncationViolationError,
     check_feasibility,
     constant_profile,
@@ -292,9 +291,20 @@ def _atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
 _CSV_BLOCK_ROWS = 256
 
 
+def _csv(header: List[str], K: int, block) -> Iterator[str]:
+    """A CSV file in blocks of rows: the header, then the rows of nodes 0..K,
+    each through one ``%.12g`` format (the text of ``_fmt``).  ``block(k, kk)``
+    gives the rows of the nodes ``k``; ``kk`` indexes their control
+    intervals, where the last row repeats the final interval."""
+    yield ",".join(header) + "\n"
+    row_format = ",".join(["%.12g"] * len(header)) + "\n"
+    for start in range(0, K + 1, _CSV_BLOCK_ROWS):
+        k = np.arange(start, min(start + _CSV_BLOCK_ROWS, K + 1))
+        yield "".join([row_format % tuple(row) for row in block(k, np.minimum(k, K - 1)).tolist()])
+
+
 def _trajectory_csv(scenario, y, x, u, v) -> Iterator[str]:
-    """trajectory.csv in blocks of rows, each row through one ``%.12g``
-    format (the text of ``_fmt``; contact flags print as 0/1)."""
+    """trajectory.csv (contact flags print as 0/1)."""
     header = ["t"]
     for i in range(scenario.N):
         header += [f"y{i+1}_1", f"y{i+1}_2", f"x{i+1}_1", f"x{i+1}_2"]
@@ -303,18 +313,11 @@ def _trajectory_csv(scenario, y, x, u, v) -> Iterator[str]:
         header += [f"v{i+1}_1", f"v{i+1}_2"]
     for i in range(scenario.N):
         header += [f"contact{i+1}"]
-    yield ",".join(header) + "\n"
-    row_format = ",".join(["%.12g"] * len(header)) + "\n"
-    K = y.grid.size - 1
-    for start in range(0, K + 1, _CSV_BLOCK_ROWS):
-        k = np.arange(start, min(start + _CSV_BLOCK_ROWS, K + 1))
-        kk = np.minimum(k, K - 1)        # controls: last row repeats the final interval
-        block = np.hstack(
-            [y.grid[k, None], np.concatenate([y.states[k], x.states[k]], axis=2).reshape(k.size, -1)]
-            + [np.hstack([u[i].values[kk], v[i].values[kk]]) for i in range(scenario.N)]
-            + [x.contact[k]]
-        )
-        yield "".join([row_format % tuple(row) for row in block.tolist()])
+    return _csv(header, y.grid.size - 1, lambda k, kk: np.hstack(
+        [y.grid[k, None], np.concatenate([y.states[k], x.states[k]], axis=2).reshape(k.size, -1)]
+        + [np.hstack([u[i].values[kk], v[i].values[kk]]) for i in range(scenario.N)]
+        + [x.contact[k]]
+    ))
 
 
 def _tree_lines(node, indent: int = 0) -> List[str]:
@@ -355,21 +358,14 @@ def _feasibility_node(report) -> list:
 # controls files
 
 
-def _controls_csv(scenario, grid, u, v) -> str:
+def _controls_csv(scenario, grid, u, v) -> Iterator[str]:
     header = ["t"]
     for i in range(scenario.N):
         header += [f"v{i+1}_1", f"v{i+1}_2"]
         header += [f"u{i+1}_{c+1}" for c in range(u[i].dim)]
-    lines = [",".join(header)]
-    K = grid.size - 1
-    for k in range(K + 1):
-        kk = min(k, K - 1)
-        row = [_fmt(grid[k])]
-        for i in range(scenario.N):
-            row += [_fmt(v[i].values[kk, 0]), _fmt(v[i].values[kk, 1])]
-            row += [_fmt(val) for val in u[i].values[kk]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv(header, grid.size - 1, lambda k, kk: np.hstack(
+        [grid[k, None]] + [np.hstack([v[i].values[kk], u[i].values[kk]]) for i in range(scenario.N)]
+    ))
 
 
 def _read_controls(path: str, scenario: Scenario):
@@ -638,8 +634,7 @@ def run(command: str, scenario_path: str, **flags) -> int:
     try:
         scenario, solver_cfg = parse_scenario(scenario_path)
         return handler(scenario, solver_cfg, flags, out)
-    except (TruncationViolationError, InfeasibleControlError, StabilityError,
-            InnerInfeasibleError) as exc:
+    except (TruncationViolationError, InfeasibleControlError, InnerInfeasibleError) as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except UnsupportedFamilyError as exc:

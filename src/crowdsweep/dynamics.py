@@ -619,8 +619,8 @@ class FeasibilityReport:
     def max_violation(self) -> float:
         return max(self.overlap_violation, self.confinement_violation, self.control_violation)
 
-    def ok(self, tol: float = REPORT_TOL) -> bool:
-        return self.max_violation <= tol
+    def ok(self) -> bool:
+        return self.max_violation <= REPORT_TOL
 
 
 def check_feasibility(
@@ -680,10 +680,15 @@ def cost_upper(yT: np.ndarray) -> float:
     return 0.5 * float(np.sum(yT**2))
 
 
+def _effort(grid: np.ndarray, values: np.ndarray) -> float:
+    """Control effort of the (K, m) values on the grid, integrated exactly
+    for piecewise-constant controls."""
+    return float(np.sum(np.diff(grid) * np.sum(values**2, axis=1)))
+
+
 def cost_lower(u: ControlProfile) -> float:
-    """Control effort, integrated exactly for piecewise-constant controls."""
-    h = np.diff(u.grid)
-    return float(np.sum(h * np.sum(u.values**2, axis=1)))
+    """Control effort of a profile (see ``_effort``)."""
+    return _effort(u.grid, u.values)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bilevel import BilevelSolution, _greedy_min_effort
+from .bilevel import BilevelSolution
 from .dynamics import (
     BallSet,
-    ControlProfile,
     IntervalSet,
     ScaledLinearDrift,
-    Scenario,
     SegmentSet,
     _check_grid_match,
     _drift_rows,
@@ -37,7 +35,6 @@ from .dynamics import (
     _lane_drift,
     _row_norms,
     _rowdot,
-    _translation_path,
 )
 from .geometry import SingularConfigurationError, sigma_active_gradient
 
@@ -53,7 +50,6 @@ __all__ = [
     "verify",
     "fit_multipliers",
     "MultiplierFit",
-    "fd_value_gradient",
 ]
 
 # Activation detection for the constancy checks of the measure multipliers;
@@ -73,8 +69,9 @@ SUP_ACTIVE_FRAC = 1e-3
 
 
 class IndeterminateWitnessError(RuntimeError):
-    """No value-function sensitivity available: witness weight is zero at an
-    interior upper control and no finite-difference estimate was supplied."""
+    """No value-function sensitivity available: the upper witness weights a
+    participant's effort, but that participant has no inner witness with a
+    positive effort weight, so the witness formula does not define one."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +182,6 @@ class LowerMultipliers(_Witness):
     overlap: np.ndarray          # (K+1, N) row of pair measures, j == i stays 0
     confinement: np.ndarray      # (K+1,)
     effort_weight: float         # nonnegative scalar weighting the effort term
-    value_gradient: Optional[np.ndarray] = None   # (K, 2) sensitivity path
 
     _SCALED = ("p_upper", "p_lower", "overlap", "confinement", "effort_weight")
 
@@ -664,33 +660,22 @@ def _sum_participants(gaps: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sensitivity(data: _SolutionData, i: int, lowers, phi_gradients) -> np.ndarray:
-    """Value-function sensitivity path of participant i: a supplied
-    estimate, the witness's stored path, or the witness formula when its
-    effort weight is positive."""
-    K = data.K
-    if phi_gradients is not None and phi_gradients[i] is not None:
-        return np.asarray(phi_gradients[i], float)[:K]
-    low = lowers[i] if lowers is not None else None
-    if low is not None:
-        if low.value_gradient is not None:
-            return np.asarray(low.value_gradient, float)[:K]
-        if low.effort_weight > 0:
-            return -_velocity_lhs(data, low._lanes(), 0) / low.effort_weight
-    raise IndeterminateWitnessError(f"participant {i+1}: no value-function sensitivity available")
-
-
-def _max_upper_paths(data: _SolutionData, upper: UpperMultipliers, lowers,
-                     phi_gradients) -> np.ndarray:
+def _max_upper_paths(data: _SolutionData, upper: UpperMultipliers, lowers) -> np.ndarray:
     """(K, N) distances of the disk-velocity maximum condition's left-hand
-    vectors to minus the normal cones of the velocity sets."""
+    vectors to minus the normal cones of the velocity sets.  A weighted
+    effort takes its value-function sensitivity from the inner witness
+    formula, which needs an inner witness with a positive effort weight."""
     scn, K = data.scn, data.K
     lv = upper._lanes()
     res = np.empty((K, scn.N))
     for i in range(scn.N):
         lhs = _velocity_lhs(data, lv, i)
         if lv.effort[i] != 0.0:
-            lhs = lhs - lv.effort[i] * _sensitivity(data, i, lowers, phi_gradients)
+            low = lowers[i] if lowers is not None else None
+            if low is None or not low.effort_weight > 0:
+                raise IndeterminateWitnessError(
+                    f"participant {i+1}: no value-function sensitivity available")
+            lhs = lhs - lv.effort[i] * (-_velocity_lhs(data, low._lanes(), 0) / low.effort_weight)
         res[:, i] = _normal_cone_distance(lhs, scn.V[i], data.v[i])
     return res
 
@@ -723,18 +708,18 @@ def max_condition_upper(
     solution: BilevelSolution,
     upper: UpperMultipliers,
     lowers: Optional[Sequence[Optional[LowerMultipliers]]] = None,
-    phi_gradients: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> np.ndarray:
     """Inclusion residual path of the disk-velocity maximum condition.
 
     The left-hand vector is checked against the product of the scaled
     value-function sensitivities minus the control-set normal cones,
-    participant by participant.  Sensitivities come from the inner witness
-    formula when its effort weight is positive, else from a supplied
-    finite-difference estimate; with zero effort weights the sensitivity
-    term drops out entirely.
+    participant by participant.  A participant whose effort the upper
+    witness weights takes its sensitivity from the inner witness formula,
+    which needs an inner witness with a positive effort weight (else
+    :class:`IndeterminateWitnessError`); with a zero upper effort weight
+    the sensitivity term drops out.
     """
-    return np.max(_max_upper_paths(_prepared(solution, upper), upper, lowers, phi_gradients), axis=1)
+    return np.max(_max_upper_paths(_prepared(solution, upper), upper, lowers), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -798,19 +783,17 @@ def _inner_paths(data: _SolutionData, low: LowerMultipliers) -> Dict[str, np.nda
 def _inner_checks(data: _SolutionData, low: LowerMultipliers):
     """``(name, residual, (time, participant))`` of the inner conditions of
     one participant that the upper level does not share."""
-    i, K = low.participant, data.K
+    i = low.participant
     starts = data.grid[:-1]
     for name, path in _inner_paths(data, low).items():
         yield (name,) + _worst(path, starts, (i,))
     # stationarity articulation: the witness formula against the
-    # velocity-set normal cone; with a positive effort weight and no stored
-    # sensitivity the relation defines the sensitivity, leaving nothing to check
-    if low.effort_weight > 0 and low.value_gradient is None:
+    # velocity-set normal cone; with a positive effort weight the relation
+    # defines the sensitivity, leaving nothing to check
+    if low.effort_weight > 0:
         yield "articulation", 0.0, None
         return
     vec = _velocity_lhs(data, low._lanes(), 0)
-    if low.effort_weight > 0:
-        vec = vec + low.effort_weight * np.asarray(low.value_gradient, float)[:K]
     yield ("articulation",) + _worst(_normal_cone_distance(vec, data.scn.V[i], data.v[i]),
                                      starts, (i,))
 
@@ -824,7 +807,6 @@ def verify(
     upper: UpperMultipliers,
     lowers: Optional[Sequence[Optional[LowerMultipliers]]] = None,
     tol: float = 1e-3,
-    phi_gradients: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> NCOReport:
     """Aggregate all condition residuals into per-condition verdicts.
 
@@ -833,7 +815,10 @@ def verify(
     Nontriviality is the one condition checked from below.  ``worst_at``
     of the report places each other condition's largest nonzero residual
     at a (time, participant): a per-interval residual at the start of its
-    interval, a boundary defect at 0 or T.  ``solution`` may also be the
+    interval, a boundary defect at 0 or T.  The upper maximum condition
+    takes each value-function sensitivity from the inner witness formula;
+    where ``lowers`` cannot supply one (see :func:`max_condition_upper`) its
+    residual is infinite and a note says so.  ``solution`` may also be the
     solution data that :func:`fit_multipliers` builds once for all its
     candidates.
     """
@@ -871,8 +856,7 @@ def verify(
     k = int(np.argmax(gap_path))
     record("max_lower", float(gap_path[k]), (float(starts[k]), int(np.argmax(gaps[k]))), bound)
     try:
-        record("max_upper", *_worst(_max_upper_paths(data, upper, lowers, phi_gradients), starts,
-                                    lanes), bound)
+        record("max_upper", *_worst(_max_upper_paths(data, upper, lowers), starts, lanes), bound)
     except IndeterminateWitnessError:
         record("max_upper", math.inf, None, bound)
         report.notes.append("upper maximum condition indeterminate: no sensitivity witness")
@@ -1041,6 +1025,10 @@ class MultiplierFit(tuple):
         return (*self, self.report)
 
 
+# Scenario numbers inside the read bound can still overflow together in the
+# witness arithmetic; a non-finite residual scores rel = inf, so such a fit
+# ends not-verified, without a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_multipliers(solution: BilevelSolution, tol: float = 1e-3) -> MultiplierFit:
     """Pick the better of the two structured witness families.
 
@@ -1081,48 +1069,3 @@ def fit_multipliers(solution: BilevelSolution, tol: float = 1e-3) -> MultiplierF
             best = (rel, upper, lowers, report)
     assert best is not None
     return MultiplierFit(best[1], best[2], best[0], best[3])
-
-
-# ---------------------------------------------------------------------------
-# finite-difference value sensitivity
-
-
-def fd_value_gradient(
-    scenario: Scenario,
-    i: int,
-    v_i: ControlProfile,
-    delta: float = 1e-4,
-) -> np.ndarray:
-    """Central-difference sensitivity of the inner value to the disk velocity.
-
-    Perturbs the velocity profile interval by interval; entry k estimates
-    the pointwise sensitivity on that interval, so the result is comparable
-    with the witness-formula path.  The inner value extends off the control
-    set (the sensitivity lives in the ambient space), so the perturbed
-    profiles skip membership validation.  Cost: two inner solves per
-    interval and coordinate, intended for coarse grids.
-    """
-    grid = v_i.grid
-    h = np.diff(grid)
-    K = v_i.K
-
-    def phi_of(values: np.ndarray) -> float:
-        ypath = _translation_path(scenario.y0[i], grid, values[:, :2])
-        x0_i = scenario.y0[i] if scenario.x0_free else scenario.x0[i]
-        uvals, _fail = _greedy_min_effort(scenario, i, ypath, grid, x0_i)
-        if uvals is None:
-            raise IndeterminateWitnessError(
-                f"participant {i+1}: perturbed inner problem infeasible"
-            )
-        return float(np.sum(h * np.sum(uvals**2, axis=1)))
-
-    out = np.zeros((K, 2))
-    for k in range(K):
-        for c in range(2):
-            bumped = []
-            for sgn in (1.0, -1.0):
-                vals = v_i.values.copy()
-                vals[k, c] += sgn * delta
-                bumped.append(phi_of(vals))
-            out[k, c] = (bumped[0] - bumped[1]) / (2 * delta * h[k])
-    return out

@@ -28,6 +28,7 @@ from crowdsweep.dynamics import (
 )
 
 from conftest import S2, VHAT, make_twodisk
+from test_nco import mixed_solution
 
 
 def reference_inner_effort(params, participant):
@@ -117,6 +118,29 @@ class TestValueFunction:
             phis.append(phi)
         assert phis[0] <= phis[1] <= phis[2]
         assert phis[0] < phis[2]
+
+
+def test_greedy_step_kinds_are_pinned():
+    """Every kind of greedy step keeps its controls and failing step, bit for
+    bit: scaled-linear drift with an interval U (the two-disk case-study
+    plans), and in the mixed N=4 scenario an isotropic ball, a 2-D interval
+    swept over polar candidates and a segment under affine drift, at the
+    scenario's caps and at caps tight enough to need nonzero controls."""
+    twodisk = solve_twodisk_parametric(make_twodisk(), grid_K=600)[1]
+    mixed = mixed_solution(K=300)
+    s = mixed.scenario
+    tight = Scenario(N=s.N, R=s.R, T=s.T, y0=s.y0, drift=s.drift, U=s.U, V=s.V,
+                     M=[2.0, 2.5, 1.8, 1.8], rho=s.rho, x0=s.x0)
+    assert np.array_equal(s.drift[1].B, np.eye(2)) and isinstance(s.U[1], BallSet)
+    sha, steps = hashlib.sha256(), []
+    for scn, sol in ((twodisk.scenario, twodisk), (s, mixed), (tight, mixed)):
+        for i in range(scn.N):
+            u, fail = bilevel._greedy_min_effort(scn, i, sol.y.states[:, i], sol.y.grid, scn.x0[i])
+            sha.update(repr(fail).encode() if u is None else u.tobytes())
+            # steps with a nonzero control, or the failing step
+            steps.append(("fail", fail) if u is None else int(np.count_nonzero(np.any(u, axis=1))))
+    assert steps == [574, 574, 0, 0, 0, 0, ("fail", 150), 95, 75, 81]
+    assert sha.hexdigest() == "ce8325f881317c670fb38e30592a619f0612ffe62086b94879ab45849a5027d1"
 
 
 class TestParametricSolver:

@@ -283,6 +283,23 @@ class TestCommands:
         assert code == EXIT_USAGE
         assert err.startswith("error: input: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("mutate", [
+        lambda p: (p.update(M=1e100), p["drift"].update(c=-1e100)),
+        lambda p: (p.update(M=7e98 * p["M"], rho=7e98 * p["rho"]),
+                   p["drift"].update(c=7e98 * p["drift"]["c"]),
+                   p["U"].update(hi=[7e98 * hi for hi in p["U"]["hi"]]),
+                   p["V"].update(halflength=7e98 * p["V"]["halflength"])),
+    ], ids=["M-c-1e100", "M-c-U-rho-V-times-7e98"])
+    def test_overflowing_witness_fit_is_not_verified(self, tmp_path, capsys, mutate):
+        # numbers inside the read bound whose products overflow in the
+        # witness arithmetic; RuntimeWarnings are errors in this suite
+        assert run("casestudy", TWODISK, out=str(tmp_path / "cs"), h=0.1) == EXIT_OK
+        path = write_scenario(tmp_path, lambda d: mutate(d["participants"][0]))
+        code = main(["verify", path, "--controls", str(tmp_path / "cs" / "controls.csv"),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_NOT_VERIFIED
+        assert capsys.readouterr().err == ""
+
     def test_verify_without_controls_on_non_family_scenario(self, tmp_path, capsys):
         def shrink(doc):
             doc["problem"]["N"] = 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crowdsweep import nco
-from crowdsweep.bilevel import BilevelSolution, solve_twodisk_parametric
+from crowdsweep.bilevel import BilevelSolution, fd_value_gradient, solve_twodisk_parametric
 from crowdsweep.cli import EXIT_OK, run
 from crowdsweep.dynamics import (
     AffineDrift,
@@ -36,7 +36,6 @@ from crowdsweep.nco import (
     UpperMultipliers,
     adjoint_residual,
     boundary_residual,
-    fd_value_gradient,
     fit_multipliers,
     max_condition_lower,
     max_condition_upper,
@@ -343,7 +342,7 @@ class TestValueSensitivityRoutes:
             ) / low.effort_weight
         coarse = uniform_grid(1.0, 5)
         v_coarse = constant_profile(coarse, [self.C, 0.0])
-        zeta_fd = fd_value_gradient(scn, 0, v_coarse, delta=1e-4)
+        zeta_fd = fd_value_gradient(scn, 0, v_coarse)
         expected = 2 * (self.C - self.M)
         assert np.allclose(zeta_fd[:, 0], expected, rtol=1e-2)
         assert np.allclose(zeta_fd[:, 1], 0.0, atol=1e-6)
@@ -360,19 +359,6 @@ class TestValueSensitivityRoutes:
                      "inner_1_boundary", "inner_1_monotonicity",
                      "inner_1_nontriviality"):
             assert report.verdicts[name], (name, report.residuals[name])
-
-    def test_sensitivity_routes_agree_inside_max_condition(self):
-        sol = self.tracking_solution()
-        low = self.analytic_witness(sol)
-        scn = sol.scenario
-        grid = sol.x.grid
-        K = grid.size - 1
-        upper = zero_upper(scn, grid, objective_weight=1.0)
-        res_witness = max_condition_upper(sol, upper, lowers=[low])
-        zeta_fd = fd_value_gradient(scn, 0, constant_profile(uniform_grid(1.0, 5), [self.C, 0.0]))
-        dense_fd = np.repeat(zeta_fd, K // 5 + 1, axis=0)[:K]
-        res_fd = max_condition_upper(sol, upper, phi_gradients=[dense_fd])
-        assert np.allclose(res_witness, res_fd, rtol=1e-2, atol=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +576,8 @@ class LoopReference:
         steps = clear[:-1] & clear[1:]
         return max(0.0, float(np.max(diffs)), float(np.max(np.abs(diffs[steps]), initial=0.0)))
 
-    def zeta(self, i, k, lowers, phi):
-        if phi is not None and phi[i] is not None:
-            return phi[i][k]
+    def zeta(self, i, k, lowers):
         low = lowers[i] if lowers is not None else None
-        if low is not None and low.value_gradient is not None:
-            return low.value_gradient[k]
         if low is not None and low.effort_weight > 0:
             return -(low.p_upper[k + 1] + low.confinement[k] * self.z[k + 1, i]
                      + self.pair(k + 1, i, low.overlap[k])) / low.effort_weight
@@ -605,7 +587,7 @@ class LoopReference:
     def variation(path):
         return float(np.sum(np.abs(np.diff(path))))
 
-    def verify(self, up, lowers=None, tol=1e-3, phi=None):
+    def verify(self, up, lowers=None, tol=1e-3):
         """(residuals, verdicts, max_condition_lower path, max_condition_upper path)."""
         scn, K = self.scn, self.K
         scale = 1.0 + max(np.max(np.abs(up.q_upper)), np.max(np.abs(up.q_lower)))
@@ -636,8 +618,11 @@ class LoopReference:
                 lhs = (up.q_upper[k + 1, i] + up.confinement[k, i] * self.z[k + 1, i]
                        + self.pair(k + 1, i, up.overlap[k, i]))
                 if alpha[i] != 0.0:
-                    zeta = self.zeta(i, k, lowers, phi)
-                    lhs = lhs - alpha[i] * (np.nan if zeta is None else zeta)
+                    zeta = self.zeta(i, k, lowers)
+                    if zeta is None:        # no sensitivity: NaN marks the row
+                        upper_max[k] = np.nan
+                        continue
+                    lhs = lhs - alpha[i] * zeta
                 upper_max[k] = max(upper_max[k], self.normal_cone(lhs, scn.V[i], self.v[i][k]))
         res["max_lower"] = float(np.max(gaps))
         res["max_upper"] = math.inf if np.isnan(upper_max).any() else float(np.max(upper_max))
@@ -663,12 +648,10 @@ class LoopReference:
                     gap = np.linalg.norm(self.y[:, i] - self.y[:, j], axis=1) - 2 * scn.R
                     mono = max(mono, self.shape(low.overlap[:, j], gap > ACTIVATION_TOL))
             art = 0.0
-            if not (low.effort_weight > 0 and low.value_gradient is None):
+            if not low.effort_weight > 0:
                 for k in range(K):
                     vec = (low.p_upper[k + 1] + low.confinement[k] * self.z[k + 1, i]
                            + self.pair(k + 1, i, low.overlap[k]))
-                    if low.effort_weight > 0:
-                        vec = vec + low.effort_weight * low.value_gradient[k]
                     art = max(art, self.normal_cone(vec, scn.V[i], self.v[i][k]))
             for name, value in (
                 ("adjoint", max(a for a, _ in inner)),
@@ -821,8 +804,10 @@ def steered(q, nu, z, normals, contact, rng, size):
 def designed_multipliers(sol, seed, objective_weight):
     """Multipliers with O(1) residuals that take every branch: kink, active
     and inactive cone supports, unique, interval and flat-ball maximizers
-    (w = 0 on every seventh interval), pair measures, and each source of
-    the value-function sensitivity."""
+    (w = 0 on every seventh interval), pair measures, and inner witnesses
+    with and without effort weight.  A weighted upper effort takes every
+    participant's sensitivity from its inner witness formula, so then every
+    inner effort weight is positive."""
     rng = np.random.default_rng(seed)
     scn, grid = sol.scenario, sol.x.grid
     K, N = grid.size - 1, scn.N
@@ -840,7 +825,8 @@ def designed_multipliers(sol, seed, objective_weight):
                              overlap=overlap, confinement=nu,
                              objective_weight=objective_weight, rho=scn.rho)
     lowers = []
-    for i, effort in enumerate([1.0, 0.0, 0.5, 0.0]):
+    efforts = [1.0, 0.3, 0.5, 0.2] if objective_weight > 0 else [1.0, 0.0, 0.5, 0.0]
+    for i, effort in enumerate(efforts):
         mu = np.linspace(0.4, 0.1, K + 1)
         p_lower = steered(rng.normal(size=(K + 1, 2)), mu, z[:, i], normals[:, i],
                           contact[:, i], rng, 3.0)
@@ -849,16 +835,14 @@ def designed_multipliers(sol, seed, objective_weight):
         row[:, (i + 1) % N] = 0.1
         lowers.append(LowerMultipliers(
             participant=i, grid=grid, p_upper=rng.normal(size=(K + 1, 2)), p_lower=p_lower,
-            overlap=row, confinement=mu, effort_weight=effort,
-            value_gradient=rng.normal(size=(K, 2)) if i == 0 else None))
-    phi = [None, rng.normal(size=(K, 2)), None, rng.normal(size=(K, 2))]
-    return upper, lowers, phi
+            overlap=row, confinement=mu, effort_weight=effort))
+    return upper, lowers
 
 
-def assert_matches_reference(sol, upper, lowers=None, phi=None, ref=None):
+def assert_matches_reference(sol, upper, lowers=None, ref=None):
     ref = ref or LoopReference(sol)
-    residuals, verdicts, gaps, upper_path = ref.verify(upper, lowers, phi=phi)
-    report = verify(sol, upper, lowers, phi_gradients=phi)
+    residuals, verdicts, gaps, upper_path = ref.verify(upper, lowers)
+    report = verify(sol, upper, lowers)
     assert report.residuals.keys() == residuals.keys()
     for name, value in residuals.items():
         bound = 1e-12 * (report.scale + abs(value)) if math.isfinite(value) else 0.0
@@ -870,7 +854,7 @@ def assert_matches_reference(sol, upper, lowers=None, phi=None, ref=None):
     assert boundary_residual(sol, upper) == pytest.approx(residuals["boundary"], rel=1e-12, abs=1e-12)
     assert np.allclose(max_condition_lower(sol, upper), gaps, rtol=1e-12, atol=1e-12)
     if math.isfinite(residuals["max_upper"]):
-        assert np.allclose(max_condition_upper(sol, upper, lowers, phi), upper_path,
+        assert np.allclose(max_condition_upper(sol, upper, lowers), upper_path,
                            rtol=1e-12, atol=1e-12)
     return report
 
@@ -910,8 +894,11 @@ class TestArrayVerifierMatchesLoopReference:
         assert sol.feasibility.ok()
         ref = LoopReference(sol)
         for objective_weight in (0.5, 0.0):
-            upper, lowers, phi = designed_multipliers(sol, 3, objective_weight)
-            assert_matches_reference(sol, upper, lowers, phi, ref)
+            upper, lowers = designed_multipliers(sol, 3, objective_weight)
+            assert_matches_reference(sol, upper, lowers, ref)
+        # a weighted upper effort without inner witnesses has no sensitivity
+        report = assert_matches_reference(sol, designed_multipliers(sol, 3, 0.5)[0], ref=ref)
+        assert report.residuals["max_upper"] == math.inf and not report.verdicts["max_upper"]
         data = nco._SolutionData(sol)
         for weight in (0.0, 1.0):
             upper, lowers = nco._build_family(data, weight)
@@ -941,7 +928,7 @@ class TestArrayVerifierMatchesLoopReference:
             participant=i, grid=low.grid, p_upper=low.p_upper + rng.normal(size=(K + 1, 2)),
             p_lower=low.p_lower + rng.normal(size=(K + 1, 2)),
             overlap=np.abs(rng.normal(size=(K + 1, N))), confinement=low.confinement + 0.5,
-            effort_weight=0.7, value_gradient=rng.normal(size=(K, 2)) if i else None)
+            effort_weight=0.7)
             for i, low in enumerate(lowers)]
         report = assert_matches_reference(sol, bumped, bumped_lowers)
         assert report.residuals["adjoint_q_lower"] > 1.0 and not report.all_pass
