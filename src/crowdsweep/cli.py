@@ -291,16 +291,38 @@ def _atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
 _CSV_BLOCK_ROWS = 256
 
 
-def _csv(header: List[str], K: int, block) -> Iterator[str]:
-    """A CSV file in blocks of rows: the header, then the rows of nodes 0..K,
-    each through one ``%.12g`` format (the text of ``_fmt``).  ``block(k, kk)``
-    gives the rows of the nodes ``k``; ``kk`` indexes their control
-    intervals, where the last row repeats the final interval."""
+def _run_texts(values: np.ndarray) -> List[str]:
+    """The ``%.12g`` text of each row of values, formatted once per run of
+    bitwise-equal rows (bits, not ``==``, so that ``-0.0`` still prints
+    ``-0``)."""
+    bits = values.view(np.int64)
+    new = np.ones(len(values), bool)
+    new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    row_format = ",".join(["%.12g"] * values.shape[1])
+    texts = [row_format % tuple(row) for row in values[new].tolist()]
+    return [texts[r] for r in (np.cumsum(new) - 1).tolist()]
+
+
+def _csv(header: List[str], K: int, nodes, groups: Sequence[np.ndarray]) -> Iterator[str]:
+    """A CSV file in blocks of rows: the header, then the rows of nodes 0..K
+    in the text of ``_fmt``.  ``nodes(s)`` gives the leading columns of the
+    nodes in the slice ``s``.  Each of the trailing ``groups`` is a (K+1, m)
+    array whose rows repeat in runs; a block formats each run it holds once.
+    Only one block of text is held at a time."""
     yield ",".join(header) + "\n"
-    row_format = ",".join(["%.12g"] * len(header)) + "\n"
+    node_columns = len(header) - sum(group.shape[1] for group in groups)
+    row_format = ",".join(["%.12g"] * node_columns + ["%s"] * len(groups)) + "\n"
     for start in range(0, K + 1, _CSV_BLOCK_ROWS):
-        k = np.arange(start, min(start + _CSV_BLOCK_ROWS, K + 1))
-        yield "".join([row_format % tuple(row) for row in block(k, np.minimum(k, K - 1)).tolist()])
+        s = slice(start, min(start + _CSV_BLOCK_ROWS, K + 1))
+        cells = zip(*[_run_texts(group[s]) for group in groups])
+        yield "".join([row_format % (*row, *texts)
+                       for row, texts in zip(nodes(s).tolist(), cells)])
+
+
+def _node_rows(values: np.ndarray) -> np.ndarray:
+    """Per-interval values (K, m) as rows of nodes 0..K: the last node
+    repeats the final interval."""
+    return np.vstack([values, values[-1:]])
 
 
 def _trajectory_csv(scenario, y, x, u, v) -> Iterator[str]:
@@ -313,11 +335,11 @@ def _trajectory_csv(scenario, y, x, u, v) -> Iterator[str]:
         header += [f"v{i+1}_1", f"v{i+1}_2"]
     for i in range(scenario.N):
         header += [f"contact{i+1}"]
-    return _csv(header, y.grid.size - 1, lambda k, kk: np.hstack(
-        [y.grid[k, None], np.concatenate([y.states[k], x.states[k]], axis=2).reshape(k.size, -1)]
-        + [np.hstack([u[i].values[kk], v[i].values[kk]]) for i in range(scenario.N)]
-        + [x.contact[k]]
-    ))
+    controls = np.hstack([p.values for i in range(scenario.N) for p in (u[i], v[i])])
+    return _csv(header, y.grid.size - 1, lambda s: np.hstack(
+        [y.grid[s, None],
+         np.concatenate([y.states[s], x.states[s]], axis=2).reshape(-1, 4 * scenario.N)]
+    ), [_node_rows(controls), x.contact.astype(float)])
 
 
 def _tree_lines(node, indent: int = 0) -> List[str]:
@@ -363,24 +385,29 @@ def _controls_csv(scenario, grid, u, v) -> Iterator[str]:
     for i in range(scenario.N):
         header += [f"v{i+1}_1", f"v{i+1}_2"]
         header += [f"u{i+1}_{c+1}" for c in range(u[i].dim)]
-    return _csv(header, grid.size - 1, lambda k, kk: np.hstack(
-        [grid[k, None]] + [np.hstack([v[i].values[kk], u[i].values[kk]]) for i in range(scenario.N)]
-    ))
+    controls = np.hstack([p.values for i in range(scenario.N) for p in (v[i], u[i])])
+    return _csv(header, grid.size - 1, lambda s: grid[s, None], [_node_rows(controls)])
 
 
 def _read_controls(path: str, scenario: Scenario):
     """Parse a controls file (a header and two or more rows of finite
-    numbers, one per column) back into per-participant profiles."""
+    decimal numbers, one per column; blank lines are skipped) back into
+    per-participant profiles."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = [line.strip() for line in fh if line.strip()]
-        data = np.array([[float(val) for val in line.split(",")] for line in rows[1:]])
+            lines = [line for line in fh if line.strip()]
+        # numpy's C reader rounds correctly, as float() does, but takes no "_"
+        # separators; a file with fewer than two data rows is rejected below
+        # without it, so its warning on empty input never shows
+        data = (np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+                if len(lines) > 2 else None)
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
-    header = rows[0].split(",") if rows else []
-    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
+        # the message names the bad cell; numpy's advice on usecols is not for this file
+        raise ScenarioFormatError(f"{path}: {str(exc).split('; use `usecols`')[0]}") from exc
+    header = lines[0].strip().split(",") if lines else []
+    if data is None or data.shape[1] != len(header):
         raise ScenarioFormatError(f"{path}: need a header and two or more full rows")
     bad = ~np.isfinite(data).all(axis=0)
     if bad.any():

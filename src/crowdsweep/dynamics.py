@@ -635,16 +635,19 @@ def check_feasibility(
     _check_grid_match(y.grid, x.grid, "check_feasibility")
     grid, N = y.grid, scenario.N
 
-    # one pair at a time keeps the memory at O(K)
+    # disk i against every j > i at once keeps the memory at one states array;
+    # a pair with a NaN gap has it as its worst (argmax picks NaN first) and
+    # is passed over, as in a per-pair loop
     overlap, o_time, o_pair = 0.0, 0.0, None
-    for i in range(N):
-        for j in range(i + 1, N):
-            gaps = 2 * scenario.R - np.linalg.norm(
-                y.states[:, i, :] - y.states[:, j, :], axis=1
-            )
-            k = int(np.argmax(gaps))
-            if gaps[k] > overlap:
-                overlap, o_time, o_pair = float(gaps[k]), float(grid[k]), (i, j)
+    for i in range(N - 1):
+        gaps = 2 * scenario.R - np.linalg.norm(
+            y.states[:, i, None, :] - y.states[:, i + 1:, :], axis=2
+        )
+        ks = np.argmax(gaps, axis=0)
+        worst = gaps[ks, np.arange(ks.size)]
+        j = int(np.argmax(np.where(worst > overlap, worst, -np.inf)))
+        if worst[j] > overlap:
+            overlap, o_time, o_pair = float(worst[j]), float(grid[ks[j]]), (i, i + 1 + j)
 
     exc = np.linalg.norm(x.states - y.states, axis=2) - scenario.R
     ks = np.argmax(exc, axis=0)

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from crowdsweep.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ScenarioFormatError,
+    _csv,
+    _run_texts,
     main,
     parse_scenario,
     run,
@@ -22,6 +26,7 @@ from crowdsweep.cli import (
 S2 = math.sqrt(2)
 
 TWODISK = os.path.join(os.path.dirname(__file__), "..", "scenarios", "twodisk.scn")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 VHAT = np.array([-S2 / 2, S2 / 2])   # from the exit toward the disks
 
 
@@ -203,14 +208,46 @@ class TestCommands:
         "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,inf,0,0,0,0\n",
         "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,0,0,0,0\n",
         "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,zero,0,0,0,0\n",
-    ], ids=["empty", "header-only", "nan", "inf", "short-row", "not-a-number"])
+        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,1_0,0,0,0,0\n",
+        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n  \n\t\n\n",
+        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n",
+    ], ids=["empty", "header-only", "nan", "inf", "short-row", "not-a-number",
+            "underscore-separator", "header-and-blank-lines", "one-row"])
     def test_malformed_controls_file_is_an_input_error(self, tmp_path, capsys, text):
         controls = tmp_path / "controls.csv"
         controls.write_text(text)
         code = run("simulate", TWODISK, out=str(tmp_path / "sim"), controls=str(controls))
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
-        assert err.startswith("error: input: ") and "Traceback" not in err
+        assert err.startswith("error: input: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, names", [
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n", "two or more full rows"),
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,1_0,0,0,0,0\n", "'1_0'"),
+    ], ids=["header-only", "underscore-separator"])
+    def test_rejected_controls_file_writes_one_stderr_line(self, tmp_path, text, names):
+        # a separate process: pytest records warnings, a real run prints them
+        controls = tmp_path / "controls.csv"
+        controls.write_text(text)
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "crowdsweep.cli", "simulate", TWODISK,
+             "--controls", str(controls), "--out", str(tmp_path / "sim")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert re.fullmatch(r"error: input: [^\n]*\n", proc.stderr), proc.stderr
+        assert names in proc.stderr
+
+    def test_whitespace_only_controls_lines_are_skipped(self, tmp_path):
+        clean = write_controls(tmp_path, [-0.5 * VHAT] * 2, np.linspace(0.0, 6.0, 13))
+        lines = open(clean).read().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("".join(["  \n", lines[0], "\t\n"] + [
+            line + ("   \n" if k % 3 == 0 else "") for k, line in enumerate(lines[1:])] + [" \n"]))
+        for name, path in (("clean", clean), ("spaced", str(spaced))):
+            assert run("simulate", TWODISK, out=str(tmp_path / name), controls=path) == EXIT_OK
+        assert (tmp_path / "spaced" / "trajectory.csv").read_bytes() == \
+            (tmp_path / "clean" / "trajectory.csv").read_bytes()
 
     @pytest.mark.parametrize("case", [
         "N-not-an-integer", "controls-times-repeat", "grid-K-1", "negative-h",
@@ -422,3 +459,38 @@ def test_fuzzed_inputs_keep_the_cli_contract(tmp_path, capsys):
         assert "Traceback" not in out + err, (trial, argv)
         for line in err.splitlines():
             assert re.match(r"^error: (input|usage|infeasible): ", line), (trial, argv, line)
+
+
+def _reference_csv(header, table):
+    """The CSV text of a whole table, one ``%.12g`` format per row."""
+    row_format = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return ",".join(header) + "\n" + "".join(row_format % tuple(row) for row in table)
+
+
+@pytest.mark.parametrize("case", ["runs-cross-blocks", "signed-zeros", "K-1", "all-distinct",
+                                  "coarse-plan"])
+def test_csv_matches_per_row_format(case):
+    rng = np.random.default_rng(11)
+    K = {"K-1": 1, "coarse-plan": 600}.get(case, 700)
+    nodes = np.column_stack([np.linspace(0.0, 4.0, K + 1), rng.normal(size=(K + 1, 3))])
+    if case == "runs-cross-blocks":
+        # run boundaries at 0, 200, 300, 555 and 690: the second and third
+        # runs cross the block ends at 256 and 512
+        starts = [0, 200, 300, 555, 690]
+        pieces = rng.normal(size=(len(starts), 2))
+        groups = [np.repeat(pieces, np.diff(starts + [K + 1]), axis=0),
+                  (np.arange(K + 1)[:, None] >= [250, 513]).astype(float)]
+    elif case == "signed-zeros":
+        zeros = np.array([[0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
+        groups = [zeros[np.arange(K + 1) % 4], -zeros[np.arange(K + 1) // 3 % 4]]
+    elif case == "coarse-plan":
+        # the shape of solve's controls: 8 coarse intervals over 600 steps
+        plan = np.repeat(rng.normal(size=(8, 5)), 75, axis=0)
+        groups = [np.vstack([plan, plan[-1:]])]
+        assert len({id(text) for text in _run_texts(groups[0])}) == 8
+    else:
+        groups = [rng.normal(size=(K + 1, 2)) * 10.0 ** rng.integers(-20, 20, size=(K + 1, 1)),
+                  rng.normal(size=(K + 1, 1))]
+    header = [f"c{j}" for j in range(nodes.shape[1] + sum(g.shape[1] for g in groups))]
+    text = "".join(_csv(header, K, lambda s: nodes[s], groups))
+    assert text == _reference_csv(header, np.hstack([nodes] + groups))

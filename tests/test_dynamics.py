@@ -385,6 +385,35 @@ class TestVectorizedAudit:
         assert report.overlap_pair is not None and report.confinement_participant is not None
         assert report.control_participant is not None
 
+    @pytest.mark.parametrize("overlaps, expect", [
+        # (time index, i, j, gap): equal gaps of one disk against several
+        ([(7, 0, 3, 0.5), (2, 0, 2, 0.5), (5, 0, 2, 0.5), (0, 0, 1, 0.25)], (2, (0, 2))),
+        # equal gaps in later disks' rows, and a larger one in a later pair
+        ([(3, 1, 4, 0.5), (1, 2, 3, 0.5), (6, 1, 2, 0.5), (4, 3, 4, 0.75), (8, 3, 4, 0.75),
+          (0, 0, 4, 0.125)], (4, (3, 4))),
+        ([(3, 1, 4, 0.5), (1, 2, 3, 0.5), (6, 1, 2, 0.5), (2, 1, 2, 0.5)], (2, (1, 2))),
+    ], ids=["ties-against-one-disk", "larger-gap-in-last-row", "ties-across-rows"])
+    def test_overlap_ties_take_the_first_pair_then_time(self, overlaps, expect):
+        # every gap is dyadic, so equal gaps are bitwise ties
+        N, K = 5, 9
+        scn = Scenario(
+            N=N, R=1.0, T=1.0, y0=[[10.0 * i, 0.0] for i in range(N)],
+            drift=[ScaledLinearDrift(-1.0)] * N, U=[IntervalSet([0.0], [1.0])] * N,
+            V=[BallSet(1.0)] * N, M=[1.0] * N, rho=[1.0] * N,
+        )
+        grid = uniform_grid(1.0, K)
+        states = np.tile(scn.y0, (K + 1, 1, 1))
+        for k, i, j, gap in overlaps:
+            states[k, j] = states[k, i] + [2.0 - gap, 0.0]
+        y = Trajectory(grid=grid, states=states)
+        u = [constant_profile(grid, [0.0]) for _ in range(N)]
+        v = [constant_profile(grid, np.zeros(2)) for _ in range(N)]
+        report = check_feasibility(scn, y, y, u, v)
+        assert report == _reference_feasibility(scn, y, y, u, v)
+        k, pair = expect
+        assert (report.overlap_time, report.overlap_pair) == (grid[k], pair)
+        assert report.overlap_violation == max(gap for *_, gap in overlaps)
+
 
 class TestMagnitudes:
     def test_segment_direction_beyond_the_square_range_normalizes(self):
