@@ -27,9 +27,11 @@ from .dynamics import (
     Trajectory,
     _catchup_lanes,
     _effort,
+    _line,
     _require_member,
     _set_scale,
     _translation_path,
+    _worst_overlap,
     check_feasibility,
     cost_lower,
     cost_upper,
@@ -160,11 +162,9 @@ def _greedy_step(drift, cset):
     over polar candidates, coarse to fine.
     """
     zero = np.zeros(drift.control_dim)
-    if isinstance(cset, SegmentSet) or cset.dim == 1:
-        if isinstance(cset, SegmentSet):
-            unit, s_lo, s_hi = cset.direction, -cset.halflength, cset.halflength
-        else:
-            unit, s_lo, s_hi = np.ones(1), float(cset.lo[0]), float(cset.hi[0])
+    line = _line(cset)
+    if line is not None:
+        unit, s_lo, s_hi = line
         scaled = isinstance(drift, ScaledLinearDrift)
 
         def scalar(x, h, center, r_eff):
@@ -395,10 +395,11 @@ def fd_value_gradient(scenario: Scenario, i: int, v_i: ControlProfile) -> np.nda
 
 def _coordinates(cset, K) -> Tuple[np.ndarray, np.ndarray]:
     """Box (lo, hi) of one participant's search coordinates on K intervals:
-    K rows of one segment coordinate, or of the set's own coordinates."""
-    if isinstance(cset, SegmentSet):
-        hi = np.full((K, 1), cset.halflength)
-        return -hi, hi
+    K rows of the coordinate of a line (see ``_line``), of a box's own
+    coordinates, or of the square around a ball."""
+    line = _line(cset)
+    if line is not None:
+        return np.full((K, 1), line[1]), np.full((K, 1), line[2])
     if isinstance(cset, IntervalSet):
         return np.tile(cset.lo, (K, 1)), np.tile(cset.hi, (K, 1))
     hi = np.full((K, 2), cset.radius)
@@ -443,6 +444,7 @@ def solve_bilevel_direct(
     rng = np.random.default_rng(seed)
     sim_K = int(math.ceil(sim_K / K)) * K
     fine = uniform_grid(T, sim_K)
+    lines = [_line(cset) for cset in scenario.V]
     boxes = [_coordinates(cset, K) for cset in scenario.V]
     lo = np.concatenate([box[0].ravel() for box in boxes])
     hi = np.concatenate([box[1].ravel() for box in boxes])
@@ -453,22 +455,14 @@ def solve_bilevel_direct(
     def objective(params):
         evals[0] += 1
         v = []
-        for i, cset in enumerate(scenario.V):
+        for i, (cset, line) in enumerate(zip(scenario.V, lines)):
             block = params[offsets[i] : offsets[i + 1]].reshape(K, -1)
-            if isinstance(cset, SegmentSet):
-                rows = block[:, 0:1] * cset.direction[None, :]
-            else:
-                rows = np.array([cset.project(row) for row in block])
+            # the search box keeps a line's coordinate inside the line
+            rows = block * line[0] if line else np.array([cset.project(row) for row in block])
             # the fine grid refines the coarse one: sim_K is a multiple of K
             v.append(ControlProfile(grid=fine, values=np.repeat(rows, sim_K // K, axis=0)))
         y = integrate_upper(scenario, v)
-        overlap = 0.0
-        for i in range(N):
-            for j in range(i + 1, N):
-                gap = 2 * scenario.R - np.min(
-                    np.linalg.norm(y.states[:, i, :] - y.states[:, j, :], axis=1)
-                )
-                overlap = max(overlap, float(gap))
+        overlap = _worst_overlap(scenario.R, y.states)[0]
         if overlap > 0.5 * scenario.R:
             return None
         total = cost_upper(y.terminal())
@@ -491,20 +485,19 @@ def solve_bilevel_direct(
     # keep their separation.  The rest plan is always feasible when 0 lies
     # in every control set and anchors the search on frozen scenarios.
     aim = np.zeros(n)
-    segments = [i for i, cset in enumerate(scenario.V) if isinstance(cset, SegmentSet)]
-    for i, cset in enumerate(scenario.V):
-        if isinstance(cset, SegmentSet):
-            a = -float(np.dot(scenario.y0[i], cset.direction)) / T
-            row = np.clip(a, -cset.halflength, cset.halflength)
+    for i, (cset, line) in enumerate(zip(scenario.V, lines)):
+        if line:
+            unit, a_lo, a_hi = line
+            row = np.clip(-float(np.dot(scenario.y0[i][: unit.size], unit)) / T, a_lo, a_hi)
         else:
             row = cset.project(-scenario.y0[i][: cset.dim] / T)
         aim[offsets[i] : offsets[i + 1]] = np.tile(row, K)
     common = aim.copy()
+    segments = [i for i, cset in enumerate(scenario.V) if isinstance(cset, SegmentSet)]
     if segments:
         mean_a = float(np.mean([aim[offsets[i]] for i in segments]))
         for i in segments:
-            common[offsets[i] : offsets[i + 1]] = np.clip(
-                mean_a, -scenario.V[i].halflength, scenario.V[i].halflength)
+            common[offsets[i] : offsets[i + 1]] = np.clip(mean_a, lines[i][1], lines[i][2])
     starts = [frac * common for frac in (0.95, 0.8, 0.6)] + [0.9 * aim, np.zeros(n)]
 
     # single coordinates; then coordinated per-interval moves across
@@ -696,38 +689,25 @@ def closed_form_controls(
     K = grid.size - 1
     h = np.diff(grid)
     a, M, R = params.decay, params.cap, params.R
-    speeds = np.empty(K)
-    for k in range(K):
-        t_right = grid[k + 1]
-        if t_right <= params.t_b:
-            speeds[k] = params.v_bar
-        else:
-            speeds[k] = a * float(params.gamma2(t_right)) + M
+    speeds = np.where(grid[1:] <= params.t_b, params.v_bar, a * params.gamma2(grid[1:]) + M)
     v_vals = -speeds[:, None] * params.direction[None, :]
 
     # exact cumulative descent of the sampled disks (matches the upper
     # integrator's arithmetic)
     descent = np.concatenate([[0.0], np.cumsum(h * speeds)])
 
-    u_vals = {}
-    for label, dist0 in (("near", params.gamma0), ("far", params.gamma0 + 2 * R)):
-        bound = dist0 + R - descent   # reachable boundary coordinate of the disk
-        uv = np.zeros((K, 1))
-        riding = False
-        for k in range(K):
-            if not riding:
-                if bound[k + 1] < dist0:
-                    overshoot = dist0 - bound[k + 1] - M * h[k]
-                    if overshoot > 0:
-                        uv[k] = min(1.0, overshoot / (a * dist0 * h[k]))
-                    riding = True
-            else:
-                uv[k] = min(1.0, max(0.0, (speeds[k] - M) / (a * bound[k])))
-        u_vals[label] = uv
-    v = [None, None]
     u = [None, None]
-    v[params.near] = ControlProfile(grid=grid, values=v_vals.copy())
-    v[params.far] = ControlProfile(grid=grid, values=v_vals.copy())
-    u[params.near] = ControlProfile(grid=grid, values=u_vals["near"])
-    u[params.far] = ControlProfile(grid=grid, values=u_vals["far"])
+    for who, dist0 in ((params.near, params.gamma0), (params.far, params.gamma0 + 2 * R)):
+        bound = dist0 + R - descent   # reachable boundary coordinate of the disk
+        # contact onset: the first interval whose right node crosses dist0;
+        # the controls overshoot on it and track the cap after it
+        crossed = bound[1:] < dist0
+        onset = int(np.argmax(crossed)) if crossed.any() else K
+        ride = np.minimum(1.0, np.maximum(0.0, (speeds - M) / (a * bound[:-1])))
+        uv = np.where(np.arange(K) > onset, ride, 0.0)[:, None]
+        overshoot = dist0 - bound[onset + 1] - M * h[onset] if onset < K else 0.0
+        if overshoot > 0:
+            uv[onset] = min(1.0, overshoot / (a * dist0 * h[onset]))
+        u[who] = ControlProfile(grid=grid, values=uv)
+    v = [ControlProfile(grid=grid, values=v_vals.copy()) for _ in range(2)]
     return v, u

@@ -125,32 +125,38 @@ def _integer(node: dict, key: str, path: str) -> int:
     return node[key]
 
 
-def _parse_drift(node: dict, path: str):
-    _require(node, path, ["family"], ["c", "A", "B", "b"])
-    family = node["family"]
-    if family == "scaled_linear":
-        _require(node, path, ["family", "c"])
-        return ScaledLinearDrift(_finite(node, "c", path))
-    if family == "affine":
-        _require(node, path, ["family", "A", "B", "b"])
-        return AffineDrift(_finite(node, "A", path, (2, 2)), _finite(node, "B", path, (2, None)),
-                           _finite(node, "b", path, (2,)))
-    raise ScenarioFormatError(f"{path}: unknown drift family {family!r}")
+# the file form of each drift family and control-set shape: its class and,
+# per field, (file key, attribute, shape as for ``_finite``); parsing and
+# serializing both read these tables
+_DRIFTS = {
+    "scaled_linear": (ScaledLinearDrift, [("c", "coeff", ())]),
+    "affine": (AffineDrift, [("A", "A", (2, 2)), ("B", "B", (2, None)), ("b", "b", (2,))]),
+}
+_SETS = {
+    "interval": (IntervalSet, [("lo", "lo", (None,)), ("hi", "hi", (None,))]),
+    "segment": (SegmentSet, [("direction", "direction", (2,)), ("halflength", "halflength", ())]),
+    "ball": (BallSet, [("radius", "radius", ())]),
+}
 
 
-def _parse_control_set(node: dict, path: str):
-    _require(node, path, ["shape"], ["lo", "hi", "direction", "halflength", "radius"])
-    shape = node["shape"]
-    if shape == "interval":
-        _require(node, path, ["shape", "lo", "hi"])
-        return IntervalSet(_finite(node, "lo", path, (None,)), _finite(node, "hi", path, (None,)))
-    if shape == "segment":
-        _require(node, path, ["shape", "direction", "halflength"])
-        return SegmentSet(_finite(node, "direction", path, (2,)), _finite(node, "halflength", path))
-    if shape == "ball":
-        _require(node, path, ["shape", "radius"])
-        return BallSet(_finite(node, "radius", path))
-    raise ScenarioFormatError(f"{path}: unknown control-set shape {shape!r}")
+def _parse_kind(node, path: str, tag: str, table: dict):
+    """The drift or control set that ``node`` describes: ``node[tag]`` names
+    its kind in the table, and the node holds that kind's keys."""
+    _require(node, path, [tag], [key for _cls, fields in table.values() for key, _a, _s in fields])
+    kind = node[tag]
+    if not isinstance(kind, str) or kind not in table:
+        raise ScenarioFormatError(f"{path}: unknown {tag} {kind!r}")
+    cls, fields = table[kind]
+    _require(node, path, [tag] + [key for key, _a, _s in fields])
+    return cls(**{attr: _finite(node, key, path, shape) for key, attr, shape in fields})
+
+
+def _kind_node(obj, tag: str, table: dict) -> dict:
+    """The file form of a drift or control set (see ``_parse_kind``)."""
+    for kind, (cls, fields) in table.items():
+        if isinstance(obj, cls):
+            return {tag: kind, **{key: np.asarray(getattr(obj, attr)).tolist()
+                                  for key, attr, _s in fields}}
 
 
 def parse_scenario(path: str) -> Tuple[Scenario, dict]:
@@ -186,9 +192,9 @@ def parse_scenario(path: str) -> Tuple[Scenario, dict]:
             x0_free = True
         else:
             x0.append(_finite(node, "x0", ppath, (2,)))
-        drifts.append(_parse_drift(node["drift"], f"{ppath}.drift"))
-        U.append(_parse_control_set(node["U"], f"{ppath}.U"))
-        V.append(_parse_control_set(node["V"], f"{ppath}.V"))
+        drifts.append(_parse_kind(node["drift"], f"{ppath}.drift", "family", _DRIFTS))
+        U.append(_parse_kind(node["U"], f"{ppath}.U", "shape", _SETS))
+        V.append(_parse_kind(node["V"], f"{ppath}.V", "shape", _SETS))
         M.append(_finite(node, "M", ppath))
         rho.append(_finite(node, "rho", ppath))
     if x0_free and x0:
@@ -222,29 +228,6 @@ def parse_scenario(path: str) -> Tuple[Scenario, dict]:
     return scenario, dict(solver)
 
 
-def _drift_node(drift) -> dict:
-    if isinstance(drift, ScaledLinearDrift):
-        return {"family": "scaled_linear", "c": drift.coeff}
-    return {
-        "family": "affine",
-        "A": drift.A.tolist(),
-        "B": drift.B.tolist(),
-        "b": drift.b.tolist(),
-    }
-
-
-def _set_node(cset) -> dict:
-    if isinstance(cset, IntervalSet):
-        return {"shape": "interval", "lo": cset.lo.tolist(), "hi": cset.hi.tolist()}
-    if isinstance(cset, SegmentSet):
-        return {
-            "shape": "segment",
-            "direction": cset.direction.tolist(),
-            "halflength": cset.halflength,
-        }
-    return {"shape": "ball", "radius": cset.radius}
-
-
 def serialize_scenario(scenario: Scenario, solver: Optional[dict] = None) -> str:
     doc = {
         "meta": {"name": scenario.name},
@@ -253,9 +236,9 @@ def serialize_scenario(scenario: Scenario, solver: Optional[dict] = None) -> str
             {
                 "y0": scenario.y0[i].tolist(),
                 "x0": "free" if scenario.x0_free else scenario.x0[i].tolist(),
-                "drift": _drift_node(scenario.drift[i]),
-                "U": _set_node(scenario.U[i]),
-                "V": _set_node(scenario.V[i]),
+                "drift": _kind_node(scenario.drift[i], "family", _DRIFTS),
+                "U": _kind_node(scenario.U[i], "shape", _SETS),
+                "V": _kind_node(scenario.V[i], "shape", _SETS),
                 "M": float(scenario.M[i]),
                 "rho": float(scenario.rho[i]),
             }
@@ -389,29 +372,47 @@ def _controls_csv(scenario, grid, u, v) -> Iterator[str]:
     return _csv(header, grid.size - 1, lambda s: grid[s, None], [_node_rows(controls)])
 
 
+def _row_fault(lines: List[Tuple[int, str]], header: List[str]) -> str:
+    """Why a controls file was rejected: its first data line whose cell count
+    is not the header's or that holds a cell that is not a finite number, by
+    file line (from 1) and column; else too few rows.  Scans a rejected file."""
+    for n, line in lines[1:]:
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != len(header):
+            where = (f"no value in column {header[len(cells)]!r}" if len(cells) < len(header)
+                     else f"a cell after the last column {header[-1]!r}")
+            return f"line {n}: {len(cells)} cells where the header has {len(header)}: {where}"
+        for cell, name in zip(cells, header):
+            # numpy's reader takes what float() takes, less "_" and non-ASCII digits
+            try:
+                good = math.isfinite(float(cell)) and "_" not in cell and cell.strip().isascii()
+            except ValueError:
+                good = False
+            if not good:
+                return f"line {n}, column {name!r}: {cell.strip()!r} is not a finite number"
+    return "need a header and two or more full rows"
+
+
 def _read_controls(path: str, scenario: Scenario):
     """Parse a controls file (a header and two or more rows of finite
     decimal numbers, one per column; blank lines are skipped) back into
     per-participant profiles."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
+            lines = [(n, line) for n, line in enumerate(fh, 1) if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
+    header = lines[0][1].strip().split(",") if lines else []
+    try:
         # numpy's C reader rounds correctly, as float() does, but takes no "_"
         # separators; a file with fewer than two data rows is rejected below
         # without it, so its warning on empty input never shows
-        data = (np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-                if len(lines) > 2 else None)
-    except OSError as exc:
-        raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        # the message names the bad cell; numpy's advice on usecols is not for this file
-        raise ScenarioFormatError(f"{path}: {str(exc).split('; use `usecols`')[0]}") from exc
-    header = lines[0].strip().split(",") if lines else []
-    if data is None or data.shape[1] != len(header):
-        raise ScenarioFormatError(f"{path}: need a header and two or more full rows")
-    bad = ~np.isfinite(data).all(axis=0)
-    if bad.any():
-        raise ScenarioFormatError(f"{path}: non-finite value in column {header[np.argmax(bad)]!r}")
+        data = (np.loadtxt([line for _n, line in lines[1:]], delimiter=",", comments=None,
+                           ndmin=2) if len(lines) > 2 else None)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        raise ScenarioFormatError(f"{path}: {_row_fault(lines, header)}")
     cols = {name: j for j, name in enumerate(header)}
     if "t" not in cols:
         raise ScenarioFormatError(f"{path}: missing 't' column")

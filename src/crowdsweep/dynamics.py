@@ -4,7 +4,10 @@ The upper level translates N disks by piecewise-constant velocity controls;
 the lower level confines one population representative per disk through a
 sweeping inclusion with a controlled drift.  This module owns the scenario
 data model, the catching-up and penalty integrators, feasibility auditing,
-cost evaluation, and the normal-cone truncation bounds.
+cost evaluation, and the normal-cone truncation bounds.  It is the one home
+of the set and drift arithmetic that the solvers and the verifier share:
+the line of a control set, its effort-penalized supremum (the support value
+at zero penalty), the drift's transposed Jacobians, and the worst overlap.
 """
 
 from __future__ import annotations
@@ -94,13 +97,6 @@ class ScaledLinearDrift:
     def value(self, x, u) -> np.ndarray:
         return self.coeff * float(np.asarray(u).ravel()[0]) * np.asarray(x, float)
 
-    def jac_x(self, x, u) -> np.ndarray:
-        return self.coeff * float(np.asarray(u).ravel()[0]) * np.eye(2)
-
-    def control_gradient(self, x) -> np.ndarray:
-        """d f / d u as a (2, m) matrix."""
-        return (self.coeff * np.asarray(x, float)).reshape(2, 1)
-
 
 @dataclass(frozen=True)
 class AffineDrift:
@@ -122,12 +118,6 @@ class AffineDrift:
 
     def value(self, x, u) -> np.ndarray:
         return self.A @ np.asarray(x, float) + self.B @ np.asarray(u, float).ravel() + self.b
-
-    def jac_x(self, x, u) -> np.ndarray:
-        return self.A.copy()
-
-    def control_gradient(self, x) -> np.ndarray:
-        return self.B.copy()
 
 
 DriftSpec = Union[ScaledLinearDrift, AffineDrift]
@@ -173,9 +163,6 @@ class IntervalSet:
         rows = np.asarray(rows, float)
         return _row_norms(rows - np.clip(rows, self.lo, self.hi))
 
-    def support(self, rows: np.ndarray) -> np.ndarray:
-        return np.sum(np.where(rows >= 0, rows * self.hi, rows * self.lo), axis=1)
-
 
 @dataclass(frozen=True)
 class SegmentSet:
@@ -211,9 +198,6 @@ class SegmentSet:
         a = np.clip(_rowdot(rows, self.direction), -self.halflength, self.halflength)
         return _row_norms(rows - a[:, None] * self.direction)
 
-    def support(self, rows: np.ndarray) -> np.ndarray:
-        return self.halflength * np.abs(_rowdot(rows, self.direction))
-
 
 @dataclass(frozen=True)
 class BallSet:
@@ -239,12 +223,44 @@ class BallSet:
     def distances(self, rows) -> np.ndarray:
         return np.maximum(0.0, _row_norms(np.asarray(rows, float)) - self.radius)
 
-    def support(self, rows: np.ndarray) -> np.ndarray:
-        return self.radius * _row_norms(rows)
 
-
-# each set's ``distances`` and ``support`` map a (K, m) block to one value per row
+# each set's ``distances`` maps a (K, m) block to one value per row
 ControlSetSpec = Union[IntervalSet, SegmentSet, BallSet]
+
+
+def _line(cset: ControlSetSpec) -> Optional[Tuple[np.ndarray, float, float]]:
+    """``(unit, lo, hi)`` when the set is the line u = s * unit, s in [lo, hi]
+    (a segment or a 1-D interval), else None."""
+    if isinstance(cset, SegmentSet):
+        return cset.direction, -cset.halflength, cset.halflength
+    if isinstance(cset, IntervalSet) and cset.dim == 1:
+        return np.ones(1), float(cset.lo[0]), float(cset.hi[0])
+    return None
+
+
+def _peak(c: np.ndarray, alpha: float, lo, hi) -> np.ndarray:
+    """Maximizer of c*a - alpha*a^2 over a in [lo, hi], elementwise."""
+    return np.clip(c / (2 * alpha), lo, hi) if alpha > 0 else np.where(c >= 0, hi, lo)
+
+
+def _sup_effort(g: np.ndarray, alpha: float, cset: ControlSetSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximize <g, u> - alpha*||u||^2 over the control set for each row of g;
+    returns the suprema and the maximizers, exact for all three set shapes.
+    At alpha = 0 the suprema are the set's support values."""
+    line = _line(cset)
+    if line is not None:
+        unit, lo, hi = line
+        gc = _rowdot(g, unit)
+        a = _peak(gc, alpha, lo, hi)
+        return gc * a - alpha * (a * a), a[:, None] * unit
+    if isinstance(cset, IntervalSet):
+        u = _peak(g, alpha, cset.lo, cset.hi)
+        return np.sum(g * u, axis=1) - alpha * np.sum(u * u, axis=1), u
+    gn = _row_norms(g)
+    s = _peak(gn, alpha, 0.0, cset.radius)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(gn[:, None] > 0, (s / gn)[:, None] * g, 0.0)
+    return gn * s - alpha * s * s, u
 
 
 def _set_scale(cset: ControlSetSpec) -> float:
@@ -310,28 +326,24 @@ class Scenario:
         # squares of coordinates near the float range overflow in every norm
         # and cost downstream, so such positions are rejected here
         with np.errstate(over="ignore"):
-            sizes = [cost_upper(self.y0), np.linalg.norm(self.y0[:, None] - self.y0[None], axis=2)]
-            if self.x0 is not None:
-                sizes.append(np.linalg.norm(self.x0 - self.y0, axis=1))
+            dist = np.linalg.norm(self.y0[:, None] - self.y0[None], axis=2)
+            offset = np.linalg.norm((self.y0 if self.x0 is None else self.x0) - self.y0, axis=1)
+            sizes = [cost_upper(self.y0), dist, offset]
         if not all(np.isfinite(size).all() for size in sizes):
             raise ValueError("initial positions too large: a pair distance or the "
                              "terminal cost overflows")
-        slack = 1e-9 * max(1.0, 2 * self.R)
-        for i in range(self.N):
-            for j in range(i + 1, self.N):
-                gap = float(np.linalg.norm(self.y0[i] - self.y0[j]))
-                if gap < 2 * self.R - slack:
-                    raise ValueError(
-                        f"non-overlap violated at t=0: ||y0^{i+1}-y0^{j+1}|| = "
-                        f"{gap:.12g} < 2R = {2 * self.R:.12g}"
-                    )
-        if self.x0 is not None:
-            for i in range(self.N):
-                d = float(np.linalg.norm(self.x0[i] - self.y0[i]))
-                if d > self.R + 1e-9 * self.R:
-                    raise ValueError(
-                        f"x0^{i+1} at distance {d:.12g} outside its disk (R={self.R:.12g})"
-                    )
+        # the first pair closer than 2R in (i, j) order, then the first x0
+        # outside its disk
+        close = np.argwhere(np.triu(dist < 2 * self.R - 1e-9 * max(1.0, 2 * self.R), 1))
+        if close.size:
+            i, j = close[0]
+            raise ValueError(f"non-overlap violated at t=0: ||y0^{i+1}-y0^{j+1}|| = "
+                             f"{dist[i, j]:.12g} < 2R = {2 * self.R:.12g}")
+        outside = np.flatnonzero(offset > self.R + 1e-9 * self.R)
+        if outside.size:
+            i = outside[0]
+            raise ValueError(f"x0^{i+1} at distance {offset[i]:.12g} outside its disk "
+                             f"(R={self.R:.12g})")
         for i, (dr, u) in enumerate(zip(self.drift, self.U)):
             if dr.control_dim != u.dim:
                 raise ValueError(
@@ -479,6 +491,14 @@ def _gradient_t_w(drift, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (drift.B.T @ w[..., None])[..., 0]
 
 
+def _jac_t_w(drift, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(d f / d x)^T w, one row per row of controls: c u w (scaled-linear)
+    or A^T w (affine)."""
+    if isinstance(drift, ScaledLinearDrift):
+        return (drift.coeff * u[:, :1]) * w
+    return (drift.A.T @ w[..., None])[..., 0]
+
+
 def _catchup_lanes(scenario: Scenario, lanes: Sequence[int], centers: np.ndarray,
                    grid: np.ndarray, x0: np.ndarray, uvals: Sequence[np.ndarray]):
     """Catching-up steps of independent lanes, sequential in k.
@@ -623,6 +643,22 @@ class FeasibilityReport:
         return self.max_violation <= REPORT_TOL
 
 
+def _worst_overlap(R: float, states: np.ndarray) -> Tuple[float, int, Optional[Tuple[int, int]]]:
+    """``(overlap, node, pair)`` of the largest overlap 2R - |y_i - y_j| of
+    the (K+1, N, 2) centers, first in (pair, node) order; ``(0.0, 0, None)``
+    without one.  Disk i meets every j > i at once, so memory stays at one
+    states array; a pair with a NaN gap is passed over (argmax picks NaN)."""
+    overlap, node, pair = 0.0, 0, None
+    for i in range(states.shape[1] - 1):
+        gaps = 2 * R - np.linalg.norm(states[:, i, None, :] - states[:, i + 1:, :], axis=2)
+        ks = np.argmax(gaps, axis=0)
+        worst = gaps[ks, np.arange(ks.size)]
+        j = int(np.argmax(np.where(worst > overlap, worst, -np.inf)))
+        if worst[j] > overlap:
+            overlap, node, pair = float(worst[j]), int(ks[j]), (i, i + 1 + j)
+    return overlap, node, pair
+
+
 def check_feasibility(
     scenario: Scenario,
     y: Trajectory,
@@ -635,19 +671,7 @@ def check_feasibility(
     _check_grid_match(y.grid, x.grid, "check_feasibility")
     grid, N = y.grid, scenario.N
 
-    # disk i against every j > i at once keeps the memory at one states array;
-    # a pair with a NaN gap has it as its worst (argmax picks NaN first) and
-    # is passed over, as in a per-pair loop
-    overlap, o_time, o_pair = 0.0, 0.0, None
-    for i in range(N - 1):
-        gaps = 2 * scenario.R - np.linalg.norm(
-            y.states[:, i, None, :] - y.states[:, i + 1:, :], axis=2
-        )
-        ks = np.argmax(gaps, axis=0)
-        worst = gaps[ks, np.arange(ks.size)]
-        j = int(np.argmax(np.where(worst > overlap, worst, -np.inf)))
-        if worst[j] > overlap:
-            overlap, o_time, o_pair = float(worst[j]), float(grid[ks[j]]), (i, i + 1 + j)
+    overlap, o_node, o_pair = _worst_overlap(scenario.R, y.states)
 
     exc = np.linalg.norm(x.states - y.states, axis=2) - scenario.R
     ks = np.argmax(exc, axis=0)
@@ -665,8 +689,8 @@ def check_feasibility(
                 ctrl, k_time, k_part = float(dists[k]), float(prof.grid[k]), i
 
     return FeasibilityReport(
-        overlap_violation=max(0.0, overlap),
-        overlap_time=o_time,
+        overlap_violation=overlap,
+        overlap_time=float(grid[o_node]) if o_pair else 0.0,
         overlap_pair=o_pair,
         confinement_violation=max(0.0, confine),
         confinement_time=c_time,
@@ -730,9 +754,9 @@ def h5_bounds(
         n = z / nz[:, None]
         base = _rowdot(n, _drift_rows(scenario, i, x, np.zeros((len(x), drift.control_dim))))
         lin = _gradient_t_w(drift, x, n)  # (S, m)
-        max_u = base + Ui.support(lin)
-        min_u = base - Ui.support(-lin)
-        upper = np.min(max_u + Vi.support(-n))
-        lower = np.max(min_u - Vi.support(n))
+        max_u = base + _sup_effort(lin, 0.0, Ui)[0]
+        min_u = base - _sup_effort(-lin, 0.0, Ui)[0]
+        upper = np.min(max_u + _sup_effort(-n, 0.0, Vi)[0])
+        lower = np.max(min_u - _sup_effort(n, 0.0, Vi)[0])
         out.append((float(upper), float(lower)))
     return out

@@ -32,9 +32,13 @@ from .dynamics import (
     _check_grid_match,
     _drift_rows,
     _gradient_t_w,
+    _jac_t_w,
     _lane_drift,
+    _line,
+    _peak,
     _row_norms,
     _rowdot,
+    _sup_effort,
 )
 from .geometry import SingularConfigurationError, sigma_active_gradient
 
@@ -256,10 +260,8 @@ class _SolutionData:
         self.f = _lane_drift(scn, range(scn.N), self.u)(slice(None), self.x[:-1])
         self.xdot = (self.x[1:] - self.x[:-1]) / self.h[:, None, None]
         self.cone = np.maximum(0.0, _rowdot(self.f - self.xdot, self.normals[1:]))
-        self.pair_gap = np.zeros((self.K + 1, scn.N, scn.N))
-        for i in range(scn.N):
-            self.pair_gap[:, i] = np.linalg.norm(self.y[:, i, None] - self.y, axis=2) - 2 * R
-            self.pair_gap[:, i, i] = 0.0
+        self.pair_gap = np.linalg.norm(self.y[:, :, None] - self.y[:, None], axis=3) - 2 * R
+        self.pair_gap[:, range(scn.N), range(scn.N)] = 0.0
 
     def pair_term(self, i: int, nodes: slice, overlap: np.ndarray) -> np.ndarray:
         """sum_j overlap[:, j] (y_i - y_j) / |y_i - y_j| at the nodes, one
@@ -314,20 +316,15 @@ def _prepared(solution, upper: UpperMultipliers) -> _SolutionData:
 # drift terms for rows of states, controls and costates
 
 
-def _jac_t_w(drift, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """J_x f(x, u)^T w: c u w (scaled-linear) or A^T w (affine)."""
-    if isinstance(drift, ScaledLinearDrift):
-        return (drift.coeff * u[:, :1]) * w
-    return (drift.A.T @ w[..., None])[..., 0]
-
-
 def _control_column(data: _SolutionData, i: int) -> np.ndarray:
-    """Dynamics direction of the scalar control coordinate, per interval."""
-    drift, cset = data.scn.drift[i], data.scn.U[i]
+    """Dynamics direction of the scalar control coordinate, per interval;
+    zeros when U is not a line."""
+    drift, line = data.scn.drift[i], _line(data.scn.U[i])
+    if line is None:
+        return np.zeros((data.K, 2))
     if isinstance(drift, ScaledLinearDrift):
         return drift.coeff * data.x[:-1, i]
-    col = drift.B @ cset.direction if isinstance(cset, SegmentSet) else drift.B[:, 0]
-    return np.broadcast_to(col, (data.K, 2))
+    return np.broadcast_to(drift.B @ line[0], (data.K, 2))
 
 
 def _ball_gain(drift) -> float:
@@ -342,34 +339,6 @@ def _ball_gain(drift) -> float:
 # small exact optimizers, row by row
 
 
-def _sup_effort(g: np.ndarray, alpha: float, cset) -> Tuple[np.ndarray, np.ndarray]:
-    """Maximize <g, u> - alpha*||u||^2 over the control set for each row of g;
-    returns the suprema and the maximizers, exact for all three set shapes."""
-    if isinstance(cset, IntervalSet):
-        if alpha > 0:
-            u = np.clip(g / (2 * alpha), cset.lo, cset.hi)
-        else:
-            u = np.where(g >= 0, cset.hi, cset.lo)
-        return _rowdot(g, u) - alpha * _rowdot(u, u), u
-    if isinstance(cset, SegmentSet):
-        gc = _rowdot(g, cset.direction)
-        L = cset.halflength
-        if alpha > 0:
-            a = np.clip(gc / (2 * alpha), -L, L)
-        else:
-            a = np.where(gc != 0, np.copysign(L, gc), 0.0)
-        return gc * a - alpha * a * a, a[:, None] * cset.direction
-    gn = _row_norms(g)
-    r = cset.radius
-    if alpha > 0:
-        s = np.clip(gn / (2 * alpha), 0.0, r)
-    else:
-        s = np.where(gn > 0, r, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(gn[:, None] > 0, (s / gn)[:, None] * g, 0.0)
-    return gn * s - alpha * s * s, u
-
-
 def _sup_active_range(gc: np.ndarray, alpha: float, lo: float,
                       hi: float) -> Tuple[np.ndarray, np.ndarray]:
     """Superlevel range of the concave scalar map gc*a - alpha*a^2 on [lo, hi].
@@ -377,14 +346,10 @@ def _sup_active_range(gc: np.ndarray, alpha: float, lo: float,
     Collects the controls within the relative slack of the supremum; the
     hull of their dynamics gradients is the Clarke set of a flat supremum.
     """
-    if alpha > 0:
-        peak = gc / (2 * alpha)
-        a_star = np.clip(peak, lo, hi)
-    else:
-        a_star = np.where(gc >= 0, hi, lo)
+    a_star = _peak(gc, alpha, lo, hi)
     eps = SUP_ACTIVE_FRAC * (1.0 + np.abs(gc * a_star - alpha * a_star * a_star)) + 1e-12
     if alpha > 0:
-        half = np.sqrt(eps / alpha)
+        peak, half = gc / (2 * alpha), np.sqrt(eps / alpha)
         lo_s = np.minimum(np.maximum(lo, peak - half), a_star)
         hi_s = np.maximum(np.minimum(hi, peak + half), a_star)
         return lo_s, hi_s
@@ -412,12 +377,10 @@ def _u_hull(data: _SolutionData, i: int, w: np.ndarray, alpha: float,
     """Near-argmax structure on the intervals ``rows`` for the rows of w."""
     drift, cset = data.scn.drift[i], data.scn.U[i]
     g = _gradient_t_w(drift, data.x[:-1, i][rows], w)
-    if isinstance(cset, SegmentSet) or (isinstance(cset, IntervalSet) and cset.dim == 1):
-        if isinstance(cset, SegmentSet):
-            gc, lo, hi, unit = _rowdot(g, cset.direction), -cset.halflength, cset.halflength, cset.direction
-        else:
-            gc, lo, hi, unit = g[:, 0], float(cset.lo[0]), float(cset.hi[0]), np.ones(1)
-        lo_s, hi_s = _sup_active_range(gc, alpha, lo, hi)
+    line = _line(cset)
+    if line is not None:
+        unit, lo, hi = line
+        lo_s, hi_s = _sup_active_range(_rowdot(g, unit), alpha, lo, hi)
         kind = np.where(hi_s - lo_s < 1e-14, _POINT, _INTERVAL)
         return _Hull(kind, lo_s, hi_s, lo_s[:, None] * unit)
     _sup, u = _sup_effort(g, alpha, cset)
@@ -943,8 +906,8 @@ def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: flo
                 hull = _u_hull(data, i, w[None], weight, slice(k, k + 1))
                 point = hull.kind[0] == _POINT
             if point:
-                f[k] = drift.value(x_left[k], hull.u[0])
-                base_lo = drift.jac_x(x_left[k], hull.u[0]).T @ w - nuk * f[k] + nvk
+                f[k] = _drift_rows(scn, i, x_left[k:k + 1], hull.u)[0]
+                base_lo = _jac_t_w(drift, hull.u, w[None])[0] - nuk * f[k] + nvk
                 nf[k] = nuk * f[k]
             else:
                 base_lo = (slope_u * w if scaled else jac_t @ w) - nf[k] + nvk

@@ -201,25 +201,37 @@ class TestCommands:
         assert code == EXIT_INFEASIBLE
         assert capsys.readouterr().err.startswith("error: infeasible: no contact samples ")
 
-    @pytest.mark.parametrize("text", [
-        "",
-        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n",
-        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,0,nan,0,0,0\n",
-        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,inf,0,0,0,0\n",
-        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,0,0,0,0\n",
-        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,zero,0,0,0,0\n",
-        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,1_0,0,0,0,0\n",
-        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n  \n\t\n\n",
-        "t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n",
+    @pytest.mark.parametrize("text, names", [
+        ("", "need a header and two or more full rows"),
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n", "need a header and two or more full rows"),
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,0,nan,0,0,0\n",
+         "line 3, column 'u1_1': 'nan' is not a finite number"),
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,inf,0,0,0,0\n",
+         "line 3, column 'v1_2': 'inf' is not a finite number"),
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,0,0,0,0\n",
+         "line 3: 6 cells where the header has 7: no value in column 'u2_1'"),
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,zero,0,0,0,0\n",
+         "line 3, column 'v1_2': 'zero' is not a finite number"),
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,1_0,0,0,0,0\n",
+         "line 3, column 'v1_2': '1_0' is not a finite number"),
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n  \n\t\n\n", "need a header and two or more full rows"),
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n", "need a header and two or more full rows"),
+        # file lines count the header and the blank lines
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n\n0,0,0,0,0,0,0\n3,0,0,0,0,0,0\n6,0,zero,0,0,0,0\n",
+         "line 5, column 'v1_2': 'zero' is not a finite number"),
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n\n0,0,0,0,0,0,0\n6,0,0,0,0,0\n3,0,0,0,0,0,0\n",
+         "line 4: 6 cells where the header has 7: no value in column 'u2_1'"),
     ], ids=["empty", "header-only", "nan", "inf", "short-row", "not-a-number",
-            "underscore-separator", "header-and-blank-lines", "one-row"])
-    def test_malformed_controls_file_is_an_input_error(self, tmp_path, capsys, text):
+            "underscore-separator", "header-and-blank-lines", "one-row",
+            "blank-line-then-bad-cell", "blank-line-then-short-row"])
+    def test_malformed_controls_file_is_an_input_error(self, tmp_path, capsys, text, names):
         controls = tmp_path / "controls.csv"
         controls.write_text(text)
         code = run("simulate", TWODISK, out=str(tmp_path / "sim"), controls=str(controls))
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith("error: input: ") and err.count("\n") == 1
+        assert names in err, err
 
     @pytest.mark.parametrize("text, names", [
         ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n", "two or more full rows"),
@@ -252,7 +264,8 @@ class TestCommands:
     @pytest.mark.parametrize("case", [
         "N-not-an-integer", "controls-times-repeat", "grid-K-1", "negative-h",
         "controls-start-after-0", "controls-run-past-T", "tol-0", "tol-negative",
-        "M-null", "R-null", "rho-object", "drift-number", "meta-list",
+        "M-null", "R-null", "rho-object", "drift-number", "drift-family-list", "U-shape-number",
+        "meta-list",
         "U-nested-lists-casestudy", "U-nested-lists-simulate", "N-not-whole", "R-infinite",
         "c-NaN", "halflength-NaN", "A-one-row", "h-subnormal", "h-1e-9", "positions-1e300",
         "M-1e200-verify", "U-hi-1e200-verify", "grid-K-601", "solver-grid-K-601",
@@ -278,6 +291,9 @@ class TestCommands:
             "R-null": lambda: scenario(lambda d: d["problem"].update(R=None)),
             "rho-object": lambda: scenario(lambda d: d["participants"][0].update(rho={})),
             "drift-number": lambda: scenario(lambda d: d["participants"][0].update(drift=5)),
+            # kinds the drift and set tables cannot look up
+            "drift-family-list": lambda: scenario(first("drift", family=["scaled_linear"])),
+            "U-shape-number": lambda: scenario(first("U", shape=1)),
             "meta-list": lambda: scenario(lambda d: d.update(meta=[])),
             "U-nested-lists-casestudy": lambda: scenario(
                 first("U", lo=[[0.0]], hi=[[1.0]]), "casestudy") + ["--h", "0.05"],

@@ -504,3 +504,21 @@ def test_scenario_invariants():
         )
     with pytest.raises(ValueError):
         single_disk(M=0.0)
+
+
+@pytest.mark.parametrize("y0, x0, message", [
+    ([(0.0, 0.0), (10.0, 0.0), (11.2, 0.0), (1.5, 0.0)], None,
+     r"non-overlap violated at t=0: \|\|y0\^1-y0\^4\|\| = 1\.5 < 2R = 2$"),
+    ([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)],
+     [(0.5, 0.0), (10.0, 2.0), (23.0, 0.0), (30.0, 0.0)],
+     r"^x0\^2 at distance 2 outside its disk \(R=1\)$"),
+], ids=["pair", "x0"])
+def test_scenario_names_the_first_offending_pair_then_x0(y0, x0, message):
+    """Pairs 1-4 and 2-3 start closer than 2R: the first in (i, j) order is
+    named, not the closest (2-3) or the first in (j, i) order (2-3).  Of two
+    x0 outside their disks the first is named, not the farthest."""
+    with pytest.raises(ValueError, match=message):
+        Scenario(N=4, R=1.0, T=1.0, y0=y0, x0=x0, drift=[ScaledLinearDrift(-1.0)] * 4,
+                 U=[IntervalSet([0.0], [1.0])] * 4, V=[BallSet(1.0)] * 4, M=[1.0] * 4,
+                 rho=[1.0] * 4)
+

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from crowdsweep import nco
-from crowdsweep.bilevel import BilevelSolution, fd_value_gradient, solve_twodisk_parametric
+from crowdsweep.bilevel import (
+    BilevelSolution,
+    _solution,
+    fd_value_gradient,
+    solve_twodisk_parametric,
+)
 from crowdsweep.cli import EXIT_OK, run
 from crowdsweep.dynamics import (
     AffineDrift,
@@ -19,10 +24,7 @@ from crowdsweep.dynamics import (
     Trajectory,
     check_feasibility,
     constant_profile,
-    cost_lower,
-    cost_upper,
     h5_bounds,
-    integrate_lower_catchup,
     integrate_upper,
     uniform_grid,
 )
@@ -60,16 +62,19 @@ def zero_upper(scenario, grid, objective_weight=0.0):
     )
 
 
-def solution_from_profiles(scenario, v, u, x0):
-    y = integrate_upper(scenario, v)
-    x = integrate_lower_catchup(scenario, y, u, x0)
-    return BilevelSolution(
-        scenario=scenario, v=v, u=u, x0=np.asarray(x0, float), y=y, x=x,
-        J_H=cost_upper(y.terminal()),
-        J_L=np.array([cost_lower(p) for p in u]),
-        method="supplied",
-        feasibility=check_feasibility(scenario, y, x, u, v),
-    )
+def jac_x(drift, u):
+    """J_x f(x, u) of either drift family (neither depends on x), written out
+    for the references."""
+    if isinstance(drift, ScaledLinearDrift):
+        return drift.coeff * float(u[0]) * np.eye(2)
+    return drift.A
+
+
+def control_gradient(drift, x):
+    """d f / d u as a (2, m) matrix, written out for the references."""
+    if isinstance(drift, ScaledLinearDrift):
+        return (drift.coeff * np.asarray(x, float)).reshape(2, 1)
+    return drift.B
 
 
 def frozen_scenario():
@@ -87,7 +92,7 @@ def frozen_solution():
     grid = uniform_grid(scn.T, 200)
     v = [constant_profile(grid, np.zeros(2))]
     u = [constant_profile(grid, [0.0])]
-    return solution_from_profiles(scn, v, u, scn.x0)
+    return _solution(scn, v, u, scn.x0, "supplied")
 
 
 class TestHamiltonians:
@@ -132,7 +137,7 @@ class TestResidualsTrivialCases:
         grid = uniform_grid(scn.T, 100)
         v = [constant_profile(grid, np.zeros(2))]
         u = [constant_profile(grid, np.zeros(2))]
-        sol = solution_from_profiles(scn, v, u, scn.x0)
+        sol = _solution(scn, v, u, scn.x0, "supplied")
         upper = zero_upper(scn, grid)
         r_lo, r_hi = adjoint_residual(sol, upper)
         assert r_lo == pytest.approx(0.0, abs=1e-12)
@@ -242,7 +247,7 @@ class TestReferenceVerification:
             k = int(np.searchsorted(grid, t_probe))
             nu = float(upper.confinement[k, i])
             w = upper.q_lower[k + 1, i] - nu * (sol.x.states[k + 1, i] - sol.y.states[k + 1, i])
-            g = twodisk.drift[i].control_gradient(sol.x.states[k, i]).T @ w
+            g = control_gradient(twodisk.drift[i], sol.x.states[k, i]).T @ w
             deriv = float(g[0]) - 2 * float(upper.effort_weights[i]) * float(
                 sol.u[i].values[k][0]
             )
@@ -303,7 +308,7 @@ class TestValueSensitivityRoutes:
         grid = uniform_grid(1.0, K)
         v = [constant_profile(grid, [self.C, 0.0])]
         u = [constant_profile(grid, [self.C - self.M, 0.0])]
-        return solution_from_profiles(scn, v, u, scn.x0)
+        return _solution(scn, v, u, scn.x0, "supplied")
 
     def analytic_witness(self, sol):
         # effort weight one; the confinement measure decreases linearly on
@@ -442,7 +447,7 @@ class LoopReference:
 
     def structure(self, i, k, w, alpha):
         drift, cset = self.scn.drift[i], self.scn.U[i]
-        g = drift.control_gradient(self.x[k, i]).T @ w
+        g = control_gradient(drift, self.x[k, i]).T @ w
         if isinstance(cset, SegmentSet) or (isinstance(cset, IntervalSet) and cset.dim == 1):
             seg = isinstance(cset, SegmentSet)
             gc = float(np.dot(g, cset.direction)) if seg else float(g[0])
@@ -450,8 +455,8 @@ class LoopReference:
             lo_s, hi_s = self.active_range(gc, alpha, lo, hi)
             if hi_s - lo_s < 1e-14:
                 return "point", lo_s * (cset.direction if seg else np.ones(1))
-            col = drift.control_gradient(self.x[k, i]) @ cset.direction if seg else \
-                drift.control_gradient(self.x[k, i])[:, 0]
+            col = control_gradient(drift, self.x[k, i]) @ cset.direction if seg else \
+                control_gradient(drift, self.x[k, i])[:, 0]
             return "interval", lo_s, hi_s, col
         if isinstance(cset, BallSet):
             gn = float(np.linalg.norm(g))
@@ -521,7 +526,7 @@ class LoopReference:
         qn = up.q_lower[k + 1, i]
         w = qn - nu * self.z[k + 1, i]
         f = scn.drift[i].value(self.x[k, i], self.u[i][k])
-        base_lo = scn.drift[i].jac_x(self.x[k, i], self.u[i][k]).T @ w - nu * f + nu * vk
+        base_lo = jac_x(scn.drift[i], self.u[i][k]).T @ w - nu * f + nu * vk
         base_hi = self.pair_jac(nu * f - nu * vk, k, i, up.overlap[k, i], vk)
         r_lo = -(qn - up.q_lower[k, i]) / h - base_lo
         r_hi = -(up.q_upper[k + 1, i] - up.q_upper[k, i]) / h - base_hi
@@ -543,7 +548,7 @@ class LoopReference:
         self.hits.add("hull-" + st[0])
         u_hat = st[1] if st[0] == "point" else np.zeros(drift.control_dim)
         f = drift.value(x, u_hat)
-        base_lo = nu * vk + drift.jac_x(x, u_hat).T @ w - nu * f
+        base_lo = nu * vk + jac_x(drift, u_hat).T @ w - nu * f
         base_hi = self.pair_jac(-nu * vk, k, i, low.overlap[k], vk) + nu * f
         r_lo = -(pn - low.p_lower[k]) / h - base_lo
         r_hi = -(low.p_upper[k + 1] - low.p_upper[k]) / h - base_hi
@@ -611,7 +616,7 @@ class LoopReference:
         for k in range(K):
             for i in range(scn.N):
                 w = up.q_lower[k + 1, i] - up.confinement[k, i] * self.z[k + 1, i]
-                g = scn.drift[i].control_gradient(self.x[k + 1, i]).T @ w
+                g = control_gradient(scn.drift[i], self.x[k + 1, i]).T @ w
                 sup, _u = self.sup_effort(g, float(alpha[i]), scn.U[i])
                 uk = self.u[i][k]
                 gaps[k] += max(0.0, sup - (float(np.dot(g, uk)) - float(alpha[i]) * float(np.dot(uk, uk))))
@@ -685,7 +690,7 @@ class LoopReference:
                 u = st[1] if st[0] == "point" else u
                 self.hits.add("sweep-" + st[0])
             f = drift.value(x, u)
-            base_lo = drift.jac_x(x, u).T @ w - nu[k] * f + nu[k] * vk
+            base_lo = jac_x(drift, u).T @ w - nu[k] * f + nu[k] * vk
             kind, g = self.branch(k, i, qn, nu[k], w)
             sig = np.zeros(2)
             if kind == "active":
@@ -738,7 +743,7 @@ def mixed_solution(K=80):
         return [ControlProfile(grid=grid, values=np.asarray(a, float) * np.ones((K, 1)))
                 for a in values]
 
-    return solution_from_profiles(scn, profiles(v), profiles(u), scn.x0)
+    return _solution(scn, profiles(v), profiles(u), scn.x0, "supplied")
 
 
 def h5_bounds_loop(scenario, boundary_samples):
@@ -759,7 +764,7 @@ def h5_bounds_loop(scenario, boundary_samples):
             z = x - yc
             n = z / float(np.linalg.norm(z))
             base = float(np.dot(n, drift.value(x, np.zeros(drift.control_dim))))
-            lin = drift.control_gradient(x).T @ n
+            lin = control_gradient(drift, x).T @ n
             max_u, min_u = base + support(Ui, lin), base - support(Ui, -lin)
             max_v, min_v = support(Vi, n), -support(Vi, -n)
             upper = min(upper, max_u - min_v)
