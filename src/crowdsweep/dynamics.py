@@ -344,12 +344,15 @@ class Scenario:
             i = outside[0]
             raise ValueError(f"x0^{i+1} at distance {offset[i]:.12g} outside its disk "
                              f"(R={self.R:.12g})")
-        for i, (dr, u) in enumerate(zip(self.drift, self.U)):
+        for i, (dr, u, v) in enumerate(zip(self.drift, self.U, self.V)):
             if dr.control_dim != u.dim:
                 raise ValueError(
                     f"participant {i+1}: drift expects control dimension "
                     f"{dr.control_dim}, set has {u.dim}"
                 )
+            if v.dim != 2:
+                raise ValueError(f"participant {i+1}: the disk velocity has 2 coordinates, "
+                                 f"V has {v.dim}")
 
 
 def uniform_grid(T: float, K: int) -> np.ndarray:

@@ -86,8 +86,7 @@ def _symmetrize_pairs(arr: np.ndarray) -> np.ndarray:
     """Store pairwise measures so an asymmetric object is unrepresentable."""
     arr = np.asarray(arr, float)
     out = 0.5 * (arr + np.transpose(arr, (0, 2, 1)))
-    for i in range(out.shape[1]):
-        out[:, i, i] = 0.0
+    out[:, range(out.shape[1]), range(out.shape[1])] = 0.0
     return out
 
 
@@ -862,7 +861,9 @@ def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: flo
     chosen to pin the activation at zero, which removes the exponential
     drift of the degenerate arcs; outside the band the branch is forced.
     Every term that does not depend on the costate is computed before the
-    loop, which carries q_lower alone; q_upper is then a cumulative sum.
+    loop, which carries q_lower alone as two floats; q_upper is then a
+    cumulative sum.  Dot products stay numpy ``dot`` calls, because the BLAS
+    may round one as fma(a1, b1, a0*b0) and ``math.fma`` needs Python 3.13.
 
     Without a confinement measure (``nu_path`` zero: the terminal family)
     nothing is stepped.  The lower recursion is linear and homogeneous in
@@ -881,10 +882,11 @@ def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: flo
     f = data.f[:, i].copy()
     nf = nu[:, None] * f
     scaled = isinstance(drift, ScaledLinearDrift)
-    # per-step rows and scalars, taken out of the arrays once
-    steps = list(zip(h.tolist(), nu.tolist(), nz, nv, data.contact[1:, i].tolist(),
-                     data.normals[1:, i], (2.0 * nu)[:, None] * z, (np.abs(nu) * R).tolist(),
-                     data.contact[:-1, i].tolist(), data.z[:-1, i], data.normals[:-1, i],
+    # per-step scalars and rows as floats, the normals (dot operands) as rows
+    steps = list(zip(h.tolist(), nu.tolist(), nz.tolist(), nv.tolist(), nf.tolist(),
+                     data.contact[1:, i].tolist(), data.normals[1:, i],
+                     ((2.0 * nu)[:, None] * z).tolist(), (np.abs(nu) * R).tolist(),
+                     data.contact[:-1, i].tolist(), data.z[:-1, i].tolist(), data.normals[:-1, i],
                      np.clip(data.cone[:, i] / cap, 0.0, 1.0).tolist(),
                      (drift.coeff * u[:, 0]).tolist() if scaled else [None] * K))
     gain, jac_t = -(cap / R), None if scaled else drift.A.T
@@ -892,60 +894,58 @@ def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: flo
     q_lo = np.empty((K + 1, 2))
     q_lo[K] = nu_path[K] * data.z[K, i]
     sig = np.zeros((K, 2))
+    da, db = np.empty(2), np.empty(2)   # operands of the numpy dot products
 
     def sweep(top: int, checked: int) -> None:
         """Steps top, ..., 0; from step ``checked`` down, the inner
         maximizer is evaluated at each step's costate."""
-        q = q_lo[top + 1]
+        (q0, q1), rows = q_lo[top + 1].tolist(), []
         for k in range(top, -1, -1):
-            hk, nuk, nzk, nvk, contact, n, twice_nz, band_nu, contact_prev, z_prev, n_prev, \
-                theta_cone, slope_u = steps[k]
-            w = q - nzk
-            point = k <= checked
-            if point:
-                hull = _u_hull(data, i, w[None], weight, slice(k, k + 1))
-                point = hull.kind[0] == _POINT
-            if point:
+            hk, nuk, (nz0, nz1), (nv0, nv1), (nf0, nf1), contact, n, (tz0, tz1), band_nu, \
+                contact_prev, (zp0, zp1), n_prev, theta, slope_u = steps[k]
+            w0, w1 = q0 - nz0, q1 - nz1
+            w = np.array([[w0, w1]]) if k <= checked or not scaled else None
+            hull = _u_hull(data, i, w, weight, slice(k, k + 1)) if k <= checked else None
+            if hull is not None and hull.kind[0] == _POINT:
                 f[k] = _drift_rows(scn, i, x_left[k:k + 1], hull.u)[0]
-                base_lo = _jac_t_w(drift, hull.u, w[None])[0] - nuk * f[k] + nvk
                 nf[k] = nuk * f[k]
+                (j0, j1), (nf0, nf1) = _jac_t_w(drift, hull.u, w)[0].tolist(), nf[k].tolist()
             else:
-                base_lo = (slope_u * w if scaled else jac_t @ w) - nf[k] + nvk
+                j0, j1 = (slope_u * w0, slope_u * w1) if scaled else (jac_t @ w[0]).tolist()
+            b0, b1 = j0 - nf0 + nv0, j1 - nf1 + nv1
+            s0 = s1 = 0.0
             if contact:
-                m = float(w @ n)
-                g = gain * (q - twice_nz)
-                band = KINK_BAND_FRAC * (math.sqrt(float(q @ q)) + band_nu) + 1e-12
+                da[0], da[1], db[0], db[1] = w0, w1, q0, q1
+                m, g0, g1 = float(da.dot(n)), gain * (q0 - tz0), gain * (q1 - tz1)
+                band = KINK_BAND_FRAC * (math.sqrt(float(db.dot(db))) + band_nu) + 1e-12
                 if m < -band:
-                    sig[k] = g
+                    s0, s1 = g0, g1
                 elif m <= band:
-                    theta = theta_cone
                     if contact_prev:
                         # pin the next (backward) activation at zero: it is
                         # affine in the convexification parameter
-                        m0 = float((q + hk * base_lo - nuk * z_prev) @ n_prev)
-                        slope = hk * float(g @ n_prev)
+                        da[0], da[1] = q0 + hk * b0 - nuk * zp0, q1 + hk * b1 - nuk * zp1
+                        db[0], db[1] = g0, g1
+                        m0, slope = float(da.dot(n_prev)), hk * float(db.dot(n_prev))
                         if abs(slope) > 1e-30:
                             theta = min(max(-m0 / slope, 0.0), 1.0)
                     # else: contact onset interval, the realized cone fraction
-                    sig[k] = theta * g
-            q = q_lo[k] = q + hk * (base_lo + sig[k])
+                    s0, s1 = theta * g0, theta * g1
+            q0, q1 = q0 + hk * (b0 + s0), q1 + hk * (b1 + s1)
+            rows += q0, q1, s0, s1
+        q_lo[top::-1], sig[top::-1] = np.hsplit(np.array(rows).reshape(-1, 4), 2)
 
     def q_upper(q_T: np.ndarray) -> np.ndarray:
-        q_hi = np.empty((K + 1, 2))
-        q_hi[0] = q_T
-        q_hi[1:] = (h[:, None] * (nf - nv - sig))[::-1]
-        return np.cumsum(q_hi, axis=0)[::-1]
+        return np.cumsum(np.vstack([q_T, (h[:, None] * (nf - nv - sig))[::-1]]), axis=0)[::-1]
 
-    zT = data.z[K, i]
     sweep(K - 1, -1)
-    upper = (q_lo, q_upper(-weight * data.y[K, i] - nu_path[K] * zT))
+    upper = (q_lo, q_upper(-weight * data.y[K, i] - q_lo[K]))
     points = np.flatnonzero(_u_hull(data, i, q_lo[1:] - nz, weight).kind == _POINT)
     if points.size:
         top = int(points[-1])
         q_lo = q_lo.copy()
-        sig[:top + 1] = 0.0
         sweep(top, top)
-    return upper, (q_lo, q_upper(-nu_path[K] * zT))
+    return upper, (q_lo, q_upper(-q_lo[K]))
 
 
 def _normalized(witness):

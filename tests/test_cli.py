@@ -269,6 +269,7 @@ class TestCommands:
         "U-nested-lists-casestudy", "U-nested-lists-simulate", "N-not-whole", "R-infinite",
         "c-NaN", "halflength-NaN", "A-one-row", "h-subnormal", "h-1e-9", "positions-1e300",
         "M-1e200-verify", "U-hi-1e200-verify", "grid-K-601", "solver-grid-K-601",
+        "V-one-coordinate",
     ])
     def test_rejected_input_is_an_input_error(self, tmp_path, capsys, case):
         def controls(times):
@@ -330,6 +331,10 @@ class TestCommands:
                 "simulate", TWODISK, "--controls", controls([0.0, 3.0, 6.5])],
             "tol-0": lambda: ["verify", TWODISK, "--tol", "0"],
             "tol-negative": lambda: ["verify", TWODISK, "--tol", "-1"],
+            # the disk velocity has two coordinates; a 1-D interval would
+            # stand for the square of its bounds
+            "V-one-coordinate": lambda: scenario(lambda d: d["participants"][0].update(
+                V={"shape": "interval", "lo": [-1.0], "hi": [1.0]})),
         }[case]()
         code = main(argv + ["--out", str(tmp_path / "out")])
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import os
 
@@ -689,6 +690,9 @@ class LoopReference:
                 st = self.structure(i, k, w, alpha)
                 u = st[1] if st[0] == "point" else u
                 self.hits.add("sweep-" + st[0])
+            if alpha is None or st[0] != "point":   # a step at the claimed control
+                self.hits.add("sweep-" + ("scaled" if isinstance(drift, ScaledLinearDrift)
+                                          else "affine"))
             f = drift.value(x, u)
             base_lo = jac_x(drift, u).T @ w - nu[k] * f + nu[k] * vk
             kind, g = self.branch(k, i, qn, nu[k], w)
@@ -697,6 +701,7 @@ class LoopReference:
                 sig = g
             elif kind == "kink":
                 theta = min(max(self.cone[k, i] / cap, 0.0), 1.0)
+                self.hits.add("sweep-kink-" + ("pinned" if self.contact[k, i] else "onset"))
                 if self.contact[k, i]:
                     m0 = float(np.dot(qn + h * base_lo - nu[k] * self.z[k, i], self.normals[k, i]))
                     slope = h * float(np.dot(g, self.normals[k, i]))
@@ -864,6 +869,10 @@ def assert_matches_reference(sol, upper, lowers=None, ref=None):
     return report
 
 
+# (measure level, weight) of each costate sweep compared and pinned below
+SWEEP_SETTINGS = ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
+
+
 def assert_sweeps_match(sol, ref):
     """Both passes of the costate sweep, the upper one with the claimed
     controls and the inner one with the inner maximizers at the effort
@@ -871,7 +880,7 @@ def assert_sweeps_match(sol, ref):
     data = nco._SolutionData(sol)
     K, N = data.K, sol.scenario.N
     for i in range(N):
-        for level, weight in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
+        for level, weight in SWEEP_SETTINGS:
             nu = np.full(K + 1, level)
             q_T = nu[K] * data.z[K, i]
             upper, inner = nco._backward_pair(data, i, nu, weight)
@@ -937,6 +946,61 @@ class TestArrayVerifierMatchesLoopReference:
             for i, low in enumerate(lowers)]
         report = assert_matches_reference(sol, bumped, bumped_lowers)
         assert report.residuals["adjoint_q_lower"] > 1.0 and not report.all_pass
+
+
+# sha256 of the four costates that _backward_pair returns (upper q_lower and
+# q_upper, then inner p_lower and p_upper), per (participant, level, weight)
+# of assert_sweeps_match, on twodisk_300 and mixed_solution().  Like the
+# goldens they assume NumPy's bundled OpenBLAS on x86-64, because the sweep's
+# dot products round as its ddot does.
+SWEEP_SHA256 = {
+    "twodisk": {
+        (0, 1.0, 0.0): "72ecbfa9c69904563ab0a931fbbb5c6ea15600bc01261c836b2e20b450242a04",
+        (0, 0.0, 1.0): "53d863dc43c5ab900afbe4ff1ced20370b41e0689044b2088c015477cb53b944",
+        (0, 0.5, 0.5): "675f5ba27cab1f1a52e062cedcaa064bb5a3eed67e0f44f1cf6e3479c6c4c4db",
+        (1, 1.0, 0.0): "b10e983a304633c9b94f3160d48d5adb9d583c301f4a134f6f2a42b290705c4b",
+        (1, 0.0, 1.0): "c071e653b89dda9d70ae0d377fcc74de8dd51c1ffd07afd7a58d8ebb25311e1c",
+        (1, 0.5, 0.5): "e5e2077f5db5560cfbb7b516abb8233e6c9c6276a5cdcebe299255e9ed965929",
+    },
+    "mixed": {
+        (0, 1.0, 0.0): "fd93b7e089e664c29fe52b0e0d28c4a183da2674b68fa955c255cc34e856061b",
+        (0, 0.0, 1.0): "999e46bf0a8db159510a1990955ba937d2cd8ee3c225e9f94f6f75eed4aec353",
+        (0, 0.5, 0.5): "549d5931ebbbde030e6820321d5ec58e912fe1809842f5de8905e32cac3ff24d",
+        (1, 1.0, 0.0): "775943b7fa001cb1a818f9484bcb1f9d58a21526a8266e536e24237321862f3f",
+        (1, 0.0, 1.0): "b490cf51cec4d989270ddc5bd08a92e2027b3479219bacde183f7d17db043724",
+        (1, 0.5, 0.5): "3249bab7705b29005463b70c002e4a3066ef4dd7176752feb8ae9277b853ad2b",
+        (2, 1.0, 0.0): "9df4be3b60e9bb49f7d06a30acc1034034b8582be21ed945b67337c133484fe9",
+        (2, 0.0, 1.0): "f0792f8831dcb9249d7f39b914ae40100032c140df3c58da399de9fc36d8e333",
+        (2, 0.5, 0.5): "8ddc4304bbdf8c72d60dcff3903e6bed60db283dfc07e1525c824984a9747870",
+        (3, 1.0, 0.0): "a6d9fdd6f09673c0544a8619e9e88e6c4b267b5d6094187f79ec8c50f2df0a6c",
+        (3, 0.0, 1.0): "ce2c8676cda2b4d5764a30292aaef0b4f6e2e8b70122bd6193b2a4a4f962db4d",
+        (3, 0.5, 0.5): "8402ed07ed111e1c1222908aaca9255430845e9c737e9e00bcd11a309ba94fd3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SHA256))
+def test_sweeps_are_pinned_bit_for_bit(name, twodisk_300):
+    """The costate sweeps keep their bits.  The mixed cases take the unique
+    maximizer steps, which stay numpy, and the float steps at the claimed
+    control of both drift families through every cone-support branch (the
+    kink pinned and at contact onset), so the pin covers every path of the
+    loop."""
+    sol = twodisk_300 if name == "twodisk" else mixed_solution()
+    data = nco._SolutionData(sol)
+    got = {}
+    for i in range(sol.scenario.N):
+        for level, weight in SWEEP_SETTINGS:
+            upper, inner = nco._backward_pair(data, i, np.full(data.K + 1, level), weight)
+            got[(i, level, weight)] = hashlib.sha256(
+                b"".join(a.tobytes() for a in (*upper, *inner))).hexdigest()
+    assert got == SWEEP_SHA256[name]
+    if name == "mixed":
+        ref = LoopReference(sol)
+        assert_sweeps_match(sol, ref)
+        assert ref.hits >= {"sweep-point", "sweep-scaled", "sweep-affine", "sweep-off",
+                            "sweep-inactive", "sweep-active", "sweep-kink-pinned",
+                            "sweep-kink-onset"}
 
 
 def test_worst_residual_names_the_perturbed_interval(twodisk_300):
