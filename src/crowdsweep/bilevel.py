@@ -25,11 +25,9 @@ from .dynamics import (
     Scenario,
     SegmentSet,
     Trajectory,
-    _catchup_lanes,
     _effort,
     _line,
     _require_member,
-    _set_scale,
     _translation_path,
     _worst_overlap,
     check_feasibility,
@@ -54,11 +52,8 @@ __all__ = [
 ]
 
 
-# The block descent of value_function: offset blocks, step-halving rounds
-# per start, and the seed of its random starts.
-DESCENT_BLOCKS = 8
-DESCENT_ROUNDS = 2
-DESCENT_SEED = 0
+# Seed of value_function's draws of free initial points.
+X0_SEED = 0
 
 # Velocity step of the central difference in fd_value_gradient.
 FD_STEP = 1e-4
@@ -74,10 +69,15 @@ class UnsupportedFamilyError(ValueError):
 
 @dataclass
 class InnerOptions:
-    """Knobs for the inner (lower-level) solver."""
+    """Knobs for the inner (lower-level) solver.  ``refine`` must stay False:
+    every greedy step is exact, so no polish runs on top of it."""
 
-    multistart: int = 8          # starts for the local descent / free-x0 draw
-    refine: bool = True          # descent polish on top of the feasibility seed
+    multistart: int = 8          # initial points tried when x0 is free
+    refine: bool = False
+
+    def __post_init__(self):
+        if self.refine:
+            raise ValueError("refine must be False: every greedy step is already exact")
 
 
 @dataclass
@@ -150,16 +150,40 @@ class CaseStudyParams:
 # inner problem
 
 
+def _line_step(d, w, r_eff, s_lo, s_hi):
+    """The least-|s| s in [s_lo, s_hi] with |d + s w| <= r_eff, or None: the
+    feasible s lie between the roots of a quadratic."""
+    a = float(np.dot(w, w))
+    b = 2.0 * float(np.dot(w, d))
+    c = float(np.dot(d, d)) - r_eff * r_eff
+    if a < 1e-30:
+        if c > 0:
+            return None
+        lo, hi = s_lo, s_hi
+    else:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return None
+        root = math.sqrt(disc)
+        lo, hi = max((-b - root) / (2 * a), s_lo), min((-b + root) / (2 * a), s_hi)
+    if lo > hi:
+        return None
+    return 0.0 if lo <= 0.0 <= hi else lo if lo > 0 else hi
+
+
 def _greedy_step(drift, cset):
     """One participant's greedy step rule, chosen once per solve.
 
     ``step(x, h, center, r_eff)`` is the smallest-norm admissible control u
     whose predicted point x + h f(x, u) lies within r_eff of the center, or
-    None when no admissible control has one.  On a segment or 1-D interval
-    U the control is one coordinate s of u = s * unit and the predicted
-    point moves on a line, so s solves a quadratic; a ball U under an
-    isotropic control channel has a closed form too; any other U is swept
-    over polar candidates, coarse to fine.
+    None when no admissible control has one.  Every rule is closed form
+    up to a monotone Newton iteration.  On a segment or 1-D interval U the
+    control is one coordinate s of u = s * unit and the predicted point
+    moves on a line, so s solves a quadratic; a ball U under an isotropic
+    control channel has a closed form too.  Any other two-coordinate U takes
+    the nearest point of the ellipse of controls that reach the target (a
+    trust-region step, More & Sorensen 1983), kept when it lies in U; on a
+    box U that misses it, the answer lies on an edge of the box, a line.
     """
     zero = np.zeros(drift.control_dim)
     line = _line(cset)
@@ -173,31 +197,44 @@ def _greedy_step(drift, cset):
                 p0, w = x, h * drift.coeff * x
             else:
                 p0, w = x + h * drift.value(x, zero), (h * drift.B) @ unit
-            d = p0 - center
-            a = float(np.dot(w, w))
-            b = 2.0 * float(np.dot(w, d))
-            c = float(np.dot(d, d)) - r_eff * r_eff
-            if a < 1e-30:
-                if c > 0:
-                    return None
-                lo, hi = s_lo, s_hi
-            else:
-                disc = b * b - 4 * a * c
-                if disc < 0:
-                    return None
-                root = math.sqrt(disc)
-                lo, hi = max((-b - root) / (2 * a), s_lo), min((-b + root) / (2 * a), s_hi)
-            if lo > hi:
-                return None
-            return (0.0 if lo <= 0.0 <= hi else lo if lo > 0 else hi) * unit
+            s = _line_step(p0 - center, w, r_eff, s_lo, s_hi)
+            return None if s is None else s * unit
         return scalar
 
-    # two control coordinates: the drift is affine
-    scale = _set_scale(cset)
+    # two control coordinates: the drift is affine, W = h B, and B = L diag(S) Q
+    # with singular values below 1e-12 of the largest taken as 0 (a rank-1 B)
+    L, S, Q = np.linalg.svd(drift.B)
+    S = np.where(S > 1e-12 * S[0], S, 0.0)
+    ball = isinstance(cset, BallSet)
+
+    def nearest(d, h, r_eff):
+        """The least-norm u with |W u - d| <= r_eff < |d|, or None.  It is
+        u(lam) = lam (I + lam W^T W)^-1 W^T d with |W u(lam) - d| = r_eff,
+        and |W u(lam) - d|^2 = sum_k c_k^2 / (1 + lam s_k^2)^2 for c = L^T d
+        and s = h S.  Newton on 1/|W u(lam) - d| = 1/r_eff, whose left side
+        is concave and increasing, climbs from lam = 0 to the root without
+        passing it."""
+        c0, c1 = (L.T @ d).tolist()
+        s0, s1 = h * float(S[0]), h * float(S[1])
+        q0, q1 = s0 * s0, s1 * s1
+        if q0 == 0.0 or (q1 == 0.0 and abs(c1) > r_eff):
+            return None     # W is 0, or d's part outside the range of W is too far
+        lam = 0.0
+        for _ in range(100):
+            a0, a1 = 1.0 + lam * q0, 1.0 + lam * q1
+            f = c0 * c0 / (a0 * a0) + c1 * c1 / (a1 * a1)
+            n = math.sqrt(f)
+            if n <= r_eff:
+                break
+            step = (n / r_eff - 1.0) * f / (q0 * c0 * c0 / a0**3 + q1 * c1 * c1 / a1**3)
+            lam += step
+            if step <= 1e-15 * lam:
+                break
+        return Q.T @ np.array([lam * s0 * c0 / (1.0 + lam * q0), lam * s1 * c1 / (1.0 + lam * q1)])
 
     def planar(x, h, center, r_eff):
         p0, W = x + h * drift.value(x, zero), h * drift.B
-        if isinstance(cset, BallSet) and abs(W[0, 0] - W[1, 1]) < 1e-15 \
+        if ball and abs(W[0, 0] - W[1, 1]) < 1e-15 \
                 and abs(W[0, 1]) < 1e-15 and abs(W[1, 0]) < 1e-15 and W[0, 0] > 0:
             # isotropic control channel: the feasible controls form a ball
             q = (center - p0) / W[0, 0]
@@ -207,22 +244,25 @@ def _greedy_step(drift, cset):
             if need > cset.radius + 1e-12:
                 return None
             return (need / float(np.linalg.norm(q))) * q
-        if float(np.linalg.norm(p0 - center)) <= r_eff:
-            return zero.copy()
-        # rings of fixed radii and angles, three phases finer each; the
-        # first ring with a feasible candidate gives its first smallest one
-        for phase in range(3):
-            angles = np.linspace(0, 2 * math.pi, 24 * (phase + 1), endpoint=False)
-            for r in np.linspace(0, scale, 9 * (phase + 1))[1:]:
-                best = None
-                for th in angles:
-                    u = cset.project(np.array([r * math.cos(th), r * math.sin(th)]))
-                    if float(np.linalg.norm(p0 + W @ u - center)) <= r_eff:
-                        if best is None or np.linalg.norm(u) < np.linalg.norm(best):
-                            best = u
-                if best is not None:
-                    return best
-        return None
+        d = center - p0
+        u = zero.copy() if float(np.linalg.norm(d)) <= r_eff else nearest(d, h, r_eff)
+        if u is None:
+            return None
+        if ball:
+            # the ellipse's nearest point is also the nearest point of its
+            # meet with the ball, or proves the meet empty
+            return u if float(np.linalg.norm(u)) <= cset.radius else None
+        if np.all(cset.lo <= u) and np.all(u <= cset.hi):
+            return u
+        # the convex problem's minimum lies on the box's boundary: the
+        # first least-norm point over its four edges, each a line
+        edges = []
+        for j, k in ((0, 1), (1, 0)):
+            for e in (cset.lo[j], cset.hi[j]):
+                s = _line_step(e * W[:, j] - d, W[:, k], r_eff, cset.lo[k], cset.hi[k])
+                if s is not None:
+                    edges.append((e, s) if j == 0 else (s, e))
+        return np.array(min(edges, key=lambda c: c[0] * c[0] + c[1] * c[1])) if edges else None
     return planar
 
 
@@ -249,62 +289,6 @@ def _greedy_min_effort(scenario, i, ypath, grid, x0_i):
     return uvals, None
 
 
-def _descend_blocks(scenario, i, ypath, grid, x0_i, u0, multistart, rng):
-    """Projected block-coordinate descent on additive control offsets.
-
-    Starts are the feasibility seed plus random nonnegative offsets; poll
-    moves that break feasibility are rejected, so the search walks down to
-    the cheapest feasible profile it can certify locally.
-    """
-    cset = scenario.U[i]
-    K, m = u0.shape
-    blocks = np.array_split(np.arange(K), min(DESCENT_BLOCKS, K))
-    scale = _set_scale(cset)
-    x0 = np.asarray(x0_i, float).reshape(1, 2)
-
-    def cost_of(offsets, below=math.inf):
-        # (effort, controls), or (None, None) when the one-lane catch-up run
-        # breaks the cap; a profile that cannot beat ``below`` is not run
-        u = u0.copy()
-        for b, block in enumerate(blocks):
-            u[block] += offsets[b]
-        u = np.array([cset.project(row) for row in u])
-        cost = _effort(grid, u)
-        if not cost < below or _catchup_lanes(scenario, [i], ypath[:, None], grid, x0, [u])[2]:
-            return None, None
-        return cost, u
-
-    base_cost, base_u = cost_of(np.zeros((len(blocks), m)))
-    best = (base_cost, base_u)
-    starts = [np.zeros((len(blocks), m))]
-    for _ in range(max(0, multistart - 1)):
-        starts.append(0.2 * scale * rng.random((len(blocks), m)))
-    for s0 in starts:
-        offs = s0.copy()
-        cost, u = cost_of(offs)
-        if cost is None:
-            continue
-        step = 0.25 * scale
-        for _ in range(DESCENT_ROUNDS * 6):
-            improved = False
-            for b in range(len(blocks)):
-                for j in range(m):
-                    for sgn in (-1.0, 1.0):
-                        trial = offs.copy()
-                        trial[b, j] += sgn * step
-                        c2, u2 = cost_of(trial, below=cost - 1e-12)
-                        if c2 is not None:
-                            offs, cost, u = trial, c2, u2
-                            improved = True
-            if not improved:
-                step *= 0.5
-                if step < 1e-3 * scale:
-                    break
-        if best[0] is None or (cost is not None and cost < best[0] - 1e-12):
-            best = (cost, u)
-    return best
-
-
 def _x0_candidates(scenario, i, count, rng) -> List[np.ndarray]:
     """The fixed initial point, or the disk center and count - 1 uniform
     draws from the disk when x0 is free."""
@@ -324,30 +308,26 @@ def value_function(
     v_i: ControlProfile,
     inner: Optional[InnerOptions] = None,
 ) -> Tuple[float, Tuple[np.ndarray, ControlProfile]]:
-    """Optimal confinement effort of participant i under the disk motion v_i.
+    """Confinement effort of participant i under the disk motion v_i.
 
-    Minimizes the control effort over piecewise-constant controls on the
-    grid (and over the initial point when it is free) subject to the
-    catching-up dynamics, by projected block descent from multiple starts on
-    top of a per-step minimal-norm feasibility seed.
+    The effort of the greedy inner solve (per step the smallest-norm
+    admissible control, under the catching-up dynamics on the grid of v_i),
+    the least over the initial points when x0 is free: the disk center and
+    ``multistart - 1`` seeded draws from the disk.  Returns the effort and
+    its (initial point, controls).
     """
     opts = inner or InnerOptions()
-    rng = np.random.default_rng(DESCENT_SEED)
+    rng = np.random.default_rng(X0_SEED)
     _require_member(i, v_i, scenario.V[i], "v leaves V")
     grid = v_i.grid
-    ypath = _translation_path(scenario.y0[i], grid, v_i.values[:, :2])
+    ypath = _translation_path(scenario.y0[i], grid, v_i.values)
 
     best: Tuple[Optional[float], Optional[np.ndarray], Optional[np.ndarray]] = (None, None, None)
     for x0_i in _x0_candidates(scenario, i, opts.multistart, rng):
-        u0, _fail = _greedy_min_effort(scenario, i, ypath, grid, x0_i)
-        if u0 is None:
+        u, _fail = _greedy_min_effort(scenario, i, ypath, grid, x0_i)
+        if u is None:
             continue
-        if opts.refine:
-            cost, u = _descend_blocks(scenario, i, ypath, grid, x0_i, u0, opts.multistart, rng)
-        else:
-            cost, u = _effort(grid, u0), u0
-        if cost is None:
-            continue
+        cost = _effort(grid, u)
         if (
             best[0] is None
             or cost < best[0] - 1e-12
@@ -379,7 +359,7 @@ def fd_value_gradient(scenario: Scenario, i: int, v_i: ControlProfile) -> np.nda
             for sgn in (1.0, -1.0):
                 vals = v_i.values.copy()
                 vals[k, c] += sgn * FD_STEP
-                ypath = _translation_path(scenario.y0[i], grid, vals[:, :2])
+                ypath = _translation_path(scenario.y0[i], grid, vals)
                 uvals, _fail = _greedy_min_effort(scenario, i, ypath, grid, x0_i)
                 if uvals is None:
                     raise InnerInfeasibleError(
@@ -488,9 +468,9 @@ def solve_bilevel_direct(
     for i, (cset, line) in enumerate(zip(scenario.V, lines)):
         if line:
             unit, a_lo, a_hi = line
-            row = np.clip(-float(np.dot(scenario.y0[i][: unit.size], unit)) / T, a_lo, a_hi)
+            row = np.clip(-float(np.dot(scenario.y0[i], unit)) / T, a_lo, a_hi)
         else:
-            row = cset.project(-scenario.y0[i][: cset.dim] / T)
+            row = cset.project(-scenario.y0[i] / T)
         aim[offsets[i] : offsets[i + 1]] = np.tile(row, K)
     common = aim.copy()
     segments = [i for i, cset in enumerate(scenario.V) if isinstance(cset, SegmentSet)]
@@ -598,10 +578,10 @@ def solve_twodisk_parametric(
 ) -> Tuple[CaseStudyParams, BilevelSolution]:
     """Closed-form solution of the aligned two-disk family.
 
-    The deceleration onset is the only free parameter: a golden-section
-    bracket followed by a Newton polish finds the onset minimizing the
-    terminal cost, after which the ride speed, the contact time, and the
-    optimal controls all follow in closed form.
+    The deceleration onset is the only free parameter: a bisection bracket
+    followed by a Newton polish finds the onset minimizing the terminal
+    cost, after which the ride speed, the contact time, and the optimal
+    controls all follow in closed form.
     """
     v_hat, near, far, a = _match_family(scenario)
     R, T, M = scenario.R, scenario.T, float(scenario.M[near])
@@ -612,24 +592,15 @@ def solve_twodisk_parametric(
         # near-disk terminal position coordinate along the exit ray
         return -R - M / a + C * math.exp(-a * (T - tb)) / (a * tb + 1.0)
 
-    def cost_of(tb: float) -> float:
-        g = g_of(tb)
-        return 0.5 * ((g + 2 * R) ** 2 + g**2)
-
+    # the terminal cost ((g+2R)^2 + g^2)/2 = (g+R)^2 + R^2 falls to the root
+    # of g(t_b) = -R, and g increases in t_b: bisect for it
     lo, hi = 1e-9, T - 1e-9
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c1 = hi - invphi * (hi - lo)
-    c2 = lo + invphi * (hi - lo)
-    f1, f2 = cost_of(c1), cost_of(c2)
     while hi - lo > 1e-6:
-        if f1 <= f2:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - invphi * (hi - lo)
-            f1 = cost_of(c1)
+        mid = 0.5 * (lo + hi)
+        if g_of(mid) < -R:
+            lo = mid
         else:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + invphi * (hi - lo)
-            f2 = cost_of(c2)
+            hi = mid
     t_b = 0.5 * (lo + hi)
     # Newton polish on the stationarity equation g(t_b) = -R of the smooth
     # 1-D cost (valid while the minimizer is interior)

@@ -10,9 +10,9 @@ hulls.
 
 The conditions assert that suitable multipliers exist, so :func:`fit_multipliers`
 searches small structured witness families (measure-backed and
-terminal-cost-backed), constructing the costates by backward integration of
-the adjoint selections.  A failed fit is reported as not-verified, never as
-a disproof.
+terminal-cost-backed).  The measure family's costates come from backward
+integration of the adjoint selections; the terminal family's are closed
+form.  A failed fit is reported as not-verified, never as a disproof.
 """
 
 from __future__ import annotations
@@ -600,7 +600,10 @@ def _upper_adjoint_paths(data: _SolutionData,
 def _max_lower_gaps(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
     """(K, N) gaps of the inner-control maximum condition: the supremum of
     the concave map over the control set minus its value at the claimed
-    control, nonnegative by construction."""
+    control, nonnegative by construction.  The map's gradient (d f/d u)^T w
+    is taken at each interval's landing node x[1:], where ``_u_hull``,
+    ``_control_column`` and the costate sweep take d f/d u at its left node
+    x[:-1]; the two differ under a scaled-linear drift (d f/d u = c x)."""
     scn, K = data.scn, data.K
     gaps = np.empty((K, scn.N))
     for i in range(scn.N):

@@ -119,13 +119,18 @@ class TestValueFunction:
         assert phis[0] <= phis[1] <= phis[2]
         assert phis[0] < phis[2]
 
+    def test_refine_is_rejected(self):
+        with pytest.raises(ValueError, match="refine must be False"):
+            InnerOptions(refine=True)
+
 
 def test_greedy_step_kinds_are_pinned():
     """Every kind of greedy step keeps its controls and failing step, bit for
     bit: scaled-linear drift with an interval U (the two-disk case-study
     plans), and in the mixed N=4 scenario an isotropic ball, a 2-D interval
-    swept over polar candidates and a segment under affine drift, at the
-    scenario's caps and at caps tight enough to need nonzero controls."""
+    (the ellipse's nearest point, or a box edge) and a segment under affine
+    drift, at the scenario's caps and at caps tight enough to need nonzero
+    controls."""
     twodisk = solve_twodisk_parametric(make_twodisk(), grid_K=600)[1]
     mixed = mixed_solution(K=300)
     s = mixed.scenario
@@ -140,7 +145,68 @@ def test_greedy_step_kinds_are_pinned():
             # steps with a nonzero control, or the failing step
             steps.append(("fail", fail) if u is None else int(np.count_nonzero(np.any(u, axis=1))))
     assert steps == [574, 574, 0, 0, 0, 0, ("fail", 150), 95, 75, 81]
-    assert sha.hexdigest() == "ce8325f881317c670fb38e30592a619f0612ffe62086b94879ab45849a5027d1"
+    assert sha.hexdigest() == "b5c7626be34e2de5f7ae2e36c2846a8a16fd82b27810b9469b690a71b3fb511f"
+
+
+GRID_SPACING = 0.005
+
+
+def _dense_grid(cset):
+    """The controls of U on a grid of spacing ``GRID_SPACING``, and their norms."""
+    if isinstance(cset, IntervalSet):
+        lo, hi = cset.lo, cset.hi
+    else:
+        lo, hi = [-cset.radius] * 2, [cset.radius] * 2
+    axes = [np.linspace(a, b, int(round((b - a) / GRID_SPACING)) + 1) for a, b in zip(lo, hi)]
+    u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    u = u[cset.distances(u) == 0.0]
+    return u, np.linalg.norm(u, axis=1)
+
+
+@pytest.mark.parametrize("cset", [IntervalSet([-1.0, -0.5], [1.0, 0.8]),
+                                  IntervalSet([0.1, 0.2], [1.0, 0.8]), BallSet(1.0)],
+                         ids=["box", "box-without-0", "ball"])
+@pytest.mark.parametrize("kind", ["random", "non-isotropic", "rank-1"])
+def test_planar_step_matches_a_dense_grid(cset, kind):
+    """The two-coordinate greedy step against the least-norm reaching control
+    on a dense grid of U: feasible (in U even where u = 0 would reach, for a
+    box without 0), no larger than the grid's minimum plus one spacing, and
+    never None where the grid finds a reaching control.
+    Odd draws aim at r_eff = 1 + 6h with h = 0.01, even draws at a tight
+    r_eff = 0.01 with h = 0.05; each target lies near the predicted point of
+    a control drawn around U, so some steps need no control and some have
+    none in U."""
+    rng = np.random.default_rng(7)
+    grid, norms = _dense_grid(cset)
+    need = 0
+    for n in range(60):
+        h, r_eff = (0.01, 1.06) if n % 2 else (0.05, 0.01)
+        if kind == "random":
+            B = rng.normal(size=(2, 2))
+        elif kind == "non-isotropic":
+            th = rng.uniform(0, math.pi)
+            rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+            B = rot @ np.diag([1.5, 0.4]) @ rot.T
+        else:
+            B = np.outer(rng.normal(size=2), rng.normal(size=2))
+        drift = AffineDrift(0.2 * rng.normal(size=(2, 2)), B, 0.2 * rng.normal(size=2))
+        x = rng.uniform(-2.0, 2.0, 2)
+        p0 = x + h * drift.value(x, np.zeros(2))
+        e = rng.normal(size=2)
+        center = (p0 + h * B @ rng.uniform([-1.2, -0.7], [1.2, 1.0])
+                  + r_eff * rng.uniform(0.9, 1.1) * e / np.linalg.norm(e))
+
+        u = bilevel._greedy_step(drift, cset)(x, h, center, r_eff)
+        reach = np.linalg.norm(p0 + grid @ (h * B).T - center, axis=1) <= r_eff
+        best = float(np.min(norms[reach])) if reach.any() else None
+        if best is not None:
+            assert u is not None, n
+            assert np.linalg.norm(u) <= best + GRID_SPACING, n
+            need += best > GRID_SPACING
+        if u is not None:
+            assert cset.distances(u[None])[0] <= 1e-12, n
+            assert np.linalg.norm(x + h * drift.value(x, u) - center) <= r_eff * (1 + 1e-9), n
+    assert need >= 20       # steps that need a control
 
 
 class TestParametricSolver:
@@ -149,6 +215,15 @@ class TestParametricSolver:
         assert 5.910 <= params.t_b <= 5.920
         assert 11.85 <= params.v_bar <= 11.87
         assert 0.252 <= params.t_a <= 0.254
+
+    @pytest.mark.parametrize("rotate", [0.0, 0.7, 1.9, -2.4])
+    def test_onset_is_pinned(self, rotate):
+        """The bisection for the root of g(t_b) = -R and its Newton polish give
+        (t_a, t_b, v_bar) bit for bit as a golden-section bracket on the
+        terminal cost does."""
+        params, _sol = solve_twodisk_parametric(make_twodisk(rotate=rotate), grid_K=60)
+        assert repr((params.t_a, params.t_b, params.v_bar)) == \
+            "(0.252951297431015, 5.9148236089377635, 11.85999056129831)"
 
     def test_structural_identities(self, twodisk_solution):
         params, _sol = twodisk_solution
