@@ -131,17 +131,12 @@ class CaseStudyParams:
         if abs(self.v_bar - sat) > 1e-6 * max(1.0, self.v_bar):
             raise ValueError("saturation relation v_bar = a*gamma2(t_b) + M violated")
 
-    @property
-    def exp_piece(self) -> Tuple[float, float, float]:
-        """(amplitude, rate, offset): gamma2 = amplitude*exp(-rate*(t-t_b)) - offset."""
-        return (self.v_bar / self.decay, self.decay, self.cap / self.decay)
-
     def gamma2(self, t) -> np.ndarray:
         t = np.asarray(t, float)
         flat = np.full_like(t, self.gamma0)
         lin = self.gamma0 + self.R - self.v_bar * t
-        amp, rate, off = self.exp_piece
-        expo = amp * np.exp(-rate * (t - self.t_b)) - off
+        a = self.decay
+        expo = self.v_bar / a * np.exp(-a * (t - self.t_b)) - self.cap / a
         out = np.where(t < self.t_a, flat, np.where(t < self.t_b, lin, expo))
         return out if out.ndim else float(out)
 

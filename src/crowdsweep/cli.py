@@ -27,11 +27,12 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bilevel import (
+    BilevelSolution,
     InnerInfeasibleError,
     UnsupportedFamilyError,
+    _solution,
     solve_bilevel_direct,
     solve_twodisk_parametric,
-    BilevelSolution,
 )
 from .dynamics import (
     AffineDrift,
@@ -44,13 +45,9 @@ from .dynamics import (
     Scenario,
     SegmentSet,
     TruncationViolationError,
-    check_feasibility,
     constant_profile,
-    cost_lower,
-    cost_upper,
     h5_bounds,
-    integrate_lower_catchup,
-    integrate_upper,
+    integrate_upper,  # unused here; perfbench's tracer test reads this binding
     uniform_grid,
 )
 from .nco import fit_multipliers
@@ -473,18 +470,9 @@ def _emit(outdir: str, name: str, text: str) -> None:
     _atomic_write(os.path.join(outdir, name), text)
 
 
-def _forward(scenario, v, u) -> BilevelSolution:
-    """Run supplied controls from x0 (the disk centers when x0 is free):
-    both integrators, then the feasibility audit."""
-    y = integrate_upper(scenario, v)
-    x0 = scenario.x0 if scenario.x0 is not None else scenario.y0
-    x = integrate_lower_catchup(scenario, y, u, x0)
-    return BilevelSolution(
-        scenario=scenario, v=v, u=u, x0=x0, y=y, x=x,
-        J_H=cost_upper(y.terminal()),
-        J_L=np.array([cost_lower(p) for p in u]),
-        method="supplied", feasibility=check_feasibility(scenario, y, x, u, v),
-    )
+def _supplied(scenario, v, u) -> BilevelSolution:
+    """Supplied controls run from x0, or from the disk centers when x0 is free."""
+    return _solution(scenario, v, u, scenario.y0 if scenario.x0_free else scenario.x0, "supplied")
 
 
 def _simulate(scenario, solver_cfg, flags, out) -> int:
@@ -497,7 +485,7 @@ def _simulate(scenario, solver_cfg, flags, out) -> int:
             constant_profile(grid, np.zeros(scenario.drift[i].control_dim))
             for i in range(scenario.N)
         ]
-    sol = _forward(scenario, v, u)
+    sol = _supplied(scenario, v, u)
     _emit(out, "trajectory.csv", _trajectory_csv(scenario, sol.y, sol.x, sol.u, sol.v))
     summary = [
         _run_node("simulate", scenario, flags),
@@ -551,7 +539,7 @@ def _casestudy(scenario, solver_cfg, flags, out) -> int:
 
 def _verification_solution(scenario, solver_cfg, flags) -> BilevelSolution:
     if flags.get("controls"):
-        return _forward(scenario, *_read_controls(flags["controls"], scenario))
+        return _supplied(scenario, *_read_controls(flags["controls"], scenario))
     _params, sol = solve_twodisk_parametric(
         scenario, grid_K=_default_grid(scenario, solver_cfg, flags).size - 1
     )

@@ -186,11 +186,9 @@ class SegmentSet:
     def dim(self) -> int:
         return 2
 
-    def coordinate(self, u) -> float:
-        return float(np.dot(np.asarray(u, float).ravel(), self.direction))
-
     def project(self, u) -> np.ndarray:
-        a = np.clip(self.coordinate(u), -self.halflength, self.halflength)
+        a = float(np.dot(np.asarray(u, float).ravel(), self.direction))
+        a = np.clip(a, -self.halflength, self.halflength)
         return a * self.direction
 
     def distances(self, rows) -> np.ndarray:
@@ -502,37 +500,6 @@ def _jac_t_w(drift, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (drift.A.T @ w[..., None])[..., 0]
 
 
-def _catchup_lanes(scenario: Scenario, lanes: Sequence[int], centers: np.ndarray,
-                   grid: np.ndarray, x0: np.ndarray, uvals: Sequence[np.ndarray]):
-    """Catching-up steps of independent lanes, sequential in k.
-
-    Returns ``(states, dist, violation)``: ``dist[k]`` is each lane's distance
-    to its disk center before the k-th projection; ``violation`` is None or
-    ``(lane, k, correction)`` for the lowest lane over its cap, at its own
-    first such step, as a lane-by-lane sweep would report it."""
-    K, R, h = grid.size - 1, scenario.R, np.diff(grid)
-    drift = _lane_drift(scenario, lanes, uvals)
-    states, dist = np.empty((K + 1, len(lanes), 2)), np.empty((K + 1, len(lanes)))
-    states[0] = x = x0
-    dist[0] = _row_norms(x0 - centers[0])
-    # the projection is computed for every lane and kept where a lane left
-    # its disk; a lane resting on its center divides by zero there
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k, center in enumerate(centers[1:]):
-            pred = x + h[k] * drift(k, x)
-            off = pred - center
-            d = dist[k + 1] = np.hypot(off[:, 0], off[:, 1])
-            x = states[k + 1] = np.where((d > R)[:, None], center + (R / d)[:, None] * off, pred)
-    corr = (dist[1:] - R) / h[:, None]
-    over = corr > scenario.M[list(lanes)] * (1.0 + _TRUNCATION_SLACK) + 1e-12
-    failed = np.flatnonzero(over.any(axis=0))
-    if not failed.size:
-        return states, dist, None
-    lane = int(failed[0])
-    k = int(np.argmax(over[:, lane]))
-    return states, dist, (lane, k, float(corr[k, lane]))
-
-
 def integrate_lower_catchup(
     scenario: Scenario,
     y: Trajectory,
@@ -543,9 +510,12 @@ def integrate_lower_catchup(
 
     All participants advance together as lanes.  Each step applies the
     drift explicitly and then projects back onto the translated disk at the
-    new time.  The implied correction per unit time must stay within the
-    truncation cap; exceeding it is a hard diagnostic error, not a clamp,
-    naming the lowest-index participant over its cap at its first such step.
+    new time.  The implied correction per unit time (the predicted point's
+    distance past the radius, over the step) must stay within the
+    truncation cap; exceeding it is a hard diagnostic error, not a clamp.
+    It names the lowest-index participant that goes over its cap, at that
+    participant's own first such step, as a participant-by-participant
+    sweep would report it, even when another participant is over earlier.
     """
     grid = y.grid
     if len(u) != scenario.N:
@@ -555,17 +525,31 @@ def integrate_lower_catchup(
     for i, p in enumerate(u):
         _require_member(i, p, scenario.U[i], "lower control leaves U")
     x0 = np.asarray(x0, float).reshape(scenario.N, 2)
-    R = scenario.R
-    outside = np.flatnonzero(_row_norms(x0 - y.states[0]) > R + 1e-9 * R)
+    K, R, h, centers = grid.size - 1, scenario.R, np.diff(grid), y.states
+    outside = np.flatnonzero(_row_norms(x0 - centers[0]) > R + 1e-9 * R)
     if outside.size:
         raise ValueError(f"participant {outside[0] + 1}: x0 outside the initial disk")
 
-    states, dist, violation = _catchup_lanes(
-        scenario, range(scenario.N), y.states, grid, x0, [p.values for p in u]
-    )
-    if violation is not None:
-        i, k, corr = violation
-        raise TruncationViolationError(i, float(grid[k + 1]), corr, float(scenario.M[i]))
+    drift = _lane_drift(scenario, range(scenario.N), [p.values for p in u])
+    states, dist = np.empty((K + 1, scenario.N, 2)), np.empty((K + 1, scenario.N))
+    states[0] = x = x0
+    dist[0] = _row_norms(x0 - centers[0])
+    # the projection is computed for every participant and kept where one
+    # left its disk; a participant resting on its center divides by zero there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, center in enumerate(centers[1:]):
+            pred = x + h[k] * drift(k, x)
+            off = pred - center
+            d = dist[k + 1] = np.hypot(off[:, 0], off[:, 1])
+            x = states[k + 1] = np.where((d > R)[:, None], center + (R / d)[:, None] * off, pred)
+    corr = (dist[1:] - R) / h[:, None]
+    over = corr > scenario.M * (1.0 + _TRUNCATION_SLACK) + 1e-12
+    failed = np.flatnonzero(over.any(axis=0))
+    if failed.size:
+        i = int(failed[0])
+        k = int(np.argmax(over[:, i]))
+        raise TruncationViolationError(i, float(grid[k + 1]), float(corr[k, i]),
+                                       float(scenario.M[i]))
     return Trajectory(grid=grid, states=states, contact=dist >= R - 1e-9 * R)
 
 

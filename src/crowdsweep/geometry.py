@@ -16,7 +16,6 @@ __all__ = [
     "Disk",
     "InfeasiblePointError",
     "SingularConfigurationError",
-    "active_tolerance",
     "project_to_disk",
     "contact_jacobian",
     "sigma_support",
@@ -35,10 +34,6 @@ class InfeasiblePointError(ValueError):
 
 class SingularConfigurationError(ValueError):
     """Geometric kernel evaluated at (numerically) coincident centers."""
-
-
-def active_tolerance(radius: float) -> float:
-    return ACTIVE_TOL_FACTOR * float(radius)
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ def sigma_support(disk_offset, q, nu: float, radius: float, cap: float) -> float
     normal n, and the supremum has the closed form of the boundary branch.
     """
     z = np.asarray(disk_offset, dtype=float)
-    tol = active_tolerance(radius)
+    tol = ACTIVE_TOL_FACTOR * float(radius)
     dist = float(np.linalg.norm(z))
     if dist > radius + tol:
         raise InfeasiblePointError(

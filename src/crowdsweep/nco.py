@@ -326,14 +326,6 @@ def _control_column(data: _SolutionData, i: int) -> np.ndarray:
     return np.broadcast_to(drift.B @ line[0], (data.K, 2))
 
 
-def _ball_gain(drift) -> float:
-    """Radius of B(unit ball) for the constant control matrix of a ball set."""
-    B = drift.B
-    if abs(B[0, 0] - B[1, 1]) < 1e-12 and abs(B[0, 1]) < 1e-12 and abs(B[1, 0]) < 1e-12:
-        return abs(B[0, 0])
-    return float(np.linalg.norm(B, 2))
-
-
 # ---------------------------------------------------------------------------
 # small exact optimizers, row by row
 
@@ -601,15 +593,13 @@ def _max_lower_gaps(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
     """(K, N) gaps of the inner-control maximum condition: the supremum of
     the concave map over the control set minus its value at the claimed
     control, nonnegative by construction.  The map's gradient (d f/d u)^T w
-    is taken at each interval's landing node x[1:], where ``_u_hull``,
-    ``_control_column`` and the costate sweep take d f/d u at its left node
-    x[:-1]; the two differ under a scaled-linear drift (d f/d u = c x)."""
+    is taken at each interval's left node x[:-1], as in ``_u_hull``."""
     scn, K = data.scn, data.K
     gaps = np.empty((K, scn.N))
     for i in range(scn.N):
         alpha = float(upper.effort_weights[i])
         w = upper.q_lower[1:, i] - upper.confinement[:K, i, None] * data.z[1:, i]
-        g = _gradient_t_w(scn.drift[i], data.x[1:, i], w)
+        g = _gradient_t_w(scn.drift[i], data.x[:-1, i], w)
         sup, _u = _sup_effort(g, alpha, scn.U[i])
         uk = data.u[i]
         gaps[:, i] = np.maximum(0.0, sup - (_rowdot(g, uk) - alpha * _rowdot(uk, uk)))
@@ -721,7 +711,8 @@ def _inner_paths(data: _SolutionData, low: LowerMultipliers) -> Dict[str, np.nda
         else -nu[:, None] * col
     hull_col = np.hstack([col_lo, nu[:, None] * col])
     kink_col = np.hstack([g, -g])
-    gain = _ball_gain(drift) * scn.U[i].radius if ball.any() else 0.0
+    # radius of B(U) for the constant control matrix of a ball set
+    gain = float(np.linalg.norm(drift.B, 2)) * scn.U[i].radius if ball.any() else 0.0
     zeros, ones = np.zeros(K), np.ones(K)
     adjoint = _dist_to_hull(
         np.hstack([r_lo, r_hi]),

@@ -112,6 +112,21 @@ class TestCommands:
         last = rows[-1].split(",")[1:]
         assert first == last
 
+    def test_simulate_free_initial_point_starts_at_the_disk_centers(self, tmp_path, capsys):
+        def free(doc):
+            for node in doc["participants"]:
+                node["x0"] = "free"
+
+        path = write_scenario(tmp_path, free)
+        out = tmp_path / "out"
+        assert run("simulate", path, out=str(out), h=0.05) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        header, first = (out / "trajectory.csv").read_text().splitlines()[:2]
+        row = dict(zip(header.split(","), first.split(",")))
+        for i in (1, 2):
+            for c in (1, 2):
+                assert row[f"x{i}_{c}"] == row[f"y{i}_{c}"]
+
     def test_casestudy_summary_numbers(self, tmp_path):
         out = tmp_path / "cs"
         assert run("casestudy", TWODISK, out=str(out)) == EXIT_OK

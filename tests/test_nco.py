@@ -617,7 +617,7 @@ class LoopReference:
         for k in range(K):
             for i in range(scn.N):
                 w = up.q_lower[k + 1, i] - up.confinement[k, i] * self.z[k + 1, i]
-                g = control_gradient(scn.drift[i], self.x[k + 1, i]).T @ w
+                g = control_gradient(scn.drift[i], self.x[k, i]).T @ w
                 sup, _u = self.sup_effort(g, float(alpha[i]), scn.U[i])
                 uk = self.u[i][k]
                 gaps[k] += max(0.0, sup - (float(np.dot(g, uk)) - float(alpha[i]) * float(np.dot(uk, uk))))
