@@ -136,7 +136,8 @@ class CaseStudyParams:
         flat = np.full_like(t, self.gamma0)
         lin = self.gamma0 + self.R - self.v_bar * t
         a = self.decay
-        expo = self.v_bar / a * np.exp(-a * (t - self.t_b)) - self.cap / a
+        # clamped before t_b, where the value is discarded but could overflow
+        expo = self.v_bar / a * np.exp(-a * np.maximum(t - self.t_b, 0.0)) - self.cap / a
         out = np.where(t < self.t_a, flat, np.where(t < self.t_b, lin, expo))
         return out if out.ndim else float(out)
 
@@ -540,8 +541,6 @@ def _match_family(scenario: Scenario):
     if abs(drifts[0].coeff - drifts[1].coeff) > 1e-12 or drifts[0].coeff >= 0:
         raise UnsupportedFamilyError("family requires equal negative drift coefficients")
     for cset in scenario.U:
-        if not isinstance(cset, IntervalSet) or cset.dim != 1:
-            raise UnsupportedFamilyError("family requires scalar interval lower controls")
         if abs(float(cset.lo[0])) > 1e-12 or abs(float(cset.hi[0]) - 1.0) > 1e-12:
             raise UnsupportedFamilyError("family requires U = [0, 1]")
     for cset in scenario.V:

@@ -410,6 +410,9 @@ def _read_controls(path: str, scenario: Scenario):
         data = None
     if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
         raise ScenarioFormatError(f"{path}: {_row_fault(lines, header)}")
+    twice = next((name for j, name in enumerate(header) if name in header[:j]), None)
+    if twice is not None:
+        raise ScenarioFormatError(f"{path}: line {lines[0][0]}: column {twice!r} appears twice")
     cols = {name: j for j, name in enumerate(header)}
     if "t" not in cols:
         raise ScenarioFormatError(f"{path}: missing 't' column")
@@ -495,7 +498,8 @@ def _simulate(scenario, solver_cfg, flags, out) -> int:
                                     for i in range(scenario.N)])]),
     ]
     _emit(out, "summary.txt", _summary_text(summary))
-    return EXIT_OK if sol.feasibility.ok() else _infeasible(sol.feasibility)
+    _audit(sol)
+    return EXIT_OK
 
 
 def _solution_artifacts(out, command, scenario, flags, sol: BilevelSolution,
@@ -537,18 +541,16 @@ def _casestudy(scenario, solver_cfg, flags, out) -> int:
     return EXIT_OK
 
 
-def _verification_solution(scenario, solver_cfg, flags) -> BilevelSolution:
-    if flags.get("controls"):
-        return _supplied(scenario, *_read_controls(flags["controls"], scenario))
-    _params, sol = solve_twodisk_parametric(
-        scenario, grid_K=_default_grid(scenario, solver_cfg, flags).size - 1
-    )
-    return sol
+class _InfeasiblePath(Exception):
+    """A solution failed its feasibility audit."""
 
 
-def _infeasible(report) -> int:
-    """Report the largest violation of a failed feasibility audit, and where
-    it sits; returns the infeasibility exit code."""
+def _audit(sol: BilevelSolution) -> BilevelSolution:
+    """The solution, once its feasibility audit passes; else raises the
+    largest violation, and where it sits."""
+    report = sol.feasibility
+    if report.ok():
+        return sol
     worst = report.max_violation
     if report.overlap_violation == worst:
         i, j = report.overlap_pair
@@ -559,16 +561,23 @@ def _infeasible(report) -> int:
     else:
         where = (f"participant {report.control_participant + 1}: control outside its set "
                  f"by {worst:.6g} at t={report.control_time:.6g}")
-    print(f"error: infeasible: {where}", file=sys.stderr)
-    return EXIT_INFEASIBLE
+    raise _InfeasiblePath(where)
+
+
+def _verification_solution(scenario, solver_cfg, flags) -> BilevelSolution:
+    """The supplied or case-study solution of verify and h5check, audited."""
+    if flags.get("controls"):
+        sol = _supplied(scenario, *_read_controls(flags["controls"], scenario))
+    else:
+        grid_K = _default_grid(scenario, solver_cfg, flags).size - 1
+        sol = solve_twodisk_parametric(scenario, grid_K=grid_K)[1]
+    return _audit(sol)
 
 
 def _verify(scenario, solver_cfg, flags, out) -> int:
     tol = _setting(flags, solver_cfg, "tol")
     tol = 1e-3 if tol is None else _positive(tol, "verification tolerance tol")
     sol = _verification_solution(scenario, solver_cfg, flags)
-    if not sol.feasibility.ok():
-        return _infeasible(sol.feasibility)
     fit = fit_multipliers(sol, tol=tol)
     upper, _lowers, achieved = fit
     report = fit.report
@@ -650,7 +659,8 @@ def run(command: str, scenario_path: str, **flags) -> int:
     try:
         scenario, solver_cfg = parse_scenario(scenario_path)
         return handler(scenario, solver_cfg, flags, out)
-    except (TruncationViolationError, InfeasibleControlError, InnerInfeasibleError) as exc:
+    except (TruncationViolationError, InfeasibleControlError, InnerInfeasibleError,
+            _InfeasiblePath) as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except UnsupportedFamilyError as exc:

@@ -414,10 +414,6 @@ class Trajectory:
         if not np.all(np.isfinite(self.states)):
             raise ValueError("non-finite state encountered")
 
-    @property
-    def N(self) -> int:
-        return self.states.shape[1]
-
     def terminal(self) -> np.ndarray:
         return self.states[-1]
 
@@ -500,6 +496,25 @@ def _jac_t_w(drift, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (drift.A.T @ w[..., None])[..., 0]
 
 
+def _lower_inputs(scenario: Scenario, y: Trajectory, u: Sequence[ControlProfile],
+                  x0: np.ndarray, caller: str):
+    """y's grid, the (N, 2) initial points and the lanes' drift, once there is
+    one control profile per participant, on y's grid and inside its U, and
+    each x0 is inside its initial disk."""
+    grid = y.grid
+    if len(u) != scenario.N:
+        raise ValueError("need one lower control profile per participant")
+    for p in u:
+        _check_grid_match(grid, p.grid, caller)
+    for i, p in enumerate(u):
+        _require_member(i, p, scenario.U[i], "lower control leaves U")
+    x0, R = np.asarray(x0, float).reshape(scenario.N, 2), scenario.R
+    outside = np.flatnonzero(_row_norms(x0 - y.states[0]) > R + 1e-9 * R)
+    if outside.size:
+        raise ValueError(f"participant {outside[0] + 1}: x0 outside the initial disk")
+    return grid, x0, _lane_drift(scenario, range(scenario.N), [p.values for p in u])
+
+
 def integrate_lower_catchup(
     scenario: Scenario,
     y: Trajectory,
@@ -517,20 +532,8 @@ def integrate_lower_catchup(
     participant's own first such step, as a participant-by-participant
     sweep would report it, even when another participant is over earlier.
     """
-    grid = y.grid
-    if len(u) != scenario.N:
-        raise ValueError("need one lower control profile per participant")
-    for p in u:
-        _check_grid_match(grid, p.grid, "integrate_lower_catchup")
-    for i, p in enumerate(u):
-        _require_member(i, p, scenario.U[i], "lower control leaves U")
-    x0 = np.asarray(x0, float).reshape(scenario.N, 2)
+    grid, x0, drift = _lower_inputs(scenario, y, u, x0, "integrate_lower_catchup")
     K, R, h, centers = grid.size - 1, scenario.R, np.diff(grid), y.states
-    outside = np.flatnonzero(_row_norms(x0 - centers[0]) > R + 1e-9 * R)
-    if outside.size:
-        raise ValueError(f"participant {outside[0] + 1}: x0 outside the initial disk")
-
-    drift = _lane_drift(scenario, range(scenario.N), [p.values for p in u])
     states, dist = np.empty((K + 1, scenario.N, 2)), np.empty((K + 1, scenario.N))
     states[0] = x = x0
     dist[0] = _row_norms(x0 - centers[0])
@@ -567,6 +570,7 @@ def integrate_lower_penalty(
     ``min(k * max(0, ||x-y|| - R(1-delta_k)), M) * (x-y)/||x-y||`` with
     boundary layer ``delta_k = 1/sqrt(k)``, integrated by explicit substeps
     bounded by ``1/(2k)`` for stability.  States are reported on the grid.
+    The controls and x0 are checked as ``integrate_lower_catchup`` checks them.
     """
     k = float(stiffness)
     if k <= 0:
@@ -575,16 +579,12 @@ def integrate_lower_penalty(
         raise StabilityError(
             f"step {step:.3g} too large for stiffness {k:.3g} (need <= {1/(2*k):.3g})"
         )
-    grid = y.grid
-    for p in u:
-        _check_grid_match(grid, p.grid, "integrate_lower_penalty")
+    grid, x0, drift = _lower_inputs(scenario, y, u, x0, "integrate_lower_penalty")
     layer = scenario.R * (1.0 - 1.0 / math.sqrt(k))
-
     K, N = grid.size - 1, scenario.N
-    drift = _lane_drift(scenario, range(N), [p.values for p in u])
     states = np.empty((K + 1, N, 2))
     contact = np.zeros((K + 1, N), dtype=bool)
-    states[0] = x = np.asarray(x0, float).reshape(N, 2)
+    states[0] = x = x0
     # the pull is computed for every lane and kept outside the layer; a lane
     # on its disk center divides by zero there
     with np.errstate(divide="ignore", invalid="ignore"):

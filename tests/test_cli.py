@@ -44,6 +44,13 @@ def write_controls(tmp_path, velocities, times=np.linspace(0.0, 6.0, 61)):
     return str(path)
 
 
+def _place(doc, near, far):
+    """Start the near disk (participant 2) and the far one at the given
+    centers, each population at its center."""
+    for p, y in zip(doc["participants"], (far, near)):
+        p["y0"] = p["x0"] = [float(c) for c in y]
+
+
 def write_scenario(tmp_path, mutate=None, name="case.scn"):
     with open(TWODISK) as fh:
         doc = json.load(fh)
@@ -196,19 +203,20 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: infeasible: participant 1 at t=")
 
     def test_verify_with_overlapping_controls_is_infeasible(self, tmp_path, capsys):
-        # disk 1 drives along the exit ray into disk 2, which stays at rest
-        controls = write_controls(tmp_path, [-3.0 * VHAT, np.zeros(2)])
-        sim = tmp_path / "sim"
-        assert run("simulate", TWODISK, out=str(sim), controls=controls) == EXIT_INFEASIBLE
-        simulate_err = capsys.readouterr().err
-        assert (sim / "trajectory.csv").exists() and (sim / "summary.txt").exists()
-        assert run("verify", TWODISK, out=str(tmp_path / "vf"),
-                   controls=controls) == EXIT_INFEASIBLE
-        verify_err = capsys.readouterr().err
-        for err in (simulate_err, verify_err):
-            assert err.startswith("error: infeasible: disks 1 and 2 overlap by ")
-            assert err.count("\n") == 1
-        assert simulate_err == verify_err
+        # disk 1 drives along the exit ray into disk 2, which rests (and is
+        # covered at t=2) or moves at a third of its speed (covered at t=3);
+        # simulate writes its artifacts first, verify and h5check audit the
+        # path before they examine it
+        for second, t in ((np.zeros(2), 2), (-VHAT, 3)):
+            controls = write_controls(tmp_path, [-3.0 * VHAT, second])
+            for command in ("simulate", "verify", "h5check"):
+                out = tmp_path / f"{command}-{t}"
+                assert run(command, TWODISK, out=str(out), controls=controls) == EXIT_INFEASIBLE
+                assert capsys.readouterr().err == \
+                    f"error: infeasible: disks 1 and 2 overlap by 6 at t={t}\n"
+                assert out.exists() == (command == "simulate")
+            assert (tmp_path / f"simulate-{t}" / "trajectory.csv").exists()
+            assert (tmp_path / f"simulate-{t}" / "summary.txt").exists()
 
     def test_h5check_without_contact_samples_is_infeasible(self, tmp_path, capsys):
         controls = write_controls(tmp_path, [np.zeros(2)] * 2)
@@ -236,9 +244,11 @@ class TestCommands:
          "line 5, column 'v1_2': 'zero' is not a finite number"),
         ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n\n0,0,0,0,0,0,0\n6,0,0,0,0,0\n3,0,0,0,0,0,0\n",
          "line 4: 6 cells where the header has 7: no value in column 'u2_1'"),
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1,v1_1\n0,0,0,0,0,0,0,0\n6,0,0,0,0,0,0,0\n",
+         "line 1: column 'v1_1' appears twice"),
     ], ids=["empty", "header-only", "nan", "inf", "short-row", "not-a-number",
             "underscore-separator", "header-and-blank-lines", "one-row",
-            "blank-line-then-bad-cell", "blank-line-then-short-row"])
+            "blank-line-then-bad-cell", "blank-line-then-short-row", "column-twice"])
     def test_malformed_controls_file_is_an_input_error(self, tmp_path, capsys, text, names):
         controls = tmp_path / "controls.csv"
         controls.write_text(text)
@@ -373,14 +383,50 @@ class TestCommands:
         assert code == EXIT_NOT_VERIFIED
         assert capsys.readouterr().err == ""
 
-    def test_verify_without_controls_on_non_family_scenario(self, tmp_path, capsys):
-        def shrink(doc):
-            doc["problem"]["N"] = 1
-            doc["participants"] = doc["participants"][:1]
-
-        path = write_scenario(tmp_path, shrink)
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: (d["problem"].update(N=1), d.update(participants=d["participants"][:1])),
+         "family requires exactly two participants"),
+        (lambda d: d["participants"][0].update(drift={
+            "family": "affine", "A": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [0.0]],
+            "b": [0.0, 0.0]}), "family requires scaled-linear drifts"),
+        (lambda d: d["participants"][0].update(V={"shape": "ball", "radius": 10 * S2}),
+         "family requires segment upper control sets"),
+        (lambda d: d["participants"][0]["V"].update(halflength=12.0),
+         "family requires equal upper control sets"),
+        (lambda d: d["participants"][0].update(M=5.0), "family requires equal truncation caps"),
+        (lambda d: [p.update(x0="free") for p in d["participants"]],
+         "family requires x0 fixed at the disk centers"),
+        (lambda d: d["participants"][0].update(x0=[-51.0, 52.0]),
+         "family requires x0 fixed at the disk centers"),
+        (lambda d: _place(d, 5 * VHAT, 11 * VHAT), "near disk must start beyond the contact gap"),
+        (lambda d: _place(d, 48 * S2 * VHAT, 48 * S2 * VHAT + [3 * S2, 3 * S2]),
+         "family requires touching disks aligned with the exit ray"),
+        (lambda d: [p["V"].update(halflength=5.0) for p in d["participants"]],
+         "required ride speed exceeds the upper control set"),
+        (lambda d: d["problem"].update(T=0.5), "family geometry places the arcs outside (0, T)"),
+    ], ids=["N-1", "affine-drift", "ball-V", "unequal-V", "unequal-M", "free-x0",
+            "x0-off-center", "near-disk-within-2R", "misaligned-disks", "V-halflength-5",
+            "T-0.5"])
+    def test_verify_without_controls_on_non_family_scenario(self, tmp_path, capsys, edit,
+                                                            message):
+        path = write_scenario(tmp_path, edit)
         assert run("verify", path, out=str(tmp_path / "x")) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: usage: family requires ")
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [p["drift"].update(c=-150.0) for p in d["participants"]],
+        lambda d: [p["drift"].update(c=-1e4) for p in d["participants"]],
+        lambda d: d["problem"].update(T=100.0),
+    ], ids=["c-150", "c-1e4", "T-100"])
+    def test_stiff_drifts_and_long_horizons_run_cleanly(self, tmp_path, capsys, edit):
+        # the deceleration arc's exponential is taken only where it is kept;
+        # RuntimeWarnings are errors in this suite
+        path = write_scenario(tmp_path, edit)
+        for command, line in (("casestudy", "t_b: "), ("verify", "verified: true"),
+                              ("h5check", "bracket_holds: true")):
+            assert run(command, path, out=str(tmp_path / command), h=0.05) == EXIT_OK
+            assert capsys.readouterr().err == ""
+            assert line in (tmp_path / command / "summary.txt").read_text()
 
     def test_unknown_command_and_bad_file(self, tmp_path, capsys):
         assert run("dance", TWODISK) == EXIT_USAGE

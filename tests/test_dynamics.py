@@ -276,6 +276,31 @@ class TestPenalty:
                 scn, y, [constant_profile(grid, [0.0])], scn.x0, step=1e-2, stiffness=1e3
             )
 
+    @pytest.mark.parametrize("case, error", [
+        ("short-list", ValueError),
+        ("control-outside-U", InfeasibleControlError),
+        ("x0-outside-disk", ValueError),
+    ])
+    def test_inputs_are_checked_as_catchup_checks_them(self, twodisk, case, error):
+        grid = uniform_grid(6.0, 60)
+        y = integrate_upper(twodisk, [constant_profile(grid, np.zeros(2))] * 2)
+        u = [constant_profile(grid, [0.5])] * 2
+        x0 = twodisk.x0.copy()
+        if case == "short-list":
+            u = u[:1]
+        elif case == "control-outside-U":
+            u = [u[0], constant_profile(grid, [1.5])]
+        else:
+            x0[1, 0] += 4.0
+        messages = []
+        for integrate in (integrate_lower_catchup, lambda *args: integrate_lower_penalty(
+                *args, step=5e-4, stiffness=1e3)):
+            with pytest.raises(error) as err:
+                integrate(twodisk, y, u, x0)
+            assert type(err.value) is error
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
 
 class TestFeasibilityReport:
     def test_coincident_disks_flag_full_overlap(self, twodisk):
