@@ -121,16 +121,6 @@ class CaseStudyParams:
     near: int              # participant index closest to the exit
     far: int
 
-    def __post_init__(self):
-        self.direction = np.asarray(self.direction, float).reshape(2)
-        if not (0.0 < self.t_a < self.t_b < self.T):
-            raise ValueError("need 0 < t_a < t_b < T")
-        if abs(self.v_bar * self.t_a - self.R) > 1e-6 * max(1.0, self.R):
-            raise ValueError("contact-time relation v_bar * t_a = R violated")
-        sat = self.decay * self.gamma2(self.t_b) + self.cap
-        if abs(self.v_bar - sat) > 1e-6 * max(1.0, self.v_bar):
-            raise ValueError("saturation relation v_bar = a*gamma2(t_b) + M violated")
-
     def gamma2(self, t) -> np.ndarray:
         t = np.asarray(t, float)
         flat = np.full_like(t, self.gamma0)
@@ -479,13 +469,10 @@ def solve_bilevel_direct(
     # single coordinates; then coordinated per-interval moves across
     # participants (the first coordinate of each), which escape the active
     # non-overlap constraint that single coordinates cannot; then all at once
-    dirs = list(np.eye(n))
-    widths = np.diff(offsets) // K
-    for k in range(K):
-        d = np.zeros(n)
-        d[offsets[:-1] + k * widths] = 1.0
-        dirs.append(d)
-    dirs.append(np.ones(n))
+    ks = np.arange(K)[:, None]
+    per_interval = np.zeros((K, n))
+    per_interval[ks, offsets[:-1] + ks * (np.diff(offsets) // K)] = 1.0
+    dirs = list(np.vstack([np.eye(n), per_interval, np.ones(n)]))
 
     span = hi - lo
     best_val, best_pack = math.inf, None

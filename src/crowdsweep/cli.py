@@ -503,17 +503,16 @@ def _simulate(scenario, solver_cfg, flags, out) -> int:
 
 
 def _solution_artifacts(out, command, scenario, flags, sol: BilevelSolution,
-                        extra: Optional[list] = None) -> None:
+                        extra: Sequence[tuple] = ()) -> None:
     _emit(out, "trajectory.csv", _trajectory_csv(scenario, sol.y, sol.x, sol.u, sol.v))
     _emit(out, "controls.csv", _controls_csv(scenario, sol.y.grid, sol.u, sol.v))
     result = [
+        *extra,
         ("method", sol.method),
         ("J_H", sol.J_H),
         ("J_L", [(f"participant_{i+1}", float(sol.J_L[i])) for i in range(scenario.N)]),
         ("feasibility", _feasibility_node(sol.feasibility)),
     ]
-    if extra:
-        result = extra + result
     _emit(out, "summary.txt", _summary_text([_run_node(command, scenario, flags),
                                              ("result", result)]))
 
@@ -611,9 +610,7 @@ def _h5check(scenario, solver_cfg, flags, out) -> int:
     pairs = np.stack([sol.x.states[::stride], sol.y.states[::stride]], axis=2)
     samples = [pairs[contact[:, i], i] for i in range(scenario.N)]
     if not contact.any(axis=0).all():
-        print("error: infeasible: no contact samples found on the supplied path",
-              file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise _InfeasiblePath("no contact samples found on the supplied path")
     bounds = h5_bounds(scenario, samples)
     ok = all(lower < scenario.M[i] < upper for i, (upper, lower) in enumerate(bounds))
     summary = [

@@ -547,10 +547,8 @@ def integrate_lower_catchup(
             x = states[k + 1] = np.where((d > R)[:, None], center + (R / d)[:, None] * off, pred)
     corr = (dist[1:] - R) / h[:, None]
     over = corr > scenario.M * (1.0 + _TRUNCATION_SLACK) + 1e-12
-    failed = np.flatnonzero(over.any(axis=0))
-    if failed.size:
-        i = int(failed[0])
-        k = int(np.argmax(over[:, i]))
+    if over.any():
+        i, k = divmod(int(np.argmax(over.T)), K)
         raise TruncationViolationError(i, float(grid[k + 1]), float(corr[k, i]),
                                        float(scenario.M[i]))
     return Trajectory(grid=grid, states=states, contact=dist >= R - 1e-9 * R)
@@ -661,11 +659,10 @@ def check_feasibility(
     overlap, o_node, o_pair = _worst_overlap(scenario.R, y.states)
 
     exc = np.linalg.norm(x.states - y.states, axis=2) - scenario.R
-    ks = np.argmax(exc, axis=0)
-    i = int(np.argmax(exc[ks, np.arange(N)]))
+    i, k = divmod(int(np.argmax(exc.T)), exc.shape[0])
     confine, c_time, c_part = 0.0, 0.0, None
-    if exc[ks[i], i] > confine:
-        confine, c_time, c_part = float(exc[ks[i], i]), float(grid[ks[i]]), i
+    if exc[k, i] > confine:
+        confine, c_time, c_part = float(exc[k, i]), float(grid[k]), i
 
     ctrl, k_time, k_part = 0.0, 0.0, None
     for i in range(N):
@@ -679,7 +676,7 @@ def check_feasibility(
         overlap_violation=overlap,
         overlap_time=float(grid[o_node]) if o_pair else 0.0,
         overlap_pair=o_pair,
-        confinement_violation=max(0.0, confine),
+        confinement_violation=confine,
         confinement_time=c_time,
         confinement_participant=c_part,
         control_violation=ctrl,

@@ -442,14 +442,11 @@ def _normal_cone_distance(w: np.ndarray, cset, v: np.ndarray) -> np.ndarray:
     """
     tol = 1e-9
     if isinstance(cset, IntervalSet):
-        res = np.zeros(len(w))
-        for j in range(cset.dim):
-            span = max(1.0, abs(cset.hi[j]) + abs(cset.lo[j]))
-            at_hi = v[:, j] >= cset.hi[j] - tol * span
-            at_lo = v[:, j] <= cset.lo[j] + tol * span
-            off = ((w[:, j] > 0) & ~at_lo) | ((w[:, j] < 0) & ~at_hi)
-            res = res + np.where(off, w[:, j] ** 2, 0.0)
-        return np.sqrt(res)
+        span = np.maximum(1.0, np.abs(cset.hi) + np.abs(cset.lo))
+        at_hi = v >= cset.hi - tol * span
+        at_lo = v <= cset.lo + tol * span
+        off = ((w > 0) & ~at_lo) | ((w < 0) & ~at_hi)
+        return np.sqrt(np.sum(np.where(off, w**2, 0.0), axis=1))
     if isinstance(cset, SegmentSet):
         L = cset.halflength
         if L == 0.0:
@@ -479,23 +476,6 @@ def _initial_defect(data: _SolutionData, w0: np.ndarray, i) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the cone support on each interval
-
-
-def _cone_branches(data: _SolutionData, i: int, q_next: np.ndarray, nu: np.ndarray,
-                   w: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks of the active and kink branches of the cone support (both need
-    contact at the landing node), from the activation <w, n> against the
-    kink band, and the active-branch gradient g per interval."""
-    R = data.scn.R
-    m = _rowdot(w, data.normals[1:, i])
-    band = KINK_BAND_FRAC * (_row_norms(q_next) + np.abs(nu) * R) + 1e-12
-    contact = data.contact[1:, i]
-    g = sigma_active_gradient(data.z[1:, i], q_next, nu[:, None], R, data.scn.M[i])
-    return contact & (m < -band), contact & (m >= -band) & (m <= band), g
-
-
-# ---------------------------------------------------------------------------
 # checks shared by both witness levels, lane by lane
 
 
@@ -503,12 +483,17 @@ def _lane_rates(data: _SolutionData, lv: _Lanes, l: int):
     """Per interval of lane l: its confinement measure nu, w = q_lower - nu z
     at the landing node, the negated finite-difference rates of q_lower and
     q_upper, and the active mask, kink mask and active gradient of the cone
-    support."""
-    K, i, h = data.K, lv.lanes[l], data.h[:, None]
+    support.  Both masks need contact at the landing node; they split on the
+    activation <w, n> against the kink band."""
+    K, i, h, R = data.K, lv.lanes[l], data.h[:, None], data.scn.R
     q_lo, q_hi, nu = lv.q_lo[:, l], lv.q_hi[:, l], lv.nu[:K, l]
     w = q_lo[1:] - nu[:, None] * data.z[1:, i]
-    rates = (-(q_lo[1:] - q_lo[:-1]) / h, -(q_hi[1:] - q_hi[:-1]) / h)
-    return (nu, w) + rates + _cone_branches(data, i, q_lo[1:], nu, w)
+    m = _rowdot(w, data.normals[1:, i])
+    band = KINK_BAND_FRAC * (_row_norms(q_lo[1:]) + np.abs(nu) * R) + 1e-12
+    contact = data.contact[1:, i]
+    g = sigma_active_gradient(data.z[1:, i], q_lo[1:], nu[:, None], R, data.scn.M[i])
+    return (nu, w, -(q_lo[1:] - q_lo[:-1]) / h, -(q_hi[1:] - q_hi[:-1]) / h,
+            contact & (m < -band), contact & (m >= -band) & (m <= band), g)
 
 
 def _boundary(data: _SolutionData, lv: _Lanes) -> np.ndarray:
@@ -615,6 +600,21 @@ def _sum_participants(gaps: np.ndarray) -> np.ndarray:
     return total
 
 
+def _check_lowers(data: _SolutionData, lowers) -> None:
+    """Inner witnesses are read by position: entry i must be None or
+    participant i's witness, on the solution's grid."""
+    if lowers is not None and len(lowers) != data.scn.N:
+        raise ValueError(f"lowers needs {data.scn.N} entries, one per participant, "
+                         f"and has {len(lowers)}")
+    for i, low in enumerate(lowers if lowers is not None else ()):
+        if low is None:
+            continue
+        if low.participant != i:
+            raise ValueError(f"lowers[{i}] is the witness of participant {low.participant + 1}, "
+                             f"not of participant {i + 1}")
+        _check_grid_match(low.grid, data.grid, "multipliers")
+
+
 def _max_upper_paths(data: _SolutionData, upper: UpperMultipliers, lowers) -> np.ndarray:
     """(K, N) distances of the disk-velocity maximum condition's left-hand
     vectors to minus the normal cones of the velocity sets.  A weighted
@@ -672,17 +672,20 @@ def max_condition_upper(
     witness weights takes its sensitivity from the inner witness formula,
     which needs an inner witness with a positive effort weight (else
     :class:`IndeterminateWitnessError`); with a zero upper effort weight
-    the sensitivity term drops out.
+    the sensitivity term drops out.  ``lowers`` is read as in :func:`verify`.
     """
-    return np.max(_max_upper_paths(_prepared(solution, upper), upper, lowers), axis=1)
+    data = _prepared(solution, upper)
+    _check_lowers(data, lowers)
+    return np.max(_max_upper_paths(data, upper, lowers), axis=1)
 
 
 # ---------------------------------------------------------------------------
 # inner-relation checks (per participant)
 
 
-def _inner_paths(data: _SolutionData, low: LowerMultipliers) -> Dict[str, np.ndarray]:
-    """Per-interval residual paths of one participant's stationarity relation.
+def _inner_checks(data: _SolutionData, low: LowerMultipliers):
+    """``(name, residual, (time, participant))`` of the inner conditions of
+    one participant that the upper level does not share.
 
     ``adjoint`` is the distance of the stacked finite-difference rates of
     (p_lower, p_upper) to the hull of the stacked right-hand sides: both are
@@ -690,10 +693,11 @@ def _inner_paths(data: _SolutionData, low: LowerMultipliers) -> Dict[str, np.nda
     column over its near-argmax control range, and a cone-support kink a
     column over the convexification parameter; both parameters are shared
     by the two inclusions, so the distance is one joint 4-vector distance.
-    ``primal`` is the larger of the population velocity's distance to its
-    velocity hull and the disk velocity's defect.
+    ``primal_inclusion`` is the larger of the population velocity's distance
+    to its velocity hull and the disk velocity's defect.
     """
     scn, K, i = data.scn, data.K, low.participant
+    starts = data.grid[:-1]
     drift, v = scn.drift[i], data.v[i]
     nu, w, rate_lo, rate_hi, active, kink, g = _lane_rates(data, low._lanes(), 0)
     hull = _u_hull(data, i, w, low.effort_weight)
@@ -721,6 +725,7 @@ def _inner_paths(data: _SolutionData, low: LowerMultipliers) -> Dict[str, np.nda
         kink_col, zeros, ones, interval & kink,
         np.where(ball, np.abs(nu) * gain * math.sqrt(2), 0.0),
     )
+    yield ("adjoint",) + _worst(adjoint, starts, (i,))
 
     contact = data.contact[1:, i]
     normal_col = -data.normals[1:, i]
@@ -733,16 +738,7 @@ def _inner_paths(data: _SolutionData, low: LowerMultipliers) -> Dict[str, np.nda
         np.where(ball, gain, 0.0),
     )
     ydot = (data.y[1:, i] - data.y[:-1, i]) / data.h[:, None]
-    return {"adjoint": adjoint, "primal_inclusion": np.maximum(velocity, _row_norms(ydot - v))}
-
-
-def _inner_checks(data: _SolutionData, low: LowerMultipliers):
-    """``(name, residual, (time, participant))`` of the inner conditions of
-    one participant that the upper level does not share."""
-    i = low.participant
-    starts = data.grid[:-1]
-    for name, path in _inner_paths(data, low).items():
-        yield (name,) + _worst(path, starts, (i,))
+    yield ("primal_inclusion",) + _worst(np.maximum(velocity, _row_norms(ydot - v)), starts, (i,))
     # stationarity articulation: the witness formula against the
     # velocity-set normal cone; with a positive effort weight the relation
     # defines the sensitivity, leaving nothing to check
@@ -750,8 +746,7 @@ def _inner_checks(data: _SolutionData, low: LowerMultipliers):
         yield "articulation", 0.0, None
         return
     vec = _velocity_lhs(data, low._lanes(), 0)
-    yield ("articulation",) + _worst(_normal_cone_distance(vec, data.scn.V[i], data.v[i]),
-                                     starts, (i,))
+    yield ("articulation",) + _worst(_normal_cone_distance(vec, scn.V[i], v), starts, (i,))
 
 
 # ---------------------------------------------------------------------------
@@ -774,11 +769,13 @@ def verify(
     interval, a boundary defect at 0 or T.  The upper maximum condition
     takes each value-function sensitivity from the inner witness formula;
     where ``lowers`` cannot supply one (see :func:`max_condition_upper`) its
-    residual is infinite and a note says so.  ``solution`` may also be the
-    solution data that :func:`fit_multipliers` builds once for all its
-    candidates.
+    residual is infinite and a note says so.  ``lowers``, when given, has
+    one entry per participant: None or that participant's inner witness on
+    the solution's grid (else ValueError).  ``solution`` may also be the solution data that
+    :func:`fit_multipliers` builds once for all its candidates.
     """
     data = _prepared(solution, upper)
+    _check_lowers(data, lowers)
     starts = data.grid[:-1]
     scale = 1.0 + _costate_sup(upper._lanes())
     report = NCOReport(residuals={}, verdicts={}, tol=tol, scale=scale, notes=[
@@ -817,11 +814,9 @@ def verify(
         record("max_upper", math.inf, None, bound)
         report.notes.append("upper maximum condition indeterminate: no sensitivity witness")
 
-    for i in range(data.scn.N if lowers is not None else 0):
-        low = lowers[i]
+    for i, low in enumerate(lowers if lowers is not None else ()):
         if low is None:
             continue
-        _check_grid_match(low.grid, data.grid, "multipliers")
         tag = f"inner_{i+1}_"
         bound = record_level(tag, low)
         for name, value, at in _inner_checks(data, low):
@@ -1008,21 +1003,15 @@ def fit_multipliers(solution: BilevelSolution, tol: float = 1e-3) -> MultiplierF
             "fit requires a feasible solution"
         )
     data = _SolutionData(solution)
-    best = None
+    fits = []
     for weight in (0.0, 1.0):           # the measure family, then the terminal one
         upper, lowers = _build_family(data, weight)
         report = verify(data, upper, lowers, tol=tol)
-        rel = 0.0
-        for name, value in report.residuals.items():
-            if name.endswith("nontriviality"):
-                continue
-            if not math.isfinite(value):
-                rel = math.inf
-                break
-            rel = max(rel, value / report.scale)
-        if not report.verdicts["nontriviality"]:
-            rel = math.inf
-        if best is None or rel < best[0]:
-            best = (rel, upper, lowers, report)
-    assert best is not None
-    return MultiplierFit(best[1], best[2], best[0], best[3])
+        values = [value for name, value in report.residuals.items()
+                  if not name.endswith("nontriviality")]
+        rel = math.inf
+        if report.verdicts["nontriviality"] and all(map(math.isfinite, values)):
+            rel = max([0.0] + [value / report.scale for value in values])
+        fits.append((rel, upper, lowers, report))
+    rel, upper, lowers, report = min(fits, key=lambda fit: fit[0])   # the first on a tie
+    return MultiplierFit(upper, lowers, rel, report)

@@ -225,6 +225,13 @@ class TestParametricSolver:
         assert repr((params.t_a, params.t_b, params.v_bar)) == \
             "(0.252951297431015, 5.9148236089377635, 11.85999056129831)"
 
+    def test_cost_converges_at_second_order(self):
+        """J_H - 9 falls by a factor near 4 per halving of the step."""
+        gaps = [solve_twodisk_parametric(make_twodisk(), grid_K=K)[1].J_H - 9.0
+                for K in (300, 600, 1200, 2400)]
+        ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+        assert all(3.5 <= r <= 4.5 for r in ratios), ratios
+
     def test_structural_identities(self, twodisk_solution):
         params, _sol = twodisk_solution
         assert params.v_bar * params.t_a == pytest.approx(3.0, abs=1e-6)

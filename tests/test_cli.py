@@ -179,6 +179,20 @@ class TestCommands:
         assert run("h5check", path, out=str(out), h=0.01) == EXIT_NOT_VERIFIED
         assert "bracket_holds: false" in (out / "summary.txt").read_text()
 
+    def test_solve_on_a_frozen_scenario_replays_through_simulate(self, tmp_path):
+        def freeze(doc):
+            for node in doc["participants"]:
+                node["V"]["halflength"] = 0.0
+
+        path = write_scenario(tmp_path, freeze)
+        solved, replay = tmp_path / "solve", tmp_path / "replay"
+        assert run("solve", path, out=str(solved), grid_K=2) == EXIT_OK
+        assert "  method: direct\n" in (solved / "summary.txt").read_text()
+        assert run("simulate", path, out=str(replay),
+                   controls=str(solved / "controls.csv")) == EXIT_OK
+        assert (replay / "trajectory.csv").read_bytes() == \
+            (solved / "trajectory.csv").read_bytes()
+
     def test_verify_reference_solution(self, tmp_path):
         out = tmp_path / "vf"
         assert run("verify", TWODISK, out=str(out)) == EXIT_OK
@@ -218,6 +232,22 @@ class TestCommands:
             assert (tmp_path / f"simulate-{t}" / "trajectory.csv").exists()
             assert (tmp_path / f"simulate-{t}" / "summary.txt").exists()
 
+    def test_control_outside_its_set_is_infeasible(self, tmp_path, capsys):
+        # V's half-length 1e4 lets the integrators accept a control 1e-5 off
+        # V, so the audit is the check that rejects v1 = 5e-6 n
+        def wide(doc):
+            for node in doc["participants"]:
+                node["V"]["halflength"] = 1e4
+
+        path = write_scenario(tmp_path, wide)
+        normal = np.array([VHAT[1], -VHAT[0]])
+        controls = write_controls(tmp_path, [5e-6 * normal, np.zeros(2)])
+        for command in ("simulate", "verify", "h5check"):
+            assert run(command, path, out=str(tmp_path / command),
+                       controls=controls) == EXIT_INFEASIBLE
+            assert capsys.readouterr().err == \
+                "error: infeasible: participant 1: control outside its set by 5e-06 at t=0\n"
+
     def test_h5check_without_contact_samples_is_infeasible(self, tmp_path, capsys):
         controls = write_controls(tmp_path, [np.zeros(2)] * 2)
         code = run("h5check", TWODISK, out=str(tmp_path / "h5"), controls=controls)
@@ -246,9 +276,12 @@ class TestCommands:
          "line 4: 6 cells where the header has 7: no value in column 'u2_1'"),
         ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1,v1_1\n0,0,0,0,0,0,0,0\n6,0,0,0,0,0,0,0\n",
          "line 1: column 'v1_1' appears twice"),
+        ("time,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,0,0,0,0,0\n",
+         "controls.csv: missing 't' column"),
     ], ids=["empty", "header-only", "nan", "inf", "short-row", "not-a-number",
             "underscore-separator", "header-and-blank-lines", "one-row",
-            "blank-line-then-bad-cell", "blank-line-then-short-row", "column-twice"])
+            "blank-line-then-bad-cell", "blank-line-then-short-row", "column-twice",
+            "no-t-column"])
     def test_malformed_controls_file_is_an_input_error(self, tmp_path, capsys, text, names):
         controls = tmp_path / "controls.csv"
         controls.write_text(text)

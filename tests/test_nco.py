@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 import os
@@ -1012,6 +1013,26 @@ def test_worst_residual_names_the_perturbed_interval(twodisk_300):
     assert not report.verdicts["adjoint_q_lower"]
     assert report.worst_at["adjoint_q_lower"] == (twodisk_300.x.grid[k - 1], i)
     assert report.worst_at["boundary"][0] == twodisk_300.x.grid[-1]
+
+
+def test_inner_witnesses_are_matched_by_participant(twodisk_300):
+    """Entry i of lowers must be None or participant i's witness on the
+    solution's grid; the terminal family's upper witness weights both
+    efforts, so it reads both entries."""
+    upper, lowers = nco._build_family(nco._SolutionData(twodisk_300), 1.0)
+    stretched = dataclasses.replace(lowers[1], grid=1.001 * lowers[1].grid)
+    for bad, message in ((lowers[::-1], "lowers[0] is the witness of participant 2, "
+                                        "not of participant 1"),
+                         (lowers[:1], "lowers needs 2 entries, one per participant, "
+                                      "and has 1"),
+                         ([lowers[0], stretched], "multipliers: grids do not match")):
+        for check in (verify, max_condition_upper):
+            with pytest.raises(ValueError) as exc:
+                check(twodisk_300, upper, bad)
+            assert str(exc.value) == message
+    report = verify(twodisk_300, upper, [None, lowers[1]])
+    assert report.residuals["max_upper"] == math.inf
+    assert "inner_2_adjoint" in report.residuals and "inner_1_adjoint" not in report.residuals
 
 
 def test_cli_verify_builds_the_solution_data_once(tmp_path, monkeypatch):
