@@ -2,9 +2,9 @@
 
 Three layers: the per-participant inner problem (minimum confinement effort
 for a given disk motion), a derivative-free outer search over
-piecewise-constant disk velocities that scores each plan with a greedy
-inner solve, and a closed-form parametric solver for the aligned two-disk
-family that serves as a reference oracle.
+piecewise-constant disk velocities that scores each plan by its terminal
+cost and admits it with a greedy inner solve, and a closed-form parametric
+solver for the aligned two-disk family that serves as a reference oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "BilevelSolution",
     "CaseStudyParams",
     "value_function",
-    "fd_value_gradient",
     "solve_bilevel_direct",
     "solve_twodisk_parametric",
     "closed_form_controls",
@@ -54,9 +53,6 @@ __all__ = [
 
 # Seed of value_function's draws of free initial points.
 X0_SEED = 0
-
-# Velocity step of the central difference in fd_value_gradient.
-FD_STEP = 1e-4
 
 
 class InnerInfeasibleError(RuntimeError):
@@ -328,33 +324,6 @@ def value_function(
     return phi, (best[2], ControlProfile(grid=grid, values=best[1]))
 
 
-def fd_value_gradient(scenario: Scenario, i: int, v_i: ControlProfile) -> np.ndarray:
-    """Central-difference sensitivity (step ``FD_STEP``) of the greedy inner
-    effort to the disk velocity, interval by interval: entry k estimates the
-    pointwise sensitivity on interval k, comparable with the witness-formula
-    path of :mod:`crowdsweep.nco`.  The sensitivity lives in the ambient
-    space, so the perturbed profiles skip membership validation.  Two greedy
-    solves per interval and coordinate: meant for coarse grids."""
-    grid = v_i.grid
-    h = np.diff(grid)
-    x0_i = scenario.y0[i] if scenario.x0_free else scenario.x0[i]
-    out = np.zeros((v_i.K, 2))
-    for k in range(v_i.K):
-        for c in range(2):
-            efforts = []
-            for sgn in (1.0, -1.0):
-                vals = v_i.values.copy()
-                vals[k, c] += sgn * FD_STEP
-                ypath = _translation_path(scenario.y0[i], grid, vals)
-                uvals, _fail = _greedy_min_effort(scenario, i, ypath, grid, x0_i)
-                if uvals is None:
-                    raise InnerInfeasibleError(
-                        f"participant {i+1}: perturbed inner problem infeasible")
-                efforts.append(_effort(grid, uvals))
-            out[k, c] = (efforts[0] - efforts[1]) / (2 * FD_STEP * h[k])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # direct outer solver
 
@@ -393,15 +362,17 @@ def solve_bilevel_direct(
 ) -> BilevelSolution:
     """Derivative-free outer search over piecewise-constant disk velocities.
 
-    Each candidate velocity plan is scored by its terminal cost, with the
-    inner controls from the greedy feasibility-first solve (no
-    value-function penalty; a plan without a feasible greedy inner control
-    is rejected) and a penalty on disk overlap.  Pattern search polls
-    single coordinates, per-interval groups, and the full vector, from five
-    structured starts (three scaled common-speed plans, the per-participant
-    aim and the rest plan); there are no random starts.  The seed drives
-    only the draws of free initial points, so the search is deterministic
-    for a fixed seed.
+    Each candidate velocity plan is scored by its terminal cost and a
+    penalty on disk overlap, both from the upper level alone.  The inner
+    level only admits a plan: one without a feasible greedy inner control
+    (feasibility-first, no value-function penalty) is rejected, and the
+    inner solves run only for a plan whose score would be accepted.
+    Pattern search polls single coordinates, per-interval groups, and the
+    full vector, each in both signs, from five structured starts (three
+    scaled common-speed plans, the per-participant aim and the rest plan);
+    there are no random starts.  The seed drives only the draws of free
+    initial points, made once per solve before the search, so the search
+    is deterministic for a fixed seed.
     """
     if not 2 <= coarse_grid_K <= sim_K:
         raise ValueError(f"grid-K must be from 2 to {sim_K} coarse intervals (the steps of "
@@ -417,8 +388,13 @@ def solve_bilevel_direct(
     offsets = np.cumsum([0] + [box[0].size for box in boxes])
     n = lo.size
     evals = [0]
+    # drawn once, so that a plan's feasibility does not depend on when it is scored
+    candidates = [_x0_candidates(scenario, i, 4, rng) for i in range(N)]
 
-    def objective(params):
+    def objective(params, bound):
+        """(score, v, u, x0), or None when the disks overlap by more than
+        R/2, the score is not below bound - 1e-10, or the inner solves,
+        which run only past both tests, find a participant infeasible."""
         evals[0] += 1
         v = []
         for i, (cset, line) in enumerate(zip(scenario.V, lines)):
@@ -432,9 +408,13 @@ def solve_bilevel_direct(
         if overlap > 0.5 * scenario.R:
             return None
         total = cost_upper(y.terminal())
+        if overlap > 0:
+            total += 1e3 * overlap + 1e4 * overlap**2
+        if not total < bound - 1e-10:
+            return None
         u_list, x0_list = [], []
         for i in range(N):
-            for x0_i in _x0_candidates(scenario, i, 4, rng):
+            for x0_i in candidates[i]:
                 uvals, _ = _greedy_min_effort(scenario, i, y.states[:, i, :], fine, x0_i)
                 if uvals is not None:
                     u_list.append(uvals)
@@ -442,8 +422,6 @@ def solve_bilevel_direct(
                     break
             else:
                 return None
-        if overlap > 0:
-            total += 1e3 * overlap + 1e4 * overlap**2
         return total, v, u_list, x0_list
 
     # Per-participant aim drives each disk straight at the exit; the
@@ -468,36 +446,32 @@ def solve_bilevel_direct(
 
     # single coordinates; then coordinated per-interval moves across
     # participants (the first coordinate of each), which escape the active
-    # non-overlap constraint that single coordinates cannot; then all at once
+    # non-overlap constraint that single coordinates cannot; then all at
+    # once; each direction followed by its negative
     ks = np.arange(K)[:, None]
     per_interval = np.zeros((K, n))
     per_interval[ks, offsets[:-1] + ks * (np.diff(offsets) // K)] = 1.0
-    dirs = list(np.vstack([np.eye(n), per_interval, np.ones(n)]))
+    dirs = [sd for d in np.vstack([np.eye(n), per_interval, np.ones(n)]) for sd in (d, -d)]
 
     span = hi - lo
     best_val, best_pack = math.inf, None
     for start in starts:
         x = np.clip(start, lo, hi)
-        pack = objective(x)
+        pack = objective(x, math.inf)
         if pack is None:
             continue
         fx = pack[0]
         step = 0.25
         while step > 1e-3 and evals[0] < max_evals:
-            improved = False
             for d in dirs:
-                for sgn in (1.0, -1.0):
-                    trial = np.clip(x + sgn * step * span * d, lo, hi)
-                    if np.allclose(trial, x):
-                        continue
-                    r = objective(trial)
-                    if r is not None and r[0] < fx - 1e-10:
-                        x, fx, pack = trial, r[0], r
-                        improved = True
-                        break
-                if improved:
+                trial = np.clip(x + step * span * d, lo, hi)
+                if np.allclose(trial, x):
+                    continue
+                r = objective(trial, fx)
+                if r is not None:
+                    x, fx, pack = trial, r[0], r
                     break
-            if not improved:
+            else:
                 step *= 0.5
         if fx < best_val:
             best_val, best_pack = fx, pack

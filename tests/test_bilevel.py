@@ -322,41 +322,47 @@ class TestDirectSolver:
         assert sol.feasibility.max_violation <= 1e-6
 
 
-def _free_start_scenario():
+def _free_start_scenario(M=(3.0, 3.0)):
     """Free x0 with ball and interval sets at both levels: the only direct
-    search over the ball and interval branches of the velocity layout."""
+    search over the ball and interval branches of the velocity layout.  At
+    M = 3 the disk centers always admit a greedy inner control; at M = 1
+    they often do not, and the drawn initial points take over."""
     return Scenario(
         N=2, R=1.0, T=2.0, y0=[[4.0, 1.0], [1.0, 4.0]],
         drift=[AffineDrift(-0.1 * np.eye(2), np.eye(2), [0.0, 0.0]),
                AffineDrift([[0.0, -0.2], [0.2, 0.0]], [[1.0], [0.5]], [0.1, 0.0])],
         U=[BallSet(1.0), IntervalSet([-1.0], [1.0])],
         V=[BallSet(2.0), IntervalSet([-2.0, -1.5], [1.0, 2.0])],
-        M=[3.0, 3.0], rho=[1.0, 1.0], x0=None,
+        M=list(M), rho=[1.0, 1.0], x0=None,
     )
 
 
-@pytest.mark.parametrize("make, options, J_H, calls, digest", [
+@pytest.mark.parametrize("make, options, J_H, calls, inner, digest", [
     (make_twodisk, dict(coarse_grid_K=2, seed=0, sim_K=60, max_evals=400),
-     9.003941884234585, 404,
+     9.003941884234585, 404, 50,
      "1a70897a5a47f543a09eb80aa2ad09505360c94e4a0243db108823cdf2395a67"),
     (_free_start_scenario, dict(coarse_grid_K=2, seed=3, sim_K=60, max_evals=300),
-     1.2610329192126035, 311,
+     1.2610329192126035, 311, 38,
      "9bf5ff4b5a7122068e963728129c82ca9c1c9b81009553a3b1435747d711364d"),
-], ids=["twodisk", "free-start-ball-interval"])
-def test_direct_search_path_is_pinned(monkeypatch, make, options, J_H, calls, digest):
+    (lambda: _free_start_scenario(M=(1.0, 1.0)),
+     dict(coarse_grid_K=2, seed=3, sim_K=60, max_evals=300),
+     1.1994657763508747, 307, 73,
+     "2794a374238a39ad9ecfd31f4602518a3354944a81d447cc7805b6d99cede20f"),
+], ids=["twodisk", "free-start-ball-interval", "free-start-M1"])
+def test_direct_search_path_is_pinned(monkeypatch, make, options, J_H, calls, inner, digest):
     """The search path is fixed: the same poll order, accepted trials, skipped
-    trials, evaluation budget and random draws give the same plan, bit for bit."""
-    count = [0]
-    integrate = bilevel.integrate_upper
-
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(bilevel, "integrate_upper", counted)
+    trials, evaluation budget and random draws give the same plan, bit for
+    bit, from the same number of upper integrations and greedy inner solves.
+    The inner solves run only for trials whose score would be accepted."""
+    counts = {}
+    for name in ("integrate_upper", "_greedy_min_effort"):
+        def counted(*args, _f=getattr(bilevel, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(bilevel, name, counted)
     sol = solve_bilevel_direct(make(), **options)
     arrays = [p.values for p in sol.v] + [p.values for p in sol.u] + [sol.x.states]
     sha = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
     assert sol.J_H == J_H
-    assert count[0] == calls
+    assert counts == {"integrate_upper": calls, "_greedy_min_effort": inner}
     assert sha.hexdigest() == digest

@@ -10,8 +10,8 @@ import pytest
 from crowdsweep import nco
 from crowdsweep.bilevel import (
     BilevelSolution,
+    _greedy_min_effort,
     _solution,
-    fd_value_gradient,
     solve_twodisk_parametric,
 )
 from crowdsweep.cli import EXIT_OK, run
@@ -24,6 +24,8 @@ from crowdsweep.dynamics import (
     Scenario,
     SegmentSet,
     Trajectory,
+    _effort,
+    _translation_path,
     check_feasibility,
     constant_profile,
     h5_bounds,
@@ -70,6 +72,28 @@ def jac_x(drift, u):
     if isinstance(drift, ScaledLinearDrift):
         return drift.coeff * float(u[0]) * np.eye(2)
     return drift.A
+
+
+def fd_value_gradient(scenario, i, v_i, step=1e-4):
+    """Central-difference sensitivity of the greedy inner effort to the disk
+    velocity, interval by interval, written out for the references: entry k
+    estimates the pointwise sensitivity on interval k.  The perturbed
+    profiles leave V unchecked, and x0 is the disk center when free."""
+    grid, h = v_i.grid, np.diff(v_i.grid)
+    x0_i = scenario.y0[i] if scenario.x0_free else scenario.x0[i]
+    out = np.zeros((v_i.K, 2))
+    for k in range(v_i.K):
+        for c in range(2):
+            efforts = []
+            for sgn in (1.0, -1.0):
+                vals = v_i.values.copy()
+                vals[k, c] += sgn * step
+                ypath = _translation_path(scenario.y0[i], grid, vals)
+                uvals, fail = _greedy_min_effort(scenario, i, ypath, grid, x0_i)
+                assert uvals is not None, (k, c, sgn, fail)
+                efforts.append(_effort(grid, uvals))
+            out[k, c] = (efforts[0] - efforts[1]) / (2 * step * h[k])
+    return out
 
 
 def control_gradient(drift, x):
