@@ -392,22 +392,24 @@ def solve_bilevel_direct(
     candidates = [_x0_candidates(scenario, i, 4, rng) for i in range(N)]
 
     def objective(params, bound):
-        """(score, v, u, x0), or None when the disks overlap by more than
-        R/2, the score is not below bound - 1e-10, or the inner solves,
-        which run only past both tests, find a participant infeasible."""
+        """(score, v, u, x0) with v the (sim_K, N, 2) disk velocities, or
+        None when the disks overlap by more than R/2, the score is not below
+        bound - 1e-10, or the inner solves, which run only past both tests,
+        find a participant infeasible."""
         evals[0] += 1
-        v = []
+        rows = np.empty((K, N, 2))
         for i, (cset, line) in enumerate(zip(scenario.V, lines)):
             block = params[offsets[i] : offsets[i + 1]].reshape(K, -1)
-            # the search box keeps a line's coordinate inside the line
-            rows = block * line[0] if line else np.array([cset.project(row) for row in block])
-            # the fine grid refines the coarse one: sim_K is a multiple of K
-            v.append(ControlProfile(grid=fine, values=np.repeat(rows, sim_K // K, axis=0)))
-        y = integrate_upper(scenario, v)
-        overlap = _worst_overlap(scenario.R, y.states)[0]
+            # in V by construction: the search box keeps a line's coordinate
+            # on the line and a box's coordinates in the box; a ball projects
+            rows[:, i] = block * line[0] if line else [cset.project(row) for row in block]
+        # the fine grid refines the coarse one: sim_K is a multiple of K
+        v = np.repeat(rows, sim_K // K, axis=0)
+        y = _translation_path(scenario.y0, fine, v)
+        overlap = _worst_overlap(scenario.R, y)[0]
         if overlap > 0.5 * scenario.R:
             return None
-        total = cost_upper(y.terminal())
+        total = cost_upper(y[-1])
         if overlap > 0:
             total += 1e3 * overlap + 1e4 * overlap**2
         if not total < bound - 1e-10:
@@ -415,7 +417,7 @@ def solve_bilevel_direct(
         u_list, x0_list = [], []
         for i in range(N):
             for x0_i in candidates[i]:
-                uvals, _ = _greedy_min_effort(scenario, i, y.states[:, i, :], fine, x0_i)
+                uvals, _ = _greedy_min_effort(scenario, i, y[:, i], fine, x0_i)
                 if uvals is not None:
                     u_list.append(uvals)
                     x0_list.append(np.asarray(x0_i, float))
@@ -437,7 +439,7 @@ def solve_bilevel_direct(
             row = cset.project(-scenario.y0[i] / T)
         aim[offsets[i] : offsets[i + 1]] = np.tile(row, K)
     common = aim.copy()
-    segments = [i for i, cset in enumerate(scenario.V) if isinstance(cset, SegmentSet)]
+    segments = [i for i, line in enumerate(lines) if line]
     if segments:
         mean_a = float(np.mean([aim[offsets[i]] for i in segments]))
         for i in segments:
@@ -479,7 +481,8 @@ def solve_bilevel_direct(
         raise InnerInfeasibleError("no feasible starting plan found")
 
     _fx, v, u_list, x0_list = best_pack
-    sol = _solution(scenario, v, [ControlProfile(grid=fine, values=uv) for uv in u_list],
+    sol = _solution(scenario, [ControlProfile(grid=fine, values=v[:, i].copy()) for i in range(N)],
+                    [ControlProfile(grid=fine, values=uv) for uv in u_list],
                     np.vstack(x0_list), "direct")
     if not sol.feasibility.ok():
         raise InnerInfeasibleError(
@@ -533,10 +536,10 @@ def solve_twodisk_parametric(
 ) -> Tuple[CaseStudyParams, BilevelSolution]:
     """Closed-form solution of the aligned two-disk family.
 
-    The deceleration onset is the only free parameter: a bisection bracket
-    followed by a Newton polish finds the onset minimizing the terminal
-    cost, after which the ride speed, the contact time, and the optimal
-    controls all follow in closed form.
+    The deceleration onset is the only free parameter: one bisection, run
+    until its ends are adjacent doubles, finds the onset minimizing the
+    terminal cost, after which the ride speed, the contact time, and the
+    optimal controls all follow in closed form.
     """
     v_hat, near, far, a = _match_family(scenario)
     R, T, M = scenario.R, scenario.T, float(scenario.M[near])
@@ -548,28 +551,12 @@ def solve_twodisk_parametric(
         return -R - M / a + C * math.exp(-a * (T - tb)) / (a * tb + 1.0)
 
     # the terminal cost ((g+2R)^2 + g^2)/2 = (g+R)^2 + R^2 falls to the root
-    # of g(t_b) = -R, and g increases in t_b: bisect for it
+    # of g(t_b) = -R, and g increases in t_b: bisect until lo and hi are
+    # adjacent doubles, then keep the one with the smaller |g + R| (lo on a tie)
     lo, hi = 1e-9, T - 1e-9
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if g_of(mid) < -R:
-            lo = mid
-        else:
-            hi = mid
-    t_b = 0.5 * (lo + hi)
-    # Newton polish on the stationarity equation g(t_b) = -R of the smooth
-    # 1-D cost (valid while the minimizer is interior)
-    for _ in range(60):
-        g = g_of(t_b)
-        dg = C * math.exp(-a * (T - t_b)) * a * (a * t_b) / (a * t_b + 1.0) ** 2
-        if dg <= 0:
-            break
-        step = (g + R) / dg
-        t_new = min(max(t_b - step, 1e-9), T - 1e-9)
-        if abs(t_new - t_b) < 1e-14:
-            t_b = t_new
-            break
-        t_b = t_new
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if g_of(mid) < -R else (lo, mid)
+    t_b = min((lo, hi), key=lambda t: abs(g_of(t) + R))
 
     v_bar = a * C / (a * t_b + 1.0)
     t_a = R / v_bar

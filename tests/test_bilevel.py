@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -22,6 +23,7 @@ from crowdsweep.dynamics import (
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
+    _set_scale,
     constant_profile,
     cost_lower,
     uniform_grid,
@@ -29,6 +31,8 @@ from crowdsweep.dynamics import (
 
 from conftest import S2, VHAT, make_twodisk
 from test_nco import mixed_solution
+
+TWODISK_ONSET = "(0.252951297431015, 5.9148236089377635, 11.85999056129831)"
 
 
 def reference_inner_effort(params, participant):
@@ -216,14 +220,32 @@ class TestParametricSolver:
         assert 11.85 <= params.v_bar <= 11.87
         assert 0.252 <= params.t_a <= 0.254
 
-    @pytest.mark.parametrize("rotate", [0.0, 0.7, 1.9, -2.4])
-    def test_onset_is_pinned(self, rotate):
-        """The bisection for the root of g(t_b) = -R and its Newton polish give
-        (t_a, t_b, v_bar) bit for bit as a golden-section bracket on the
-        terminal cost does."""
-        params, _sol = solve_twodisk_parametric(make_twodisk(rotate=rotate), grid_K=60)
-        assert repr((params.t_a, params.t_b, params.v_bar)) == \
-            "(0.252951297431015, 5.9148236089377635, 11.85999056129831)"
+    @pytest.mark.parametrize("rotate, changes, pinned", [
+        (0.0, {}, TWODISK_ONSET),
+        (0.7, {}, TWODISK_ONSET),
+        (1.9, {}, TWODISK_ONSET),
+        (-2.4, {}, TWODISK_ONSET),
+        (0.0, dict(drift=[ScaledLinearDrift(-150.0)] * 2),
+         "(0.25388993725936254, 5.99548195171207, 11.816143768373676)"),
+        (0.0, dict(drift=[ScaledLinearDrift(-1e4)] * 2),
+         "(0.2539414893213364, 5.999932249578506, 11.813745000935288)"),
+        (0.0, dict(drift=[ScaledLinearDrift(-0.5)] * 2),
+         "(0.23486982796303663, 4.488846677376175, 12.773032730590387)"),
+        (0.0, dict(drift=[ScaledLinearDrift(-30.0)] * 2),
+         "(0.2536800158590597, 5.977382186477463, 11.825921682639553)"),
+        (0.0, dict(T=6.5), "(0.27431606648949014, 6.42495910881229, 10.936289800272922)"),
+        (0.0, dict(M=[9.0, 9.0]), "(0.2537622291150917, 5.965906841554713, 11.822090349936891)"),
+    ], ids=["0.0", "0.7", "1.9", "-2.4", "c=-150", "c=-1e4", "c=-0.5", "c=-30", "T=6.5", "M=9"])
+    def test_onset_is_pinned(self, rotate, changes, pinned):
+        """The bisection for the root of g(t_b) = -R, run to adjacent doubles
+        and ending on the one with the smaller |g + R| (the lower on a tie),
+        gives (t_a, t_b, v_bar) bit for bit.  On the rotations a golden-section
+        bracket on the terminal cost agrees.  Ending on the upper double alone
+        fails five of the variants, ending on the lower one fails the
+        rotations and c = -0.5, and the T = 6.5 case is a tie."""
+        scn = dataclasses.replace(make_twodisk(rotate=rotate), **changes)
+        params, _sol = solve_twodisk_parametric(scn, grid_K=60)
+        assert repr((params.t_a, params.t_b, params.v_bar)) == pinned
 
     def test_cost_converges_at_second_order(self):
         """J_H - 9 falls by a factor near 4 per halving of the step."""
@@ -353,9 +375,11 @@ def test_direct_search_path_is_pinned(monkeypatch, make, options, J_H, calls, in
     """The search path is fixed: the same poll order, accepted trials, skipped
     trials, evaluation budget and random draws give the same plan, bit for
     bit, from the same number of upper integrations and greedy inner solves.
-    The inner solves run only for trials whose score would be accepted."""
+    Each trial is one translation; the winner's solution integrates once
+    more.  The inner solves run only for trials whose score would be
+    accepted."""
     counts = {}
-    for name in ("integrate_upper", "_greedy_min_effort"):
+    for name in ("integrate_upper", "_translation_path", "_greedy_min_effort"):
         def counted(*args, _f=getattr(bilevel, name), _name=name, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _f(*args, **kwargs)
@@ -364,5 +388,27 @@ def test_direct_search_path_is_pinned(monkeypatch, make, options, J_H, calls, in
     arrays = [p.values for p in sol.v] + [p.values for p in sol.u] + [sol.x.states]
     sha = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
     assert sol.J_H == J_H
-    assert counts == {"integrate_upper": calls, "_greedy_min_effort": inner}
+    assert counts == {"integrate_upper": 1, "_translation_path": calls - 1,
+                      "_greedy_min_effort": inner}
     assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [make_twodisk, _free_start_scenario],
+                         ids=["twodisk", "free-start-ball-interval"])
+def test_direct_search_trials_lie_in_V(monkeypatch, make):
+    """Every scored trial's disk velocities lie in V, within the tolerance of
+    the membership check that ``integrate_upper`` applies: segment V on the
+    two-disk case, ball and interval V on the free-start one."""
+    scn = make()
+    trials, translation = [], bilevel._translation_path
+
+    def recorded(y0, grid, velocities):
+        trials.append(velocities.copy())
+        return translation(y0, grid, velocities)
+    monkeypatch.setattr(bilevel, "_translation_path", recorded)
+    solve_bilevel_direct(scn, coarse_grid_K=2, seed=3, sim_K=60, max_evals=300)
+    assert len(trials) > 100
+    for i, cset in enumerate(scn.V):
+        tol = 1e-9 * max(1.0, _set_scale(cset))
+        worst = max(float(np.max(cset.distances(v[:, i]))) for v in trials)
+        assert worst <= tol, (i, worst)
