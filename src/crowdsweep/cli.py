@@ -522,6 +522,8 @@ def _solve(scenario, solver_cfg, flags, out) -> int:
     grid_K = 8 if grid_K is None else int(grid_K)
     seed = _setting(flags, solver_cfg, "seed")
     seed = 0 if seed is None else int(seed)
+    if seed < 0:
+        raise ScenarioFormatError(f"seed must be a nonnegative integer, got {seed}")
     sol = solve_bilevel_direct(scenario, coarse_grid_K=grid_K, seed=seed)
     _solution_artifacts(out, "solve", scenario, flags, sol)
     return EXIT_OK

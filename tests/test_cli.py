@@ -327,7 +327,7 @@ class TestCommands:
         "U-nested-lists-casestudy", "U-nested-lists-simulate", "N-not-whole", "R-infinite",
         "c-NaN", "halflength-NaN", "A-one-row", "h-subnormal", "h-1e-9", "positions-1e300",
         "M-1e200-verify", "U-hi-1e200-verify", "grid-K-601", "solver-grid-K-601",
-        "V-one-coordinate",
+        "V-one-coordinate", "seed-negative", "solver-seed-negative",
     ])
     def test_rejected_input_is_an_input_error(self, tmp_path, capsys, case):
         def controls(times):
@@ -393,11 +393,17 @@ class TestCommands:
             # stand for the square of its bounds
             "V-one-coordinate": lambda: scenario(lambda d: d["participants"][0].update(
                 V={"shape": "interval", "lo": [-1.0], "hi": [1.0]})),
+            # numpy's own message for a negative seed names no field
+            "seed-negative": lambda: ["solve", TWODISK, "--seed", "-1"],
+            "solver-seed-negative": lambda: scenario(
+                lambda d: d["solver"].update(seed=-1), "solve"),
         }[case]()
         code = main(argv + ["--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith("error: input: ") and "Traceback" not in err
+        if case.endswith("seed-negative"):
+            assert err == "error: input: seed must be a nonnegative integer, got -1\n"
 
     @pytest.mark.parametrize("mutate", [
         lambda p: (p.update(M=1e100), p["drift"].update(c=-1e100)),
