@@ -389,6 +389,8 @@ class ControlProfile:
         self.values = np.atleast_2d(np.asarray(self.values, float))
         if self.values.shape[0] != self.grid.size - 1:
             raise ValueError("need one control value per grid interval")
+        if not np.isfinite(self.grid).all():
+            raise ValueError("grid must be finite")
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing")
 
@@ -433,7 +435,10 @@ class Trajectory:
 
 
 def _check_grid_match(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.size != b.size or not np.allclose(a, b, rtol=0.0, atol=1e-12):
+    """Grids match when they agree node by node to 1e-12; a NaN never
+    matches.  On finite grids this is ``np.allclose(a, b, rtol=0,
+    atol=1e-12)``, at a fraction of its cost."""
+    if a.size != b.size or not np.max(np.abs(a - b)) <= 1e-12:
         raise ValueError(f"{what}: grids do not match")
 
 

@@ -753,11 +753,17 @@ def _inner_checks(data: _SolutionData, low: LowerMultipliers):
 # aggregate verification
 
 
+class _Beaten(Exception):
+    """A candidate's check stopped: it cannot beat the leading family."""
+
+
 def verify(
     solution: BilevelSolution,
     upper: UpperMultipliers,
     lowers: Optional[Sequence[Optional[LowerMultipliers]]] = None,
     tol: float = 1e-3,
+    *,
+    _beat: float = math.inf,
 ) -> NCOReport:
     """Aggregate all condition residuals into per-condition verdicts.
 
@@ -772,7 +778,11 @@ def verify(
     residual is infinite and a note says so.  ``lowers``, when given, has
     one entry per participant: None or that participant's inner witness on
     the solution's grid (else ValueError).  ``solution`` may also be the solution data that
-    :func:`fit_multipliers` builds once for all its candidates.
+    :func:`fit_multipliers` builds once for all its candidates, and
+    ``_beat`` the finite relative residual of its leading family: the check
+    then raises :class:`_Beaten` as soon as the upper nontriviality fails
+    or a recorded residual over ``scale`` exceeds it, as the candidate can
+    no longer win.  With ``_beat`` infinite every condition is checked.
     """
     data = _prepared(solution, upper)
     _check_lowers(data, lowers)
@@ -783,6 +793,8 @@ def verify(
     ])
 
     def record(name: str, value: float, at, bound: float) -> None:
+        if value / scale > _beat:
+            raise _Beaten
         report.residuals[name] = value
         report.verdicts[name] = value <= bound
         if at is not None and value != 0.0:
@@ -800,6 +812,8 @@ def verify(
         return bound
 
     bound = record_level("", upper)
+    if not report.verdicts["nontriviality"] and _beat < math.inf:
+        raise _Beaten
     lanes = range(data.scn.N)
     r_lo, r_hi = _upper_adjoint_paths(data, upper)
     record("adjoint_q_lower", *_worst(r_lo, starts, lanes), bound)
@@ -992,9 +1006,10 @@ def fit_multipliers(solution: BilevelSolution, tol: float = 1e-3) -> MultiplierF
     candidate is normalized to unit aggregate weight.  Returns the best
     witness and its achieved worst relative residual; a residual above the
     tolerance means not-verified, never a disproof of optimality.  The
-    solution data is built once, and each family is checked by one
-    :func:`verify` call, whose report for the winner rides along as
-    ``report``.
+    solution data is built once.  The families are checked in order, each
+    by one :func:`verify` call, and a later family's check stops as soon as
+    it cannot beat the leader's finite residual; the winner's report rides
+    along as ``report``.
     """
     audit = solution.feasibility
     if not audit.ok():
@@ -1003,15 +1018,19 @@ def fit_multipliers(solution: BilevelSolution, tol: float = 1e-3) -> MultiplierF
             "fit requires a feasible solution"
         )
     data = _SolutionData(solution)
-    fits = []
+    fit = None
     for weight in (0.0, 1.0):           # the measure family, then the terminal one
         upper, lowers = _build_family(data, weight)
-        report = verify(data, upper, lowers, tol=tol)
+        lead = math.inf if fit is None else fit[2]
+        try:
+            report = verify(data, upper, lowers, tol=tol, _beat=lead)
+        except _Beaten:
+            continue
         values = [value for name, value in report.residuals.items()
                   if not name.endswith("nontriviality")]
         rel = math.inf
         if report.verdicts["nontriviality"] and all(map(math.isfinite, values)):
             rel = max([0.0] + [value / report.scale for value in values])
-        fits.append((rel, upper, lowers, report))
-    rel, upper, lowers, report = min(fits, key=lambda fit: fit[0])   # the first on a tie
-    return MultiplierFit(upper, lowers, rel, report)
+        if fit is None or rel < lead:   # the first family wins a tie
+            fit = MultiplierFit(upper, lowers, rel, report)
+    return fit

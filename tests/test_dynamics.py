@@ -674,3 +674,51 @@ def test_scenario_names_the_first_offending_pair_then_x0(y0, x0, message):
                  U=[IntervalSet([0.0], [1.0])] * 4, V=[BallSet(1.0)] * 4, M=[1.0] * 4,
                  rho=[1.0] * 4)
 
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, math.nan, 1.0], "grid must be finite"),
+    ([0.0, 1.0, math.inf], "grid must be finite"),
+    ([-math.inf, 0.0, 1.0], "grid must be finite"),
+    ([0.0, 1.0, 0.5], "grid must be strictly increasing"),
+    ([0.0, 1.0, 1.0], "grid must be strictly increasing"),
+], ids=["nan", "inf", "minus-inf", "decreasing", "repeated"])
+def test_control_profile_rejects_bad_grids(grid, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ControlProfile(grid=grid, values=[[0.5], [0.5]])
+
+
+def _grid_pair(case):
+    a = uniform_grid(6.0, 1000)
+    b = a.copy()
+    if case == "resized":
+        return a, uniform_grid(6.0, 999)
+    if case == "nan":
+        b[500] = math.nan
+    elif case != "equal":
+        # t=0 moved by exactly 1e-12 or 2e-12, or every node shifted, which
+        # rounds to differences on both sides of 1e-12
+        shift = float(case.split("-", 1)[1])
+        if case.startswith("all"):
+            b += shift
+        else:
+            b[0] = shift
+    return a, b
+
+
+@pytest.mark.parametrize("case, match", [
+    ("equal", True), ("first-1e-12", True), ("first-2e-12", False), ("all-1e-12", None),
+    ("all-2e-12", False), ("resized", False), ("nan", False),
+])
+def test_grid_match_agrees_with_allclose(case, match):
+    """The grid-match verdict is np.allclose's at rtol 0 and atol 1e-12, on
+    grids that are equal, 1e-12 or 2e-12 apart, of two sizes or with a NaN."""
+    a, b = _grid_pair(case)
+    same = a.size == b.size and bool(np.allclose(a, b, rtol=0.0, atol=1e-12))
+    if match is not None:
+        assert same == match
+    if same:
+        dynamics._check_grid_match(a, b, "test")
+    else:
+        with pytest.raises(ValueError, match="^test: grids do not match$"):
+            dynamics._check_grid_match(a, b, "test")

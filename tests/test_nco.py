@@ -14,7 +14,7 @@ from crowdsweep.bilevel import (
     _solution,
     solve_twodisk_parametric,
 )
-from crowdsweep.cli import EXIT_OK, run
+from crowdsweep.cli import EXIT_OK, _supplied, parse_scenario, run
 from crowdsweep.dynamics import (
     AffineDrift,
     BallSet,
@@ -50,7 +50,8 @@ from crowdsweep.nco import (
 
 from conftest import S2, VHAT
 
-TWODISK = os.path.join(os.path.dirname(__file__), "..", "scenarios", "twodisk.scn")
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+TWODISK = os.path.join(SCENARIOS, "twodisk.scn")
 
 
 def zero_upper(scenario, grid, objective_weight=0.0):
@@ -1096,3 +1097,149 @@ def test_cli_verify_builds_the_solution_data_once(tmp_path, monkeypatch):
     assert [i for i, stepped in sweeps if stepped] == [0, 1]
     summary = (tmp_path / "summary.txt").read_text()
     assert "  worst_at:\n    adjoint_q_lower: t=" in summary
+
+
+def full_fit(sol, tol=1e-3):
+    """Reference for fit_multipliers: both families checked in full, the
+    smaller worst relative residual winning and the first on a tie.
+    Returns (achieved, upper, lowers, report, every family's residual)."""
+    data = nco._SolutionData(sol)
+    fits = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight in (0.0, 1.0):
+            upper, lowers = nco._build_family(data, weight)
+            report = verify(data, upper, lowers, tol=tol)
+            values = [value for name, value in report.residuals.items()
+                      if not name.endswith("nontriviality")]
+            rel = math.inf
+            if report.verdicts["nontriviality"] and all(map(math.isfinite, values)):
+                rel = max([0.0] + [value / report.scale for value in values])
+            fits.append((rel, upper, lowers, report))
+    best = fits[1] if fits[1][0] < fits[0][0] else fits[0]
+    return (*best, [fit[0] for fit in fits])
+
+
+def zero_controls(name, K):
+    """A committed scenario under zero controls on a K-interval grid."""
+    scn, _ = parse_scenario(os.path.join(SCENARIOS, f"{name}.scn"))
+    grid = uniform_grid(scn.T, K)
+    return _supplied(scn, [ControlProfile(grid=grid, values=np.zeros((K, 2)))] * scn.N,
+                     [ControlProfile(grid=grid, values=np.zeros((K, d.control_dim)))
+                      for d in scn.drift])
+
+
+def multiplier_bytes(upper, lowers):
+    arrays = [upper.q_upper, upper.q_lower, upper.overlap, upper.confinement]
+    for low in lowers:
+        arrays += [low.p_upper, low.p_lower, low.overlap, low.confinement]
+    scalars = [upper.objective_weight] + [low.effort_weight for low in lowers]
+    return b"".join(np.asarray(a, float).tobytes() for a in arrays + [scalars])
+
+
+@pytest.mark.parametrize("case, winner, rels", [
+    ("twodisk", "measure", (8.892e-12, 3.925)),
+    ("freestart", "measure", (5.908e-15, 0.3748)),
+    ("mixed4", "terminal", (0.5315, 0.3429)),
+    ("chain3", "terminal", (math.inf, 0.6829)),
+    ("mixed", "terminal", (0.5531, 0.4794)),
+])
+def test_fit_matches_both_families_checked_in_full(case, winner, rels, twodisk_300,
+                                                    monkeypatch):
+    """The family that wins, its achieved residual and its report are those
+    of checking both families in full.  The terminal family's check stops
+    only when the measure family leads with a finite residual it cannot
+    reach: it beats a finite (mixed4) or an infinite (chain3) leader, and
+    it loses with both failing (mixed)."""
+    sol = {"twodisk": lambda: twodisk_300, "freestart": lambda: zero_controls("freestart", 60),
+           "mixed4": lambda: zero_controls("mixed4", 60),
+           "chain3": lambda: zero_controls("chain3", 60), "mixed": mixed_solution}[case]()
+    achieved, upper, lowers, report, every = full_fit(sol)
+    assert [float(f"{r:.4g}") for r in every] == list(rels)
+    assert (upper.objective_weight > 0) == (winner == "terminal")
+    stopped = []
+    real_verify = nco.verify
+
+    def watched_verify(*args, **kwargs):
+        try:
+            return real_verify(*args, **kwargs)
+        except nco._Beaten:
+            stopped.append("terminal" if args[1].objective_weight > 0 else "measure")
+            raise
+
+    monkeypatch.setattr(nco, "verify", watched_verify)
+    fit = fit_multipliers(sol)
+    assert repr(fit[2]) == repr(achieved)
+    assert multiplier_bytes(fit[0], fit[1]) == multiplier_bytes(upper, lowers)
+    for name in ("residuals", "verdicts", "worst_at", "notes", "scale", "tol"):
+        assert repr(getattr(fit.report, name)) == repr(getattr(report, name))
+    assert stopped == (["terminal"] if winner == "measure" else [])
+
+
+def test_fit_stops_the_terminal_family_on_the_case_study(twodisk_300, monkeypatch):
+    """Two verify calls per fit still, but the terminal family's ends at
+    its max_lower gap: no upper maximum condition, no inner checks."""
+    calls, inner, upper_paths = [], [], []
+    real_verify, real_inner, real_upper = nco.verify, nco._inner_checks, nco._max_upper_paths
+
+    def counted_verify(*args, **kwargs):
+        calls.append(kwargs.get("_beat"))
+        return real_verify(*args, **kwargs)
+
+    def counted_inner(*args, **kwargs):
+        inner.append(args[1].effort_weight)
+        return real_inner(*args, **kwargs)
+
+    def counted_upper(*args, **kwargs):
+        upper_paths.append(args[1].objective_weight)
+        return real_upper(*args, **kwargs)
+
+    monkeypatch.setattr(nco, "verify", counted_verify)
+    monkeypatch.setattr(nco, "_inner_checks", counted_inner)
+    monkeypatch.setattr(nco, "_max_upper_paths", counted_upper)
+    fit = fit_multipliers(twodisk_300)
+    assert fit.report.all_pass and fit[0].objective_weight == 0.0
+    assert calls == [math.inf, fit[2]]
+    assert inner == [0.0, 0.0] and upper_paths == [0.0]
+
+
+def test_verify_stops_only_past_the_leader(twodisk_300, monkeypatch):
+    """A residual over scale must exceed the bound strictly: a family that
+    ties runs in full.  A failing upper nontriviality stops the check only
+    against a finite bound, and a NaN residual never stops it."""
+    data = nco._SolutionData(twodisk_300)
+    upper, lowers = nco._build_family(data, 1.0)
+    full = verify(data, upper, lowers)
+    rel = max(value / full.scale for name, value in full.residuals.items()
+              if not name.endswith("nontriviality"))
+    assert repr(verify(data, upper, lowers, _beat=rel)) == repr(full)
+    with pytest.raises(nco._Beaten):
+        verify(data, upper, lowers, _beat=math.nextafter(rel, 0.0))
+    trivial = upper.scaled(0.0)
+    assert not verify(data, trivial, _beat=math.inf).verdicts["nontriviality"]
+    with pytest.raises(nco._Beaten):
+        verify(data, trivial, _beat=1e300)
+    real_gaps = nco._max_lower_gaps
+    monkeypatch.setattr(nco, "_max_lower_gaps", lambda *a: np.full_like(real_gaps(*a), np.nan))
+    report = verify(data, upper, lowers, _beat=rel)
+    assert math.isnan(report.residuals["max_lower"]) and "inner_2_adjoint" in report.residuals
+
+
+def test_a_tying_family_is_checked_in_full_and_loses(twodisk_300, monkeypatch):
+    """Two copies of the measure family tie: the second is checked in full,
+    without stopping, and the first keeps the lead."""
+    real_build, real_verify = nco._build_family, nco.verify
+    built, reports = [], []
+
+    def twin_build(data, weight):
+        built.append(copy.deepcopy(real_build(data, 0.0)))
+        return built[-1]
+
+    def kept_verify(*args, **kwargs):
+        reports.append(real_verify(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(nco, "_build_family", twin_build)
+    monkeypatch.setattr(nco, "verify", kept_verify)
+    fit = fit_multipliers(twodisk_300)
+    assert len(reports) == 2 and repr(reports[0]) == repr(reports[1])
+    assert fit[0] is built[0][0] and fit[1] is built[0][1] and fit.report is reports[0]
