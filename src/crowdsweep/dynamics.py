@@ -377,6 +377,14 @@ def uniform_grid(T: float, K: int) -> np.ndarray:
 # profiles and trajectories
 
 
+def _check_grid(grid: np.ndarray) -> None:
+    """The one check of every time grid: finite and strictly increasing."""
+    if not np.isfinite(grid).all():
+        raise ValueError("grid must be finite")
+    if not (grid[1:] > grid[:-1]).all():
+        raise ValueError("grid must be strictly increasing")
+
+
 @dataclass
 class ControlProfile:
     """Piecewise-constant control: values[k] on [grid[k], grid[k+1])."""
@@ -389,10 +397,7 @@ class ControlProfile:
         self.values = np.atleast_2d(np.asarray(self.values, float))
         if self.values.shape[0] != self.grid.size - 1:
             raise ValueError("need one control value per grid interval")
-        if not np.isfinite(self.grid).all():
-            raise ValueError("grid must be finite")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
+        _check_grid(self.grid)
 
     @property
     def K(self) -> int:
@@ -425,6 +430,7 @@ class Trajectory:
         self.states = np.asarray(self.states, float)
         if self.states.ndim != 3 or self.states.shape[0] != self.grid.size:
             raise ValueError("states must be (K+1, N, 2) matching the grid")
+        _check_grid(self.grid)
         if self.contact is None:
             self.contact = np.zeros(self.states.shape[:2], dtype=bool)
         if not np.all(np.isfinite(self.states)):
@@ -474,14 +480,17 @@ def _lane_drift(scenario: Scenario, lanes: Sequence[int], uvals: Sequence[np.nda
     affine in x for a fixed control, f = s x + A x + B u + b with s = c u
     (scaled-linear) or 0 (affine); s and B u are computed up front, and the
     batched ``A @ x`` reproduces the per-row product bit for bit.  The zero
-    terms can only turn a drift component of -0.0 into +0.0."""
+    terms can only turn a drift component of -0.0 into +0.0.  ``f.terms``
+    holds (s, A, Bu, b) for the in-place catch-up loop, with s None when no
+    lane is scaled-linear and A None when none is affine."""
     K, L = len(uvals[0]), len(lanes)
     s, A = np.zeros((K, L, 1)), np.zeros((L, 2, 2))
     Bu, b = np.zeros((K, L, 2)), np.zeros((L, 2))
-    affine = False
+    scaled = affine = False
     for lane, (i, uv) in enumerate(zip(lanes, uvals)):
         drift = scenario.drift[i]
         if isinstance(drift, ScaledLinearDrift):
+            scaled = True
             s[:, lane, 0] = drift.coeff * uv[:, 0]
         else:
             affine = True
@@ -492,6 +501,7 @@ def _lane_drift(scenario: Scenario, lanes: Sequence[int], uvals: Sequence[np.nda
         fx = s[k] * x
         return ((fx + (A @ x[..., None])[..., 0]) + Bu[k]) + b if affine else fx
 
+    f.terms = (s if scaled else None, A if affine else None, Bu, b)
     return f
 
 
@@ -588,25 +598,56 @@ def integrate_lower_catchup(
     drift's batched ``A @ x`` rounds as the BLAS does, which elementwise
     float arithmetic does not reproduce, and past a few lanes the per-step
     array calls cost less than stepping each lane alone.
+
+    The array loop steps in place: its buffers are made once, every ufunc
+    writes through ``out=``, and the prediction lands in its row of states,
+    where the projection is copied over it for the participants with d > R.
+    It drops the s x product when no participant is scaled-linear.  s is
+    then +0.0 throughout, so s x is a zero with x's sign, and adding it can
+    change only the sign of a zero drift component, which x + h f absorbs
+    for every finite x: for x = -0.0 the dropped term is -0.0, the additive
+    identity; for x = +0.0 either zero gives +0.0; any other x gives x ± 0 =
+    x.  The drop follows the drift families, not the values of s: a
+    scaled-linear participant with u = 0 has s = c 0, which may be -0.0.
     """
     grid, x0, drift = _lower_inputs(scenario, y, u, x0, "integrate_lower_catchup")
     K, R, h, centers = grid.size - 1, scenario.R, np.diff(grid), y.states
     states, dist = np.empty((K + 1, scenario.N, 2)), np.empty((K + 1, scenario.N))
-    states[0] = x = x0
+    states[0] = x0
     dist[0] = _row_norms(x0 - centers[0])
     if scenario.N <= _FLOAT_LANES and all(isinstance(f, ScaledLinearDrift)
                                           for f in scenario.drift):
         _catchup_float_lanes(scenario, centers, h, u, states, dist)
     else:
-        # the projection is computed for every participant and kept where one
-        # left its disk; a participant resting on its center divides by zero there
+        # the closure's operations in its order; the projection is computed
+        # for every participant and kept where one left its disk (a
+        # participant resting on its center divides by zero there)
+        s, A, Bu, b = drift.terms
+        N = scenario.N
+        column, off = np.empty((N, 2, 1)), np.empty((N, 2))
+        ratio, far = np.empty((N, 1)), np.empty((N, 1), dtype=bool)
+        ax, off0, off1, ratio0, far0 = column[..., 0], off[:, 0], off[:, 1], ratio[:, 0], far[:, 0]
+        f = ax if s is None else np.empty((N, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k, center in enumerate(centers[1:]):
-                pred = x + h[k] * drift(k, x)
-                off = pred - center
-                d = dist[k + 1] = np.hypot(off[:, 0], off[:, 1])
-                proj = center + (R / d)[:, None] * off
-                x = states[k + 1] = np.where((d > R)[:, None], proj, pred)
+            for k, (x, xcol, pred, d, center) in enumerate(zip(
+                    states[:-1], states[:-1, :, :, None], states[1:], dist[1:], centers[1:])):
+                if s is not None:
+                    np.multiply(s[k], x, out=f)
+                if A is not None:
+                    np.matmul(A, xcol, out=column)
+                    if s is not None:
+                        np.add(f, ax, out=f)
+                    np.add(f, Bu[k], out=f)
+                    np.add(f, b, out=f)
+                np.multiply(h[k], f, out=f)
+                np.add(x, f, out=pred)
+                np.subtract(pred, center, out=off)
+                np.hypot(off0, off1, out=d)
+                np.divide(R, d, out=ratio0)
+                np.multiply(ratio, off, out=off)
+                np.add(center, off, out=off)
+                np.greater(d, R, out=far0)
+                np.copyto(pred, off, where=far)
     corr = (dist[1:] - R) / h[:, None]
     over = corr > scenario.M * (1.0 + _TRUNCATION_SLACK) + 1e-12
     if over.any():
@@ -693,16 +734,39 @@ class FeasibilityReport:
 def _worst_overlap(R: float, states: np.ndarray) -> Tuple[float, int, Optional[Tuple[int, int]]]:
     """``(overlap, node, pair)`` of the largest overlap 2R - |y_i - y_j| of
     the (K+1, N, 2) centers, first in (pair, node) order; ``(0.0, 0, None)``
-    without one.  Disk i meets every j > i at once, so memory stays at one
-    states array; a pair with a NaN gap is passed over (argmax picks NaN)."""
+    without one.  Disk i meets every j > i at once, so memory stays within
+    two states arrays (one for the boxes); a pair with a NaN gap is passed
+    over (argmax picks NaN).
+
+    With more than one pair, a broad phase (the bounding boxes of
+    sweep-and-prune; Cohen et al., I-COLLIDE, 1995) lets disk i measure only
+    the run of disks j from the first to the last whose path's box comes
+    closer than 2R to its own in both coordinates.  This is exact: when
+    lo_i - hi_j >= 2R in a coordinate, every rounded y_i - y_j there is at
+    least 2R too (rounding is monotone), and fl(sqrt(fl(a^2))) = |a|, so the
+    norm is at least 2R and the gap at most 0, which never beats the running
+    overlap that starts at 0.  Only when squares underflow (R below about
+    1e-154) may a full scan report a gap that the box test drops.  A single
+    pair is measured directly: its boxes cost about as much as its scan."""
+    N = states.shape[1]
+    near = np.ones((N, N), dtype=bool)
+    if N > 2:
+        # min and max over the nodes cost several times less along a
+        # contiguous axis than across the rows of states
+        paths = states.transpose(1, 2, 0).copy()
+        lo, hi = paths.min(axis=2), paths.max(axis=2)
+        near = ~((lo[:, None] - hi >= 2 * R) | (lo - hi[:, None] >= 2 * R)).any(axis=2)
     overlap, node, pair = 0.0, 0, None
-    for i in range(states.shape[1] - 1):
-        gaps = 2 * R - _plane_norms(states[:, i, None, :] - states[:, i + 1:, :])
+    for i in range(N - 1):
+        js = i + 1 + np.flatnonzero(near[i, i + 1:])
+        if not js.size:
+            continue
+        gaps = 2 * R - _plane_norms(states[:, i, None, :] - states[:, js[0]:js[-1] + 1, :])
         ks = np.argmax(gaps, axis=0)
         worst = gaps[ks, np.arange(ks.size)]
         j = int(np.argmax(np.where(worst > overlap, worst, -np.inf)))
         if worst[j] > overlap:
-            overlap, node, pair = float(worst[j]), int(ks[j]), (i, i + 1 + j)
+            overlap, node, pair = float(worst[j]), int(ks[j]), (i, int(js[0]) + j)
     return overlap, node, pair
 
 

@@ -29,6 +29,7 @@ from .dynamics import (
     IntervalSet,
     ScaledLinearDrift,
     SegmentSet,
+    _check_grid,
     _check_grid_match,
     _drift_rows,
     _gradient_t_w,
@@ -160,6 +161,7 @@ class UpperMultipliers(_Witness):
         self.overlap = _symmetrize_pairs(self.overlap)
         self.confinement = np.asarray(self.confinement, float)
         self.rho = np.asarray(self.rho, float).ravel()
+        _check_grid(self.grid)
         if not 0.0 <= self.objective_weight <= 1.0:
             raise ValueError("objective weight must lie in [0, 1]")
         if np.any(self.overlap < -1e-12) or np.any(self.confinement < -1e-12):
@@ -194,6 +196,7 @@ class LowerMultipliers(_Witness):
         self.p_lower = np.asarray(self.p_lower, float)
         self.overlap = np.asarray(self.overlap, float)
         self.confinement = np.asarray(self.confinement, float)
+        _check_grid(self.grid)
         if self.effort_weight < 0:
             raise ValueError("effort weight must be nonnegative")
         if np.any(self.overlap < -1e-12) or np.any(self.confinement < -1e-12):

@@ -30,6 +30,7 @@ from crowdsweep.dynamics import (
     integrate_upper,
     uniform_grid,
 )
+from crowdsweep.nco import LowerMultipliers, UpperMultipliers
 
 from conftest import S2, VHAT, arc_sampled_controls, make_twodisk
 
@@ -367,6 +368,106 @@ class TestFloatLanes:
         assert self._catchup(monkeypatch, scn, y, u)[1] == 0
 
 
+def _in_place_case(case):
+    """(scenario, y, u) of one catch-up case that the array loop serves."""
+    rng = np.random.default_rng(11)
+    if case == "truncation":
+        # participants 2 and 4 are dragged off at speeds 4 and 9: 4 leaves its
+        # cap behind first, yet 2 is reported, at its own first violation
+        N, grid = 5, uniform_grid(3.0, 300)
+        scn = Scenario(N=N, R=3.0, T=3.0, y0=[[10.0 * i, 0.0] for i in range(N)],
+                       x0=[[10.0 * i, 0.0] for i in range(N)],
+                       drift=[AffineDrift(np.zeros((2, 2)), np.eye(2), np.zeros(2))] * N,
+                       U=[BallSet(1.0)] * N, V=[BallSet(10.0)] * N, M=[0.5] * N, rho=[1.0] * N)
+        v = [constant_profile(grid, [0.0, c]) for c in (0.0, 4.0, 0.0, 9.0, 0.0)]
+        return scn, integrate_upper(scn, v), [constant_profile(grid, np.zeros(2))] * N
+    if case == "overflow":
+        # participant 2's drift is finite, its step h f is not
+        grid = uniform_grid(4.0, 2)
+        scn = Scenario(N=2, R=1.0, T=4.0, y0=[[0.0, 0.0], [5.0, 0.0]], x0=[[0.0, 0.0], [5.0, 0.0]],
+                       drift=[AffineDrift(np.zeros((2, 2)), np.eye(2), b)
+                              for b in ([0.0, 0.0], [1.5e308, 0.0])],
+                       U=[BallSet(1.0)] * 2, V=[BallSet(1.0)] * 2, M=[1.0] * 2, rho=[1.0] * 2)
+        zero = [constant_profile(grid, np.zeros(2))] * 2
+        return scn, integrate_upper(scn, zero), zero
+    # moving disks drag their populations onto the rim part of the time.
+    # "affine": participant 1 rests at x0 = (y0 + 0.25, -0.0) under a drift
+    # of zero A and zero controls, 3 has a zero row in A and 4 a zero b, and
+    # 1 and 5 have zero controls for half the horizon.  "mixed" makes 1 and 2
+    # scaled-linear, 1 with u = 0 throughout (s = -0.0) and 2 for a third;
+    # "scaled" makes all six scaled-linear, with the same zero stretches
+    N, K = (5, 200) if case == "mixed" else (6, 200)
+    scaled = {"affine": 0, "mixed": 2, "scaled": N}[case]
+    grid = uniform_grid(2.0, K)
+    y0 = [[3.0 * i - 7.5, 0.0] for i in range(N)]
+    x0 = [[y[0] + 0.4 * rng.uniform(-1, 1), 0.4 * rng.uniform(-1, 1)] for y in y0]
+    drift, U, u = [], [], []
+    for i in range(N):
+        if i < scaled:
+            drift.append(ScaledLinearDrift(rng.uniform(-1.5, 1.5)))
+            U.append(IntervalSet([-1.0], [1.0]))
+            values = np.resize(rng.uniform(-1, 1, (5, 1)), (K, 1))
+            values[: K if i == 0 else K // 3] = 0.0
+            u.append(ControlProfile(grid=grid, values=values))
+            continue
+        A, B, b = rng.normal(scale=0.4, size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(scale=0.3, size=2)
+        if i == 0:
+            A, B, b = np.zeros((2, 2)), [[1.0, 0.0], [-0.0, -0.0]], [0.0, -0.0]
+        elif i == 2:
+            A[1] = 0.0
+        elif i == 3:
+            b = np.zeros(2)
+        drift.append(AffineDrift(A, B, b))
+        U.append(BallSet(0.8))
+        values = np.resize(rng.uniform(-0.5, 0.5, (7, 2)), (K, 2))
+        if i in (0, 4):
+            values[: K // 2] = 0.0
+        u.append(ControlProfile(grid=grid, values=values))
+    if case == "affine":
+        x0[0] = [y0[0][0] + 0.25, -0.0]
+    scn = Scenario(N=N, R=1.0, T=2.0, y0=y0, x0=x0, drift=drift, U=U,
+                   V=[BallSet(1.5)] * N, M=[50.0] * N, rho=[1.0] * N)
+    v = [constant_profile(grid, np.zeros(2))] + [
+        ControlProfile(grid=grid, values=np.resize(rng.uniform(-1, 1, (4, 2)), (K, 2)))
+        for _ in range(N - 1)]
+    return scn, integrate_upper(scn, v), u
+
+
+class TestInPlaceCatchUp:
+    """The array loop steps in place, bit for bit the participant-by-participant
+    loop; it drops the s x product only when no participant is scaled-linear."""
+
+    @pytest.mark.parametrize("case", ["affine", "mixed", "scaled"])
+    def test_matches_per_participant_loop(self, case):
+        scn, y, u = _in_place_case(case)
+        x = integrate_lower_catchup(scn, y, u, scn.x0)
+        states, contact = _reference_catchup(scn, y, u, scn.x0)
+        assert np.array_equal(x.states.view(np.int64), states.view(np.int64))
+        assert np.array_equal(x.contact, contact)
+        assert x.contact[1:].any() and not x.contact.all()
+        if case == "affine":
+            assert np.signbit(x.states[0, 0, 1]) and x.states[0, 0, 1] == 0.0
+
+    def test_truncation_violation(self):
+        scn, y, u = _in_place_case("truncation")
+        with pytest.raises(TruncationViolationError) as err:
+            integrate_lower_catchup(scn, y, u, scn.x0)
+        assert str(err.value) == "participant 2 at t=0.76: required cone correction 4 exceeds cap 0.5"
+        assert (err.value.participant, err.value.time, err.value.magnitude, err.value.cap) \
+            == (1, 0.76, 4.0, 0.5)
+
+    def test_overflowing_prediction(self):
+        # the overflow warns (an error under this suite's warning filter);
+        # unwarned, the infinite prediction is an infinite correction
+        scn, y, u = _in_place_case("overflow")
+        with pytest.raises(RuntimeWarning, match="^overflow encountered in multiply$"):
+            integrate_lower_catchup(scn, y, u, scn.x0)
+        with np.errstate(over="ignore"), pytest.raises(TruncationViolationError) as err:
+            integrate_lower_catchup(scn, y, u, scn.x0)
+        assert str(err.value) == "participant 2 at t=2: required cone correction inf exceeds cap 1"
+        assert (err.value.participant, err.value.time, err.value.magnitude) == (1, 2.0, math.inf)
+
+
 class TestPenalty:
     def test_interior_trajectory_matches_catchup(self):
         scn = single_disk(y0=(10.0, 0.0))
@@ -462,17 +563,23 @@ def _reference_distance(cset, row):
     return float(np.linalg.norm(row - cset.project(row)))
 
 
+def _reference_overlap(R, states, grid):
+    """(gap, time, pair) of the first largest overlap, by a full pairwise scan."""
+    overlap = (0.0, 0.0, None)
+    for i in range(states.shape[1]):
+        for j in range(i + 1, states.shape[1]):
+            for k in range(grid.size):
+                gap = 2 * R - float(np.linalg.norm(states[k, i] - states[k, j]))
+                if gap > overlap[0]:
+                    overlap = (gap, float(grid[k]), (i, j))
+    return overlap
+
+
 def _reference_feasibility(scenario, y, x, u, v):
     """Per-row loops with strict improvement: the first worst violation in
     (pair or participant, time) order."""
     grid, N, R = y.grid, scenario.N, scenario.R
-    overlap = (0.0, 0.0, None)
-    for i in range(N):
-        for j in range(i + 1, N):
-            for k in range(grid.size):
-                gap = 2 * R - float(np.linalg.norm(y.states[k, i] - y.states[k, j]))
-                if gap > overlap[0]:
-                    overlap = (gap, float(grid[k]), (i, j))
+    overlap = _reference_overlap(R, y.states, grid)
     confine = (0.0, 0.0, None)
     for i in range(N):
         for k in range(grid.size):
@@ -565,6 +672,65 @@ class TestVectorizedAudit:
         k, pair = expect
         assert (report.overlap_time, report.overlap_pair) == (grid[k], pair)
         assert report.overlap_violation == max(gap for *_, gap in overlaps)
+
+
+class TestOverlapBroadPhase:
+    """``_worst_overlap`` measures only the pairs whose bounding boxes come
+    closer than 2R, with the verdict of a full pairwise scan."""
+
+    @staticmethod
+    def _scan(R, states):
+        grid = np.arange(states.shape[0], dtype=float)
+        overlap, node, pair = dynamics._worst_overlap(R, states)
+        assert _reference_overlap(R, states, grid) == (overlap, grid[node] if pair else 0.0, pair)
+        return overlap, node, pair
+
+    def test_random_clustered_crowds(self):
+        rng = np.random.default_rng(12)
+        found = 0
+        for _ in range(40):
+            N, K = int(rng.integers(2, 13)), int(rng.integers(1, 25))
+            clusters = rng.normal(size=(int(rng.integers(1, 4)), 2)) * 10.0
+            start = clusters[rng.integers(len(clusters), size=N)] + rng.normal(size=(N, 2)) * 2.0
+            states = start + np.cumsum(rng.normal(scale=0.3, size=(K + 1, N, 2)), axis=0)
+            if rng.random() < 0.3:
+                states = np.round(8 * states) / 8
+            found += self._scan(1.0, states)[2] is not None
+        assert 0 < found < 40
+
+    def test_boxes_exactly_2r_apart(self):
+        # dyadic paths: pair (0, 1) boxes touch at x = 2 = 2R and the disks
+        # touch there at node 2, gap exactly 0; pair (2, 3) overlaps by 1/8
+        states = np.zeros((5, 4, 2))
+        states[:, 0, 0] = [-1.0, -0.5, 0.0, -0.25, -0.5]
+        states[:, 1, 0] = [3.0, 2.5, 2.0, 2.25, 4.0]
+        states[:, 2:, 1] = 20.0
+        states[:, 3, 0] = 2.0
+        states[3, 3, 0] = 1.875
+        assert self._scan(1.0, states) == (0.125, 3, (2, 3))
+        states[3, 3, 0] = 2.0
+        assert self._scan(1.0, states) == (0.0, 0, None)
+
+    def test_one_overlap_among_far_pairs(self):
+        # a 4 x 4 lattice of unit disks 12 apart; disk 9 dips into disk 5 at node 7
+        lattice = np.array([[12.0 * a, 12.0 * b] for b in range(4) for a in range(4)])
+        states = np.tile(lattice, (11, 1, 1))
+        states[7, 9] = states[7, 5] + [0.0, 1.5]
+        assert self._scan(1.0, states) == (0.5, 7, (5, 9))
+
+    def test_far_lattice_measures_no_pair(self, monkeypatch):
+        # the crowd benchmark's lattice: 16 unit disks 12 apart, horizon 4,
+        # 1000 steps, 8 pieces of disk velocities of norm below 0.9
+        rng = np.random.default_rng(0)
+        lattice = np.array([[(a - 1.5) * 12.0, (b - 1.5) * 12.0] for b in range(4) for a in range(4)])
+        radius, phi = 0.9 * np.sqrt(rng.random((8, 16))), 2 * np.pi * rng.random((8, 16))
+        v = np.repeat(np.stack([radius * np.cos(phi), radius * np.sin(phi)], axis=-1), 125, axis=0)
+        states = dynamics._translation_path(lattice, uniform_grid(4.0, 1000), v)
+        calls = []
+        norms = dynamics._plane_norms
+        monkeypatch.setattr(dynamics, "_plane_norms", lambda d: calls.append(1) or norms(d))
+        assert dynamics._worst_overlap(1.0, states) == (0.0, 0, None)
+        assert calls == []
 
 
 class TestMagnitudes:
@@ -684,8 +850,21 @@ def test_scenario_names_the_first_offending_pair_then_x0(y0, x0, message):
     ([0.0, 1.0, 1.0], "grid must be strictly increasing"),
 ], ids=["nan", "inf", "minus-inf", "decreasing", "repeated"])
 def test_control_profile_rejects_bad_grids(grid, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        ControlProfile(grid=grid, values=[[0.5], [0.5]])
+    """Profiles, trajectories and both multiplier levels share one grid check."""
+    nodes = np.zeros((3, 2, 2))
+    builds = [
+        lambda: ControlProfile(grid=grid, values=[[0.5], [0.5]]),
+        lambda: Trajectory(grid=grid, states=nodes),
+        lambda: UpperMultipliers(grid=grid, q_upper=nodes, q_lower=nodes,
+                                 overlap=np.zeros((3, 2, 2)), confinement=np.zeros((3, 2)),
+                                 objective_weight=1.0, rho=np.ones(2)),
+        lambda: LowerMultipliers(participant=0, grid=grid, p_upper=nodes[:, 0],
+                                 p_lower=nodes[:, 0], overlap=np.zeros((3, 2)),
+                                 confinement=np.zeros(3), effort_weight=1.0),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 def _grid_pair(case):
