@@ -26,8 +26,14 @@ from .dynamics import (
     SegmentSet,
     Trajectory,
     _effort,
+    _float_dot,
+    _float_drift,
+    _float_step,
     _line,
     _require_member,
+    _row_norms,
+    _rowdot,
+    _svd2,
     _translation_path,
     _worst_overlap,
     check_feasibility,
@@ -132,12 +138,12 @@ class CaseStudyParams:
 # inner problem
 
 
-def _line_step(d, w, r_eff, s_lo, s_hi):
+def _line_step(d0, d1, w0, w1, r_eff, s_lo, s_hi):
     """The least-|s| s in [s_lo, s_hi] with |d + s w| <= r_eff, or None: the
     feasible s lie between the roots of a quadratic."""
-    a = float(np.dot(w, w))
-    b = 2.0 * float(np.dot(w, d))
-    c = float(np.dot(d, d)) - r_eff * r_eff
+    a = w0 * w0 + w1 * w1
+    b = 2.0 * (w0 * d0 + w1 * d1)
+    c = (d0 * d0 + d1 * d1) - r_eff * r_eff
     if a < 1e-30:
         if c > 0:
             return None
@@ -154,121 +160,107 @@ def _line_step(d, w, r_eff, s_lo, s_hi):
 
 
 def _greedy_step(drift, cset):
-    """One participant's greedy step rule, chosen once per solve.
-
-    ``step(x, h, center, r_eff)`` is the smallest-norm admissible control u
-    whose predicted point x + h f(x, u) lies within r_eff of the center, or
-    None when no admissible control has one.  Every rule is closed form
-    up to a monotone Newton iteration.  On a segment or 1-D interval U the
-    control is one coordinate s of u = s * unit and the predicted point
-    moves on a line, so s solves a quadratic; a ball U under an isotropic
-    control channel has a closed form too.  Any other two-coordinate U takes
-    the nearest point of the ellipse of controls that reach the target (a
-    trust-region step, More & Sorensen 1983), kept when it lies in U; on a
-    box U that misses it, the answer lies on an edge of the box, a line.
-    """
-    zero = np.zeros(drift.control_dim)
-    line = _line(cset)
+    """One participant's greedy step rule on Python floats, chosen once per
+    solve: ``step(x0, x1, h, c0, c1, r_eff)`` is the smallest-norm admissible
+    control u (a tuple) whose predicted point x + h f(x, u) lies within r_eff
+    of the center c, or None.  On a segment or 1-D interval U, u = s * unit
+    and the predicted point moves on a line, so s solves a quadratic.  A
+    ball or box U takes the nearest point of the ellipse of controls that
+    reach the target (a trust-region step, More & Sorensen 1983, by a
+    monotone Newton iteration), kept when it lies in U; on a box U that
+    misses it, the answer lies on an edge of the box, a line."""
+    f, zero, line = _float_drift(drift), (0.0,) * drift.control_dim, _line(cset)
+    scaled = isinstance(drift, ScaledLinearDrift)
+    B = None if scaled else drift.B.tolist()
     if line is not None:
-        unit, s_lo, s_hi = line
-        scaled = isinstance(drift, ScaledLinearDrift)
+        unit, s_lo, s_hi = line[0].tolist(), line[1], line[2]
 
-        def scalar(x, h, center, r_eff):
+        def scalar(x0, x1, h, c0, c1, r_eff):
             # the line p0 + s * w, in each drift family's order of arithmetic
             if scaled:
-                p0, w = x, h * drift.coeff * x
+                p0, p1, w0, w1 = x0, x1, h * drift.coeff * x0, h * drift.coeff * x1
             else:
-                p0, w = x + h * drift.value(x, zero), (h * drift.B) @ unit
-            s = _line_step(p0 - center, w, r_eff, s_lo, s_hi)
-            return None if s is None else s * unit
+                f0, f1 = f(x0, x1, zero)
+                p0, p1 = x0 + h * f0, x1 + h * f1
+                w0, w1 = (_float_dot([h * e for e in row], unit) for row in B)
+            s = _line_step(p0 - c0, p1 - c1, w0, w1, r_eff, s_lo, s_hi)
+            return None if s is None else tuple(s * e for e in unit)
         return scalar
-
-    # two control coordinates: the drift is affine, W = h B, and B = L diag(S) Q
-    # with singular values below 1e-12 of the largest taken as 0 (a rank-1 B)
-    L, S, Q = np.linalg.svd(drift.B)
-    S = np.where(S > 1e-12 * S[0], S, 0.0)
+    # two control coordinates, W = h B, and B = L diag(S) Q with singular
+    # values below 1e-12 of the largest taken as 0 (a rank-1 B)
+    ((l00, l01), (l10, l11)), (S0, S1), ((q00, q01), (q10, q11)) = _svd2(drift.B)
+    S1 = S1 if S1 > 1e-12 * S0 else 0.0
     ball = isinstance(cset, BallSet)
 
-    def nearest(d, h, r_eff):
+    def nearest(d0, d1, h, r_eff):
         """The least-norm u with |W u - d| <= r_eff < |d|, or None.  It is
         u(lam) = lam (I + lam W^T W)^-1 W^T d with |W u(lam) - d| = r_eff,
         and |W u(lam) - d|^2 = sum_k c_k^2 / (1 + lam s_k^2)^2 for c = L^T d
         and s = h S.  Newton on 1/|W u(lam) - d| = 1/r_eff, whose left side
         is concave and increasing, climbs from lam = 0 to the root without
         passing it."""
-        c0, c1 = (L.T @ d).tolist()
-        s0, s1 = h * float(S[0]), h * float(S[1])
-        q0, q1 = s0 * s0, s1 * s1
-        if q0 == 0.0 or (q1 == 0.0 and abs(c1) > r_eff):
+        c0, c1 = l00 * d0 + l10 * d1, l01 * d0 + l11 * d1
+        s0, s1 = h * S0, h * S1
+        g0, g1 = s0 * s0, s1 * s1
+        if g0 == 0.0 or (g1 == 0.0 and abs(c1) > r_eff):
             return None     # W is 0, or d's part outside the range of W is too far
         lam = 0.0
         for _ in range(100):
-            a0, a1 = 1.0 + lam * q0, 1.0 + lam * q1
-            f = c0 * c0 / (a0 * a0) + c1 * c1 / (a1 * a1)
-            n = math.sqrt(f)
+            a0, a1 = 1.0 + lam * g0, 1.0 + lam * g1
+            f2 = c0 * c0 / (a0 * a0) + c1 * c1 / (a1 * a1)
+            n = math.sqrt(f2)
             if n <= r_eff:
                 break
-            step = (n / r_eff - 1.0) * f / (q0 * c0 * c0 / a0**3 + q1 * c1 * c1 / a1**3)
+            step = (n / r_eff - 1.0) * f2 / (g0 * c0 * c0 / a0**3 + g1 * c1 * c1 / a1**3)
             lam += step
             if step <= 1e-15 * lam:
                 break
-        return Q.T @ np.array([lam * s0 * c0 / (1.0 + lam * q0), lam * s1 * c1 / (1.0 + lam * q1)])
+        v0, v1 = lam * s0 * c0 / (1.0 + lam * g0), lam * s1 * c1 / (1.0 + lam * g1)
+        return q00 * v0 + q10 * v1, q01 * v0 + q11 * v1
 
-    def planar(x, h, center, r_eff):
-        p0, W = x + h * drift.value(x, zero), h * drift.B
-        if ball and abs(W[0, 0] - W[1, 1]) < 1e-15 \
-                and abs(W[0, 1]) < 1e-15 and abs(W[1, 0]) < 1e-15 and W[0, 0] > 0:
-            # isotropic control channel: the feasible controls form a ball
-            q = (center - p0) / W[0, 0]
-            need = float(np.linalg.norm(q)) - r_eff / W[0, 0]
-            if need <= 0:
-                return np.zeros(2)
-            if need > cset.radius + 1e-12:
-                return None
-            return (need / float(np.linalg.norm(q))) * q
-        d = center - p0
-        u = zero.copy() if float(np.linalg.norm(d)) <= r_eff else nearest(d, h, r_eff)
+    def planar(x0, x1, h, c0, c1, r_eff):
+        f0, f1 = f(x0, x1, zero)
+        d0, d1 = c0 - (x0 + h * f0), c1 - (x1 + h * f1)
+        u = zero if math.sqrt(d0 * d0 + d1 * d1) <= r_eff else nearest(d0, d1, h, r_eff)
         if u is None:
             return None
         if ball:
             # the ellipse's nearest point is also the nearest point of its
             # meet with the ball, or proves the meet empty
-            return u if float(np.linalg.norm(u)) <= cset.radius else None
-        if np.all(cset.lo <= u) and np.all(u <= cset.hi):
+            return u if math.sqrt(u[0] * u[0] + u[1] * u[1]) <= cset.radius else None
+        lo, hi = cset.lo.tolist(), cset.hi.tolist()
+        if lo[0] <= u[0] <= hi[0] and lo[1] <= u[1] <= hi[1]:
             return u
         # the convex problem's minimum lies on the box's boundary: the
         # first least-norm point over its four edges, each a line
+        W = [[h * e for e in row] for row in B]
         edges = []
         for j, k in ((0, 1), (1, 0)):
-            for e in (cset.lo[j], cset.hi[j]):
-                s = _line_step(e * W[:, j] - d, W[:, k], r_eff, cset.lo[k], cset.hi[k])
+            for e in (lo[j], hi[j]):
+                s = _line_step(e * W[0][j] - d0, e * W[1][j] - d1, W[0][k], W[1][k],
+                               r_eff, lo[k], hi[k])
                 if s is not None:
                     edges.append((e, s) if j == 0 else (s, e))
-        return np.array(min(edges, key=lambda c: c[0] * c[0] + c[1] * c[1])) if edges else None
+        return min(edges, key=lambda c: c[0] * c[0] + c[1] * c[1]) if edges else None
     return planar
 
 
 def _greedy_min_effort(scenario, i, ypath, grid, x0_i):
     """Feasibility-first inner control: per step the smallest-norm admissible
-    control, letting the (free) cone correction do the rest.  Returns the
-    (K, m) controls and None, or None and the first step without one."""
+    control, letting the (free) cone correction do the rest, stepped as the
+    catch-up steps.  Returns the (K, m) controls and None, or None and the
+    first step without one."""
     drift, cap, R = scenario.drift[i], float(scenario.M[i]), scenario.R
-    step = _greedy_step(drift, scenario.U[i])
-    K = grid.size - 1
-    uvals = np.zeros((K, drift.control_dim))
-    x = np.asarray(x0_i, float).copy()
-    for k in range(K):
-        h = grid[k + 1] - grid[k]
-        center = ypath[k + 1]
-        u = step(x, h, center, R + cap * h)
+    rule, step = _greedy_step(drift, scenario.U[i]), _float_step(drift, R)
+    x0, x1 = np.asarray(x0_i, float).tolist()
+    rows = []
+    for k, (h, (c0, c1)) in enumerate(zip(np.diff(grid).tolist(), ypath[1:].tolist())):
+        u = rule(x0, x1, h, c0, c1, R + cap * h)
         if u is None:
             return None, k
-        uvals[k] = u
-        pred = x + h * drift.value(x, u)
-        off = pred - center
-        dist = float(np.hypot(off[0], off[1]))
-        x = center + (R / dist) * off if dist > R else pred
-    return uvals, None
+        rows.append(u)
+        x0, x1, _d = step(x0, x1, h, u, c0, c1)
+    return np.array(rows).reshape(-1, drift.control_dim), None
 
 
 def _x0_candidates(scenario, i, count, rng) -> List[np.ndarray]:
@@ -434,7 +426,7 @@ def solve_bilevel_direct(
     for i, (cset, line) in enumerate(zip(scenario.V, lines)):
         if line:
             unit, a_lo, a_hi = line
-            row = np.clip(-float(np.dot(scenario.y0[i], unit)) / T, a_lo, a_hi)
+            row = np.clip(-float(_rowdot(scenario.y0[i], unit)) / T, a_lo, a_hi)
         else:
             row = cset.project(-scenario.y0[i] / T)
         aim[offsets[i] : offsets[i + 1]] = np.tile(row, K)
@@ -517,15 +509,15 @@ def _match_family(scenario: Scenario):
     if scenario.x0_free or not np.allclose(scenario.x0, scenario.y0, atol=1e-9):
         raise UnsupportedFamilyError("family requires x0 fixed at the disk centers")
 
-    norms = np.linalg.norm(scenario.y0, axis=1)
+    norms = _row_norms(scenario.y0)
     near, far = (0, 1) if norms[0] <= norms[1] else (1, 0)
     if norms[near] <= 2 * scenario.R:
         raise UnsupportedFamilyError("near disk must start beyond the contact gap")
     v_hat = scenario.y0[near] / norms[near]
-    if float(np.linalg.norm(scenario.y0[far] - scenario.y0[near] - 2 * scenario.R * v_hat)) > 1e-6:
+    if float(_row_norms(scenario.y0[far] - scenario.y0[near] - 2 * scenario.R * v_hat)) > 1e-6:
         raise UnsupportedFamilyError("family requires touching disks aligned with the exit ray")
     for cset in scenario.V:
-        if abs(abs(float(np.dot(cset.direction, v_hat))) - 1.0) > 1e-9:
+        if abs(abs(float(_rowdot(cset.direction, v_hat))) - 1.0) > 1e-9:
             raise UnsupportedFamilyError("family requires upper controls along the exit ray")
     return v_hat, near, far, -drifts[0].coeff
 
@@ -543,7 +535,7 @@ def solve_twodisk_parametric(
     """
     v_hat, near, far, a = _match_family(scenario)
     R, T, M = scenario.R, scenario.T, float(scenario.M[near])
-    gamma0 = float(np.linalg.norm(scenario.y0[near]))
+    gamma0 = float(_row_norms(scenario.y0[near]))
     C = gamma0 + R + M / a
 
     def g_of(tb: float) -> float:

@@ -57,10 +57,10 @@ REPORT_TOL = 1e-6
 # must not trip the hard error.
 _TRUNCATION_SLACK = 1e-9
 
-# Catch-up steps scaled-linear crowds of up to this many participants on
-# Python floats.  Float/array time at K = 1000 on a 2-vCPU Xeon is 0.28 at
-# N = 2, 0.61 at N = 4, 0.80 at N = 6 and 1.09 at N = 8; the margin below
-# the crossover leaves room for hosts where numpy calls cost less.
+# Catch-up steps crowds of up to this many participants on Python floats.
+# Float/array time at K = 1000 on a 2-vCPU Xeon, at N = 2, 4, 6 and 8:
+# scaled-linear 0.42, 0.88, 1.17, 1.59; affine 0.46, 0.77, 1.25, 1.45; half
+# and half 0.26, 0.69, 0.92, 1.10.
 _FLOAT_LANES = 4
 
 
@@ -123,7 +123,7 @@ class AffineDrift:
         return self.B.shape[1]
 
     def value(self, x, u) -> np.ndarray:
-        return self.A @ np.asarray(x, float) + self.B @ np.asarray(u, float).ravel() + self.b
+        return _matvec(self.A, np.asarray(x, float)) + _matvec(self.B, np.ravel(u)) + self.b
 
 
 DriftSpec = Union[ScaledLinearDrift, AffineDrift]
@@ -134,21 +134,43 @@ DriftSpec = Union[ScaledLinearDrift, AffineDrift]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products (``b`` may be a single row); the batched matmul
-    rounds each row as ``np.dot`` (and ``np.linalg.norm``) of it alone does."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """Dot products over the last axis (``b`` may be a single row), written
+    out left to right: a0*b0 + a1*b1 + ...  Every dot product, matrix-vector
+    product and 2x2 SVD in the package is written out in this order, never
+    left to the BLAS or LAPACK, whose rounding follows the CPU's kernel."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j] * b[..., j]
+    return out
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_rowdot(rows, rows))
 
 
-def _plane_norms(diff: np.ndarray) -> np.ndarray:
-    """Norms over the last axis (of length 2) of a difference array, squared
-    in place: the bits of ``np.linalg.norm(diff, axis=-1)``, which sums the
-    same two squares, without its generic reduction."""
-    diff *= diff
-    return np.sqrt(diff[..., 0] + diff[..., 1])
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v over the last axes, each row a ``_rowdot``."""
+    return _rowdot(M, v[..., None, :])
+
+
+def _float_dot(a, b) -> float:
+    """``_rowdot`` of two float sequences."""
+    out = a[0] * b[0]
+    for j in range(1, len(a)):
+        out = out + a[j] * b[j]
+    return out
+
+
+def _svd2(B: np.ndarray):
+    """Closed-form SVD of a 2 x m matrix, m <= 2, zero-padded: ``(L, S, Q)``
+    as float tuples, B = L diag(S) Q, S[0] >= S[1] >= 0; L and Q are rotations,
+    L reflected when det B < 0 (Blinn, "Consider the lowly 2x2 matrix", 1996)."""
+    (a, b), (c, d) = np.hstack([B, np.zeros((2, 2 - B.shape[1]))]).tolist()
+    q, r = math.hypot((a + d) / 2, (c - b) / 2), math.hypot((a - d) / 2, (c + b) / 2)
+    t1, t2 = math.atan2((c + b) / 2, (a - d) / 2), math.atan2((c - b) / 2, (a + d) / 2)
+    cp, sp, ct, st = (f(t) for t in ((t2 + t1) / 2, (t2 - t1) / 2) for f in (math.cos, math.sin))
+    sign = 1.0 if q >= r else -1.0
+    return ((cp, -sign * sp), (sp, sign * cp)), (q + r, abs(q - r)), ((ct, -st), (st, ct))
 
 
 @dataclass(frozen=True)
@@ -161,7 +183,7 @@ class IntervalSet:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, float))
         hi = np.atleast_1d(np.asarray(self.hi, float))
-        if lo.shape != hi.shape or np.any(hi < lo):
+        if lo.shape != hi.shape or not np.all(lo <= hi):   # NaN fails too
             raise ValueError("interval set needs lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -189,11 +211,11 @@ class SegmentSet:
         d = np.asarray(self.direction, float).reshape(2)
         if np.max(np.abs(d)) > 1e150:       # its squares would overflow in the norm
             d = d / np.max(np.abs(d))
-        n = float(np.linalg.norm(d))
+        n = float(_row_norms(d))
         if n < 1e-12:
             raise ValueError("segment direction must be nonzero")
         object.__setattr__(self, "direction", d / n)
-        if self.halflength < 0:
+        if not self.halflength >= 0:
             raise ValueError("segment halflength must be nonnegative")
 
     @property
@@ -201,7 +223,7 @@ class SegmentSet:
         return 2
 
     def project(self, u) -> np.ndarray:
-        a = float(np.dot(np.asarray(u, float).ravel(), self.direction))
+        a = float(_rowdot(np.asarray(u, float).ravel(), self.direction))
         a = np.clip(a, -self.halflength, self.halflength)
         return a * self.direction
 
@@ -218,7 +240,7 @@ class BallSet:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ValueError("ball radius must be nonnegative")
 
     @property
@@ -227,7 +249,7 @@ class BallSet:
 
     def project(self, u) -> np.ndarray:
         u = np.asarray(u, float).ravel()
-        n = float(np.linalg.norm(u))
+        n = float(_row_norms(u))
         if n <= self.radius or n == 0.0:
             return u.copy()
         return (self.radius / n) * u
@@ -329,9 +351,9 @@ class Scenario:
             raise ValueError("horizon T must be positive")
         if not self.R > 0:
             raise ValueError("disk radius R must be positive")
-        if np.any(self.M <= 0):
+        if not np.all(self.M > 0):          # so that NaN fails too
             raise ValueError("truncation caps M must be positive")
-        if np.any(self.rho < 0):
+        if not np.all(self.rho >= 0):
             raise ValueError("partial-calmness moduli rho must be nonnegative")
         if not (len(self.drift) == len(self.U) == len(self.V) == self.N):
             raise ValueError("drift/U/V lists must have one entry per participant")
@@ -476,13 +498,10 @@ def integrate_upper(scenario: Scenario, v: Sequence[ControlProfile]) -> Trajecto
 
 def _lane_drift(scenario: Scenario, lanes: Sequence[int], uvals: Sequence[np.ndarray]):
     """``f(k, x)``: the lanes' drifts at states x (L, 2) under their k-th
-    controls (``uvals``: one (K, m) array per lane).  Both families are
-    affine in x for a fixed control, f = s x + A x + B u + b with s = c u
-    (scaled-linear) or 0 (affine); s and B u are computed up front, and the
-    batched ``A @ x`` reproduces the per-row product bit for bit.  The zero
-    terms can only turn a drift component of -0.0 into +0.0.  ``f.terms``
-    holds (s, A, Bu, b) for the in-place catch-up loop, with s None when no
-    lane is scaled-linear and A None when none is affine."""
+    controls (``uvals``: one (K, m) array per lane), ((s x + A x) + B u) + b
+    with s = c u or 0; the zero terms can only turn a -0.0 into +0.0.
+    ``f.terms`` is (s, A, Bu, b), s None without a scaled-linear lane and A
+    None without an affine one."""
     K, L = len(uvals[0]), len(lanes)
     s, A = np.zeros((K, L, 1)), np.zeros((L, 2, 2))
     Bu, b = np.zeros((K, L, 2)), np.zeros((L, 2))
@@ -495,11 +514,11 @@ def _lane_drift(scenario: Scenario, lanes: Sequence[int], uvals: Sequence[np.nda
         else:
             affine = True
             A[lane], b[lane] = drift.A, drift.b
-            Bu[:, lane] = (drift.B @ uv[..., None])[..., 0]
+            Bu[:, lane] = _matvec(drift.B, uv)
 
     def f(k: int, x: np.ndarray) -> np.ndarray:
         fx = s[k] * x
-        return ((fx + (A @ x[..., None])[..., 0]) + Bu[k]) + b if affine else fx
+        return ((fx + _matvec(A, x)) + Bu[k]) + b if affine else fx
 
     f.terms = (s if scaled else None, A if affine else None, Bu, b)
     return f
@@ -514,7 +533,7 @@ def _gradient_t_w(drift, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(d f / d u)^T w, one row of the control dimension per state row."""
     if isinstance(drift, ScaledLinearDrift):
         return _rowdot(drift.coeff * x, w)[:, None]
-    return (drift.B.T @ w[..., None])[..., 0]
+    return _matvec(drift.B.T, w)
 
 
 def _jac_t_w(drift, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -522,7 +541,7 @@ def _jac_t_w(drift, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     or A^T w (affine)."""
     if isinstance(drift, ScaledLinearDrift):
         return (drift.coeff * u[:, :1]) * w
-    return (drift.A.T @ w[..., None])[..., 0]
+    return _matvec(drift.A.T, w)
 
 
 def _lower_inputs(scenario: Scenario, y: Trajectory, u: Sequence[ControlProfile],
@@ -544,32 +563,32 @@ def _lower_inputs(scenario: Scenario, y: Trajectory, u: Sequence[ControlProfile]
     return grid, x0, _lane_drift(scenario, range(scenario.N), [p.values for p in u])
 
 
-def _catchup_float_lanes(scenario: Scenario, centers: np.ndarray, h: np.ndarray,
-                         u: Sequence[ControlProfile], states: np.ndarray,
-                         dist: np.ndarray) -> None:
-    """Catch-up of scaled-linear participants, one at a time on Python floats:
-    fills rows 1..K of ``states`` and ``dist`` from row 0 bit for bit as the
-    array loop does, p = x + h (s x) with its s = c u, then the projection,
-    which divides only when d > R.  The arrays are read and written through
-    flat views, so no per-step list is held."""
-    N, R, hypot = scenario.N, scenario.R, np.hypot
-    c = memoryview(np.ascontiguousarray(centers).reshape(-1))
-    xs, ds = memoryview(states.reshape(-1)), memoryview(dist.reshape(-1))
-    for i, (drift, p) in enumerate(zip(scenario.drift, u)):
-        x0, x1 = states[0, i].tolist()
-        j, e = 2 * (N + i), N + i       # flat offsets of participant i in row 1
-        for hk, sk in zip(memoryview(h), memoryview(drift.coeff * p.values[:, 0])):
-            c0, c1 = c[j], c[j + 1]
-            p0, p1 = x0 + hk * (sk * x0), x1 + hk * (sk * x1)
-            o0, o1 = p0 - c0, p1 - c1
-            d = ds[e] = float(hypot(o0, o1))
-            if d > R:
-                r = R / d
-                x0, x1 = c0 + r * o0, c1 + r * o1
-            else:
-                x0, x1 = p0, p1
-            xs[j], xs[j + 1] = x0, x1
-            j, e = j + 2 * N, e + N
+def _float_drift(drift: DriftSpec):
+    """``f(x0, x1, u) -> (f0, f1)``: the drift on Python floats, (c u0) x or
+    ((A x) + B u) + b in ``_matvec``'s order."""
+    if isinstance(drift, ScaledLinearDrift):
+        c = drift.coeff
+        return lambda x0, x1, u: (c * u[0] * x0, c * u[0] * x1)
+    (a00, a01), (a10, a11) = drift.A.tolist()
+    (B0, B1), (b0, b1) = drift.B.tolist(), drift.b.tolist()
+    return lambda x0, x1, u: (((a00 * x0 + a01 * x1) + _float_dot(B0, u)) + b0,
+                              ((a10 * x0 + a11 * x1) + _float_dot(B1, u)) + b1)
+
+
+def _float_step(drift: DriftSpec, R: float):
+    """``step(x0, x1, h, u, c0, c1) -> (x0, x1, d)``: one catch-up step on
+    floats, p = x + h f(x, u), d = |p - c| by ``np.hypot`` (``math.hypot``
+    rounds differently) and the projection onto the disk of radius R about c
+    when d > R.  The catch-up's float lanes and the greedy solve share it."""
+    f, hypot = _float_drift(drift), np.hypot
+
+    def step(x0, x1, h, u, c0, c1):
+        f0, f1 = f(x0, x1, u)
+        p0, p1 = x0 + h * f0, x1 + h * f1
+        o0, o1 = p0 - c0, p1 - c1
+        d = float(hypot(o0, o1))
+        return (c0 + R / d * o0, c1 + R / d * o1, d) if d > R else (p0, p1, d)
+    return step
 
 
 def integrate_lower_catchup(
@@ -589,56 +608,51 @@ def integrate_lower_catchup(
     participant-by-participant sweep would report it, even when another
     participant is over earlier.
 
-    Two paths give the same bits.  When every participant has the
-    scaled-linear drift and there are at most ``_FLOAT_LANES`` of them,
-    each participant is stepped alone on Python floats, in the array
-    loop's operation order, with ``np.hypot`` kept for the distance (the
-    ``math`` module's hypot rounds differently).  Otherwise all
-    participants advance together as lanes of one array loop: an affine
-    drift's batched ``A @ x`` rounds as the BLAS does, which elementwise
-    float arithmetic does not reproduce, and past a few lanes the per-step
-    array calls cost less than stepping each lane alone.
-
-    The array loop steps in place: its buffers are made once, every ufunc
-    writes through ``out=``, and the prediction lands in its row of states,
-    where the projection is copied over it for the participants with d > R.
-    It drops the s x product when no participant is scaled-linear.  s is
-    then +0.0 throughout, so s x is a zero with x's sign, and adding it can
-    change only the sign of a zero drift component, which x + h f absorbs
-    for every finite x: for x = -0.0 the dropped term is -0.0, the additive
-    identity; for x = +0.0 either zero gives +0.0; any other x gives x ± 0 =
-    x.  The drop follows the drift families, not the values of s: a
-    scaled-linear participant with u = 0 has s = c 0, which may be -0.0.
+    Two paths give the same bits.  Up to ``_FLOAT_LANES`` participants step
+    one at a time by ``_float_step``; more advance as lanes of one array loop
+    that makes the same operations in place, each lane under its own drift
+    family: every ufunc writes through ``out=``, and the projection is copied
+    over the prediction in states for the participants with d > R.
     """
-    grid, x0, drift = _lower_inputs(scenario, y, u, x0, "integrate_lower_catchup")
+    grid, start, drift = _lower_inputs(scenario, y, u, x0, "integrate_lower_catchup")
     K, R, h, centers = grid.size - 1, scenario.R, np.diff(grid), y.states
     states, dist = np.empty((K + 1, scenario.N, 2)), np.empty((K + 1, scenario.N))
-    states[0] = x0
-    dist[0] = _row_norms(x0 - centers[0])
-    if scenario.N <= _FLOAT_LANES and all(isinstance(f, ScaledLinearDrift)
-                                          for f in scenario.drift):
-        _catchup_float_lanes(scenario, centers, h, u, states, dist)
+    states[0] = start
+    dist[0] = _row_norms(start - centers[0])
+    N = scenario.N
+    if N <= _FLOAT_LANES:     # read and written through flat views
+        c = memoryview(np.ascontiguousarray(centers).reshape(-1))
+        xs, ds, hs = memoryview(states.reshape(-1)), memoryview(dist.reshape(-1)), h.tolist()
+        for i, (drift_i, p) in enumerate(zip(scenario.drift, u)):
+            step, (x0, x1) = _float_step(drift_i, R), states[0, i].tolist()
+            j, e = 2 * (N + i), N + i       # flat offsets of participant i in row 1
+            for hk, uk in zip(hs, p.values.tolist()):
+                x0, x1, ds[e] = step(x0, x1, hk, uk, c[j], c[j + 1])
+                xs[j], xs[j + 1] = x0, x1
+                j, e = j + 2 * N, e + N
     else:
-        # the closure's operations in its order; the projection is computed
-        # for every participant and kept where one left its disk (a
-        # participant resting on its center divides by zero there)
+        # the projection is computed for every participant and kept where
+        # one left its disk (a participant resting on its center divides by
+        # zero there)
         s, A, Bu, b = drift.terms
-        N = scenario.N
-        column, off = np.empty((N, 2, 1)), np.empty((N, 2))
+        f, ax, off = np.empty((N, 2)), np.empty((N, 2)), np.empty((N, 2))
         ratio, far = np.empty((N, 1)), np.empty((N, 1), dtype=bool)
-        ax, off0, off1, ratio0, far0 = column[..., 0], off[:, 0], off[:, 1], ratio[:, 0], far[:, 0]
-        f = ax if s is None else np.empty((N, 2))
+        off0, off1, ratio0, far0 = off[:, 0], off[:, 1], ratio[:, 0], far[:, 0]
+        if A is not None:   # A x = A[:, 0] x0 + A[:, 1] x1 on the affine lanes
+            a0, a1 = A[..., 0].copy(), A[..., 1].copy()
+            affine = s is None or np.array([[isinstance(d, AffineDrift)] for d in scenario.drift])
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k, (x, xcol, pred, d, center) in enumerate(zip(
-                    states[:-1], states[:-1, :, :, None], states[1:], dist[1:], centers[1:])):
+            for k, (x, xc0, xc1, pred, d, center) in enumerate(zip(
+                    states[:-1], states[:-1, :, :1], states[:-1, :, 1:],
+                    states[1:], dist[1:], centers[1:])):
                 if s is not None:
                     np.multiply(s[k], x, out=f)
                 if A is not None:
-                    np.matmul(A, xcol, out=column)
-                    if s is not None:
-                        np.add(f, ax, out=f)
-                    np.add(f, Bu[k], out=f)
-                    np.add(f, b, out=f)
+                    np.multiply(a0, xc0, out=ax)
+                    np.multiply(a1, xc1, out=off)
+                    np.add(ax, off, out=ax)
+                    np.add(ax, Bu[k], out=f, where=affine)
+                    np.add(f, b, out=f, where=affine)
                 np.multiply(h[k], f, out=f)
                 np.add(x, f, out=pred)
                 np.subtract(pred, center, out=off)
@@ -761,7 +775,7 @@ def _worst_overlap(R: float, states: np.ndarray) -> Tuple[float, int, Optional[T
         js = i + 1 + np.flatnonzero(near[i, i + 1:])
         if not js.size:
             continue
-        gaps = 2 * R - _plane_norms(states[:, i, None, :] - states[:, js[0]:js[-1] + 1, :])
+        gaps = 2 * R - _row_norms(states[:, i, None, :] - states[:, js[0]:js[-1] + 1, :])
         ks = np.argmax(gaps, axis=0)
         worst = gaps[ks, np.arange(ks.size)]
         j = int(np.argmax(np.where(worst > overlap, worst, -np.inf)))
@@ -784,7 +798,7 @@ def check_feasibility(
 
     overlap, o_node, o_pair = _worst_overlap(scenario.R, y.states)
 
-    exc = _plane_norms(x.states - y.states) - scenario.R
+    exc = _row_norms(x.states - y.states) - scenario.R
     i, k = divmod(int(np.argmax(exc.T)), exc.shape[0])
     confine, c_time, c_part = 0.0, 0.0, None
     if exc[k, i] > confine:

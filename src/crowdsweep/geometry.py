@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _rowdot, _row_norms
+
 __all__ = [
     "Disk",
     "InfeasiblePointError",
@@ -55,7 +57,7 @@ def project_to_disk(disk: Disk, x) -> np.ndarray:
     """Euclidean projection onto the disk (identity on the interior)."""
     x = np.asarray(x, dtype=float)
     offset = x - disk.center
-    dist = float(np.linalg.norm(offset))
+    dist = float(_row_norms(offset))
     if dist <= disk.radius:
         return x.copy()
     return disk.center + (disk.radius / dist) * offset
@@ -68,7 +70,7 @@ def contact_jacobian(y_i, y_j) -> np.ndarray:
     symmetric, positive semidefinite, and it annihilates ``y_i - y_j``.
     """
     d = np.asarray(y_i, dtype=float) - np.asarray(y_j, dtype=float)
-    r = float(np.linalg.norm(d))
+    r = float(_row_norms(d))
     if r < 1e-12:
         raise SingularConfigurationError("coincident centers")
     return np.eye(2) / r - np.outer(d, d) / r**3
@@ -83,7 +85,7 @@ def sigma_boundary_branch(disk_offset, q, nu: float, radius: float, cap: float) 
     """
     z = np.asarray(disk_offset, dtype=float)
     q = np.asarray(q, dtype=float)
-    activation = -float(np.dot(q - nu * z, z)) / radius
+    activation = -float(_rowdot(q - nu * z, z)) / radius
     return cap * max(0.0, activation)
 
 
@@ -96,7 +98,7 @@ def sigma_support(disk_offset, q, nu: float, radius: float, cap: float) -> float
     """
     z = np.asarray(disk_offset, dtype=float)
     tol = ACTIVE_TOL_FACTOR * float(radius)
-    dist = float(np.linalg.norm(z))
+    dist = float(_row_norms(z))
     if dist > radius + tol:
         raise InfeasiblePointError(
             f"offset norm {dist:.12g} exceeds radius {radius:.12g}"

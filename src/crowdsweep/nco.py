@@ -36,10 +36,12 @@ from .dynamics import (
     _jac_t_w,
     _lane_drift,
     _line,
+    _matvec,
     _peak,
     _row_norms,
     _rowdot,
     _sup_effort,
+    _svd2,
 )
 from .geometry import SingularConfigurationError, sigma_active_gradient
 
@@ -292,7 +294,7 @@ class _SolutionData:
                     raise SingularConfigurationError("coincident centers")
                 with np.errstate(divide="ignore", invalid="ignore"):
                     jac = np.eye(2) / r - (d[:, :, None] * d[:, None, :]) / r**3
-                    term = weight * (jac @ v[..., None])[..., 0]
+                    term = weight * _matvec(jac, v)
                 base = base + np.where(weight != 0.0, term, 0.0)
         return base
 
@@ -326,7 +328,7 @@ def _control_column(data: _SolutionData, i: int) -> np.ndarray:
         return np.zeros((data.K, 2))
     if isinstance(drift, ScaledLinearDrift):
         return drift.coeff * data.x[:-1, i]
-    return np.broadcast_to(drift.B @ line[0], (data.K, 2))
+    return np.broadcast_to(_matvec(drift.B, line[0]), (data.K, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +721,7 @@ def _inner_checks(data: _SolutionData, low: LowerMultipliers):
     hull_col = np.hstack([col_lo, nu[:, None] * col])
     kink_col = np.hstack([g, -g])
     # radius of B(U) for the constant control matrix of a ball set
-    gain = float(np.linalg.norm(drift.B, 2)) * scn.U[i].radius if ball.any() else 0.0
+    gain = _svd2(drift.B)[1][0] * scn.U[i].radius if ball.any() else 0.0
     zeros, ones = np.zeros(K), np.ones(K)
     adjoint = _dist_to_hull(
         np.hstack([r_lo, r_hi]),
@@ -868,8 +870,7 @@ def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: flo
     drift of the degenerate arcs; outside the band the branch is forced.
     Every term that does not depend on the costate is computed before the
     loop, which carries q_lower alone as two floats; q_upper is then a
-    cumulative sum.  Dot products stay numpy ``dot`` calls, because the BLAS
-    may round one as fma(a1, b1, a0*b0) and ``math.fma`` needs Python 3.13.
+    cumulative sum.
 
     Without a confinement measure (``nu_path`` zero: the terminal family)
     nothing is stepped.  The lower recursion is linear and homogeneous in
@@ -888,51 +889,50 @@ def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: flo
     f = data.f[:, i].copy()
     nf = nu[:, None] * f
     scaled = isinstance(drift, ScaledLinearDrift)
-    # per-step scalars and rows as floats, the normals (dot operands) as rows
+    # per-step scalars and rows as floats
+    normals = data.normals[:, i].tolist()
     steps = list(zip(h.tolist(), nu.tolist(), nz.tolist(), nv.tolist(), nf.tolist(),
-                     data.contact[1:, i].tolist(), data.normals[1:, i],
+                     data.contact[1:, i].tolist(), normals[1:],
                      ((2.0 * nu)[:, None] * z).tolist(), (np.abs(nu) * R).tolist(),
-                     data.contact[:-1, i].tolist(), data.z[:-1, i].tolist(), data.normals[:-1, i],
+                     data.contact[:-1, i].tolist(), data.z[:-1, i].tolist(), normals[:-1],
                      np.clip(data.cone[:, i] / cap, 0.0, 1.0).tolist(),
                      (drift.coeff * u[:, 0]).tolist() if scaled else [None] * K))
-    gain, jac_t = -(cap / R), None if scaled else drift.A.T
+    gain, ((t00, t01), (t10, t11)) = -(cap / R), np.zeros((2, 2)) if scaled else drift.A.T.tolist()
 
     q_lo = np.empty((K + 1, 2))
     q_lo[K] = nu_path[K] * data.z[K, i]
     sig = np.zeros((K, 2))
-    da, db = np.empty(2), np.empty(2)   # operands of the numpy dot products
 
     def sweep(top: int, checked: int) -> None:
         """Steps top, ..., 0; from step ``checked`` down, the inner
         maximizer is evaluated at each step's costate."""
         (q0, q1), rows = q_lo[top + 1].tolist(), []
         for k in range(top, -1, -1):
-            hk, nuk, (nz0, nz1), (nv0, nv1), (nf0, nf1), contact, n, (tz0, tz1), band_nu, \
-                contact_prev, (zp0, zp1), n_prev, theta, slope_u = steps[k]
+            hk, nuk, (nz0, nz1), (nv0, nv1), (nf0, nf1), contact, (n0, n1), (tz0, tz1), \
+                band_nu, contact_prev, (zp0, zp1), (np0, np1), theta, slope_u = steps[k]
             w0, w1 = q0 - nz0, q1 - nz1
-            w = np.array([[w0, w1]]) if k <= checked or not scaled else None
+            w = np.array([[w0, w1]]) if k <= checked else None
             hull = _u_hull(data, i, w, weight, slice(k, k + 1)) if k <= checked else None
             if hull is not None and hull.kind[0] == _POINT:
                 f[k] = _drift_rows(scn, i, x_left[k:k + 1], hull.u)[0]
                 nf[k] = nuk * f[k]
                 (j0, j1), (nf0, nf1) = _jac_t_w(drift, hull.u, w)[0].tolist(), nf[k].tolist()
             else:
-                j0, j1 = (slope_u * w0, slope_u * w1) if scaled else (jac_t @ w[0]).tolist()
+                j0, j1 = (slope_u * w0, slope_u * w1) if scaled \
+                    else (t00 * w0 + t01 * w1, t10 * w0 + t11 * w1)
             b0, b1 = j0 - nf0 + nv0, j1 - nf1 + nv1
             s0 = s1 = 0.0
             if contact:
-                da[0], da[1], db[0], db[1] = w0, w1, q0, q1
-                m, g0, g1 = float(da.dot(n)), gain * (q0 - tz0), gain * (q1 - tz1)
-                band = KINK_BAND_FRAC * (math.sqrt(float(db.dot(db))) + band_nu) + 1e-12
+                m, g0, g1 = w0 * n0 + w1 * n1, gain * (q0 - tz0), gain * (q1 - tz1)
+                band = KINK_BAND_FRAC * (math.sqrt(q0 * q0 + q1 * q1) + band_nu) + 1e-12
                 if m < -band:
                     s0, s1 = g0, g1
                 elif m <= band:
                     if contact_prev:
                         # pin the next (backward) activation at zero: it is
                         # affine in the convexification parameter
-                        da[0], da[1] = q0 + hk * b0 - nuk * zp0, q1 + hk * b1 - nuk * zp1
-                        db[0], db[1] = g0, g1
-                        m0, slope = float(da.dot(n_prev)), hk * float(db.dot(n_prev))
+                        m0 = (q0 + hk * b0 - nuk * zp0) * np0 + (q1 + hk * b1 - nuk * zp1) * np1
+                        slope = hk * (g0 * np0 + g1 * np1)
                         if abs(slope) > 1e-30:
                             theta = min(max(-m0 / slope, 0.0), 1.0)
                     # else: contact onset interval, the realized cone fraction

@@ -14,6 +14,25 @@ S2 = math.sqrt(2)
 VHAT = np.array([-S2 / 2, S2 / 2])
 
 
+def dot(a, b) -> float:
+    """a0*b0 + a1*b1 + ..., left to right: the package writes every dot
+    product out this way, so the references that copy its arithmetic do too."""
+    terms = [float(p) * float(q) for p, q in zip(np.ravel(a), np.ravel(b))]
+    out = terms[0]
+    for term in terms[1:]:
+        out += term
+    return out
+
+
+def norm(a) -> float:
+    return math.sqrt(dot(a, a))
+
+
+def matvec(M, v) -> np.ndarray:
+    """M v, row by row as ``dot`` writes each row."""
+    return np.array([dot(row, v) for row in np.asarray(M, float)])
+
+
 def make_twodisk(direction=None, rotate=0.0):
     """Aligned two-disk scenario: touching disks riding toward the exit."""
     vhat = VHAT if direction is None else np.asarray(direction, float)

@@ -19,17 +19,20 @@ from crowdsweep.bilevel import (
 from crowdsweep.dynamics import (
     AffineDrift,
     BallSet,
+    ControlProfile,
     IntervalSet,
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
+    Trajectory,
     _set_scale,
     constant_profile,
     cost_lower,
+    integrate_lower_catchup,
     uniform_grid,
 )
 
-from conftest import S2, VHAT, make_twodisk
+from conftest import S2, VHAT, make_twodisk, norm
 from test_nco import mixed_solution
 
 TWODISK_ONSET = "(0.252951297431015, 5.9148236089377635, 11.85999056129831)"
@@ -132,9 +135,8 @@ def test_greedy_step_kinds_are_pinned():
     """Every kind of greedy step keeps its controls and failing step, bit for
     bit: scaled-linear drift with an interval U (the two-disk case-study
     plans), and in the mixed N=4 scenario an isotropic ball, a 2-D interval
-    (the ellipse's nearest point, or a box edge) and a segment under affine
-    drift, at the scenario's caps and at caps tight enough to need nonzero
-    controls."""
+    (the ellipse's nearest point) and a segment under affine drift, at the
+    scenario's caps and at caps tight enough to need nonzero controls."""
     twodisk = solve_twodisk_parametric(make_twodisk(), grid_K=600)[1]
     mixed = mixed_solution(K=300)
     s = mixed.scenario
@@ -149,7 +151,44 @@ def test_greedy_step_kinds_are_pinned():
             # steps with a nonzero control, or the failing step
             steps.append(("fail", fail) if u is None else int(np.count_nonzero(np.any(u, axis=1))))
     assert steps == [574, 574, 0, 0, 0, 0, ("fail", 150), 95, 75, 81]
-    assert sha.hexdigest() == "b5c7626be34e2de5f7ae2e36c2846a8a16fd82b27810b9469b690a71b3fb511f"
+    assert sha.hexdigest() == "e4c194f7a22d82234025dba54ef3e1d0144527e242f55413e079bdeb3f141474"
+
+
+@pytest.mark.parametrize("case, i", [("twodisk", 0), ("tight", 1), ("tight", 2), ("edge", 2),
+                                     ("tight", 3)],
+                         ids=["scaled-line", "ball", "ellipse", "box-edge", "affine-line"])
+def test_greedy_steps_as_the_catchup_steps(monkeypatch, case, i):
+    """For the controls the greedy inner solve returns, the catch-up gives the
+    states the solve stepped, bit for bit, on each branch of the rules: the
+    two-disk case's scaled-linear line, and in the mixed scenario at the
+    greedy pin's tight caps an isotropic ball, the ellipse's nearest point
+    in a box and an affine segment.  A cap of 1.5 on the box participant
+    puts every nonzero control on an edge of the box."""
+    if case == "twodisk":
+        sol = solve_twodisk_parametric(make_twodisk(), grid_K=600)[1]
+        scn = sol.scenario
+    else:
+        sol = mixed_solution(K=300)
+        scn = dataclasses.replace(sol.scenario, M=[2.0, 2.5, 1.5 if case == "edge" else 1.8, 1.8])
+    stepped, make = [], bilevel._float_step
+
+    def recording(drift, R):
+        step = make(drift, R)
+        return lambda *args: stepped.append(step(*args)) or stepped[-1]
+    monkeypatch.setattr(bilevel, "_float_step", recording)
+    grid, ypath = sol.y.grid, sol.y.states[:, i]
+    u, fail = bilevel._greedy_min_effort(scn, i, ypath, grid, scn.x0[i])
+    moved = u[np.any(u, axis=1)]
+    assert fail is None and len(moved) >= 70
+    if isinstance(scn.U[i], IntervalSet) and scn.U[i].dim == 2:
+        on_edge = np.any((moved == scn.U[i].lo) | (moved == scn.U[i].hi), axis=1)
+        assert on_edge.all() if case == "edge" else not on_edge.any()
+    one = Scenario(N=1, R=scn.R, T=scn.T, y0=scn.y0[i:i + 1], x0=scn.x0[i:i + 1],
+                   drift=[scn.drift[i]], U=[scn.U[i]], V=[scn.V[i]], M=scn.M[i:i + 1],
+                   rho=scn.rho[i:i + 1])
+    x = integrate_lower_catchup(one, Trajectory(grid=grid, states=ypath[:, None]),
+                                [ControlProfile(grid=grid, values=u)], one.x0)
+    assert np.array_equal(np.array(stepped)[:, :2].view(np.int64), x.states[1:, 0].view(np.int64))
 
 
 GRID_SPACING = 0.005
@@ -200,16 +239,19 @@ def test_planar_step_matches_a_dense_grid(cset, kind):
         center = (p0 + h * B @ rng.uniform([-1.2, -0.7], [1.2, 1.0])
                   + r_eff * rng.uniform(0.9, 1.1) * e / np.linalg.norm(e))
 
-        u = bilevel._greedy_step(drift, cset)(x, h, center, r_eff)
-        reach = np.linalg.norm(p0 + grid @ (h * B).T - center, axis=1) <= r_eff
+        u = bilevel._greedy_step(drift, cset)(*x, h, *center, r_eff)
+        u = None if u is None else np.array(u)
+        W = h * B
+        reach = np.linalg.norm(p0 + (W[:, 0] * grid[:, :1] + W[:, 1] * grid[:, 1:])
+                               - center, axis=1) <= r_eff
         best = float(np.min(norms[reach])) if reach.any() else None
         if best is not None:
             assert u is not None, n
-            assert np.linalg.norm(u) <= best + GRID_SPACING, n
+            assert norm(u) <= best + GRID_SPACING, n
             need += best > GRID_SPACING
         if u is not None:
             assert cset.distances(u[None])[0] <= 1e-12, n
-            assert np.linalg.norm(x + h * drift.value(x, u) - center) <= r_eff * (1 + 1e-9), n
+            assert norm(x + h * drift.value(x, u) - center) <= r_eff * (1 + 1e-9), n
     assert need >= 20       # steps that need a control
 
 
@@ -369,7 +411,7 @@ def _free_start_scenario(M=(3.0, 3.0)):
     (lambda: _free_start_scenario(M=(1.0, 1.0)),
      dict(coarse_grid_K=2, seed=3, sim_K=60, max_evals=300),
      1.1994657763508747, 307, 73,
-     "2794a374238a39ad9ecfd31f4602518a3354944a81d447cc7805b6d99cede20f"),
+     "1e4b5dcc65f51592c2cd16660dcc1b2f7f73ee8ffdb9bb42d1371d550bf81762"),
 ], ids=["twodisk", "free-start-ball-interval", "free-start-M1"])
 def test_direct_search_path_is_pinned(monkeypatch, make, options, J_H, calls, inner, digest):
     """The search path is fixed: the same poll order, accepted trials, skipped

@@ -32,11 +32,10 @@ from crowdsweep.dynamics import (
 )
 from crowdsweep.nco import LowerMultipliers, UpperMultipliers
 
-from conftest import S2, VHAT, arc_sampled_controls, make_twodisk
+from conftest import S2, VHAT, arc_sampled_controls, make_twodisk, norm
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
 CHAIN3 = os.path.join(SCENARIOS, "chain3.scn")
-MIXED4 = os.path.join(SCENARIOS, "mixed4.scn")
 
 
 def single_disk(y0=(0.0, 0.0), V=None, M=6.0, T=6.0):
@@ -182,7 +181,7 @@ def _reference_catchup(scenario, y, u, x0):
     contact = np.zeros((K + 1, scenario.N), dtype=bool)
     for i in range(scenario.N):
         x = states[0, i] = x0[i]
-        contact[0, i] = np.linalg.norm(x0[i] - y.states[0, i]) >= R - 1e-9 * R
+        contact[0, i] = norm(x0[i] - y.states[0, i]) >= R - 1e-9 * R
         for k in range(K):
             h = y.grid[k + 1] - y.grid[k]
             pred = x + h * scenario.drift[i].value(x, u[i].values[k])
@@ -314,17 +313,17 @@ def _float_lane_case(case):
 
 
 class TestFloatLanes:
-    """Scaled-linear crowds of up to ``_FLOAT_LANES`` participants step on
-    Python floats; every other crowd takes the array loop."""
+    """Crowds of up to ``_FLOAT_LANES`` participants, of either drift family,
+    step on Python floats; larger crowds take the array loop."""
 
     @staticmethod
     def _catchup(monkeypatch, scn, y, u):
         """(states as int64 bits, contact) or the truncation error's message
-        and fields, and how many times the float path ran."""
+        and fields, and how many participants the float path stepped."""
         calls = []
-        float_lanes = dynamics._catchup_float_lanes
-        monkeypatch.setattr(dynamics, "_catchup_float_lanes",
-                            lambda *args: calls.append(1) or float_lanes(*args))
+        float_step = dynamics._float_step
+        monkeypatch.setattr(dynamics, "_float_step",
+                            lambda *args: calls.append(1) or float_step(*args))
         try:
             x = integrate_lower_catchup(scn, y, u, scn.x0)
         except TruncationViolationError as exc:
@@ -339,7 +338,7 @@ class TestFloatLanes:
         floats, float_runs = self._catchup(monkeypatch, scn, y, u)
         monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
         arrays, array_runs = self._catchup(monkeypatch, scn, y, u)
-        assert (float_runs, array_runs) == (1, 0)
+        assert (float_runs, array_runs) == (scn.N, 0)
         if case == "truncation":
             assert floats == arrays
             assert floats[0].startswith("participant 1 at t=")
@@ -353,23 +352,71 @@ class TestFloatLanes:
         if case == "center":
             assert np.array_equal(floats[0], np.broadcast_to(scn.x0.view(np.int64), floats[0].shape))
 
-    @pytest.mark.parametrize("case", ["scaled-N5", "mixed4"])
+    @pytest.mark.parametrize("case", ["scaled-N5", "mixed-N5"])
     def test_array_path_serves(self, monkeypatch, case):
-        if case == "mixed4":
-            scn = parse_scenario(MIXED4)[0]
-        else:
-            scn = Scenario(N=5, R=1.0, T=2.0, y0=[[4.0 * i, 0.0] for i in range(5)],
-                           drift=[ScaledLinearDrift(-0.5)] * 5, U=[IntervalSet([0.0], [1.0])] * 5,
-                           V=[BallSet(1.0)] * 5, M=[4.0] * 5, rho=[1.0] * 5,
-                           x0=[[4.0 * i, 0.5] for i in range(5)])
+        scaled = 5 if case == "scaled-N5" else 2
+        affine = AffineDrift(np.zeros((2, 2)), [[1.0], [0.0]], [0.0, 0.0])
+        scn = Scenario(N=5, R=1.0, T=2.0, y0=[[4.0 * i, 0.0] for i in range(5)],
+                       drift=[ScaledLinearDrift(-0.5)] * scaled + [affine] * (5 - scaled),
+                       U=[IntervalSet([0.0], [1.0])] * 5,
+                       V=[BallSet(1.0)] * 5, M=[4.0] * 5, rho=[1.0] * 5,
+                       x0=[[4.0 * i, 0.5] for i in range(5)])
         grid = uniform_grid(scn.T, 40)
         y = integrate_upper(scn, [constant_profile(grid, np.zeros(2))] * scn.N)
         u = [constant_profile(grid, np.zeros(drift.control_dim)) for drift in scn.drift]
         assert self._catchup(monkeypatch, scn, y, u)[1] == 0
 
+    @pytest.mark.parametrize("N", [3, 4, None], ids=["N3", "N4", "all"])
+    @pytest.mark.parametrize("case", ["affine", "mixed", "scaled"])
+    def test_every_family_matches_bit_for_bit(self, monkeypatch, case, N):
+        """The in-place loop's crowds with their signed zeros, whole (N = 5
+        or 6) and cut to their first N participants, which keep participant
+        1's zeros: the float path, the array loop and the per-participant
+        loop give the same bits.  The cut crowds take the float path
+        unbidden."""
+        scn, y, u = _in_place_case(case)
+        if N is None:
+            monkeypatch.setattr(dynamics, "_FLOAT_LANES", scn.N)
+        else:
+            scn = Scenario(N=N, R=scn.R, T=scn.T, y0=scn.y0[:N], x0=scn.x0[:N],
+                           drift=scn.drift[:N], U=scn.U[:N], V=scn.V[:N], M=scn.M[:N],
+                           rho=scn.rho[:N])
+            y, u = Trajectory(grid=y.grid, states=y.states[:, :N]), u[:N]
+        floats, float_runs = self._catchup(monkeypatch, scn, y, u)
+        monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
+        arrays, array_runs = self._catchup(monkeypatch, scn, y, u)
+        states, contact = _reference_catchup(scn, y, u, scn.x0)
+        assert (float_runs, array_runs) == (scn.N, 0)
+        assert np.array_equal(floats[0], arrays[0]) and np.array_equal(floats[1], arrays[1])
+        assert np.array_equal(floats[0], states.view(np.int64))
+        assert np.array_equal(floats[1], contact)
+        assert floats[1][1:].any() and not floats[1].all()
+        if case == "affine":
+            assert np.signbit(scn.x0[0, 1]) and scn.x0[0, 1] == 0.0
+
+    @pytest.mark.parametrize("N", [2, 5])
+    def test_mixed_crowd_keeps_a_resting_negative_zero(self, N):
+        """A scaled-linear participant at rest on (0, -0.0) with s = +0.0, beside
+        affine ones: each path keeps its -0.0, which the affine lanes' zero
+        terms A x + B u + b, added to its drift, would turn into +0.0."""
+        scn = Scenario(N=N, R=1.0, T=1.0, y0=[[3.0 * i, 0.0] for i in range(N)],
+                       x0=[[3.0 * i, -0.0] for i in range(N)],
+                       drift=[ScaledLinearDrift(0.5)]
+                       + [AffineDrift(np.zeros((2, 2)), np.eye(2), [0.0, 0.0])] * (N - 1),
+                       U=[IntervalSet([-1.0], [1.0])] + [BallSet(1.0)] * (N - 1),
+                       V=[BallSet(1.0)] * N, M=[5.0] * N, rho=[1.0] * N)
+        grid = uniform_grid(1.0, 10)
+        y = integrate_upper(scn, [constant_profile(grid, [0.0, 0.0])] * N)
+        u = [constant_profile(grid, [0.0])] + [constant_profile(grid, [0.0, 0.0])] * (N - 1)
+        x = integrate_lower_catchup(scn, y, u, scn.x0)
+        states, _contact = _reference_catchup(scn, y, u, scn.x0)
+        assert np.array_equal(x.states.view(np.int64), states.view(np.int64))
+        assert np.signbit(x.states[-1, 0, 1])
+
 
 def _in_place_case(case):
-    """(scenario, y, u) of one catch-up case that the array loop serves."""
+    """(scenario, y, u) of one catch-up case of the array loop (N > 4, or
+    the overflow case with the float path turned off)."""
     rng = np.random.default_rng(11)
     if case == "truncation":
         # participants 2 and 4 are dragged off at speeds 4 and 9: 4 leaves its
@@ -456,16 +503,21 @@ class TestInPlaceCatchUp:
         assert (err.value.participant, err.value.time, err.value.magnitude, err.value.cap) \
             == (1, 0.76, 4.0, 0.5)
 
-    def test_overflowing_prediction(self):
-        # the overflow warns (an error under this suite's warning filter);
-        # unwarned, the infinite prediction is an infinite correction
+    def test_overflowing_prediction(self, monkeypatch):
+        # in the array loop the overflow warns (an error under this suite's
+        # warning filter); unwarned, the infinite prediction is an infinite
+        # correction.  On the float path it overflows without a warning.
         scn, y, u = _in_place_case("overflow")
+        with pytest.raises(TruncationViolationError) as floats:
+            integrate_lower_catchup(scn, y, u, scn.x0)
+        monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
         with pytest.raises(RuntimeWarning, match="^overflow encountered in multiply$"):
             integrate_lower_catchup(scn, y, u, scn.x0)
         with np.errstate(over="ignore"), pytest.raises(TruncationViolationError) as err:
             integrate_lower_catchup(scn, y, u, scn.x0)
         assert str(err.value) == "participant 2 at t=2: required cone correction inf exceeds cap 1"
         assert (err.value.participant, err.value.time, err.value.magnitude) == (1, 2.0, math.inf)
+        assert str(floats.value) == str(err.value)
 
 
 class TestPenalty:
@@ -559,8 +611,8 @@ class TestFeasibilityReport:
 def _reference_distance(cset, row):
     """Point-to-set distance of one control value, written out per set."""
     if isinstance(cset, BallSet):
-        return max(0.0, float(np.linalg.norm(row)) - cset.radius)
-    return float(np.linalg.norm(row - cset.project(row)))
+        return max(0.0, norm(row) - cset.radius)
+    return norm(row - cset.project(row))
 
 
 def _reference_overlap(R, states, grid):
@@ -569,7 +621,7 @@ def _reference_overlap(R, states, grid):
     for i in range(states.shape[1]):
         for j in range(i + 1, states.shape[1]):
             for k in range(grid.size):
-                gap = 2 * R - float(np.linalg.norm(states[k, i] - states[k, j]))
+                gap = 2 * R - norm(states[k, i] - states[k, j])
                 if gap > overlap[0]:
                     overlap = (gap, float(grid[k]), (i, j))
     return overlap
@@ -583,7 +635,7 @@ def _reference_feasibility(scenario, y, x, u, v):
     confine = (0.0, 0.0, None)
     for i in range(N):
         for k in range(grid.size):
-            exc = float(np.linalg.norm(x.states[k, i] - y.states[k, i])) - R
+            exc = norm(x.states[k, i] - y.states[k, i]) - R
             if exc > confine[0]:
                 confine = (exc, float(grid[k]), i)
     ctrl = (0.0, 0.0, None)
@@ -608,7 +660,7 @@ class TestVectorizedAudit:
             assert cset.distances(rows).tolist() == expect
 
     # seeds 4 and 5 keep unrounded values, so that the norms round and the
-    # audit must round each as np.linalg.norm of the row alone does
+    # audit must round each as the norm of the row alone does
     @pytest.mark.parametrize("seed", range(6))
     def test_report_matches_per_row_loop(self, seed):
         rng = np.random.default_rng(seed)
@@ -727,8 +779,8 @@ class TestOverlapBroadPhase:
         v = np.repeat(np.stack([radius * np.cos(phi), radius * np.sin(phi)], axis=-1), 125, axis=0)
         states = dynamics._translation_path(lattice, uniform_grid(4.0, 1000), v)
         calls = []
-        norms = dynamics._plane_norms
-        monkeypatch.setattr(dynamics, "_plane_norms", lambda d: calls.append(1) or norms(d))
+        norms = dynamics._row_norms
+        monkeypatch.setattr(dynamics, "_row_norms", lambda d: calls.append(1) or norms(d))
         assert dynamics._worst_overlap(1.0, states) == (0.0, 0, None)
         assert calls == []
 
@@ -805,6 +857,53 @@ class TestH5Bounds:
     def test_empty_sample_set_rejected(self, twodisk):
         with pytest.raises(ValueError):
             h5_bounds(twodisk, [[], []])
+
+
+@pytest.mark.parametrize("field, message", [
+    ("M", "truncation caps M must be positive"),
+    ("rho", "partial-calmness moduli rho must be nonnegative"),
+    ("lo", "interval set needs lo <= hi componentwise"),
+    ("hi", "interval set needs lo <= hi componentwise"),
+    ("halflength", "segment halflength must be nonnegative"),
+    ("radius", "ball radius must be nonnegative"),
+], ids=["M", "rho", "lo", "hi", "halflength", "radius"])
+def test_nan_fails_the_sign_checks(field, message):
+    """A NaN cap, modulus, bound or size is rejected like a negative one; a
+    NaN cap would switch off the truncation check."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if field == "lo":
+            IntervalSet([math.nan], [1.0])
+        elif field == "hi":
+            IntervalSet([0.0], [math.nan])
+        elif field == "halflength":
+            SegmentSet([1.0, 0.0], math.nan)
+        elif field == "radius":
+            BallSet(math.nan)
+        else:
+            Scenario(N=1, R=3.0, T=6.0, y0=[[0.0, 0.0]], drift=[ScaledLinearDrift(-8.0)],
+                     U=[IntervalSet([0.0], [1.0])], V=[BallSet(1.0)],
+                     **{"M": [6.0], "rho": [1.0], field: [math.nan]})
+
+
+@pytest.mark.parametrize("kind", ["random", "diagonal", "rank-1", "2x1", "zero"])
+def test_svd2_matches_lapack(kind):
+    """The closed-form 2x2 SVD against LAPACK's: singular values to 1e-15 of
+    the largest, and orthogonal factors that give B back as closely."""
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        B = {"random": lambda: rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3),
+             "diagonal": lambda: np.diag(rng.normal(size=2)),
+             "rank-1": lambda: np.outer(rng.normal(size=2), rng.normal(size=2)),
+             "2x1": lambda: rng.normal(size=(2, 1)),
+             "zero": lambda: np.zeros((2, 2))}[kind]()
+        L, S, Q = (np.array(factor) for factor in dynamics._svd2(B))
+        want = np.linalg.svd(B, compute_uv=False)
+        tol = 1e-15 * want[0]
+        assert S[0] >= S[1] >= 0.0
+        assert np.all(np.abs(S[:want.size] - want) <= tol) and np.all(S[want.size:] <= tol)
+        assert np.allclose(L.T @ L, np.eye(2), rtol=0, atol=1e-15)
+        assert np.allclose(Q @ Q.T, np.eye(2), rtol=0, atol=1e-15)
+        assert np.all(np.abs((L * S) @ Q[:, :B.shape[1]] - B) <= tol)
 
 
 def test_scenario_invariants():

@@ -5,9 +5,7 @@ of ``summary.txt`` of two fixed runs, so any change to the arithmetic order
 of the integrators, the feasibility audit or the CSV emitters shows up
 here.  The ``verify`` and ``h5check`` summaries of the two-disk case pin the
 witness fit, the verifier and the truncation bounds the same way.  None of
-the hashes may move under a pure performance change.  They were recorded
-on x86-64 with NumPy 2.4 and its bundled OpenBLAS; a BLAS that rounds its
-dot products differently gives other hashes.
+the hashes may move under a pure performance change.
 """
 
 import hashlib

@@ -48,7 +48,7 @@ from crowdsweep.nco import (
     verify,
 )
 
-from conftest import S2, VHAT
+from conftest import S2, VHAT, dot, matvec, norm
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 TWODISK = os.path.join(SCENARIOS, "twodisk.scn")
@@ -419,7 +419,7 @@ class LoopReference:
             for k in range(self.K):
                 f = scn.drift[i].value(self.x[k, i], self.u[i][k])
                 xdot = (self.x[k + 1, i] - self.x[k, i]) / self.h[k]
-                self.cone[k, i] = max(0.0, float(np.dot(f - xdot, self.normals[k + 1, i])))
+                self.cone[k, i] = max(0.0, dot(f - xdot, self.normals[k + 1, i]))
         self.hits = set()
 
     def pair(self, k, i, row):
@@ -427,13 +427,13 @@ class LoopReference:
         for j in range(self.scn.N):
             if j != i and row[j] != 0.0:
                 d = self.y[k, i] - self.y[k, j]
-                out += row[j] * (d / np.linalg.norm(d))
+                out += row[j] * (d / norm(d))
         return out
 
     def pair_jac(self, base, k, i, row, vk):
         for j in range(self.scn.N):
             if j != i and row[j] != 0.0:
-                base = base + row[j] * (contact_jacobian(self.y[k + 1, i], self.y[k + 1, j]) @ vk)
+                base = base + row[j] * matvec(contact_jacobian(self.y[k + 1, i], self.y[k + 1, j]), vk)
         return base
 
     def branch(self, k, i, q, nu, w):
@@ -441,8 +441,8 @@ class LoopReference:
         scn = self.scn
         if not self.contact[k + 1, i]:
             return "off", np.zeros(2)
-        m = float(np.dot(w, self.normals[k + 1, i]))
-        band = KINK_BAND_FRAC * (float(np.linalg.norm(q)) + abs(nu) * scn.R) + 1e-12
+        m = dot(w, self.normals[k + 1, i])
+        band = KINK_BAND_FRAC * (norm(q) + abs(nu) * scn.R) + 1e-12
         g = sigma_active_gradient(self.z[k + 1, i], q, nu, scn.R, scn.M[i])
         return ("active" if m < -band else "kink" if m <= band else "inactive"), g
 
@@ -451,12 +451,12 @@ class LoopReference:
         if isinstance(cset, IntervalSet):
             u = np.array([min(max(g[j] / (2 * alpha), cset.lo[j]), cset.hi[j]) if alpha > 0
                           else (cset.hi[j] if g[j] >= 0 else cset.lo[j]) for j in range(cset.dim)])
-            return float(np.dot(g, u) - alpha * np.dot(u, u)), u
+            return dot(g, u) - alpha * dot(u, u), u
         if isinstance(cset, SegmentSet):
-            gc, L = float(np.dot(g, cset.direction)), cset.halflength
+            gc, L = dot(g, cset.direction), cset.halflength
             a = min(max(gc / (2 * alpha), -L), L) if alpha > 0 else (math.copysign(L, gc) if gc else 0.0)
             return gc * a - alpha * a * a, a * cset.direction
-        gn, r = float(np.linalg.norm(g)), cset.radius
+        gn, r = norm(g), cset.radius
         s = min(max(gn / (2 * alpha), 0.0), r) if alpha > 0 else (r if gn > 0 else 0.0)
         return gn * s - alpha * s * s, ((s / gn) * g if gn > 0 else np.zeros(2))
 
@@ -474,19 +474,19 @@ class LoopReference:
 
     def structure(self, i, k, w, alpha):
         drift, cset = self.scn.drift[i], self.scn.U[i]
-        g = control_gradient(drift, self.x[k, i]).T @ w
+        g = matvec(control_gradient(drift, self.x[k, i]).T, w)
         if isinstance(cset, SegmentSet) or (isinstance(cset, IntervalSet) and cset.dim == 1):
             seg = isinstance(cset, SegmentSet)
-            gc = float(np.dot(g, cset.direction)) if seg else float(g[0])
+            gc = dot(g, cset.direction) if seg else float(g[0])
             lo, hi = (-cset.halflength, cset.halflength) if seg else (cset.lo[0], cset.hi[0])
             lo_s, hi_s = self.active_range(gc, alpha, lo, hi)
             if hi_s - lo_s < 1e-14:
                 return "point", lo_s * (cset.direction if seg else np.ones(1))
-            col = control_gradient(drift, self.x[k, i]) @ cset.direction if seg else \
+            col = matvec(control_gradient(drift, self.x[k, i]), cset.direction) if seg else \
                 control_gradient(drift, self.x[k, i])[:, 0]
             return "interval", lo_s, hi_s, col
         if isinstance(cset, BallSet):
-            gn = float(np.linalg.norm(g))
+            gn = norm(g)
             if alpha <= 0 and gn * cset.radius <= SUP_ACTIVE_FRAC * (1.0 + gn * cset.radius) + 1e-12:
                 B = drift.B
                 iso = abs(B[0, 0] - B[1, 1]) < 1e-12 and abs(B[0, 1]) < 1e-12 and abs(B[1, 0]) < 1e-12
@@ -499,15 +499,16 @@ class LoopReference:
         best = math.inf
         if len(cols) < 2:
             c = cols[0] if cols else np.zeros_like(r)
-            cc = float(np.dot(c, c))
-            a = min(max(float(np.dot(r, c)) / cc if cc > 0 else 0.0, los[0] if cols else 0.0),
+            cc = dot(c, c)
+            a = min(max(dot(r, c) / cc if cc > 0 else 0.0, los[0] if cols else 0.0),
                     his[0] if cols else 0.0)
-            return max(0.0, float(np.linalg.norm(r - a * c)) - ball)
+            return max(0.0, norm(r - a * c) - ball)
         A = np.column_stack(cols)
         try:
-            sol = np.linalg.solve(A.T @ A + 1e-15 * np.eye(2), A.T @ r)
+            gram = np.array([[dot(a, b) for b in A.T] for a in A.T])
+            sol = np.linalg.solve(gram + 1e-15 * np.eye(2), matvec(A.T, r))
             if all(los[j] - 1e-12 <= sol[j] <= his[j] + 1e-12 for j in range(2)):
-                best = float(np.linalg.norm(r - A @ np.clip(sol, los, his)))
+                best = norm(r - matvec(A, np.clip(sol, los, his)))
         except np.linalg.LinAlgError:
             pass
         for j, fixed in ((0, los[0]), (0, his[0]), (1, los[1]), (1, his[1])):
@@ -529,7 +530,7 @@ class LoopReference:
             L = cset.halflength
             if L == 0.0:
                 return 0.0
-            a, along = float(np.dot(v, cset.direction)), float(np.dot(w, cset.direction))
+            a, along = dot(v, cset.direction), dot(w, cset.direction)
             if a >= L - tol * max(1.0, L):
                 self.hits.add("V-segment-end")
                 return max(0.0, along)
@@ -539,13 +540,13 @@ class LoopReference:
             return abs(along)
         if cset.radius == 0.0:
             return 0.0
-        rn = float(np.linalg.norm(v))
+        rn = norm(v)
         if rn >= cset.radius - tol * max(1.0, cset.radius):
             self.hits.add("V-ball-boundary")
             ray = -v / rn
-            return float(np.linalg.norm(w - max(0.0, float(np.dot(w, ray))) * ray))
+            return norm(w - max(0.0, dot(w, ray)) * ray)
         self.hits.add("V-ball-inside")
-        return float(np.linalg.norm(w))
+        return norm(w)
 
     def upper_adjoint(self, up, i, k):
         scn, h = self.scn, self.h[k]
@@ -553,16 +554,16 @@ class LoopReference:
         qn = up.q_lower[k + 1, i]
         w = qn - nu * self.z[k + 1, i]
         f = scn.drift[i].value(self.x[k, i], self.u[i][k])
-        base_lo = jac_x(scn.drift[i], self.u[i][k]).T @ w - nu * f + nu * vk
+        base_lo = matvec(jac_x(scn.drift[i], self.u[i][k]).T, w) - nu * f + nu * vk
         base_hi = self.pair_jac(nu * f - nu * vk, k, i, up.overlap[k, i], vk)
         r_lo = -(qn - up.q_lower[k, i]) / h - base_lo
         r_hi = -(up.q_upper[k + 1, i] - up.q_upper[k, i]) / h - base_hi
         kind, g = self.branch(k, i, qn, nu, w)
         self.hits.add("upper-" + kind)
         theta = 1.0 if kind == "active" else 0.0
-        if kind == "kink" and float(np.dot(g, g)) > 1e-30:
-            theta = min(max((np.dot(r_lo, g) - np.dot(r_hi, g)) / (2 * np.dot(g, g)), 0.0), 1.0)
-        return np.linalg.norm(r_lo - theta * g), np.linalg.norm(r_hi + theta * g)
+        if kind == "kink" and dot(g, g) > 1e-30:
+            theta = min(max((dot(r_lo, g) - dot(r_hi, g)) / (2 * dot(g, g)), 0.0), 1.0)
+        return norm(r_lo - theta * g), norm(r_hi + theta * g)
 
     def inner(self, low, k):
         """(joint adjoint distance, primal residual) of one interval."""
@@ -575,7 +576,7 @@ class LoopReference:
         self.hits.add("hull-" + st[0])
         u_hat = st[1] if st[0] == "point" else np.zeros(drift.control_dim)
         f = drift.value(x, u_hat)
-        base_lo = nu * vk + jac_x(drift, u_hat).T @ w - nu * f
+        base_lo = nu * vk + matvec(jac_x(drift, u_hat).T, w) - nu * f
         base_hi = self.pair_jac(-nu * vk, k, i, low.overlap[k], vk) + nu * f
         r_lo = -(pn - low.p_lower[k]) / h - base_lo
         r_hi = -(low.p_upper[k + 1] - low.p_upper[k]) / h - base_hi
@@ -597,11 +598,11 @@ class LoopReference:
         adjoint = self.hull(np.concatenate([r_lo, r_hi]), cols, los, his, abs(nu) * ball * math.sqrt(2))
         primal = self.hull((self.x[k + 1, i] - x) / h - f, pcols, plos, phis, ball)
         ydot = (self.y[k + 1, i] - self.y[k, i]) / h
-        return adjoint, max(primal, float(np.linalg.norm(ydot - vk)))
+        return adjoint, max(primal, norm(ydot - vk))
 
     def initial(self, w0, i):
         n0 = self.normals[0, i]
-        return float(np.linalg.norm(w0 - np.dot(w0, n0) * n0 if self.contact[0, i] else w0))
+        return norm(w0 - dot(w0, n0) * n0 if self.contact[0, i] else w0)
 
     def shape(self, path, clear):
         diffs = np.diff(path)
@@ -634,8 +635,8 @@ class LoopReference:
         for i in range(scn.N):
             nuT, zT = up.confinement[-1, i], self.z[-1, i]
             target = -up.objective_weight * self.y[-1, i] - nuT * zT - self.pair(K, i, up.overlap[-1, i])
-            bnd = max(bnd, np.linalg.norm(up.q_upper[-1, i] - target),
-                      np.linalg.norm(up.q_lower[-1, i] - nuT * zT),
+            bnd = max(bnd, norm(up.q_upper[-1, i] - target),
+                      norm(up.q_lower[-1, i] - nuT * zT),
                       self.initial(up.q_lower[0, i] - up.confinement[0, i] * self.z[0, i], i))
         res["boundary"] = bnd
         alpha = up.effort_weights
@@ -643,10 +644,10 @@ class LoopReference:
         for k in range(K):
             for i in range(scn.N):
                 w = up.q_lower[k + 1, i] - up.confinement[k, i] * self.z[k + 1, i]
-                g = control_gradient(scn.drift[i], self.x[k, i]).T @ w
+                g = matvec(control_gradient(scn.drift[i], self.x[k, i]).T, w)
                 sup, _u = self.sup_effort(g, float(alpha[i]), scn.U[i])
                 uk = self.u[i][k]
-                gaps[k] += max(0.0, sup - (float(np.dot(g, uk)) - float(alpha[i]) * float(np.dot(uk, uk))))
+                gaps[k] += max(0.0, sup - (dot(g, uk) - float(alpha[i]) * dot(uk, uk)))
                 lhs = (up.q_upper[k + 1, i] + up.confinement[k, i] * self.z[k + 1, i]
                        + self.pair(k + 1, i, up.overlap[k, i]))
                 if alpha[i] != 0.0:
@@ -688,8 +689,8 @@ class LoopReference:
             for name, value in (
                 ("adjoint", max(a for a, _ in inner)),
                 ("primal_inclusion", max(p for _, p in inner)),
-                ("boundary", max(np.linalg.norm(low.p_lower[-1] - muT * zT),
-                                 np.linalg.norm(low.p_upper[-1] - (-muT * zT - self.pair(K, i, low.overlap[-1]))),
+                ("boundary", max(norm(low.p_lower[-1] - muT * zT),
+                                 norm(low.p_upper[-1] - (-muT * zT - self.pair(K, i, low.overlap[-1]))),
                                  self.initial(low.p_lower[0] - low.confinement[0] * self.z[0, i], i))),
                 ("monotonicity", mono),
                 ("articulation", art),
@@ -720,7 +721,7 @@ class LoopReference:
                 self.hits.add("sweep-" + ("scaled" if isinstance(drift, ScaledLinearDrift)
                                           else "affine"))
             f = drift.value(x, u)
-            base_lo = jac_x(drift, u).T @ w - nu[k] * f + nu[k] * vk
+            base_lo = matvec(jac_x(drift, u).T, w) - nu[k] * f + nu[k] * vk
             kind, g = self.branch(k, i, qn, nu[k], w)
             sig = np.zeros(2)
             if kind == "active":
@@ -729,8 +730,8 @@ class LoopReference:
                 theta = min(max(self.cone[k, i] / cap, 0.0), 1.0)
                 self.hits.add("sweep-kink-" + ("pinned" if self.contact[k, i] else "onset"))
                 if self.contact[k, i]:
-                    m0 = float(np.dot(qn + h * base_lo - nu[k] * self.z[k, i], self.normals[k, i]))
-                    slope = h * float(np.dot(g, self.normals[k, i]))
+                    m0 = dot(qn + h * base_lo - nu[k] * self.z[k, i], self.normals[k, i])
+                    slope = h * dot(g, self.normals[k, i])
                     if abs(slope) > 1e-30:
                         theta = min(max(-m0 / slope, 0.0), 1.0)
                 sig = theta * g
@@ -784,8 +785,8 @@ def h5_bounds_loop(scenario, boundary_samples):
         if isinstance(cset, IntervalSet):
             return float(np.sum(np.where(d >= 0, d * cset.hi, d * cset.lo)))
         if isinstance(cset, SegmentSet):
-            return cset.halflength * abs(float(np.dot(d, cset.direction)))
-        return cset.radius * float(np.linalg.norm(d))
+            return cset.halflength * abs(dot(d, cset.direction))
+        return cset.radius * norm(d)
 
     out = []
     for i, samples in enumerate(boundary_samples):
@@ -793,9 +794,9 @@ def h5_bounds_loop(scenario, boundary_samples):
         upper, lower = math.inf, -math.inf
         for x, yc in samples:
             z = x - yc
-            n = z / float(np.linalg.norm(z))
-            base = float(np.dot(n, drift.value(x, np.zeros(drift.control_dim))))
-            lin = control_gradient(drift, x).T @ n
+            n = z / norm(z)
+            base = dot(n, drift.value(x, np.zeros(drift.control_dim)))
+            lin = matvec(control_gradient(drift, x).T, n)
             max_u, min_u = base + support(Ui, lin), base - support(Ui, -lin)
             max_v, min_v = support(Vi, n), -support(Vi, -n)
             upper = min(upper, max_u - min_v)
@@ -976,9 +977,7 @@ class TestArrayVerifierMatchesLoopReference:
 
 # sha256 of the four costates that _backward_pair returns (upper q_lower and
 # q_upper, then inner p_lower and p_upper), per (participant, level, weight)
-# of assert_sweeps_match, on twodisk_300 and mixed_solution().  Like the
-# goldens they assume NumPy's bundled OpenBLAS on x86-64, because the sweep's
-# dot products round as its ddot does.
+# of assert_sweeps_match, on twodisk_300 and mixed_solution().
 SWEEP_SHA256 = {
     "twodisk": {
         (0, 1.0, 0.0): "72ecbfa9c69904563ab0a931fbbb5c6ea15600bc01261c836b2e20b450242a04",
@@ -992,15 +991,15 @@ SWEEP_SHA256 = {
         (0, 1.0, 0.0): "fd93b7e089e664c29fe52b0e0d28c4a183da2674b68fa955c255cc34e856061b",
         (0, 0.0, 1.0): "999e46bf0a8db159510a1990955ba937d2cd8ee3c225e9f94f6f75eed4aec353",
         (0, 0.5, 0.5): "549d5931ebbbde030e6820321d5ec58e912fe1809842f5de8905e32cac3ff24d",
-        (1, 1.0, 0.0): "775943b7fa001cb1a818f9484bcb1f9d58a21526a8266e536e24237321862f3f",
+        (1, 1.0, 0.0): "f61e7c788b1bfdb11b6e68be32c991df9b9ed4a7ae39afa6d3cae0aeac3e80c5",
         (1, 0.0, 1.0): "b490cf51cec4d989270ddc5bd08a92e2027b3479219bacde183f7d17db043724",
-        (1, 0.5, 0.5): "3249bab7705b29005463b70c002e4a3066ef4dd7176752feb8ae9277b853ad2b",
-        (2, 1.0, 0.0): "9df4be3b60e9bb49f7d06a30acc1034034b8582be21ed945b67337c133484fe9",
+        (1, 0.5, 0.5): "1f969ce24eb4b5f52ad2756084c8a821e987a526b87f6837ff5c12fd4a5a24bb",
+        (2, 1.0, 0.0): "ee7ad667ae5a9ebe0e72f615aee3a3e22243a13a143ce35550c6f92ef099aa40",
         (2, 0.0, 1.0): "f0792f8831dcb9249d7f39b914ae40100032c140df3c58da399de9fc36d8e333",
-        (2, 0.5, 0.5): "8ddc4304bbdf8c72d60dcff3903e6bed60db283dfc07e1525c824984a9747870",
-        (3, 1.0, 0.0): "a6d9fdd6f09673c0544a8619e9e88e6c4b267b5d6094187f79ec8c50f2df0a6c",
+        (2, 0.5, 0.5): "f11a9d1fd91eb5d3e2b0b9e87501a8ff19a0058b27902b4be7c4890c8e784f74",
+        (3, 1.0, 0.0): "bc52e3632cc5cac6be2310f7f3736b55d64775ff1508ff84f78fec69920cbffe",
         (3, 0.0, 1.0): "ce2c8676cda2b4d5764a30292aaef0b4f6e2e8b70122bd6193b2a4a4f962db4d",
-        (3, 0.5, 0.5): "8402ed07ed111e1c1222908aaca9255430845e9c737e9e00bcd11a309ba94fd3",
+        (3, 0.5, 0.5): "fc063aa8aeff42e9e3fc42e37d47ea69f70f9723751b1da88566d3215a34f6e3",
     },
 }
 
