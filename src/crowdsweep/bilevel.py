@@ -26,8 +26,6 @@ from .dynamics import (
     SegmentSet,
     Trajectory,
     _effort,
-    _float_dot,
-    _float_drift,
     _float_step,
     _line,
     _require_member,
@@ -169,23 +167,17 @@ def _greedy_step(drift, cset):
     reach the target (a trust-region step, More & Sorensen 1983, by a
     monotone Newton iteration), kept when it lies in U; on a box U that
     misses it, the answer lies on an edge of the box, a line."""
-    f, zero, line = _float_drift(drift), (0.0,) * drift.control_dim, _line(cset)
-    scaled = isinstance(drift, ScaledLinearDrift)
-    B = None if scaled else drift.B.tolist()
+    line = _line(cset)
     if line is not None:
         unit, s_lo, s_hi = line[0].tolist(), line[1], line[2]
+        along = drift._float_line(unit)
 
         def scalar(x0, x1, h, c0, c1, r_eff):
-            # the line p0 + s * w, in each drift family's order of arithmetic
-            if scaled:
-                p0, p1, w0, w1 = x0, x1, h * drift.coeff * x0, h * drift.coeff * x1
-            else:
-                f0, f1 = f(x0, x1, zero)
-                p0, p1 = x0 + h * f0, x1 + h * f1
-                w0, w1 = (_float_dot([h * e for e in row], unit) for row in B)
+            p0, p1, w0, w1 = along(x0, x1, h)
             s = _line_step(p0 - c0, p1 - c1, w0, w1, r_eff, s_lo, s_hi)
             return None if s is None else tuple(s * e for e in unit)
         return scalar
+    f, zero, B = drift._floats(), (0.0,) * drift.control_dim, drift.B.tolist()
     # two control coordinates, W = h B, and B = L diag(S) Q with singular
     # values below 1e-12 of the largest taken as 0 (a rank-1 B)
     ((l00, l01), (l10, l11)), (S0, S1), ((q00, q01), (q10, q11)) = _svd2(drift.B)
@@ -369,6 +361,9 @@ def solve_bilevel_direct(
     if not 2 <= coarse_grid_K <= sim_K:
         raise ValueError(f"grid-K must be from 2 to {sim_K} coarse intervals (the steps of "
                          f"the fine grid), got {coarse_grid_K}")
+    for i, m in enumerate(drift.control_dim for drift in scenario.drift):
+        if m > 2:    # the greedy's planar rule takes two
+            raise ValueError(f"participant {i+1}: solve takes up to 2 control coordinates, got {m}")
     K, N, T = coarse_grid_K, scenario.N, scenario.T
     rng = np.random.default_rng(seed)
     sim_K = int(math.ceil(sim_K / K)) * K

@@ -90,6 +90,15 @@ class StabilityError(ValueError):
 # drift families
 
 
+# Each drift family is the one home of its arithmetic, in the catch-up's
+# order with no zero terms: f on rows (``value``, also on one state and one
+# control) and on floats (``_floats``: f(x0, x1, u) -> (f0, f1)), (df/du)^T w
+# (``_u_t(x, w)``), (df/dx)^T w (``_x_t(w, u)``, ``_float_x_t``), and for
+# u = s * unit on a line, the greedy's line (``_float_line``: x + h f(x, s
+# unit) = p + s w) and the verifier's columns df/ds and d/ds (df/dx)^T w
+# (``_line_columns``).
+
+
 @dataclass(frozen=True)
 class ScaledLinearDrift:
     """f(x, u) = coeff * u * x with a scalar control u."""
@@ -101,7 +110,24 @@ class ScaledLinearDrift:
         return 1
 
     def value(self, x, u) -> np.ndarray:
-        return self.coeff * float(np.asarray(u).ravel()[0]) * np.asarray(x, float)
+        return (self.coeff * np.atleast_1d(u)[..., :1]) * np.asarray(x, float)
+
+    def _floats(self):
+        c = self.coeff
+        return lambda x0, x1, u: (c * u[0] * x0, c * u[0] * x1)
+
+    # f is linear in x with the symmetric Jacobian c u I: (df/dx)^T w = f(w, u)
+    _x_t, _float_x_t = value, _floats
+
+    def _u_t(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return _rowdot(self.coeff * x, w)[:, None]
+
+    def _float_line(self, unit):
+        c = self.coeff
+        return lambda x0, x1, h: (x0, x1, h * c * x0, h * c * x1)
+
+    def _line_columns(self, x: np.ndarray, w: np.ndarray, unit: np.ndarray):
+        return self.coeff * x, self.coeff * w
 
 
 @dataclass(frozen=True)
@@ -123,7 +149,35 @@ class AffineDrift:
         return self.B.shape[1]
 
     def value(self, x, u) -> np.ndarray:
-        return _matvec(self.A, np.asarray(x, float)) + _matvec(self.B, np.ravel(u)) + self.b
+        return (_matvec(self.A, np.asarray(x, float)) + _matvec(self.B, np.atleast_1d(u))) + self.b
+
+    def _floats(self):
+        (a00, a01), (a10, a11) = self.A.tolist()
+        (B0, B1), (b0, b1) = self.B.tolist(), self.b.tolist()
+        return lambda x0, x1, u: (((a00 * x0 + a01 * x1) + _float_dot(B0, u)) + b0,
+                                  ((a10 * x0 + a11 * x1) + _float_dot(B1, u)) + b1)
+
+    def _x_t(self, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return _matvec(self.A.T, w)
+
+    def _float_x_t(self):
+        (t00, t01), (t10, t11) = self.A.T.tolist()
+        return lambda w0, w1, u: (t00 * w0 + t01 * w1, t10 * w0 + t11 * w1)
+
+    def _u_t(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return _matvec(self.B.T, w)
+
+    def _float_line(self, unit):
+        f, zero, (B0, B1) = self._floats(), (0.0,) * self.control_dim, self.B.tolist()
+
+        def line(x0, x1, h):
+            f0, f1 = f(x0, x1, zero)
+            return (x0 + h * f0, x1 + h * f1,
+                    _float_dot([h * e for e in B0], unit), _float_dot([h * e for e in B1], unit))
+        return line
+
+    def _line_columns(self, x: np.ndarray, w: np.ndarray, unit: np.ndarray):
+        return np.broadcast_to(_matvec(self.B, unit), x.shape), np.zeros_like(w)
 
 
 DriftSpec = Union[ScaledLinearDrift, AffineDrift]
@@ -496,18 +550,17 @@ def integrate_upper(scenario: Scenario, v: Sequence[ControlProfile]) -> Trajecto
     return Trajectory(grid=grid, states=_translation_path(scenario.y0, grid, velocities))
 
 
-def _lane_drift(scenario: Scenario, lanes: Sequence[int], uvals: Sequence[np.ndarray]):
-    """``f(k, x)``: the lanes' drifts at states x (L, 2) under their k-th
-    controls (``uvals``: one (K, m) array per lane), ((s x + A x) + B u) + b
-    with s = c u or 0; the zero terms can only turn a -0.0 into +0.0.
-    ``f.terms`` is (s, A, Bu, b), s None without a scaled-linear lane and A
-    None without an affine one."""
-    K, L = len(uvals[0]), len(lanes)
+def _lane_drift(scenario: Scenario, uvals: Sequence[np.ndarray]):
+    """``f(k, x)``: the drifts at states x (N, 2) under the k-th controls (one
+    (K, m) array per participant), ((s x + A x) + B u) + b with s = c u or 0,
+    for the penalty integrator; the zero terms can only turn a -0.0 into +0.0.
+    ``f.terms`` is (s, A, Bu, b) for the catch-up's array loop, s None without
+    a scaled-linear lane and A None without an affine one."""
+    K, L = len(uvals[0]), len(uvals)
     s, A = np.zeros((K, L, 1)), np.zeros((L, 2, 2))
     Bu, b = np.zeros((K, L, 2)), np.zeros((L, 2))
     scaled = affine = False
-    for lane, (i, uv) in enumerate(zip(lanes, uvals)):
-        drift = scenario.drift[i]
+    for lane, (drift, uv) in enumerate(zip(scenario.drift, uvals)):
         if isinstance(drift, ScaledLinearDrift):
             scaled = True
             s[:, lane, 0] = drift.coeff * uv[:, 0]
@@ -522,26 +575,6 @@ def _lane_drift(scenario: Scenario, lanes: Sequence[int], uvals: Sequence[np.nda
 
     f.terms = (s if scaled else None, A if affine else None, Bu, b)
     return f
-
-
-def _drift_rows(scn: Scenario, i: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """f(x, u) of participant i for rows of states and controls."""
-    return _lane_drift(scn, [i], [u])(slice(None), x[:, None])[:, 0]
-
-
-def _gradient_t_w(drift, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(d f / d u)^T w, one row of the control dimension per state row."""
-    if isinstance(drift, ScaledLinearDrift):
-        return _rowdot(drift.coeff * x, w)[:, None]
-    return _matvec(drift.B.T, w)
-
-
-def _jac_t_w(drift, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(d f / d x)^T w, one row per row of controls: c u w (scaled-linear)
-    or A^T w (affine)."""
-    if isinstance(drift, ScaledLinearDrift):
-        return (drift.coeff * u[:, :1]) * w
-    return _matvec(drift.A.T, w)
 
 
 def _lower_inputs(scenario: Scenario, y: Trajectory, u: Sequence[ControlProfile],
@@ -560,19 +593,7 @@ def _lower_inputs(scenario: Scenario, y: Trajectory, u: Sequence[ControlProfile]
     outside = np.flatnonzero(_row_norms(x0 - y.states[0]) > R + 1e-9 * R)
     if outside.size:
         raise ValueError(f"participant {outside[0] + 1}: x0 outside the initial disk")
-    return grid, x0, _lane_drift(scenario, range(scenario.N), [p.values for p in u])
-
-
-def _float_drift(drift: DriftSpec):
-    """``f(x0, x1, u) -> (f0, f1)``: the drift on Python floats, (c u0) x or
-    ((A x) + B u) + b in ``_matvec``'s order."""
-    if isinstance(drift, ScaledLinearDrift):
-        c = drift.coeff
-        return lambda x0, x1, u: (c * u[0] * x0, c * u[0] * x1)
-    (a00, a01), (a10, a11) = drift.A.tolist()
-    (B0, B1), (b0, b1) = drift.B.tolist(), drift.b.tolist()
-    return lambda x0, x1, u: (((a00 * x0 + a01 * x1) + _float_dot(B0, u)) + b0,
-                              ((a10 * x0 + a11 * x1) + _float_dot(B1, u)) + b1)
+    return grid, x0, _lane_drift(scenario, [p.values for p in u])
 
 
 def _float_step(drift: DriftSpec, R: float):
@@ -580,7 +601,7 @@ def _float_step(drift: DriftSpec, R: float):
     floats, p = x + h f(x, u), d = |p - c| by ``np.hypot`` (``math.hypot``
     rounds differently) and the projection onto the disk of radius R about c
     when d > R.  The catch-up's float lanes and the greedy solve share it."""
-    f, hypot = _float_drift(drift), np.hypot
+    f, hypot = drift._floats(), np.hypot
 
     def step(x0, x1, h, u, c0, c1):
         f0, f1 = f(x0, x1, u)
@@ -633,7 +654,8 @@ def integrate_lower_catchup(
     else:
         # the projection is computed for every participant and kept where
         # one left its disk (a participant resting on its center divides by
-        # zero there)
+        # zero there); an overflowing prediction, unwarned as on floats, is
+        # an infinite correction
         s, A, Bu, b = drift.terms
         f, ax, off = np.empty((N, 2)), np.empty((N, 2)), np.empty((N, 2))
         ratio, far = np.empty((N, 1)), np.empty((N, 1), dtype=bool)
@@ -641,7 +663,7 @@ def integrate_lower_catchup(
         if A is not None:   # A x = A[:, 0] x0 + A[:, 1] x1 on the affine lanes
             a0, a1 = A[..., 0].copy(), A[..., 1].copy()
             affine = s is None or np.array([[isinstance(d, AffineDrift)] for d in scenario.drift])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for k, (x, xc0, xc1, pred, d, center) in enumerate(zip(
                     states[:-1], states[:-1, :, :1], states[:-1, :, 1:],
                     states[1:], dist[1:], centers[1:])):
@@ -876,8 +898,8 @@ def h5_bounds(
                 f"boundary (R={scenario.R:.6g})"
             )
         n = z / nz[:, None]
-        base = _rowdot(n, _drift_rows(scenario, i, x, np.zeros((len(x), drift.control_dim))))
-        lin = _gradient_t_w(drift, x, n)  # (S, m)
+        base = _rowdot(n, drift.value(x, np.zeros((len(x), drift.control_dim))))
+        lin = drift._u_t(x, n)  # (S, m)
         max_u = base + _sup_effort(lin, 0.0, Ui)[0]
         min_u = base - _sup_effort(-lin, 0.0, Ui)[0]
         upper = np.min(max_u + _sup_effort(-n, 0.0, Vi)[0])

@@ -27,19 +27,15 @@ from .bilevel import BilevelSolution
 from .dynamics import (
     BallSet,
     IntervalSet,
-    ScaledLinearDrift,
     SegmentSet,
     _check_grid,
     _check_grid_match,
-    _drift_rows,
-    _gradient_t_w,
-    _jac_t_w,
-    _lane_drift,
     _line,
     _matvec,
     _peak,
     _row_norms,
     _rowdot,
+    _set_scale,
     _sup_effort,
     _svd2,
 )
@@ -261,7 +257,8 @@ class _SolutionData:
         self.normals = np.zeros_like(self.z)
         mask = nz > 1e-12
         self.normals[mask] = self.z[mask] / nz[mask][:, None]
-        self.f = _lane_drift(scn, range(scn.N), self.u)(slice(None), self.x[:-1])
+        self.f = np.stack([drift.value(self.x[:-1, i], u)
+                           for i, (drift, u) in enumerate(zip(scn.drift, self.u))], axis=1)
         self.xdot = (self.x[1:] - self.x[:-1]) / self.h[:, None, None]
         self.cone = np.maximum(0.0, _rowdot(self.f - self.xdot, self.normals[1:]))
         self.pair_gap = np.linalg.norm(self.y[:, :, None] - self.y[:, None], axis=3) - 2 * R
@@ -317,21 +314,6 @@ def _prepared(solution, upper: UpperMultipliers) -> _SolutionData:
 
 
 # ---------------------------------------------------------------------------
-# drift terms for rows of states, controls and costates
-
-
-def _control_column(data: _SolutionData, i: int) -> np.ndarray:
-    """Dynamics direction of the scalar control coordinate, per interval;
-    zeros when U is not a line."""
-    drift, line = data.scn.drift[i], _line(data.scn.U[i])
-    if line is None:
-        return np.zeros((data.K, 2))
-    if isinstance(drift, ScaledLinearDrift):
-        return drift.coeff * data.x[:-1, i]
-    return np.broadcast_to(_matvec(drift.B, line[0]), (data.K, 2))
-
-
-# ---------------------------------------------------------------------------
 # small exact optimizers, row by row
 
 
@@ -372,7 +354,7 @@ def _u_hull(data: _SolutionData, i: int, w: np.ndarray, alpha: float,
             rows: slice = slice(None)) -> _Hull:
     """Near-argmax structure on the intervals ``rows`` for the rows of w."""
     drift, cset = data.scn.drift[i], data.scn.U[i]
-    g = _gradient_t_w(drift, data.x[:-1, i][rows], w)
+    g = drift._u_t(data.x[:-1, i][rows], w)
     line = _line(cset)
     if line is not None:
         unit, lo, hi = line
@@ -443,13 +425,12 @@ def _normal_cone_distance(w: np.ndarray, cset, v: np.ndarray) -> np.ndarray:
 
     Interval sets give per-coordinate rays, a segment contributes its whole
     orthogonal complement plus an outward halfplane at the endpoints, a ball
-    the outward radial ray on its boundary.
+    the outward radial ray on its boundary.  A control is at a bound within
+    1e-9 of the set's scale, the tolerance of its membership test.
     """
-    tol = 1e-9
+    tol = 1e-9 * max(1.0, _set_scale(cset))
     if isinstance(cset, IntervalSet):
-        span = np.maximum(1.0, np.abs(cset.hi) + np.abs(cset.lo))
-        at_hi = v >= cset.hi - tol * span
-        at_lo = v <= cset.lo + tol * span
+        at_hi, at_lo = v >= cset.hi - tol, v <= cset.lo + tol
         off = ((w > 0) & ~at_lo) | ((w < 0) & ~at_hi)
         return np.sqrt(np.sum(np.where(off, w**2, 0.0), axis=1))
     if isinstance(cset, SegmentSet):
@@ -458,13 +439,12 @@ def _normal_cone_distance(w: np.ndarray, cset, v: np.ndarray) -> np.ndarray:
             return np.zeros(len(w))      # normal cone of a singleton is the whole plane
         a = _rowdot(v, cset.direction)
         along = _rowdot(w, cset.direction)
-        span = max(1.0, L)
-        return np.where(a >= L - tol * span, np.maximum(0.0, along),
-                        np.where(a <= -L + tol * span, np.maximum(0.0, -along), np.abs(along)))
+        return np.where(a >= L - tol, np.maximum(0.0, along),
+                        np.where(a <= -L + tol, np.maximum(0.0, -along), np.abs(along)))
     if cset.radius == 0.0:
         return np.zeros(len(w))
     rn = _row_norms(v)
-    on = rn >= cset.radius - tol * max(1.0, cset.radius)
+    on = rn >= cset.radius - tol
     with np.errstate(divide="ignore", invalid="ignore"):
         ray = -v / rn[:, None]
         t = np.maximum(0.0, _rowdot(w, ray))
@@ -567,7 +547,7 @@ def _upper_adjoint_paths(data: _SolutionData,
     for i in range(scn.N):
         nu, w, rate_lo, rate_hi, active, kink, g = _lane_rates(data, lv, i)
         f, v = data.f[:, i], data.v[i]
-        r_lo = rate_lo - (_jac_t_w(scn.drift[i], data.u[i], w) - nu[:, None] * f + nu[:, None] * v)
+        r_lo = rate_lo - (scn.drift[i]._x_t(w, data.u[i]) - nu[:, None] * f + nu[:, None] * v)
         r_hi = rate_hi - data.add_contact_terms(nu[:, None] * f - nu[:, None] * v, i,
                                                 upper.overlap[:K, i], v)
         gg = _rowdot(g, g)
@@ -589,7 +569,7 @@ def _max_lower_gaps(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
     for i in range(scn.N):
         alpha = float(upper.effort_weights[i])
         w = upper.q_lower[1:, i] - upper.confinement[:K, i, None] * data.z[1:, i]
-        g = _gradient_t_w(scn.drift[i], data.x[:-1, i], w)
+        g = scn.drift[i]._u_t(data.x[:-1, i], w)
         sup, _u = _sup_effort(g, alpha, scn.U[i])
         uk = data.u[i]
         gaps[:, i] = np.maximum(0.0, sup - (_rowdot(g, uk) - alpha * _rowdot(uk, uk)))
@@ -708,17 +688,18 @@ def _inner_checks(data: _SolutionData, low: LowerMultipliers):
     hull = _u_hull(data, i, w, low.effort_weight)
     interval, ball = hull.kind == _INTERVAL, hull.kind == _BALL
     u_eval = np.where((hull.kind == _POINT)[:, None], hull.u, 0.0)
-    f = _drift_rows(scn, i, data.x[:-1, i], u_eval)
-    r_lo = rate_lo - (nu[:, None] * v + _jac_t_w(drift, u_eval, w) - nu[:, None] * f)
+    f = drift.value(data.x[:-1, i], u_eval)
+    r_lo = rate_lo - (nu[:, None] * v + drift._x_t(w, u_eval) - nu[:, None] * f)
     r_hi = rate_hi - (data.add_contact_terms(-nu[:, None] * v, i, low.overlap[:K], v)
                       + nu[:, None] * f)
     r_lo = np.where(active[:, None], r_lo - g, r_lo)
     r_hi = np.where(active[:, None], r_hi + g, r_hi)
 
-    col = _control_column(data, i)
-    col_lo = drift.coeff * w - nu[:, None] * col if isinstance(drift, ScaledLinearDrift) \
-        else -nu[:, None] * col
-    hull_col = np.hstack([col_lo, nu[:, None] * col])
+    # the control coordinate's column and its cross term; zero off a line U
+    line = _line(scn.U[i])
+    col, cross = (np.zeros((K, 2)),) * 2 if line is None \
+        else drift._line_columns(data.x[:-1, i], w, line[0])
+    hull_col = np.hstack([cross - nu[:, None] * col, nu[:, None] * col])
     kink_col = np.hstack([g, -g])
     # radius of B(U) for the constant control matrix of a ball set
     gain = _svd2(drift.B)[1][0] * scn.U[i].radius if ball.any() else 0.0
@@ -870,7 +851,8 @@ def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: flo
     drift of the degenerate arcs; outside the band the branch is forced.
     Every term that does not depend on the costate is computed before the
     loop, which carries q_lower alone as two floats; q_upper is then a
-    cumulative sum.
+    cumulative sum.  The loop steps on the drift's float forms and reads a
+    state row only at a unique inner maximizer, found by ``_u_hull`` (numpy).
 
     Without a confinement measure (``nu_path`` zero: the terminal family)
     nothing is stepped.  The lower recursion is linear and homogeneous in
@@ -882,22 +864,17 @@ def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: flo
         zero = np.zeros((K + 1, 2))
         return (zero, np.tile(-weight * data.y[K, i], (K + 1, 1))), (zero, np.zeros((K + 1, 2)))
     R, cap, drift = scn.R, float(scn.M[i]), scn.drift[i]
+    f, jac, gain = drift._floats(), drift._float_x_t(), -(cap / R)
     nu = nu_path[:K]
-    x_left, u, v = data.x[:-1, i], data.u[i], data.v[i]
-    z = data.z[1:, i]
-    nz, nv = nu[:, None] * z, nu[:, None] * v
-    f = data.f[:, i].copy()
-    nf = nu[:, None] * f
-    scaled = isinstance(drift, ScaledLinearDrift)
+    v, z = data.v[i], data.z[1:, i]
+    nz, nv, nf = nu[:, None] * z, nu[:, None] * v, nu[:, None] * data.f[:, i]
     # per-step scalars and rows as floats
     normals = data.normals[:, i].tolist()
     steps = list(zip(h.tolist(), nu.tolist(), nz.tolist(), nv.tolist(), nf.tolist(),
                      data.contact[1:, i].tolist(), normals[1:],
                      ((2.0 * nu)[:, None] * z).tolist(), (np.abs(nu) * R).tolist(),
                      data.contact[:-1, i].tolist(), data.z[:-1, i].tolist(), normals[:-1],
-                     np.clip(data.cone[:, i] / cap, 0.0, 1.0).tolist(),
-                     (drift.coeff * u[:, 0]).tolist() if scaled else [None] * K))
-    gain, ((t00, t01), (t10, t11)) = -(cap / R), np.zeros((2, 2)) if scaled else drift.A.T.tolist()
+                     np.clip(data.cone[:, i] / cap, 0.0, 1.0).tolist(), data.u[i].tolist()))
 
     q_lo = np.empty((K + 1, 2))
     q_lo[K] = nu_path[K] * data.z[K, i]
@@ -909,17 +886,15 @@ def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: flo
         (q0, q1), rows = q_lo[top + 1].tolist(), []
         for k in range(top, -1, -1):
             hk, nuk, (nz0, nz1), (nv0, nv1), (nf0, nf1), contact, (n0, n1), (tz0, tz1), \
-                band_nu, contact_prev, (zp0, zp1), (np0, np1), theta, slope_u = steps[k]
+                band_nu, contact_prev, (zp0, zp1), (np0, np1), theta, uk = steps[k]
             w0, w1 = q0 - nz0, q1 - nz1
-            w = np.array([[w0, w1]]) if k <= checked else None
-            hull = _u_hull(data, i, w, weight, slice(k, k + 1)) if k <= checked else None
-            if hull is not None and hull.kind[0] == _POINT:
-                f[k] = _drift_rows(scn, i, x_left[k:k + 1], hull.u)[0]
-                nf[k] = nuk * f[k]
-                (j0, j1), (nf0, nf1) = _jac_t_w(drift, hull.u, w)[0].tolist(), nf[k].tolist()
-            else:
-                j0, j1 = (slope_u * w0, slope_u * w1) if scaled \
-                    else (t00 * w0 + t01 * w1, t10 * w0 + t11 * w1)
+            if k <= checked:
+                hull = _u_hull(data, i, np.array([[w0, w1]]), weight, slice(k, k + 1))
+                if hull.kind[0] == _POINT:
+                    uk = hull.u[0].tolist()
+                    f0, f1 = f(*data.x[k, i].tolist(), uk)
+                    nf0, nf1 = nf[k] = nuk * f0, nuk * f1
+            j0, j1 = jac(w0, w1, uk)
             b0, b1 = j0 - nf0 + nv0, j1 - nf1 + nv1
             s0 = s1 = 0.0
             if contact:

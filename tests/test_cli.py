@@ -617,6 +617,31 @@ def test_csv_matches_per_row_format(case):
     assert text == _reference_csv(header, np.hstack([nodes] + groups))
 
 
+def test_solve_rejects_three_control_coordinates(tmp_path, capsys):
+    """The greedy inner solve takes at most two control coordinates: solve
+    rejects a wider participant before its search, in one line, and the
+    commands that read supplied controls accept it."""
+    def widen(doc):
+        doc["participants"][1]["drift"] = {"family": "affine", "A": [[0.0, 0.0], [0.0, 0.0]],
+                                          "B": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]], "b": [0.0, 0.0]}
+        doc["participants"][1]["U"] = {"shape": "interval", "lo": [-0.1] * 3, "hi": [0.1] * 3}
+
+    path = write_scenario(tmp_path, widen)
+    assert run("solve", path, out=str(tmp_path / "solve"), grid_K=2) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: input: participant 2: solve takes up to 2 control coordinates, got 3\n"
+    assert not (tmp_path / "solve").exists()
+    # both disks toward the exit at unit speed, every population control 0
+    rows = ["t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1,u2_2,u2_3"]
+    v = f"{S2 / 2!r},{-S2 / 2!r}"
+    rows += [f"{k / 10:.12g},{v},0,{v},0,0,0" for k in range(61)]
+    controls = tmp_path / "controls.csv"
+    controls.write_text("\n".join(rows) + "\n")
+    for command in ("simulate", "verify", "h5check"):
+        code = run(command, path, out=str(tmp_path / command), controls=str(controls))
+        assert code in (EXIT_OK, EXIT_NOT_VERIFIED) and capsys.readouterr().err == "", command
+
+
 @pytest.mark.parametrize("name, J_H, code, expected", [
     ("twodisk", "9.15706526144", EXIT_OK, ["verified: true", "objective_weight: 0"]),
     ("chain3", "53.8308472278", EXIT_OK, ["verified: true"]),

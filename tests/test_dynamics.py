@@ -1,10 +1,12 @@
 import math
 import os
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from crowdsweep import dynamics
+from crowdsweep import dynamics, nco
 from crowdsweep.bilevel import closed_form_controls, solve_twodisk_parametric
 from crowdsweep.cli import parse_scenario
 from crowdsweep.dynamics import (
@@ -504,17 +506,16 @@ class TestInPlaceCatchUp:
             == (1, 0.76, 4.0, 0.5)
 
     def test_overflowing_prediction(self, monkeypatch):
-        # in the array loop the overflow warns (an error under this suite's
-        # warning filter); unwarned, the infinite prediction is an infinite
-        # correction.  On the float path it overflows without a warning.
+        # the infinite prediction is an infinite correction, and neither
+        # path warns: any warning is an error here
         scn, y, u = _in_place_case("overflow")
-        with pytest.raises(TruncationViolationError) as floats:
-            integrate_lower_catchup(scn, y, u, scn.x0)
-        monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
-        with pytest.raises(RuntimeWarning, match="^overflow encountered in multiply$"):
-            integrate_lower_catchup(scn, y, u, scn.x0)
-        with np.errstate(over="ignore"), pytest.raises(TruncationViolationError) as err:
-            integrate_lower_catchup(scn, y, u, scn.x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationViolationError) as floats:
+                integrate_lower_catchup(scn, y, u, scn.x0)
+            monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
+            with pytest.raises(TruncationViolationError) as err:
+                integrate_lower_catchup(scn, y, u, scn.x0)
         assert str(err.value) == "participant 2 at t=2: required cone correction inf exceeds cap 1"
         assert (err.value.participant, err.value.time, err.value.magnitude) == (1, 2.0, math.inf)
         assert str(floats.value) == str(err.value)
@@ -904,6 +905,40 @@ def test_svd2_matches_lapack(kind):
         assert np.allclose(L.T @ L, np.eye(2), rtol=0, atol=1e-15)
         assert np.allclose(Q @ Q.T, np.eye(2), rtol=0, atol=1e-15)
         assert np.all(np.abs((L * S) @ Q[:, :B.shape[1]] - B) <= tol)
+
+
+def test_each_drift_evaluates_itself_one_way():
+    """One order of arithmetic per drift family: ``value`` on rows, its float
+    form row by row, ``value`` on one state and control, and the verifier's
+    drift ``_SolutionData.f`` agree as int64 bits, signed zeros included.
+    Participant 3's first row is A = [-0, 0], B = [-1, 0], b = -0 at
+    x = (1, -1), u = (0, -0): ((A x) + B u) + b is -0.0 there, and a zero
+    term in front of it would make it +0.0."""
+    zeros = [[a, b] for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    xs = np.array([[1.0, -1.0]] + zeros + [[-2.5, 3.0], [0.75, -0.0]])
+    drifts = [ScaledLinearDrift(-0.5),
+              # a zero A row and a 2x1 B, then a 2x2 B
+              AffineDrift([[0.0, 0.0], [0.5, -0.25]], [[1.0], [-2.0]], [0.1, -0.0]),
+              AffineDrift([[-0.0, 0.0], [0.3, -0.0]], [[-1.0, 0.0], [0.5, 2.0]], [-0.0, 0.0])]
+    scalar = np.array([[0.0], [-0.0], [0.0], [-0.0], [-0.0], [0.5], [-0.0]])
+    planar = np.array([[0.0, -0.0]] + zeros + [[0.25, -1.0], [-0.0, 0.0]])
+    us = [scalar, scalar[::-1].copy(), planar]
+    K = len(xs)
+    grid = uniform_grid(1.0, K)
+    scn = Scenario(N=3, R=1.0, T=1.0, y0=[[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]], drift=drifts,
+                   U=[IntervalSet([-1.0] * u.shape[1], [1.0] * u.shape[1]) for u in us],
+                   V=[BallSet(1.0)] * 3, M=[1.0] * 3, rho=[1.0] * 3)
+    states = Trajectory(grid=grid, states=np.repeat(np.vstack([xs, xs[:1]])[:, None], 3, axis=1))
+    data = nco._SolutionData(SimpleNamespace(
+        scenario=scn, x=states, y=states, u=[ControlProfile(grid=grid, values=u) for u in us],
+        v=[constant_profile(grid, np.zeros(2))] * 3))
+    for i, (drift, u) in enumerate(zip(drifts, us)):
+        f = drift._floats()
+        floats = [f(x0, x1, uk) for (x0, x1), uk in zip(xs.tolist(), u.tolist())]
+        ones = [drift.value(x, uk) for x, uk in zip(xs, u)]
+        for got in (np.array(floats), np.array(ones), data.f[:, i]):
+            assert got.view(np.int64).tolist() == drift.value(xs, u).view(np.int64).tolist(), i
+    assert data.f[0, 2, 0] == 0.0 and np.signbit(data.f[0, 2, 0])
 
 
 def test_scenario_invariants():

@@ -519,8 +519,8 @@ class LoopReference:
         tol = 1e-9
         if isinstance(cset, IntervalSet):
             res = 0.0
+            span = max(1.0, float(np.max(np.abs(np.concatenate([cset.lo, cset.hi])))))
             for j in range(cset.dim):
-                span = max(1.0, abs(cset.hi[j]) + abs(cset.lo[j]))
                 at_hi, at_lo = v[j] >= cset.hi[j] - tol * span, v[j] <= cset.lo[j] + tol * span
                 self.hits.add("V-interval-bound" if at_hi or at_lo else "V-interval-inside")
                 if (w[j] > 0 and not at_lo) or (w[j] < 0 and not at_hi):
@@ -1026,6 +1026,14 @@ def test_sweeps_are_pinned_bit_for_bit(name, twodisk_300):
         assert ref.hits >= {"sweep-point", "sweep-scaled", "sweep-affine", "sweep-off",
                             "sweep-inactive", "sweep-active", "sweep-kink-pinned",
                             "sweep-kink-onset"}
+
+
+def test_interval_bound_tolerance_is_the_set_scale():
+    """A velocity is at an interval's bound within 1e-9 of the set's scale,
+    its largest |bound|, as in the membership test; not within 1e-9 of the
+    coordinate's |hi| + |lo|.  The second row lies between the two."""
+    w, v = np.array([[-1.0], [-1.0]]), np.array([[3.0 - 2e-9], [3.0 - 4.5e-9]])
+    assert nco._normal_cone_distance(w, IntervalSet([-3.0], [3.0]), v).tolist() == [0.0, 1.0]
 
 
 def test_worst_residual_names_the_perturbed_interval(twodisk_300):
