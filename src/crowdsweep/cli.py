@@ -22,18 +22,11 @@ import math
 import os
 import sys
 import tempfile
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bilevel import (
-    BilevelSolution,
-    InnerInfeasibleError,
-    UnsupportedFamilyError,
-    _solution,
-    solve_bilevel_direct,
-    solve_twodisk_parametric,
-)
+# the solver (``bilevel``) and verifier (``nco``) load in the commands that run them
 from .dynamics import (
     AffineDrift,
     BallSet,
@@ -41,16 +34,20 @@ from .dynamics import (
     DEFAULT_GRID_K,
     IntervalSet,
     InfeasibleControlError,
+    InnerInfeasibleError,
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
     TruncationViolationError,
+    UnsupportedFamilyError,
     constant_profile,
     h5_bounds,
     integrate_upper,  # unused here; perfbench's tracer test reads this binding
     uniform_grid,
 )
-from .nco import fit_multipliers
+
+if TYPE_CHECKING:
+    from .bilevel import BilevelSolution
 
 __all__ = ["parse_scenario", "serialize_scenario", "run", "main"]
 
@@ -161,7 +158,7 @@ def parse_scenario(path: str) -> Tuple[Scenario, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(
@@ -170,8 +167,10 @@ def parse_scenario(path: str) -> Tuple[Scenario, dict]:
     _require(doc, path, ["problem", "participants"], ["meta", "solver"])
     meta = doc.get("meta", {})
     _require(meta, f"{path}:meta", [], ["name"])
-    if not isinstance(meta.get("name", ""), str):
-        raise ScenarioFormatError(f"{path}:meta: name must be a string")
+    name = meta.get("name", "scenario")
+    # summary.txt writes the name on one key: value line
+    if not (isinstance(name, str) and name.isprintable()):
+        raise ScenarioFormatError(f"{path}:meta: name must be a string of printable characters")
     problem = doc["problem"]
     _require(problem, f"{path}:problem", ["N", "R", "T"])
     N = _integer(problem, "N", f"{path}:problem")
@@ -218,7 +217,7 @@ def parse_scenario(path: str) -> Tuple[Scenario, dict]:
             M=np.array(M),
             rho=np.array(rho),
             x0=None if x0_free else np.vstack(x0),
-            name=str(meta.get("name", "scenario")),
+            name=name,
         )
     except ValueError as exc:
         raise ScenarioFormatError(f"{path}: invariant violation: {exc}") from exc
@@ -469,12 +468,18 @@ def _default_grid(scenario, solver_cfg, flags) -> np.ndarray:
 
 
 def _emit(outdir: str, name: str, text: str) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    _atomic_write(os.path.join(outdir, name), text)
+    path = outdir
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        path = os.path.join(outdir, name)
+        _atomic_write(path, text)
+    except OSError as exc:
+        raise ScenarioFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _supplied(scenario, v, u) -> BilevelSolution:
     """Supplied controls run from x0, or from the disk centers when x0 is free."""
+    from .bilevel import _solution
     return _solution(scenario, v, u, scenario.y0 if scenario.x0_free else scenario.x0, "supplied")
 
 
@@ -518,6 +523,7 @@ def _solution_artifacts(out, command, scenario, flags, sol: BilevelSolution,
 
 
 def _solve(scenario, solver_cfg, flags, out) -> int:
+    from .bilevel import solve_bilevel_direct
     grid_K = _setting(flags, solver_cfg, "grid_K")
     grid_K = 8 if grid_K is None else int(grid_K)
     seed = _setting(flags, solver_cfg, "seed")
@@ -530,6 +536,7 @@ def _solve(scenario, solver_cfg, flags, out) -> int:
 
 
 def _casestudy(scenario, solver_cfg, flags, out) -> int:
+    from .bilevel import solve_twodisk_parametric
     grid = _default_grid(scenario, solver_cfg, flags)
     params, sol = solve_twodisk_parametric(scenario, grid_K=grid.size - 1)
     extra = [
@@ -567,6 +574,7 @@ def _audit(sol: BilevelSolution) -> BilevelSolution:
 
 def _verification_solution(scenario, solver_cfg, flags) -> BilevelSolution:
     """The supplied or case-study solution of verify and h5check, audited."""
+    from .bilevel import solve_twodisk_parametric
     if flags.get("controls"):
         sol = _supplied(scenario, *_read_controls(flags["controls"], scenario))
     else:
@@ -576,6 +584,7 @@ def _verification_solution(scenario, solver_cfg, flags) -> BilevelSolution:
 
 
 def _verify(scenario, solver_cfg, flags, out) -> int:
+    from .nco import fit_multipliers
     tol = _setting(flags, solver_cfg, "tol")
     tol = 1e-3 if tol is None else _positive(tol, "verification tolerance tol")
     sol = _verification_solution(scenario, solver_cfg, flags)

@@ -102,6 +102,13 @@ class TestParseScenario:
             scenario, solver
         )
 
+    def test_undecodable_file_is_named(self, tmp_path):
+        path = tmp_path / "latin1.scn"
+        path.write_bytes(open(TWODISK, "rb").read().replace(b'"twodisk"', b'"twodisk\xe9"'))
+        with pytest.raises(ScenarioFormatError, match=re.escape(
+                f"cannot read {path}: 'utf-8' codec can't decode byte 0xe9")):
+            parse_scenario(str(path))
+
 
 class TestCommands:
     def test_simulate_resting_scenario_constant_columns(self, tmp_path):
@@ -308,6 +315,27 @@ class TestCommands:
         assert re.fullmatch(r"error: input: [^\n]*\n", proc.stderr), proc.stderr
         assert names in proc.stderr
 
+    @pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file", "summary-is-a-dir"])
+    def test_unwritable_out_writes_one_stderr_line(self, tmp_path, case):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "summary.txt").mkdir(parents=True)
+        out, where = {
+            "out-is-a-file": (tmp_path / "file", tmp_path / "file"),
+            "out-under-a-file": (tmp_path / "file" / "sub", tmp_path / "file" / "sub"),
+            "summary-is-a-dir": (tmp_path / "dir", tmp_path / "dir" / "summary.txt"),
+        }[case]
+        before = {p.name for p in tmp_path.rglob("*")}
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "crowdsweep.cli", "simulate", TWODISK, "--h", "0.05",
+             "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert re.fullmatch(rf"error: input: cannot write {re.escape(str(where))}: [^\n]+\n",
+                            proc.stderr), proc.stderr
+        # no temporary file is left; simulate writes trajectory.csv before its summary
+        after = {p.name for p in tmp_path.rglob("*")} - before
+        assert after <= ({"trajectory.csv"} if case == "summary-is-a-dir" else set()), after
+
     def test_whitespace_only_controls_lines_are_skipped(self, tmp_path):
         clean = write_controls(tmp_path, [-0.5 * VHAT] * 2, np.linspace(0.0, 6.0, 13))
         lines = open(clean).read().splitlines(keepends=True)
@@ -327,7 +355,7 @@ class TestCommands:
         "U-nested-lists-casestudy", "U-nested-lists-simulate", "N-not-whole", "R-infinite",
         "c-NaN", "halflength-NaN", "A-one-row", "h-subnormal", "h-1e-9", "positions-1e300",
         "M-1e200-verify", "U-hi-1e200-verify", "grid-K-601", "solver-grid-K-601",
-        "V-one-coordinate", "seed-negative", "solver-seed-negative",
+        "V-one-coordinate", "seed-negative", "solver-seed-negative", "meta-name-newline",
     ])
     def test_rejected_input_is_an_input_error(self, tmp_path, capsys, case):
         def controls(times):
@@ -354,6 +382,8 @@ class TestCommands:
             "drift-family-list": lambda: scenario(first("drift", family=["scaled_linear"])),
             "U-shape-number": lambda: scenario(first("U", shape=1)),
             "meta-list": lambda: scenario(lambda d: d.update(meta=[])),
+            # summary.txt writes the name on one line
+            "meta-name-newline": lambda: scenario(lambda d: d["meta"].update(name="a/b\nc")),
             "U-nested-lists-casestudy": lambda: scenario(
                 first("U", lo=[[0.0]], hi=[[1.0]]), "casestudy") + ["--h", "0.05"],
             "U-nested-lists-simulate": lambda: scenario(first("U", lo=[[0.0]], hi=[[1.0]])),
@@ -404,6 +434,8 @@ class TestCommands:
         assert err.startswith("error: input: ") and "Traceback" not in err
         if case.endswith("seed-negative"):
             assert err == "error: input: seed must be a nonnegative integer, got -1\n"
+        if case == "meta-name-newline":
+            assert re.fullmatch(r"error: input: .*:meta: name must be [^\n]*\n", err), err
 
     @pytest.mark.parametrize("mutate", [
         lambda p: (p.update(M=1e100), p["drift"].update(c=-1e100)),
@@ -674,3 +706,44 @@ def test_solve_then_verify_panel(tmp_path, capsys, name, J_H, code, expected):
         text = (verified / "summary.txt").read_text()
         for line in expected:
             assert f"  {line}\n" in text
+
+
+_LOADED_BY_EACH_STEP = r"""
+import json, sys
+from crowdsweep import cli
+
+def layers():
+    return sorted(m for m in ("bilevel", "geometry", "nco") if "crowdsweep." + m in sys.modules)
+
+scenario, out = sys.argv[1:]
+cli.parse_scenario(scenario)
+loaded = {"parse": layers()}
+for command in ("simulate", "casestudy", "h5check", "verify"):
+    assert cli.run(command, scenario, out=out, h=0.05) == 0, command
+    loaded[command] = layers()
+import crowdsweep
+from crowdsweep import closed_form_controls, solve_twodisk_parametric
+assert solve_twodisk_parametric is crowdsweep.bilevel.solve_twodisk_parametric
+assert closed_form_controls is crowdsweep.bilevel.closed_form_controls
+try:
+    crowdsweep.nope
+except AttributeError as exc:
+    loaded["nope"] = str(exc)
+print(json.dumps(loaded))
+"""
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    # a fresh interpreter: this one has imported every module already
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_EACH_STEP, TWODISK, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "parse": [],
+        "simulate": ["bilevel"],
+        "casestudy": ["bilevel"],
+        "h5check": ["bilevel"],
+        "verify": ["bilevel", "geometry", "nco"],
+        "nope": "module 'crowdsweep' has no attribute 'nope'",
+    }
