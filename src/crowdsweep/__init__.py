@@ -8,13 +8,6 @@ from .dynamics import (
     integrate_lower_catchup,
     integrate_upper,
 )
+from .bilevel import closed_form_controls, solve_twodisk_parametric
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # PEP 562: the solver loads on first use of its names, not with the package
-    if name in ("solve_twodisk_parametric", "closed_form_controls"):
-        from . import bilevel
-        return getattr(bilevel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

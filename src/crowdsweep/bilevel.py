@@ -20,13 +20,11 @@ from .dynamics import (
     BallSet,
     ControlProfile,
     FeasibilityReport,
-    InnerInfeasibleError,
     IntervalSet,
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
     Trajectory,
-    UnsupportedFamilyError,
     _effort,
     _float_step,
     _line,
@@ -59,6 +57,14 @@ __all__ = [
 
 # Seed of value_function's draws of free initial points.
 X0_SEED = 0
+
+
+class InnerInfeasibleError(RuntimeError):
+    """No feasible inner point found for the lower-level problem."""
+
+
+class UnsupportedFamilyError(ValueError):
+    """Scenario does not match the parametric two-disk family."""
 
 
 @dataclass

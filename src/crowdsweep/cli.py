@@ -16,17 +16,25 @@ not read, is ``error: usage:``.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
 import os
 import sys
 import tempfile
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-# the solver (``bilevel``) and verifier (``nco``) load in the commands that run them
+from .bilevel import (
+    BilevelSolution,
+    InnerInfeasibleError,
+    UnsupportedFamilyError,
+    _solution,
+    solve_bilevel_direct,
+    solve_twodisk_parametric,
+)
 from .dynamics import (
     AffineDrift,
     BallSet,
@@ -34,20 +42,15 @@ from .dynamics import (
     DEFAULT_GRID_K,
     IntervalSet,
     InfeasibleControlError,
-    InnerInfeasibleError,
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
     TruncationViolationError,
-    UnsupportedFamilyError,
     constant_profile,
     h5_bounds,
     integrate_upper,  # unused here; perfbench's tracer test reads this binding
     uniform_grid,
 )
-
-if TYPE_CHECKING:
-    from .bilevel import BilevelSolution
 
 __all__ = ["parse_scenario", "serialize_scenario", "run", "main"]
 
@@ -253,18 +256,20 @@ def scenario_hash(scenario: Scenario) -> str:
 # artifact emission
 
 
-def _atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
-    """Write the text, or a stream of text chunks, to path atomically."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+def _stage(path: str, text: Union[str, Iterable[str]]) -> str:
+    """Write the text, or a stream of text chunks, to a new temporary file
+    beside path, and return its name; nothing is left if writing fails."""
+    if os.path.isdir(path):
+        # else only its replace would fail, after earlier artifacts were put in place
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+    return tmp
 
 
 _CSV_BLOCK_ROWS = 256
@@ -467,19 +472,29 @@ def _default_grid(scenario, solver_cfg, flags) -> np.ndarray:
     return uniform_grid(scenario.T, max(1, int(round(K))))
 
 
-def _emit(outdir: str, name: str, text: str) -> None:
-    path = outdir
+def _emit(outdir: str, artifacts: Sequence[Tuple[str, Union[str, Iterable[str]]]]) -> None:
+    """Write a run's artifacts, (file name, text) pairs, into outdir: each is
+    staged in a temporary file, and they replace their targets only once all
+    are staged, so a file that cannot be written leaves the directory as it was."""
+    path, staged = outdir, []
     try:
         os.makedirs(outdir, exist_ok=True)
-        path = os.path.join(outdir, name)
-        _atomic_write(path, text)
-    except OSError as exc:
-        raise ScenarioFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        for name, text in artifacts:
+            path = os.path.join(outdir, name)
+            staged.append((_stage(path, text), path))
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp, _path in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ScenarioFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def _supplied(scenario, v, u) -> BilevelSolution:
     """Supplied controls run from x0, or from the disk centers when x0 is free."""
-    from .bilevel import _solution
     return _solution(scenario, v, u, scenario.y0 if scenario.x0_free else scenario.x0, "supplied")
 
 
@@ -494,7 +509,6 @@ def _simulate(scenario, solver_cfg, flags, out) -> int:
             for i in range(scenario.N)
         ]
     sol = _supplied(scenario, v, u)
-    _emit(out, "trajectory.csv", _trajectory_csv(scenario, sol.y, sol.x, sol.u, sol.v))
     summary = [
         _run_node("simulate", scenario, flags),
         ("result", [("feasibility", _feasibility_node(sol.feasibility)),
@@ -502,15 +516,14 @@ def _simulate(scenario, solver_cfg, flags, out) -> int:
                     ("cost_lower", [(f"participant_{i+1}", float(sol.J_L[i]))
                                     for i in range(scenario.N)])]),
     ]
-    _emit(out, "summary.txt", _summary_text(summary))
+    _emit(out, [("trajectory.csv", _trajectory_csv(scenario, sol.y, sol.x, sol.u, sol.v)),
+                ("summary.txt", _summary_text(summary))])
     _audit(sol)
     return EXIT_OK
 
 
 def _solution_artifacts(out, command, scenario, flags, sol: BilevelSolution,
                         extra: Sequence[tuple] = ()) -> None:
-    _emit(out, "trajectory.csv", _trajectory_csv(scenario, sol.y, sol.x, sol.u, sol.v))
-    _emit(out, "controls.csv", _controls_csv(scenario, sol.y.grid, sol.u, sol.v))
     result = [
         *extra,
         ("method", sol.method),
@@ -518,12 +531,13 @@ def _solution_artifacts(out, command, scenario, flags, sol: BilevelSolution,
         ("J_L", [(f"participant_{i+1}", float(sol.J_L[i])) for i in range(scenario.N)]),
         ("feasibility", _feasibility_node(sol.feasibility)),
     ]
-    _emit(out, "summary.txt", _summary_text([_run_node(command, scenario, flags),
-                                             ("result", result)]))
+    _emit(out, [("trajectory.csv", _trajectory_csv(scenario, sol.y, sol.x, sol.u, sol.v)),
+                ("controls.csv", _controls_csv(scenario, sol.y.grid, sol.u, sol.v)),
+                ("summary.txt", _summary_text([_run_node(command, scenario, flags),
+                                               ("result", result)]))])
 
 
 def _solve(scenario, solver_cfg, flags, out) -> int:
-    from .bilevel import solve_bilevel_direct
     grid_K = _setting(flags, solver_cfg, "grid_K")
     grid_K = 8 if grid_K is None else int(grid_K)
     seed = _setting(flags, solver_cfg, "seed")
@@ -536,7 +550,6 @@ def _solve(scenario, solver_cfg, flags, out) -> int:
 
 
 def _casestudy(scenario, solver_cfg, flags, out) -> int:
-    from .bilevel import solve_twodisk_parametric
     grid = _default_grid(scenario, solver_cfg, flags)
     params, sol = solve_twodisk_parametric(scenario, grid_K=grid.size - 1)
     extra = [
@@ -574,7 +587,6 @@ def _audit(sol: BilevelSolution) -> BilevelSolution:
 
 def _verification_solution(scenario, solver_cfg, flags) -> BilevelSolution:
     """The supplied or case-study solution of verify and h5check, audited."""
-    from .bilevel import solve_twodisk_parametric
     if flags.get("controls"):
         sol = _supplied(scenario, *_read_controls(flags["controls"], scenario))
     else:
@@ -610,7 +622,7 @@ def _verify(scenario, solver_cfg, flags, out) -> int:
             ("notes", [(f"note_{j+1}", note) for j, note in enumerate(report.notes)]),
         ]),
     ]
-    _emit(out, "summary.txt", _summary_text(summary))
+    _emit(out, [("summary.txt", _summary_text(summary))])
     return EXIT_OK if report.all_pass else EXIT_NOT_VERIFIED
 
 
@@ -638,7 +650,7 @@ def _h5check(scenario, solver_cfg, flags, out) -> int:
             ]),
         ]),
     ]
-    _emit(out, "summary.txt", _summary_text(summary))
+    _emit(out, [("summary.txt", _summary_text(summary))])
     return EXIT_OK if ok else EXIT_NOT_VERIFIED
 
 
@@ -665,6 +677,11 @@ def run(command: str, scenario_path: str, **flags) -> int:
         return EXIT_USAGE
     out = flags.get("out") or "."
     try:
+        # the summary writes every flag on one key: value line
+        for key, value in sorted(flags.items()):
+            if isinstance(value, str) and not value.isprintable():
+                raise ScenarioFormatError(
+                    f"--{key.replace('_', '-')} must be printable characters, got {value!r}")
         scenario, solver_cfg = parse_scenario(scenario_path)
         return handler(scenario, solver_cfg, flags, out)
     except (TruncationViolationError, InfeasibleControlError, InnerInfeasibleError,

@@ -31,8 +31,6 @@ __all__ = [
     "InfeasibleControlError",
     "TruncationViolationError",
     "StabilityError",
-    "InnerInfeasibleError",
-    "UnsupportedFamilyError",
     "DEFAULT_GRID_K",
     "REPORT_TOL",
     "uniform_grid",
@@ -86,15 +84,6 @@ class TruncationViolationError(RuntimeError):
 
 class StabilityError(ValueError):
     """Explicit penalty integration step too large for the stiffness."""
-
-
-# raised by the solvers in ``bilevel``; here so the CLI can catch them unloaded
-class InnerInfeasibleError(RuntimeError):
-    """No feasible inner point found for the lower-level problem."""
-
-
-class UnsupportedFamilyError(ValueError):
-    """Scenario does not match the parametric two-disk family."""
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,7 @@ class TestCommands:
     def test_unwritable_out_writes_one_stderr_line(self, tmp_path, case):
         (tmp_path / "file").write_text("")
         (tmp_path / "dir" / "summary.txt").mkdir(parents=True)
+        (tmp_path / "dir" / "trajectory.csv").write_text("an older run's\n")
         out, where = {
             "out-is-a-file": (tmp_path / "file", tmp_path / "file"),
             "out-under-a-file": (tmp_path / "file" / "sub", tmp_path / "file" / "sub"),
@@ -332,9 +333,9 @@ class TestCommands:
         assert proc.returncode == EXIT_USAGE and proc.stdout == ""
         assert re.fullmatch(rf"error: input: cannot write {re.escape(str(where))}: [^\n]+\n",
                             proc.stderr), proc.stderr
-        # no temporary file is left; simulate writes trajectory.csv before its summary
-        after = {p.name for p in tmp_path.rglob("*")} - before
-        assert after <= ({"trajectory.csv"} if case == "summary-is-a-dir" else set()), after
+        # nothing is left behind, and no file of an older run is replaced
+        assert {p.name for p in tmp_path.rglob("*")} == before
+        assert (tmp_path / "dir" / "trajectory.csv").read_text() == "an older run's\n"
 
     def test_whitespace_only_controls_lines_are_skipped(self, tmp_path):
         clean = write_controls(tmp_path, [-0.5 * VHAT] * 2, np.linspace(0.0, 6.0, 13))
@@ -356,6 +357,7 @@ class TestCommands:
         "c-NaN", "halflength-NaN", "A-one-row", "h-subnormal", "h-1e-9", "positions-1e300",
         "M-1e200-verify", "U-hi-1e200-verify", "grid-K-601", "solver-grid-K-601",
         "V-one-coordinate", "seed-negative", "solver-seed-negative", "meta-name-newline",
+        "out-newline", "controls-newline",
     ])
     def test_rejected_input_is_an_input_error(self, tmp_path, capsys, case):
         def controls(times):
@@ -366,6 +368,10 @@ class TestCommands:
 
         def first(section, **values):
             return lambda d: d["participants"][0][section].update(values)
+
+        def renamed(path, name):
+            os.rename(path, tmp_path / name)
+            return str(tmp_path / name)
 
         def verify_solved(mutate):
             # verify --controls on the case study's own controls
@@ -427,8 +433,13 @@ class TestCommands:
             "seed-negative": lambda: ["solve", TWODISK, "--seed", "-1"],
             "solver-seed-negative": lambda: scenario(
                 lambda d: d["solver"].update(seed=-1), "solve"),
+            # summary.txt writes every flag on one line
+            "out-newline": lambda: ["simulate", TWODISK],
+            "controls-newline": lambda: [
+                "simulate", TWODISK, "--controls", renamed(controls([0.0, 3.0, 6.0]), "c\nd.csv")],
         }[case]()
-        code = main(argv + ["--out", str(tmp_path / "out")])
+        out = tmp_path / ("o\nut" if case == "out-newline" else "out")
+        code = main(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith("error: input: ") and "Traceback" not in err
@@ -436,6 +447,11 @@ class TestCommands:
             assert err == "error: input: seed must be a nonnegative integer, got -1\n"
         if case == "meta-name-newline":
             assert re.fullmatch(r"error: input: .*:meta: name must be [^\n]*\n", err), err
+        if case.endswith("-newline") and case != "meta-name-newline":
+            flag = case.split("-")[0]
+            assert re.fullmatch(rf"error: input: --{flag} must be printable characters, "
+                                r"got '[^\n]*'\n", err), err
+            assert not out.exists()
 
     @pytest.mark.parametrize("mutate", [
         lambda p: (p.update(M=1e100), p["drift"].update(c=-1e100)),
@@ -721,14 +737,6 @@ loaded = {"parse": layers()}
 for command in ("simulate", "casestudy", "h5check", "verify"):
     assert cli.run(command, scenario, out=out, h=0.05) == 0, command
     loaded[command] = layers()
-import crowdsweep
-from crowdsweep import closed_form_controls, solve_twodisk_parametric
-assert solve_twodisk_parametric is crowdsweep.bilevel.solve_twodisk_parametric
-assert closed_form_controls is crowdsweep.bilevel.closed_form_controls
-try:
-    crowdsweep.nope
-except AttributeError as exc:
-    loaded["nope"] = str(exc)
 print(json.dumps(loaded))
 """
 
@@ -740,10 +748,9 @@ def test_each_command_loads_only_its_layers(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "parse": [],
+        "parse": ["bilevel"],
         "simulate": ["bilevel"],
         "casestudy": ["bilevel"],
         "h5check": ["bilevel"],
         "verify": ["bilevel", "geometry", "nco"],
-        "nope": "module 'crowdsweep' has no attribute 'nope'",
     }
