@@ -100,20 +100,21 @@ def _finite(node: dict, key: str, path: str, shape: Tuple[Optional[int], ...] = 
     value = node[key]
 
     def numbers(v, depth: int) -> bool:
-        if depth == len(shape):
-            return isinstance(v, (int, float)) and not isinstance(v, bool)
+        if depth == len(shape):     # NaN fails the bound
+            return isinstance(v, (int, float)) and not isinstance(v, bool) \
+                and abs(float(v)) <= MAX_MAGNITUDE
         return isinstance(v, list) and all(numbers(item, depth + 1) for item in v)
 
     try:
-        arr = np.array(value, float) if numbers(value, 0) else None
+        arr = (np.array(value, float) if shape else float(value)) if numbers(value, 0) else None
     except (ValueError, OverflowError):     # ragged lists, integers beyond float range
         arr = None
-    if arr is None or arr.ndim != len(shape) or not np.all(np.abs(arr) <= MAX_MAGNITUDE) \
-            or any(m == 0 if n is None else m != n for n, m in zip(shape, arr.shape)):
+    if arr is None or shape and (arr.ndim != len(shape) or any(
+            m == 0 if n is None else m != n for n, m in zip(shape, arr.shape))):
         dims = "x".join("n" if n is None else str(n) for n in shape)
         kind = f"a {dims} array of finite numbers" if shape else "a finite number"
         raise ScenarioFormatError(f"{path}: {key} must be {kind} of magnitude <= {MAX_MAGNITUDE:g}")
-    return arr if shape else float(arr)
+    return arr
 
 
 def _integer(node: dict, key: str, path: str) -> int:
@@ -265,6 +266,10 @@ def _stage(path: str, text: Union[str, Iterable[str]]) -> str:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            # mkstemp makes the file 0600; give it the mode open(path, "w") would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines([text] if isinstance(text, str) else text)
     except BaseException:
         os.unlink(tmp)

@@ -58,10 +58,12 @@ REPORT_TOL = 1e-6
 _TRUNCATION_SLACK = 1e-9
 
 # Catch-up steps crowds of up to this many participants on Python floats.
-# Float/array time at K = 1000 on a 2-vCPU Xeon, at N = 2, 4, 6 and 8:
-# scaled-linear 0.42, 0.88, 1.17, 1.59; affine 0.46, 0.77, 1.25, 1.45; half
-# and half 0.26, 0.69, 0.92, 1.10.
-_FLOAT_LANES = 4
+# Float/array time at K = 1000 on a 2-vCPU Xeon, the median of 10 interleaved
+# alternations on the benchmark's crowd cut to N = 2, 4, 5, 6, 7 and 8: affine
+# (its own drift) 0.31, 0.59, 0.74-0.79, 0.86-0.88, 0.99-1.03, 1.16; scaled-
+# linear 0.23, 0.42, 0.55, 0.65, 0.78, 0.77; half and half 0.21, 0.37, 0.49,
+# 0.53, 0.65, 0.72.  At N = 16 the floats take 1.35-2.2 times as long.
+_FLOAT_LANES = 6
 
 
 class InfeasibleControlError(ValueError):
@@ -598,16 +600,23 @@ def _lower_inputs(scenario: Scenario, y: Trajectory, u: Sequence[ControlProfile]
 
 def _float_step(drift: DriftSpec, R: float):
     """``step(x0, x1, h, u, c0, c1) -> (x0, x1, d)``: one catch-up step on
-    floats, p = x + h f(x, u), d = |p - c| by ``np.hypot`` (``math.hypot``
-    rounds differently) and the projection onto the disk of radius R about c
-    when d > R.  The catch-up's float lanes and the greedy solve share it."""
-    f, hypot = drift._floats(), np.hypot
+    floats, p = x + h f(x, u), d = |p - c| and the projection onto the disk
+    of radius R about c when d > R.  d is the C library's ``hypot``, reached
+    through complex ``abs``; numpy's ``np.hypot`` calls the same function, so
+    the array loop's d has the same bits (a NaN's sign aside, which nothing
+    reads), and ``math.hypot`` rounds differently.  An offset whose length
+    overflows is d = inf, an infinite correction.  The catch-up's float
+    lanes and the greedy solve share it."""
+    f = drift._floats()
 
     def step(x0, x1, h, u, c0, c1):
         f0, f1 = f(x0, x1, u)
         p0, p1 = x0 + h * f0, x1 + h * f1
         o0, o1 = p0 - c0, p1 - c1
-        d = float(hypot(o0, o1))
+        try:
+            d = abs(complex(o0, o1))
+        except OverflowError:
+            d = math.inf
         return (c0 + R / d * o0, c1 + R / d * o1, d) if d > R else (p0, p1, d)
     return step
 

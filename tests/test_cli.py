@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from crowdsweep.cli import (
     EXIT_USAGE,
     ScenarioFormatError,
     _csv,
+    _finite,
     _run_texts,
     main,
     parse_scenario,
@@ -110,7 +112,52 @@ class TestParseScenario:
             parse_scenario(str(path))
 
 
+    @pytest.mark.parametrize("value, shape, expect", [
+        (1, (), 1.0), (-2.5, (), -2.5), (1e100, (), 1e100), (-1e100, (), -1e100),
+        (int(1e100) + 1, (), 1e100), (True, (), None), (False, (), None),
+        (math.nan, (), None), (math.inf, (), None), (-math.inf, (), None),
+        (math.nextafter(1e100, math.inf), (), None), (-(10**101), (), None),
+        (10**400, (), None), ("1", (), None), (None, (), None), ([1.0], (), None),
+        ([1, 2.5], (2,), [1.0, 2.5]), ([1e100, -1e100], (2,), [1e100, -1e100]),
+        ([1], (2,), None), ([], (2,), None), ([1, True], (2,), None),
+        ([1, math.nan], (2,), None), ([-math.inf, 1], (2,), None), ([1, 10**400], (2,), None),
+        ([[1, 2]], (2,), None), (1.0, (2,), None), ((1, 2), (2,), None),
+        ([3], (None,), [3.0]), ([1, 2, 3], (None,), [1.0, 2.0, 3.0]), ([], (None,), None),
+        ([[1, 2], [3, 4]], (2, None), [[1.0, 2.0], [3.0, 4.0]]),
+        ([[1], [2]], (2, None), [[1.0], [2.0]]), ([[1, 2], [3]], (2, None), None),
+        ([[], []], (2, None), None), ([[1, 2]], (2, None), None), ([1, 2], (2, None), None),
+        ([[[1]], [[2]]], (2, None), None), ([[1, 2], [3, 4], [5, 6]], (2, 2), None),
+        ([[1, 2], [3, 1e101]], (2, 2), None),
+    ])
+    def test_finite_reads_numbers_in_range(self, value, shape, expect):
+        """A scalar is read as a float and an array field as a float array of
+        its shape; anything else is one message per shape."""
+        if expect is None:
+            dims = "x".join("n" if n is None else str(n) for n in shape)
+            kind = f"a {dims} array of finite numbers" if shape else "a finite number"
+            with pytest.raises(ScenarioFormatError) as err:
+                _finite({"k": value}, "k", "p", shape)
+            assert str(err.value) == f"p: k must be {kind} of magnitude <= 1e+100"
+            return
+        got = _finite({"k": value}, "k", "p", shape)
+        if shape:
+            assert got.dtype == np.float64 and got.tolist() == expect
+        else:
+            assert type(got) is float and got == expect
+
+
 class TestCommands:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_artifacts_take_the_mode_open_would_give(self, tmp_path, umask, mode):
+        # 0o666 less the umask, as for a file made by open(path, "w")
+        old = os.umask(umask)
+        try:
+            assert run("simulate", TWODISK, out=str(tmp_path / "out"), h=0.05) == EXIT_OK
+        finally:
+            os.umask(old)
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "out").iterdir()} \
+            == {"summary.txt": mode, "trajectory.csv": mode}
+
     def test_simulate_resting_scenario_constant_columns(self, tmp_path):
         def freeze(doc):
             for node in doc["participants"]:

@@ -354,15 +354,45 @@ class TestFloatLanes:
         if case == "center":
             assert np.array_equal(floats[0], np.broadcast_to(scn.x0.view(np.int64), floats[0].shape))
 
-    @pytest.mark.parametrize("case", ["scaled-N5", "mixed-N5"])
+    def test_float_distance_is_numpys_hypot(self):
+        """The float step's d has the bits of ``np.hypot``, the array loop's
+        distance: on random pairs over scales 1e-300 to 1e300, at one scale
+        and at two, and on signed zeros, subnormals, infinities and NaN.  A
+        NaN d is NaN on both (its sign, which nothing reads, may differ)."""
+        rng = np.random.default_rng(25)
+        n = 60_000
+
+        def draw(exponents):
+            return rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0 ** exponents
+
+        e = rng.uniform(-300, 300, n)
+        a = np.concatenate([draw(e), draw(rng.uniform(-300, 300, n))])
+        b = np.concatenate([draw(e + rng.uniform(-1, 1, n)), draw(rng.uniform(-300, 300, n))])
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.5e-310, 1.0, 1.5e308, -1.5e308,
+                   1.7976931348623157e308, math.inf, -math.inf, math.nan]
+        a = np.concatenate([a, np.repeat(special, len(special))])
+        b = np.concatenate([b, np.tile(special, len(special))])
+        # (0, 0) + 0 f(0, u) lands at 0, so the offset from the center (-a, -b) is (a, b)
+        step = dynamics._float_step(ScaledLinearDrift(1.0), math.inf)
+        d = np.array([step(0.0, 0.0, 0.0, (0.0,), -a_k, -b_k)[2]
+                      for a_k, b_k in zip(a.tolist(), b.tolist())])
+        with np.errstate(over="ignore"):
+            expect = np.hypot(a, b)
+        nan = np.isnan(expect)
+        assert nan.any() and np.array_equal(np.isnan(d), nan)
+        assert np.array_equal(d[~nan].view(np.int64), expect[~nan].view(np.int64))
+        assert (np.isinf(expect) & np.isfinite(a) & np.isfinite(b)).any()   # lengths that overflow
+
+    @pytest.mark.parametrize("case", ["scaled-N7", "mixed-N7"])
     def test_array_path_serves(self, monkeypatch, case):
-        scaled = 5 if case == "scaled-N5" else 2
+        N = 7
+        scaled = N if case == "scaled-N7" else 2
         affine = AffineDrift(np.zeros((2, 2)), [[1.0], [0.0]], [0.0, 0.0])
-        scn = Scenario(N=5, R=1.0, T=2.0, y0=[[4.0 * i, 0.0] for i in range(5)],
-                       drift=[ScaledLinearDrift(-0.5)] * scaled + [affine] * (5 - scaled),
-                       U=[IntervalSet([0.0], [1.0])] * 5,
-                       V=[BallSet(1.0)] * 5, M=[4.0] * 5, rho=[1.0] * 5,
-                       x0=[[4.0 * i, 0.5] for i in range(5)])
+        scn = Scenario(N=N, R=1.0, T=2.0, y0=[[4.0 * i, 0.0] for i in range(N)],
+                       drift=[ScaledLinearDrift(-0.5)] * scaled + [affine] * (N - scaled),
+                       U=[IntervalSet([0.0], [1.0])] * N,
+                       V=[BallSet(1.0)] * N, M=[4.0] * N, rho=[1.0] * N,
+                       x0=[[4.0 * i, 0.5] for i in range(N)])
         grid = uniform_grid(scn.T, 40)
         y = integrate_upper(scn, [constant_profile(grid, np.zeros(2))] * scn.N)
         u = [constant_profile(grid, np.zeros(drift.control_dim)) for drift in scn.drift]
@@ -397,7 +427,7 @@ class TestFloatLanes:
             assert np.signbit(scn.x0[0, 1]) and scn.x0[0, 1] == 0.0
 
     @pytest.mark.parametrize("N", [2, 5])
-    def test_mixed_crowd_keeps_a_resting_negative_zero(self, N):
+    def test_mixed_crowd_keeps_a_resting_negative_zero(self, monkeypatch, N):
         """A scaled-linear participant at rest on (0, -0.0) with s = +0.0, beside
         affine ones: each path keeps its -0.0, which the affine lanes' zero
         terms A x + B u + b, added to its drift, would turn into +0.0."""
@@ -410,15 +440,17 @@ class TestFloatLanes:
         grid = uniform_grid(1.0, 10)
         y = integrate_upper(scn, [constant_profile(grid, [0.0, 0.0])] * N)
         u = [constant_profile(grid, [0.0])] + [constant_profile(grid, [0.0, 0.0])] * (N - 1)
-        x = integrate_lower_catchup(scn, y, u, scn.x0)
         states, _contact = _reference_catchup(scn, y, u, scn.x0)
-        assert np.array_equal(x.states.view(np.int64), states.view(np.int64))
-        assert np.signbit(x.states[-1, 0, 1])
+        for lanes in (N, 0):    # the float path, then the array loop
+            monkeypatch.setattr(dynamics, "_FLOAT_LANES", lanes)
+            x = integrate_lower_catchup(scn, y, u, scn.x0)
+            assert np.array_equal(x.states.view(np.int64), states.view(np.int64))
+            assert np.signbit(x.states[-1, 0, 1])
 
 
 def _in_place_case(case):
-    """(scenario, y, u) of one catch-up case of the array loop (N > 4, or
-    the overflow case with the float path turned off)."""
+    """(scenario, y, u) of one catch-up case of the array loop, run with the
+    float path turned off (the overflow cases run both paths)."""
     rng = np.random.default_rng(11)
     if case == "truncation":
         # participants 2 and 4 are dragged off at speeds 4 and 9: 4 leaves its
@@ -430,12 +462,15 @@ def _in_place_case(case):
                        U=[BallSet(1.0)] * N, V=[BallSet(10.0)] * N, M=[0.5] * N, rho=[1.0] * N)
         v = [constant_profile(grid, [0.0, c]) for c in (0.0, 4.0, 0.0, 9.0, 0.0)]
         return scn, integrate_upper(scn, v), [constant_profile(grid, np.zeros(2))] * N
-    if case == "overflow":
-        # participant 2's drift is finite, its step h f is not
+    if case in ("overflow", "overflow-distance"):
+        # participant 2's drift is finite.  "overflow": its step h f is not;
+        # "overflow-distance": h f is 1.3e308 a coordinate, finite, and only
+        # the offset's length overflows
         grid = uniform_grid(4.0, 2)
+        b = [1.5e308, 0.0] if case == "overflow" else [6.5e307, 6.5e307]
         scn = Scenario(N=2, R=1.0, T=4.0, y0=[[0.0, 0.0], [5.0, 0.0]], x0=[[0.0, 0.0], [5.0, 0.0]],
-                       drift=[AffineDrift(np.zeros((2, 2)), np.eye(2), b)
-                              for b in ([0.0, 0.0], [1.5e308, 0.0])],
+                       drift=[AffineDrift(np.zeros((2, 2)), np.eye(2), drive)
+                              for drive in ([0.0, 0.0], b)],
                        U=[BallSet(1.0)] * 2, V=[BallSet(1.0)] * 2, M=[1.0] * 2, rho=[1.0] * 2)
         zero = [constant_profile(grid, np.zeros(2))] * 2
         return scn, integrate_upper(scn, zero), zero
@@ -487,8 +522,9 @@ class TestInPlaceCatchUp:
     loop; it drops the s x product only when no participant is scaled-linear."""
 
     @pytest.mark.parametrize("case", ["affine", "mixed", "scaled"])
-    def test_matches_per_participant_loop(self, case):
+    def test_matches_per_participant_loop(self, monkeypatch, case):
         scn, y, u = _in_place_case(case)
+        monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
         x = integrate_lower_catchup(scn, y, u, scn.x0)
         states, contact = _reference_catchup(scn, y, u, scn.x0)
         assert np.array_equal(x.states.view(np.int64), states.view(np.int64))
@@ -497,8 +533,9 @@ class TestInPlaceCatchUp:
         if case == "affine":
             assert np.signbit(x.states[0, 0, 1]) and x.states[0, 0, 1] == 0.0
 
-    def test_truncation_violation(self):
+    def test_truncation_violation(self, monkeypatch):
         scn, y, u = _in_place_case("truncation")
+        monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
         with pytest.raises(TruncationViolationError) as err:
             integrate_lower_catchup(scn, y, u, scn.x0)
         assert str(err.value) == "participant 2 at t=0.76: required cone correction 4 exceeds cap 0.5"
@@ -506,19 +543,24 @@ class TestInPlaceCatchUp:
             == (1, 0.76, 4.0, 0.5)
 
     def test_overflowing_prediction(self, monkeypatch):
-        # the infinite prediction is an infinite correction, and neither
-        # path warns: any warning is an error here
-        scn, y, u = _in_place_case("overflow")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(TruncationViolationError) as floats:
-                integrate_lower_catchup(scn, y, u, scn.x0)
-            monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
-            with pytest.raises(TruncationViolationError) as err:
-                integrate_lower_catchup(scn, y, u, scn.x0)
-        assert str(err.value) == "participant 2 at t=2: required cone correction inf exceeds cap 1"
-        assert (err.value.participant, err.value.time, err.value.magnitude) == (1, 2.0, math.inf)
-        assert str(floats.value) == str(err.value)
+        # an infinite prediction, or a finite one whose distance from the
+        # center overflows, is an infinite correction, and neither path
+        # warns: any warning is an error here
+        for case in ("overflow", "overflow-distance"):
+            scn, y, u = _in_place_case(case)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TruncationViolationError) as floats:
+                    integrate_lower_catchup(scn, y, u, scn.x0)
+                with monkeypatch.context() as m:
+                    m.setattr(dynamics, "_FLOAT_LANES", 0)
+                    with pytest.raises(TruncationViolationError) as err:
+                        integrate_lower_catchup(scn, y, u, scn.x0)
+            assert str(err.value) \
+                == "participant 2 at t=2: required cone correction inf exceeds cap 1"
+            assert (err.value.participant, err.value.time, err.value.magnitude) \
+                == (1, 2.0, math.inf)
+            assert str(floats.value) == str(err.value)
 
 
 class TestPenalty:
