@@ -17,17 +17,15 @@ import numpy as np
 
 from .dynamics import (
     DEFAULT_GRID_K,
-    BallSet,
     ControlProfile,
     FeasibilityReport,
-    IntervalSet,
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
     Trajectory,
     _effort,
     _float_step,
-    _line,
+    _line_step,
     _require_member,
     _row_norms,
     _rowdot,
@@ -136,27 +134,6 @@ class CaseStudyParams:
 # inner problem
 
 
-def _line_step(d0, d1, w0, w1, r_eff, s_lo, s_hi):
-    """The least-|s| s in [s_lo, s_hi] with |d + s w| <= r_eff, or None: the
-    feasible s lie between the roots of a quadratic."""
-    a = w0 * w0 + w1 * w1
-    b = 2.0 * (w0 * d0 + w1 * d1)
-    c = (d0 * d0 + d1 * d1) - r_eff * r_eff
-    if a < 1e-30:
-        if c > 0:
-            return None
-        lo, hi = s_lo, s_hi
-    else:
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return None
-        root = math.sqrt(disc)
-        lo, hi = max((-b - root) / (2 * a), s_lo), min((-b + root) / (2 * a), s_hi)
-    if lo > hi:
-        return None
-    return 0.0 if lo <= 0.0 <= hi else lo if lo > 0 else hi
-
-
 def _greedy_step(drift, cset):
     """One participant's greedy step rule on Python floats, chosen once per
     solve: ``step(x0, x1, h, c0, c1, r_eff)`` is the smallest-norm admissible
@@ -165,9 +142,9 @@ def _greedy_step(drift, cset):
     and the predicted point moves on a line, so s solves a quadratic.  A
     ball or box U takes the nearest point of the ellipse of controls that
     reach the target (a trust-region step, More & Sorensen 1983, by a
-    monotone Newton iteration), kept when it lies in U; on a box U that
-    misses it, the answer lies on an edge of the box, a line."""
-    line = _line(cset)
+    monotone Newton iteration), and U's ``_admit`` gives the answer from it:
+    the point when it lies in U, else for a box the best point on an edge."""
+    line = cset._line_view
     if line is not None:
         unit, s_lo, s_hi = line[0].tolist(), line[1], line[2]
         along = drift._float_line(unit)
@@ -182,7 +159,7 @@ def _greedy_step(drift, cset):
     # values below 1e-12 of the largest taken as 0 (a rank-1 B)
     ((l00, l01), (l10, l11)), (S0, S1), ((q00, q01), (q10, q11)) = _svd2(drift.B)
     S1 = S1 if S1 > 1e-12 * S0 else 0.0
-    ball = isinstance(cset, BallSet)
+    admit = cset._admit
 
     def nearest(d0, d1, h, r_eff):
         """The least-norm u with |W u - d| <= r_eff < |d|, or None.  It is
@@ -214,26 +191,7 @@ def _greedy_step(drift, cset):
         f0, f1 = f(x0, x1, zero)
         d0, d1 = c0 - (x0 + h * f0), c1 - (x1 + h * f1)
         u = zero if math.sqrt(d0 * d0 + d1 * d1) <= r_eff else nearest(d0, d1, h, r_eff)
-        if u is None:
-            return None
-        if ball:
-            # the ellipse's nearest point is also the nearest point of its
-            # meet with the ball, or proves the meet empty
-            return u if math.sqrt(u[0] * u[0] + u[1] * u[1]) <= cset.radius else None
-        lo, hi = cset.lo.tolist(), cset.hi.tolist()
-        if lo[0] <= u[0] <= hi[0] and lo[1] <= u[1] <= hi[1]:
-            return u
-        # the convex problem's minimum lies on the box's boundary: the
-        # first least-norm point over its four edges, each a line
-        W = [[h * e for e in row] for row in B]
-        edges = []
-        for j, k in ((0, 1), (1, 0)):
-            for e in (lo[j], hi[j]):
-                s = _line_step(e * W[0][j] - d0, e * W[1][j] - d1, W[0][k], W[1][k],
-                               r_eff, lo[k], hi[k])
-                if s is not None:
-                    edges.append((e, s) if j == 0 else (s, e))
-        return min(edges, key=lambda c: c[0] * c[0] + c[1] * c[1]) if edges else None
+        return None if u is None else admit(u, d0, d1, h, B, r_eff)
     return planar
 
 
@@ -312,19 +270,6 @@ def value_function(
 # direct outer solver
 
 
-def _coordinates(cset, K) -> Tuple[np.ndarray, np.ndarray]:
-    """Box (lo, hi) of one participant's search coordinates on K intervals:
-    K rows of the coordinate of a line (see ``_line``), of a box's own
-    coordinates, or of the square around a ball."""
-    line = _line(cset)
-    if line is not None:
-        return np.full((K, 1), line[1]), np.full((K, 1), line[2])
-    if isinstance(cset, IntervalSet):
-        return np.tile(cset.lo, (K, 1)), np.tile(cset.hi, (K, 1))
-    hi = np.full((K, 2), cset.radius)
-    return -hi, hi
-
-
 def _solution(scenario, v, u, x0, method) -> BilevelSolution:
     """Integrate both levels under the controls, then cost and audit them."""
     y = integrate_upper(scenario, v)
@@ -368,8 +313,7 @@ def solve_bilevel_direct(
     rng = np.random.default_rng(seed)
     sim_K = int(math.ceil(sim_K / K)) * K
     fine = uniform_grid(T, sim_K)
-    lines = [_line(cset) for cset in scenario.V]
-    boxes = [_coordinates(cset, K) for cset in scenario.V]
+    boxes = [cset._search_box(K) for cset in scenario.V]
     lo = np.concatenate([box[0].ravel() for box in boxes])
     hi = np.concatenate([box[1].ravel() for box in boxes])
     offsets = np.cumsum([0] + [box[0].size for box in boxes])
@@ -385,11 +329,10 @@ def solve_bilevel_direct(
         find a participant infeasible."""
         evals[0] += 1
         rows = np.empty((K, N, 2))
-        for i, (cset, line) in enumerate(zip(scenario.V, lines)):
-            block = params[offsets[i] : offsets[i + 1]].reshape(K, -1)
+        for i, cset in enumerate(scenario.V):
             # in V by construction: the search box keeps a line's coordinate
             # on the line and a box's coordinates in the box; a ball projects
-            rows[:, i] = block * line[0] if line else [cset.project(row) for row in block]
+            rows[:, i] = cset._velocities(params[offsets[i] : offsets[i + 1]].reshape(K, -1))
         # the fine grid refines the coarse one: sim_K is a multiple of K
         v = np.repeat(rows, sim_K // K, axis=0)
         y = _translation_path(scenario.y0, fine, v)
@@ -418,19 +361,14 @@ def solve_bilevel_direct(
     # keep their separation.  The rest plan is always feasible when 0 lies
     # in every control set and anchors the search on frozen scenarios.
     aim = np.zeros(n)
-    for i, (cset, line) in enumerate(zip(scenario.V, lines)):
-        if line:
-            unit, a_lo, a_hi = line
-            row = np.clip(-float(_rowdot(scenario.y0[i], unit)) / T, a_lo, a_hi)
-        else:
-            row = cset.project(-scenario.y0[i] / T)
-        aim[offsets[i] : offsets[i + 1]] = np.tile(row, K)
+    for i, cset in enumerate(scenario.V):
+        aim[offsets[i] : offsets[i + 1]] = np.tile(cset._aim(scenario.y0[i], T), K)
     common = aim.copy()
-    segments = [i for i, line in enumerate(lines) if line]
+    segments = [i for i, cset in enumerate(scenario.V) if cset._line_view]
     if segments:
         mean_a = float(np.mean([aim[offsets[i]] for i in segments]))
         for i in segments:
-            common[offsets[i] : offsets[i + 1]] = np.clip(mean_a, lines[i][1], lines[i][2])
+            common[offsets[i] : offsets[i + 1]] = np.clip(mean_a, *scenario.V[i]._line_view[1:])
     starts = [frac * common for frac in (0.95, 0.8, 0.6)] + [0.9 * aim, np.zeros(n)]
 
     # single coordinates; then coordinated per-interval moves across

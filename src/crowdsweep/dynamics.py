@@ -6,15 +6,16 @@ sweeping inclusion with a controlled drift.  This module owns the scenario
 data model, the catching-up and penalty integrators, feasibility auditing,
 cost evaluation, and the normal-cone truncation bounds.  It is the one home
 of the set and drift arithmetic that the solvers and the verifier share:
-the line of a control set, its effort-penalized supremum (the support value
-at zero penalty), the drift's transposed Jacobians, and the worst overlap.
+each control-set class carries its line view, search box, support and
+effort-penalized supremum, tolerance and normal cone, each drift class its
+transposed Jacobians, and one function finds the worst overlap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -229,8 +230,92 @@ def _svd2(B: np.ndarray):
     return ((cp, -sign * sp), (sp, sign * cp)), (q + r, abs(q - r)), ((ct, -st), (st, ct))
 
 
+def _peak(c: np.ndarray, alpha: float, lo, hi) -> np.ndarray:
+    """Maximizer of c*a - alpha*a^2 over a in [lo, hi], elementwise."""
+    return np.clip(c / (2 * alpha), lo, hi) if alpha > 0 else np.where(c >= 0, hi, lo)
+
+
+# Relative slack used when collecting the near-argmax controls whose
+# gradients span the Clarke hull of a flat control supremum.
+SUP_ACTIVE_FRAC = 1e-3
+
+_POINT, _INTERVAL, _BALL = 0, 1, 2
+
+
+class _Hull(NamedTuple):
+    """Near-argmax structure of the inner control supremum, per row."""
+
+    kind: np.ndarray      # _POINT (unique maximizer u), _INTERVAL (range
+    lo: np.ndarray        # [lo, hi] of the scalar control coordinate) or
+    hi: np.ndarray        # _BALL (flat supremum over a ball set)
+    u: np.ndarray
+
+
+def _line_step(d0, d1, w0, w1, r_eff, s_lo, s_hi):
+    """The least-|s| s in [s_lo, s_hi] with |d + s w| <= r_eff, or None: the
+    feasible s lie between the roots of a quadratic."""
+    a = w0 * w0 + w1 * w1
+    b = 2.0 * (w0 * d0 + w1 * d1)
+    c = (d0 * d0 + d1 * d1) - r_eff * r_eff
+    if a < 1e-30:
+        if c > 0:
+            return None
+        lo, hi = s_lo, s_hi
+    else:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return None
+        root = math.sqrt(disc)
+        lo, hi = max((-b - root) / (2 * a), s_lo), min((-b + root) / (2 * a), s_hi)
+    if lo > hi:
+        return None
+    return 0.0 if lo <= 0.0 <= hi else lo if lo > 0 else hi
+
+
+# Each control-set class is the one home of its arithmetic, with its line
+# view (``_line_view``: (unit, lo, hi) when the set is the line u = s * unit,
+# s in [lo, hi], else None) and membership tolerance (``_tol``, 1e-9 *
+# max(1, scale)) computed once: on rows, the supremum of <g, u> - alpha |u|^2
+# (the support value at alpha = 0) with its maximizer and its near-argmax
+# hull, and the distance to minus the normal cone at controls v, which are at
+# a bound within ``_tol``; as V, the search's box, velocities and aim; as a
+# planar U, the greedy's admission of the nearest reaching control.
+
+
+class _LineSet:
+    """Arithmetic of a set with a ``_line_view``: a segment, or an interval
+    with one coordinate, which keeps it (the box's ``np.sum`` rows would
+    turn a -0.0 supremum into +0.0)."""
+
+    def _sup_effort(self, g: np.ndarray, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+        unit, lo, hi = self._line_view
+        gc = _rowdot(g, unit)
+        a = _peak(gc, alpha, lo, hi)
+        return gc * a - alpha * (a * a), a[:, None] * unit
+
+    def _hull(self, g: np.ndarray, alpha: float) -> _Hull:
+        """The superlevel range of the concave map gc*a - alpha*a^2 on [lo, hi]:
+        the controls within the relative slack of the supremum, the hull of
+        whose dynamics gradients is the Clarke set of a flat supremum."""
+        unit, lo, hi = self._line_view
+        gc = _rowdot(g, unit)
+        a_star = _peak(gc, alpha, lo, hi)
+        eps = SUP_ACTIVE_FRAC * (1.0 + np.abs(gc * a_star - alpha * a_star * a_star)) + 1e-12
+        if alpha > 0:
+            peak, half = gc / (2 * alpha), np.sqrt(eps / alpha)
+            lo_s = np.minimum(np.maximum(lo, peak - half), a_star)
+            hi_s = np.maximum(np.minimum(hi, peak + half), a_star)
+        else:
+            flat = np.abs(gc) * (hi - lo) <= eps
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lo_s = np.where(flat | (gc <= 0), lo, hi - eps / gc)
+                hi_s = np.where(flat | (gc > 0), hi, lo + eps / np.abs(gc))
+        return _Hull(np.where(hi_s - lo_s < 1e-14, _POINT, _INTERVAL), lo_s, hi_s,
+                     lo_s[:, None] * unit)
+
+
 @dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(_LineSet):
     """Per-coordinate box [lo, hi]."""
 
     lo: np.ndarray
@@ -243,6 +328,9 @@ class IntervalSet:
             raise ValueError("interval set needs lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_tol", 1e-9 * max(1.0, float(np.max(np.abs([lo, hi])))))
+        object.__setattr__(self, "_line_view",
+                           (np.ones(1), float(lo[0]), float(hi[0])) if lo.size == 1 else None)
 
     @property
     def dim(self) -> int:
@@ -255,13 +343,58 @@ class IntervalSet:
         rows = np.asarray(rows, float)
         return _row_norms(rows - np.clip(rows, self.lo, self.hi))
 
+    def _sup_effort(self, g, alpha):
+        if self._line_view:
+            return super()._sup_effort(g, alpha)
+        u = _peak(g, alpha, self.lo, self.hi)
+        return np.sum(g * u, axis=1) - alpha * np.sum(u * u, axis=1), u
+
+    def _hull(self, g, alpha):
+        if self._line_view:
+            return super()._hull(g, alpha)
+        zeros = np.zeros(len(g))
+        return _Hull(np.full(len(g), _POINT), zeros, zeros, self._sup_effort(g, alpha)[1])
+
+    def _normal_cone_distance(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per-coordinate rays at the bounds."""
+        at_hi, at_lo = v >= self.hi - self._tol, v <= self.lo + self._tol
+        off = ((w > 0) & ~at_lo) | ((w < 0) & ~at_hi)
+        return np.sqrt(np.sum(np.where(off, w**2, 0.0), axis=1))
+
+    def _search_box(self, K: int) -> Tuple[np.ndarray, np.ndarray]:
+        return np.tile(self.lo, (K, 1)), np.tile(self.hi, (K, 1))
+
+    def _velocities(self, block: np.ndarray) -> np.ndarray:
+        return np.clip(block, self.lo, self.hi)
+
+    def _aim(self, y0: np.ndarray, T: float) -> np.ndarray:
+        return self.project(-y0 / T)
+
+    def _admit(self, u, d0, d1, h, B, r_eff):
+        """u when it lies in the box; else the convex problem's minimum lies
+        on the box's boundary: the first least-norm point over its four
+        edges, each a line, for W = h B and d the target's offset."""
+        lo, hi = self.lo.tolist(), self.hi.tolist()
+        if lo[0] <= u[0] <= hi[0] and lo[1] <= u[1] <= hi[1]:
+            return u
+        W = [[h * e for e in row] for row in B]
+        edges = []
+        for j, k in ((0, 1), (1, 0)):
+            for e in (lo[j], hi[j]):
+                s = _line_step(e * W[0][j] - d0, e * W[1][j] - d1, W[0][k], W[1][k],
+                               r_eff, lo[k], hi[k])
+                if s is not None:
+                    edges.append((e, s) if j == 0 else (s, e))
+        return min(edges, key=lambda c: c[0] * c[0] + c[1] * c[1]) if edges else None
+
 
 @dataclass(frozen=True)
-class SegmentSet:
+class SegmentSet(_LineSet):
     """{a * direction : a in [-halflength, halflength]} embedded in the plane."""
 
     direction: np.ndarray
     halflength: float
+    dim = 2
 
     def __post_init__(self):
         d = np.asarray(self.direction, float).reshape(2)
@@ -273,10 +406,8 @@ class SegmentSet:
         object.__setattr__(self, "direction", d / n)
         if not self.halflength >= 0:
             raise ValueError("segment halflength must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return 2
+        object.__setattr__(self, "_tol", 1e-9 * max(1.0, self.halflength))
+        object.__setattr__(self, "_line_view", (self.direction, -self.halflength, self.halflength))
 
     def project(self, u) -> np.ndarray:
         a = float(_rowdot(np.asarray(u, float).ravel(), self.direction))
@@ -288,83 +419,101 @@ class SegmentSet:
         a = np.clip(_rowdot(rows, self.direction), -self.halflength, self.halflength)
         return _row_norms(rows - a[:, None] * self.direction)
 
+    def _normal_cone_distance(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The whole orthogonal complement, plus an outward halfplane at the
+        endpoints; a segment within its tolerance of a point has the normal
+        cone of a point, the whole plane."""
+        L, tol = self.halflength, self._tol
+        if L <= tol:
+            return np.zeros(len(w))
+        a = _rowdot(v, self.direction)
+        along = _rowdot(w, self.direction)
+        return np.where(a >= L - tol, np.maximum(0.0, along),
+                        np.where(a <= -L + tol, np.maximum(0.0, -along), np.abs(along)))
+
+    def _search_box(self, K: int) -> Tuple[np.ndarray, np.ndarray]:
+        return np.full((K, 1), -self.halflength), np.full((K, 1), self.halflength)
+
+    def _velocities(self, block: np.ndarray) -> np.ndarray:
+        return block * self.direction
+
+    def _aim(self, y0: np.ndarray, T: float):
+        return np.clip(-float(_rowdot(y0, self.direction)) / T, -self.halflength, self.halflength)
+
 
 @dataclass(frozen=True)
 class BallSet:
     """Euclidean ball of the given radius centered at the origin."""
 
     radius: float
+    dim, _line_view = 2, None
 
     def __post_init__(self):
         if not self.radius >= 0:
             raise ValueError("ball radius must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return 2
+        object.__setattr__(self, "_tol", 1e-9 * max(1.0, self.radius))
 
     def project(self, u) -> np.ndarray:
         u = np.asarray(u, float).ravel()
         n = float(_row_norms(u))
-        if n <= self.radius or n == 0.0:
-            return u.copy()
-        return (self.radius / n) * u
+        return u.copy() if n <= self.radius else (self.radius / n) * u
 
     def distances(self, rows) -> np.ndarray:
         return np.maximum(0.0, _row_norms(np.asarray(rows, float)) - self.radius)
+
+    def _sup_effort(self, g, alpha):
+        gn = _row_norms(g)
+        s = _peak(gn, alpha, 0.0, self.radius)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(gn[:, None] > 0, (s / gn)[:, None] * g, 0.0)
+        return gn * s - alpha * s * s, u
+
+    def _hull(self, g, alpha):
+        """A flat supremum (only at alpha = 0) is the whole ball."""
+        kind = np.full(len(g), _POINT)
+        if alpha <= 0:
+            gr = _row_norms(g) * self.radius
+            kind[gr <= SUP_ACTIVE_FRAC * (1.0 + gr) + 1e-12] = _BALL
+        zeros = np.zeros(len(g))
+        return _Hull(kind, zeros, zeros, self._sup_effort(g, alpha)[1])
+
+    def _normal_cone_distance(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The outward radial ray on the boundary; a ball within its
+        tolerance of a point has the normal cone of a point, the whole
+        plane (there a v = 0 would be on the boundary with no ray)."""
+        if self.radius <= self._tol:
+            return np.zeros(len(w))
+        rn = _row_norms(v)
+        on = rn >= self.radius - self._tol
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ray = -v / rn[:, None]
+            t = np.maximum(0.0, _rowdot(w, ray))
+            return np.where(on, _row_norms(w - t[:, None] * ray), _row_norms(w))
+
+    def _search_box(self, K: int) -> Tuple[np.ndarray, np.ndarray]:
+        hi = np.full((K, 2), self.radius)
+        return -hi, hi
+
+    def _velocities(self, block: np.ndarray):
+        return [self.project(row) for row in block]
+
+    def _aim(self, y0: np.ndarray, T: float) -> np.ndarray:
+        return self.project(-y0 / T)
+
+    def _admit(self, u, d0, d1, h, B, r_eff):
+        """The ellipse's nearest point is also the nearest point of its meet
+        with the ball, or proves the meet empty."""
+        return u if math.sqrt(u[0] * u[0] + u[1] * u[1]) <= self.radius else None
 
 
 # each set's ``distances`` maps a (K, m) block to one value per row
 ControlSetSpec = Union[IntervalSet, SegmentSet, BallSet]
 
 
-def _line(cset: ControlSetSpec) -> Optional[Tuple[np.ndarray, float, float]]:
-    """``(unit, lo, hi)`` when the set is the line u = s * unit, s in [lo, hi]
-    (a segment or a 1-D interval), else None."""
-    if isinstance(cset, SegmentSet):
-        return cset.direction, -cset.halflength, cset.halflength
-    if isinstance(cset, IntervalSet) and cset.dim == 1:
-        return np.ones(1), float(cset.lo[0]), float(cset.hi[0])
-    return None
-
-
-def _peak(c: np.ndarray, alpha: float, lo, hi) -> np.ndarray:
-    """Maximizer of c*a - alpha*a^2 over a in [lo, hi], elementwise."""
-    return np.clip(c / (2 * alpha), lo, hi) if alpha > 0 else np.where(c >= 0, hi, lo)
-
-
-def _sup_effort(g: np.ndarray, alpha: float, cset: ControlSetSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Maximize <g, u> - alpha*||u||^2 over the control set for each row of g;
-    returns the suprema and the maximizers, exact for all three set shapes.
-    At alpha = 0 the suprema are the set's support values."""
-    line = _line(cset)
-    if line is not None:
-        unit, lo, hi = line
-        gc = _rowdot(g, unit)
-        a = _peak(gc, alpha, lo, hi)
-        return gc * a - alpha * (a * a), a[:, None] * unit
-    if isinstance(cset, IntervalSet):
-        u = _peak(g, alpha, cset.lo, cset.hi)
-        return np.sum(g * u, axis=1) - alpha * np.sum(u * u, axis=1), u
-    gn = _row_norms(g)
-    s = _peak(gn, alpha, 0.0, cset.radius)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(gn[:, None] > 0, (s / gn)[:, None] * g, 0.0)
-    return gn * s - alpha * s * s, u
-
-
-def _set_scale(cset: ControlSetSpec) -> float:
-    if isinstance(cset, IntervalSet):
-        return float(np.max(np.abs(np.concatenate([cset.lo, cset.hi])))) or 1.0
-    if isinstance(cset, SegmentSet):
-        return cset.halflength or 1.0
-    return cset.radius or 1.0
-
-
 def _require_member(i: int, profile: "ControlProfile", cset: ControlSetSpec, what: str) -> None:
     bad = profile.max_set_distance(cset)
     # a NaN distance fails this test, where it would pass ``bad > tol``
-    if not bad <= 1e-9 * max(1.0, _set_scale(cset)):
+    if not bad <= cset._tol:
         raise InfeasibleControlError(f"participant {i+1}: {what} by {bad:.3g}")
 
 
@@ -909,9 +1058,9 @@ def h5_bounds(
         n = z / nz[:, None]
         base = _rowdot(n, drift.value(x, np.zeros((len(x), drift.control_dim))))
         lin = drift._u_t(x, n)  # (S, m)
-        max_u = base + _sup_effort(lin, 0.0, Ui)[0]
-        min_u = base - _sup_effort(-lin, 0.0, Ui)[0]
-        upper = np.min(max_u + _sup_effort(-n, 0.0, Vi)[0])
-        lower = np.max(min_u - _sup_effort(n, 0.0, Vi)[0])
+        max_u = base + Ui._sup_effort(lin, 0.0)[0]
+        min_u = base - Ui._sup_effort(-lin, 0.0)[0]
+        upper = np.min(max_u + Vi._sup_effort(-n, 0.0)[0])
+        lower = np.max(min_u - Vi._sup_effort(n, 0.0)[0])
         out.append((float(upper), float(lower)))
     return out

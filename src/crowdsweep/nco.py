@@ -25,18 +25,15 @@ import numpy as np
 
 from .bilevel import BilevelSolution
 from .dynamics import (
-    BallSet,
-    IntervalSet,
-    SegmentSet,
+    _BALL,
+    _INTERVAL,
+    _POINT,
     _check_grid,
     _check_grid_match,
-    _line,
+    _Hull,
     _matvec,
-    _peak,
     _row_norms,
     _rowdot,
-    _set_scale,
-    _sup_effort,
     _svd2,
 )
 from .geometry import SingularConfigurationError, sigma_active_gradient
@@ -65,10 +62,6 @@ NONTRIVIALITY_TOL = 1e-6
 # Width of the kink band of the cone support activation, relative to the
 # costate scale; inside the band the convexification parameter is free.
 KINK_BAND_FRAC = 1e-4
-
-# Relative slack used when collecting the near-argmax controls whose
-# gradients span the Clarke hull of a flat control supremum.
-SUP_ACTIVE_FRAC = 1e-3
 
 
 class IndeterminateWitnessError(RuntimeError):
@@ -314,64 +307,13 @@ def _prepared(solution, upper: UpperMultipliers) -> _SolutionData:
 
 
 # ---------------------------------------------------------------------------
-# small exact optimizers, row by row
-
-
-def _sup_active_range(gc: np.ndarray, alpha: float, lo: float,
-                      hi: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Superlevel range of the concave scalar map gc*a - alpha*a^2 on [lo, hi].
-
-    Collects the controls within the relative slack of the supremum; the
-    hull of their dynamics gradients is the Clarke set of a flat supremum.
-    """
-    a_star = _peak(gc, alpha, lo, hi)
-    eps = SUP_ACTIVE_FRAC * (1.0 + np.abs(gc * a_star - alpha * a_star * a_star)) + 1e-12
-    if alpha > 0:
-        peak, half = gc / (2 * alpha), np.sqrt(eps / alpha)
-        lo_s = np.minimum(np.maximum(lo, peak - half), a_star)
-        hi_s = np.maximum(np.minimum(hi, peak + half), a_star)
-        return lo_s, hi_s
-    flat = np.abs(gc) * (hi - lo) <= eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo_s = np.where(flat | (gc <= 0), lo, hi - eps / gc)
-        hi_s = np.where(flat | (gc > 0), hi, lo + eps / np.abs(gc))
-    return lo_s, hi_s
-
-
-_POINT, _INTERVAL, _BALL = 0, 1, 2
-
-
-class _Hull(NamedTuple):
-    """Near-argmax structure of the inner control supremum, per row."""
-
-    kind: np.ndarray      # _POINT (unique maximizer u), _INTERVAL (range
-    lo: np.ndarray        # [lo, hi] of the scalar control coordinate) or
-    hi: np.ndarray        # _BALL (flat supremum over a ball set)
-    u: np.ndarray
+# inner hulls and distances to hulls, row by row
 
 
 def _u_hull(data: _SolutionData, i: int, w: np.ndarray, alpha: float,
             rows: slice = slice(None)) -> _Hull:
     """Near-argmax structure on the intervals ``rows`` for the rows of w."""
-    drift, cset = data.scn.drift[i], data.scn.U[i]
-    g = drift._u_t(data.x[:-1, i][rows], w)
-    line = _line(cset)
-    if line is not None:
-        unit, lo, hi = line
-        lo_s, hi_s = _sup_active_range(_rowdot(g, unit), alpha, lo, hi)
-        kind = np.where(hi_s - lo_s < 1e-14, _POINT, _INTERVAL)
-        return _Hull(kind, lo_s, hi_s, lo_s[:, None] * unit)
-    _sup, u = _sup_effort(g, alpha, cset)
-    kind = np.full(len(w), _POINT)
-    if isinstance(cset, BallSet) and alpha <= 0:
-        gr = _row_norms(g) * cset.radius
-        kind[gr <= SUP_ACTIVE_FRAC * (1.0 + gr) + 1e-12] = _BALL
-    zeros = np.zeros(len(w))
-    return _Hull(kind, zeros, zeros, u)
-
-
-# ---------------------------------------------------------------------------
-# distances to hulls and normal cones, row by row
+    return data.scn.U[i]._hull(data.scn.drift[i]._u_t(data.x[:-1, i][rows], w), alpha)
 
 
 def _segment_distance(r: np.ndarray, c: np.ndarray, lo: np.ndarray,
@@ -417,38 +359,6 @@ def _dist_to_hull(r: np.ndarray, c1: np.ndarray, lo1: np.ndarray, hi1: np.ndarra
             d = np.minimum(d, _segment_distance(r - fixed[:, None] * col, other, lo, hi))
         best[two] = d
     return np.maximum(0.0, best - ball)
-
-
-def _normal_cone_distance(w: np.ndarray, cset, v: np.ndarray) -> np.ndarray:
-    """Distance of each row of w to minus the normal cone of the control set
-    at the matching row of v.
-
-    Interval sets give per-coordinate rays, a segment contributes its whole
-    orthogonal complement plus an outward halfplane at the endpoints, a ball
-    the outward radial ray on its boundary.  A control is at a bound within
-    1e-9 of the set's scale, the tolerance of its membership test.
-    """
-    tol = 1e-9 * max(1.0, _set_scale(cset))
-    if isinstance(cset, IntervalSet):
-        at_hi, at_lo = v >= cset.hi - tol, v <= cset.lo + tol
-        off = ((w > 0) & ~at_lo) | ((w < 0) & ~at_hi)
-        return np.sqrt(np.sum(np.where(off, w**2, 0.0), axis=1))
-    if isinstance(cset, SegmentSet):
-        L = cset.halflength
-        if L == 0.0:
-            return np.zeros(len(w))      # normal cone of a singleton is the whole plane
-        a = _rowdot(v, cset.direction)
-        along = _rowdot(w, cset.direction)
-        return np.where(a >= L - tol, np.maximum(0.0, along),
-                        np.where(a <= -L + tol, np.maximum(0.0, -along), np.abs(along)))
-    if cset.radius == 0.0:
-        return np.zeros(len(w))
-    rn = _row_norms(v)
-    on = rn >= cset.radius - tol
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ray = -v / rn[:, None]
-        t = np.maximum(0.0, _rowdot(w, ray))
-        return np.where(on, _row_norms(w - t[:, None] * ray), _row_norms(w))
 
 
 def _initial_defect(data: _SolutionData, w0: np.ndarray, i) -> np.ndarray:
@@ -570,7 +480,7 @@ def _max_lower_gaps(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
         alpha = float(upper.effort_weights[i])
         w = upper.q_lower[1:, i] - upper.confinement[:K, i, None] * data.z[1:, i]
         g = scn.drift[i]._u_t(data.x[:-1, i], w)
-        sup, _u = _sup_effort(g, alpha, scn.U[i])
+        sup, _u = scn.U[i]._sup_effort(g, alpha)
         uk = data.u[i]
         gaps[:, i] = np.maximum(0.0, sup - (_rowdot(g, uk) - alpha * _rowdot(uk, uk)))
     return gaps
@@ -616,7 +526,7 @@ def _max_upper_paths(data: _SolutionData, upper: UpperMultipliers, lowers) -> np
                 raise IndeterminateWitnessError(
                     f"participant {i+1}: no value-function sensitivity available")
             lhs = lhs - lv.effort[i] * (-_velocity_lhs(data, low._lanes(), 0) / low.effort_weight)
-        res[:, i] = _normal_cone_distance(lhs, scn.V[i], data.v[i])
+        res[:, i] = scn.V[i]._normal_cone_distance(lhs, data.v[i])
     return res
 
 
@@ -696,7 +606,7 @@ def _inner_checks(data: _SolutionData, low: LowerMultipliers):
     r_hi = np.where(active[:, None], r_hi + g, r_hi)
 
     # the control coordinate's column and its cross term; zero off a line U
-    line = _line(scn.U[i])
+    line = scn.U[i]._line_view
     col, cross = (np.zeros((K, 2)),) * 2 if line is None \
         else drift._line_columns(data.x[:-1, i], w, line[0])
     hull_col = np.hstack([cross - nu[:, None] * col, nu[:, None] * col])
@@ -732,7 +642,7 @@ def _inner_checks(data: _SolutionData, low: LowerMultipliers):
         yield "articulation", 0.0, None
         return
     vec = _velocity_lhs(data, low._lanes(), 0)
-    yield ("articulation",) + _worst(_normal_cone_distance(vec, scn.V[i], v), starts, (i,))
+    yield ("articulation",) + _worst(scn.V[i]._normal_cone_distance(vec, v), starts, (i,))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from crowdsweep.dynamics import (
     Scenario,
     SegmentSet,
     Trajectory,
-    _set_scale,
     constant_profile,
     cost_lower,
     integrate_lower_catchup,
@@ -451,6 +450,6 @@ def test_direct_search_trials_lie_in_V(monkeypatch, make):
     solve_bilevel_direct(scn, coarse_grid_K=2, seed=3, sim_K=60, max_evals=300)
     assert len(trials) > 100
     for i, cset in enumerate(scn.V):
-        tol = 1e-9 * max(1.0, _set_scale(cset))
+        tol = cset._tol
         worst = max(float(np.max(cset.distances(v[:, i]))) for v in trials)
         assert worst <= tol, (i, worst)

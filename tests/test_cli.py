@@ -302,6 +302,21 @@ class TestCommands:
             assert capsys.readouterr().err == \
                 "error: infeasible: participant 1: control outside its set by 5e-06 at t=0\n"
 
+    def test_verify_on_a_ball_within_its_tolerance(self, tmp_path):
+        # a ball V of radius 1e-10 is a point within its membership tolerance
+        # 1e-9, whose normal cone is the whole plane, also at v = 0: zero
+        # controls verify, as they do at radius 0
+        def tiny(doc):
+            for node in doc["participants"]:
+                node["V"] = {"shape": "ball", "radius": 1e-10}
+
+        path = write_scenario(tmp_path, tiny)
+        controls = write_controls(tmp_path, [np.zeros(2)] * 2)
+        out = tmp_path / "verify"
+        assert run("verify", path, out=str(out), controls=controls) == EXIT_OK
+        summary = (out / "summary.txt").read_text()
+        assert "nan" not in summary and "  verified: true\n" in summary
+
     def test_h5check_without_contact_samples_is_infeasible(self, tmp_path, capsys):
         controls = write_controls(tmp_path, [np.zeros(2)] * 2)
         code = run("h5check", TWODISK, out=str(tmp_path / "h5"), controls=controls)

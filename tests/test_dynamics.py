@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import warnings
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from crowdsweep import dynamics, nco
+from crowdsweep import bilevel, dynamics, nco
 from crowdsweep.bilevel import closed_form_controls, solve_twodisk_parametric
 from crowdsweep.cli import parse_scenario
 from crowdsweep.dynamics import (
@@ -1077,3 +1078,40 @@ def test_grid_match_agrees_with_allclose(case, match):
     else:
         with pytest.raises(ValueError, match="^test: grids do not match$"):
             dynamics._check_grid_match(a, b, "test")
+
+
+class _SetClassUses(ast.NodeVisitor):
+    """Line numbers of the ``isinstance`` tests against a control-set class
+    outside ``_match_family``, and of the imports of the retired helpers."""
+
+    SETS, RETIRED = {"IntervalSet", "SegmentSet", "BallSet"}, {"_line", "_set_scale"}
+
+    def __init__(self):
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        if node.name != "_match_family":    # the parametric family's own check
+            self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+            if names & self.SETS:
+                self.found.append(node.lineno)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if {alias.name for alias in node.names} & self.RETIRED:
+            self.found.append(node.lineno)
+
+
+@pytest.mark.parametrize("module", [bilevel, nco], ids=["bilevel", "nco"])
+def test_only_the_set_classes_branch_on_the_set_class(module):
+    """The solvers and the verifier read each control set's own arithmetic
+    (``_line_view``, ``_sup_effort``, ``_hull``, ``_normal_cone_distance``,
+    the search box and the greedy's ``_admit``) and never branch on its
+    class, apart from the two-disk family test."""
+    with open(module.__file__, encoding="utf-8") as fh:
+        uses = _SetClassUses()
+        uses.visit(ast.parse(fh.read()))
+    assert uses.found == []

@@ -16,6 +16,7 @@ from crowdsweep.bilevel import (
 )
 from crowdsweep.cli import EXIT_OK, _supplied, parse_scenario, run
 from crowdsweep.dynamics import (
+    SUP_ACTIVE_FRAC,
     AffineDrift,
     BallSet,
     ControlProfile,
@@ -37,7 +38,6 @@ from crowdsweep.nco import (
     ACTIVATION_TOL,
     KINK_BAND_FRAC,
     NONTRIVIALITY_TOL,
-    SUP_ACTIVE_FRAC,
     LowerMultipliers,
     UpperMultipliers,
     adjoint_residual,
@@ -138,18 +138,32 @@ class TestHamiltonians:
         got = sigma_support(z, p_lower, mu, twodisk.R, twodisk.M[i])
         assert got == pytest.approx(expected, abs=1e-9)
 
-    def test_scalar_sup_is_exact_against_dense_grid(self):
+    @pytest.mark.parametrize("cset", [IntervalSet([0.0], [1.0]),
+                                      IntervalSet([-1.0, -0.5], [1.0, 0.8]),
+                                      SegmentSet([1.0, 2.0], 0.7), BallSet(0.8)],
+                             ids=["interval", "box", "segment", "ball"])
+    @pytest.mark.parametrize("effort", [False, True], ids=["alpha-0", "alpha-positive"])
+    def test_scalar_sup_is_exact_against_dense_grid(self, cset, effort):
+        """Each set's supremum of <g, u> - alpha |u|^2 is the map's value at
+        its maximizer, which lies in the set, and no control of a dense
+        sample of the set does better; 10 000 draws of g."""
         rng = np.random.default_rng(2)
-        cset = IntervalSet([0.0], [1.0])
-        us = np.linspace(0.0, 1.0, 1001)
-        worst = 0.0
-        for _ in range(10_000):
-            g = rng.normal(scale=5.0, size=1)
-            alpha = abs(rng.normal())
-            sup, _u = nco._sup_effort(g[None], alpha, cset)
-            dense = np.max(g[0] * us - alpha * us**2)
-            worst = max(worst, dense - sup[0])
-        assert worst <= 1e-12
+        if cset.dim == 1:
+            us = np.linspace(0.0, 1.0, 1001)[:, None]
+        else:   # the set's points of a uniform draw, and projections onto it
+            box = rng.uniform(-1.0, 1.0, size=(5000, 2))
+            us = np.vstack([box[cset.distances(box) == 0.0]]
+                           + [cset.project(row)[None] for row in box[:1000]])
+        norms2 = np.sum(us**2, axis=1)[:, None]
+        for _ in range(100):
+            g = rng.normal(scale=5.0, size=(100, cset.dim))
+            alpha = abs(rng.normal()) if effort else 0.0
+            sup, u = cset._sup_effort(g, alpha)
+            assert np.max(cset.distances(u)) <= 1e-12
+            value = np.sum(g * u, axis=1) - alpha * np.sum(u * u, axis=1)
+            assert np.max(np.abs(sup - value)) <= 1e-12
+            dense = np.max(us @ g.T - alpha * norms2, axis=0)
+            assert np.max(dense - sup) <= 1e-12
 
 
 class TestResidualsTrivialCases:
@@ -1033,7 +1047,18 @@ def test_interval_bound_tolerance_is_the_set_scale():
     its largest |bound|, as in the membership test; not within 1e-9 of the
     coordinate's |hi| + |lo|.  The second row lies between the two."""
     w, v = np.array([[-1.0], [-1.0]]), np.array([[3.0 - 2e-9], [3.0 - 4.5e-9]])
-    assert nco._normal_cone_distance(w, IntervalSet([-3.0], [3.0]), v).tolist() == [0.0, 1.0]
+    assert IntervalSet([-3.0], [3.0])._normal_cone_distance(w, v).tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("cset", [BallSet(1e-10), SegmentSet([1.0, 0.0], 1e-10)],
+                         ids=["ball", "segment"])
+def test_set_within_its_tolerance_has_the_normal_cone_of_a_point(cset):
+    """A ball or segment no larger than its membership tolerance is a point
+    within it, whose normal cone is the whole plane: every distance is 0,
+    also at v = 0, where the ball has no outward ray."""
+    w = np.array([[1.0, 0.0], [-1.0, 0.5], [0.0, -2.0]])
+    v = np.array([[0.0, 0.0], [1e-10, 0.0], [-1e-10, 0.0]])
+    assert cset._normal_cone_distance(w, v).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_worst_residual_names_the_perturbed_interval(twodisk_300):
