@@ -399,6 +399,20 @@ def _row_fault(lines: List[Tuple[int, str]], header: List[str]) -> str:
     return "need a header and two or more full rows"
 
 
+def _cells(rows: List[str]) -> np.ndarray:
+    """Two or more rows of comma-separated numbers as one array, by numpy's C
+    reader; a row that repeats the row before after its first cell has only that cell read."""
+    parts = [row.partition(",") for row in rows]
+    rep = [False] + [p[2] == q[2] and p[1] == q[1] for p, q in zip(parts[1:], parts)]
+    data = np.loadtxt([row for row, r in zip(rows, rep) if not r], delimiter=",", comments=None,
+                      ndmin=2)
+    if any(rep):    # first cells keep their commas: an empty one is no blank line to skip
+        data = data[np.arange(len(rows)) - np.cumsum(rep)]
+        data[rep, 0] = np.loadtxt([p[0] + p[1] for p, r in zip(parts, rep) if r], delimiter=",",
+                                  comments=None, usecols=0)
+    return data
+
+
 def _read_controls(path: str, scenario: Scenario):
     """Parse a controls file (a header and two or more rows of finite
     decimal numbers, one per column; blank lines are skipped) back into
@@ -410,11 +424,7 @@ def _read_controls(path: str, scenario: Scenario):
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     header = lines[0][1].strip().split(",") if lines else []
     try:
-        # numpy's C reader rounds correctly, as float() does, but takes no "_"
-        # separators; a file with fewer than two data rows is rejected below
-        # without it, so its warning on empty input never shows
-        data = (np.loadtxt([line for _n, line in lines[1:]], delimiter=",", comments=None,
-                           ndmin=2) if len(lines) > 2 else None)
+        data = _cells([line for _n, line in lines[1:]]) if len(lines) > 2 else None
     except ValueError:
         data = None
     if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():

@@ -125,6 +125,21 @@ class TestValueFunction:
         assert phis[0] <= phis[1] <= phis[2]
         assert phis[0] < phis[2]
 
+    def test_three_control_coordinates_are_rejected(self):
+        # the greedy's planar rule takes two coordinates: value_function runs
+        # the check that solve runs, which names the participant
+        scn = Scenario(
+            N=1, R=3.0, T=6.0, y0=[[4.0, 0.0]],
+            drift=[AffineDrift(np.zeros((2, 2)), np.ones((2, 3)), np.zeros(2))],
+            U=[IntervalSet([-0.1] * 3, [0.1] * 3)],
+            V=[SegmentSet([1.0, 0.0], 1.0)],
+            M=[6.0], rho=[1.0], x0=[[4.0, 0.0]],
+        )
+        grid = uniform_grid(6.0, 300)
+        with pytest.raises(ValueError, match=r"^participant 1: solve takes up to 2 control "
+                                             r"coordinates, got 3$"):
+            value_function(scn, 0, constant_profile(grid, np.zeros(2)))
+
     def test_refine_is_rejected(self):
         with pytest.raises(ValueError, match="refine must be False"):
             InnerOptions(refine=True)

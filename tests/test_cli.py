@@ -6,10 +6,12 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from crowdsweep import cli
 from crowdsweep.cli import (
     EXIT_INFEASIBLE,
     EXIT_NOT_VERIFIED,
@@ -347,10 +349,12 @@ class TestCommands:
          "line 1: column 'v1_1' appears twice"),
         ("time,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,0,0,0,0,0\n",
          "controls.csv: missing 't' column"),
+        # a row that ends in a comma has two cells, unlike the row before it
+        ("t\n0\n6,", "line 3: 2 cells where the header has 1: a cell after the last column 't'"),
     ], ids=["empty", "header-only", "nan", "inf", "short-row", "not-a-number",
             "underscore-separator", "header-and-blank-lines", "one-row",
             "blank-line-then-bad-cell", "blank-line-then-short-row", "column-twice",
-            "no-t-column"])
+            "no-t-column", "one-column-then-comma"])
     def test_malformed_controls_file_is_an_input_error(self, tmp_path, capsys, text, names):
         controls = tmp_path / "controls.csv"
         controls.write_text(text)
@@ -363,7 +367,10 @@ class TestCommands:
     @pytest.mark.parametrize("text, names", [
         ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n", "two or more full rows"),
         ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n0,0,0,0,0,0,0\n6,0,1_0,0,0,0,0\n", "'1_0'"),
-    ], ids=["header-only", "underscore-separator"])
+        # every first cell empty: no warning may join the error line
+        ("t,v1_1,v1_2,u1_1,v2_1,v2_2,u2_1\n" + ",0,0,0,0,0,0\n" * 3,
+         "line 2, column 't': '' is not a finite number"),
+    ], ids=["header-only", "underscore-separator", "leading-comma"])
     def test_rejected_controls_file_writes_one_stderr_line(self, tmp_path, text, names):
         # a separate process: pytest records warnings, a real run prints them
         controls = tmp_path / "controls.csv"
@@ -725,6 +732,98 @@ def test_csv_matches_per_row_format(case):
     header = [f"c{j}" for j in range(nodes.shape[1] + sum(g.shape[1] for g in groups))]
     text = "".join(_csv(header, K, lambda s: nodes[s], groups))
     assert text == _reference_csv(header, np.hstack([nodes] + groups))
+
+
+def _whole_line_cells(rows):
+    """The reference parse: numpy's reader on every whole data line at once."""
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+
+
+# cells a mutation writes: unparsable, non-finite, empty or padded
+BAD_CELLS = ["", " ", "\t", "nan", "-inf", "1_0", "zero", "0x1", "1e", "1.5.2", "--1", "+",
+             "\u0661", "0 1", " 7 ", "1e999"]
+# the forms one number takes in a controls file
+NUMBER_TEXTS = [repr, lambda x: "%.12g" % x, lambda x: "%.3e" % x, lambda x: "%d" % round(x),
+                lambda x: " %s " % repr(x), lambda x: "%+.6f" % x]
+
+
+def _schedule_text(rng, scenario):
+    """A controls file for the scenario: 2-61 rows, piecewise-constant
+    controls in 1-4 pieces, columns shuffled in about 30% of the files, and
+    in most files up to three mutations."""
+    header = ["t"] + [f"{kind}{i + 1}_{c + 1}" for i in range(scenario.N)
+                      for kind, dim in (("v", 2), ("u", scenario.drift[i].control_dim))
+                      for c in range(dim)]
+    K = int(rng.integers(2, 62))
+    starts = sorted({0, *rng.integers(1, K, size=int(rng.integers(0, 4))).tolist()})
+    fmt = NUMBER_TEXTS[rng.integers(len(NUMBER_TEXTS))]
+    pieces = [[fmt(float(x)) for x in rng.normal(scale=0.3, size=len(header) - 1)]
+              for _s in starts]
+    index = np.repeat(np.arange(len(starts)), np.diff(starts + [K]))
+    times = np.linspace(0.0, scenario.T * rng.choice([1.0, 1.0, 0.5, 1.2]), K)
+    table = [header] + [["%.12g" % t] + pieces[p] for t, p in zip(times, index)]
+    if rng.random() < 0.3:
+        order = rng.permutation(len(header))
+        table = [[row[j] for j in order] for row in table]
+    rows = [",".join(row) for row in table]
+    for _m in range(int(rng.choice([0, 0, 1, 1, 2, 3]))):
+        k, op = int(rng.integers(1, len(rows))) if len(rows) > 1 else 0, rng.integers(8)
+        if op == 0:
+            cells = rows[k].split(",")
+            cells[rng.integers(len(cells))] = BAD_CELLS[rng.integers(len(BAD_CELLS))]
+            rows[k] = ",".join(cells)
+        elif op == 1:
+            del rows[k]
+        elif op == 2:
+            rows.insert(k, rows[k])
+        elif op == 3:
+            rows.insert(k, str(rng.choice(["", "  ", "\t"])))
+        elif op == 4:
+            rows[k] += str(rng.choice([",0", ",", " junk", ",x"]))
+        elif op == 5:   # a leading comma on one row, or on every data row
+            for j in ([k] if rng.random() < 0.5 else range(1, len(rows))):
+                rows[j] = "," + rows[j]
+        elif op == 6:   # an empty first cell from row k on
+            rows[k:] = ["," + row.partition(",")[2] for row in rows[k:]]
+        else:   # the first column alone
+            rows = [row.partition(",")[0] for row in rows]
+    return "\n".join(rows) + ("\n" if rng.random() < 0.8 else "")
+
+
+def _read_outcome(path, scenario):
+    try:
+        v, u = cli._read_controls(path, scenario)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(p.grid.tobytes(), p.values.tobytes(), p.values.shape) for p in v + u]
+
+
+def test_run_parse_matches_the_whole_line_parse(tmp_path, monkeypatch):
+    """The reader parses each run of equal rows once: on 2000 seeded
+    schedule files, accepted files give the profiles of the whole-line
+    parse bit for bit, rejected ones the same exception and message, and no
+    file makes numpy warn."""
+    rng = np.random.default_rng(27)
+    scenarios = [parse_scenario(os.path.join(os.path.dirname(TWODISK), f"{name}.scn"))[0]
+                 for name in ("twodisk", "chain3", "mixed4")]
+    path = tmp_path / "controls.csv"
+    accepted = repeated = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(2000):
+            scenario = scenarios[trial % len(scenarios)]
+            path.write_text(_schedule_text(rng, scenario))
+            got = _read_outcome(str(path), scenario)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_cells", _whole_line_cells)
+                expected = _read_outcome(str(path), scenario)
+            assert got == expected, (trial, path.read_text())
+            accepted += isinstance(got, list)
+            rows = path.read_text().splitlines()[1:]
+            repeated += any(a.partition(",")[2] == b.partition(",")[2]
+                            for a, b in zip(rows, rows[1:]))
+    # both outcomes are common, and most files repeat rows
+    assert 500 < accepted < 1500 and repeated > 1000, (accepted, repeated)
 
 
 def test_solve_rejects_three_control_coordinates(tmp_path, capsys):
