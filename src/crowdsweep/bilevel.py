@@ -195,9 +195,9 @@ def _greedy_step(drift, cset):
     return planar
 
 
-def _require_planar(scenario, i):
+def _require_planar(scenario, i, who):
     if (m := scenario.drift[i].control_dim) > 2:    # the greedy's planar rule takes two
-        raise ValueError(f"participant {i+1}: solve takes up to 2 control coordinates, got {m}")
+        raise ValueError(f"participant {i+1}: {who} takes up to 2 control coordinates, got {m}")
 
 
 def _greedy_min_effort(scenario, i, ypath, grid, x0_i):
@@ -247,7 +247,7 @@ def value_function(
     """
     opts = inner or InnerOptions()
     rng = np.random.default_rng(X0_SEED)
-    _require_planar(scenario, i)
+    _require_planar(scenario, i, "the greedy inner solve")
     _require_member(i, v_i, scenario.V[i], "v leaves V")
     grid = v_i.grid
     ypath = _translation_path(scenario.y0[i], grid, v_i.values)
@@ -313,7 +313,7 @@ def solve_bilevel_direct(
         raise ValueError(f"grid-K must be from 2 to {sim_K} coarse intervals (the steps of "
                          f"the fine grid), got {coarse_grid_K}")
     for i in range(scenario.N):
-        _require_planar(scenario, i)
+        _require_planar(scenario, i, "solve")
     K, N, T = coarse_grid_K, scenario.N, scenario.T
     rng = np.random.default_rng(seed)
     sim_K = int(math.ceil(sim_K / K)) * K

@@ -127,7 +127,7 @@ class TestValueFunction:
 
     def test_three_control_coordinates_are_rejected(self):
         # the greedy's planar rule takes two coordinates: value_function runs
-        # the check that solve runs, which names the participant
+        # the check that solve runs, which names the participant and the caller
         scn = Scenario(
             N=1, R=3.0, T=6.0, y0=[[4.0, 0.0]],
             drift=[AffineDrift(np.zeros((2, 2)), np.ones((2, 3)), np.zeros(2))],
@@ -136,8 +136,8 @@ class TestValueFunction:
             M=[6.0], rho=[1.0], x0=[[4.0, 0.0]],
         )
         grid = uniform_grid(6.0, 300)
-        with pytest.raises(ValueError, match=r"^participant 1: solve takes up to 2 control "
-                                             r"coordinates, got 3$"):
+        with pytest.raises(ValueError, match=r"^participant 1: the greedy inner solve takes up "
+                                             r"to 2 control coordinates, got 3$"):
             value_function(scn, 0, constant_profile(grid, np.zeros(2)))
 
     def test_refine_is_rejected(self):

@@ -767,7 +767,7 @@ def _schedule_text(rng, scenario):
         table = [[row[j] for j in order] for row in table]
     rows = [",".join(row) for row in table]
     for _m in range(int(rng.choice([0, 0, 1, 1, 2, 3]))):
-        k, op = int(rng.integers(1, len(rows))) if len(rows) > 1 else 0, rng.integers(8)
+        k, op = int(rng.integers(1, len(rows))) if len(rows) > 1 else 0, rng.integers(9)
         if op == 0:
             cells = rows[k].split(",")
             cells[rng.integers(len(cells))] = BAD_CELLS[rng.integers(len(BAD_CELLS))]
@@ -785,6 +785,10 @@ def _schedule_text(rng, scenario):
                 rows[j] = "," + rows[j]
         elif op == 6:   # an empty first cell from row k on
             rows[k:] = ["," + row.partition(",")[2] for row in rows[k:]]
+        elif op == 7:   # first cells from row k on end in the same text, good or bad
+            tail = str(rng.choice([" ", "\t", " 2", "e", "e1", "_0", "x"]))
+            rows[k:] = ["".join((t + tail, c, rest)) for t, c, rest in
+                        (row.partition(",") for row in rows[k:])]
         else:   # the first column alone
             rows = [row.partition(",")[0] for row in rows]
     return "\n".join(rows) + ("\n" if rng.random() < 0.8 else "")
