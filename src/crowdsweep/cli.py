@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import errno
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -277,35 +278,109 @@ def _stage(path: str, text: Union[str, Iterable[str]]) -> str:
     return tmp
 
 
-_CSV_BLOCK_ROWS = 256
+# a CSV block holds about this many cells, formatted by one call of ``_row_texts``
+_CSV_BLOCK_CELLS = 4096
 
 
-def _run_texts(values: np.ndarray) -> List[str]:
+def _digit_triples() -> np.ndarray:
+    """The words of 0..999 as three digits, then without leading zeros (0
+    gives none), then without trailing zeros."""
+    n = np.arange(1000)[:, None]
+    dropped = [np.zeros((1000, 3), bool), n < [100, 10, 1], n % [1000, 100, 10] == 0]
+    words = np.zeros((3, 1000, 4), np.uint8)
+    words[..., :3] = np.where(dropped, 0, n // [100, 10, 1] % 10 + ord("0"))
+    return words.view(np.uint32).ravel()
+
+
+_TRIPLES = _digit_triples()
+# NUL-padded words: "-", ",", "\n", then no point, a point, and a point after 0
+_WORDS = np.frombuffer(b"".join(w.ljust(4, b"\0") for w in b"- , \n  . 0.".split(b" ")), np.uint32)
+_MINUS, _COMMA, _NEWLINE, _POINTS = *_WORDS[:3], _WORDS[3:]
+_POW10 = np.array([10.0**e for e in range(16)])                # exact doubles
+# 1e-4 .. 1e11 (the doubles below 1 round up: none lies between a power of ten and its entry)
+_DECADES = np.array([float(f"1e{e}") for e in range(-4, 12)])
+
+
+def _row_texts(values: np.ndarray) -> List[str]:
+    """Each row of a 2-D float array as ``_fmt``'s text of its cells joined
+    by commas: the ``%.12g`` rule for tables, and for 12 digits only.
+
+    A cell of decimal exponent k in -4..11 (fixed notation), found in
+    ``_DECADES``, times the exact 10**(11-k), rounds once to a p in [1e11,
+    1e12), which checks k.  Rounding is monotone and the half-integers
+    below 2**52 are doubles, so unless p is one, p and the exact product
+    round to the same integer: the 12-digit mantissa.  The digits are read
+    from ``_TRIPLES`` into words (sign, integer triples, point, five
+    fraction triples, separator) whose NULs are deleted.  ``_fmt`` formats
+    the other cells: zeros, magnitudes outside [1e-4, 1e12), non-finite
+    values, half-integer p and mantissas that round up to 13 digits."""
+    x = values.ravel()
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e12)
+    a = np.where(ok, a, 1.0)
+    k = np.searchsorted(_DECADES, a, "right") - 5
+    p = a * _POW10[11 - k]
+    ok &= (p >= 1e11) & (p < 1e12 - 0.5) & (p - np.floor(p) != 0.5)
+    m = np.rint(p)                      # the 12-digit mantissa
+    f = 11 - k                          # the number of fraction digits
+    i = np.floor(m / _POW10[f])         # exact: m < 1e12 and 10**f <= 1e15
+    g = ((m - i * _POW10[f]) * _POW10[15 - f]).astype(np.int64)     # the fraction as 15 digits
+    i = i.astype(np.int64)
+    del a, k, p, m, f                   # freed, as i, g, q and r are, before the peak
+    n = 1 + int(np.searchsorted([1000, 10**6, 10**9], i.max(initial=0), "right"))
+    words = np.empty((x.size, n + 8), np.uint32)    # n integer triples, as needed
+    words[:, 0] = np.where(x < 0, _MINUS, np.uint32(0))
+    # the triple at 1000**e is r - 1000 q, r = i // 1000**e and q the r before
+    # it (numpy's % is slower); leading zeros are dropped while q is 0
+    q = 0
+    for e in range(n - 1, -1, -1):
+        r = i // 1000**e
+        words[:, n - e] = _TRIPLES[r - 1000 * q + 1000 * (q == 0)]
+        q = r
+    words[:, n + 1] = _POINTS[(g != 0).view(np.int8) + (i == 0).view(np.int8)]
+    q = 0                               # trailing zeros: dropped once those after are 0
+    for e in range(4, -1, -1):
+        r = g // 1000**e
+        words[:, n + 6 - e] = _TRIPLES[r - 1000 * q + 2000 * (r * 1000**e == g)]
+        q = r
+    del i, g, q, r
+    words[:, -1].reshape(values.shape)[:] = [_COMMA] * (values.shape[1] - 1) + [_NEWLINE]
+    other = np.flatnonzero(~ok)
+    if other.size:
+        text = "".join([_fmt(v).ljust(4 * n + 28, "\0") for v in x[other].tolist()])
+        words[other, :-1] = np.frombuffer(text.encode(), np.uint32).reshape(other.size, -1)
+    return words.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
+def _run_texts(values: np.ndarray) -> Iterator[str]:
     """The ``%.12g`` text of each row of values, formatted once per run of
     bitwise-equal rows (bits, not ``==``, so that ``-0.0`` still prints
-    ``-0``)."""
+    ``-0``), and about ``_CSV_BLOCK_CELLS`` cells of runs at a time."""
     bits = values.view(np.int64)
     new = np.ones(len(values), bool)
     new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-    row_format = ",".join(["%.12g"] * values.shape[1])
-    texts = [row_format % tuple(row) for row in values[new].tolist()]
-    return [texts[r] for r in (np.cumsum(new) - 1).tolist()]
+    starts = np.flatnonzero(new)
+    lengths = np.diff(starts, append=len(values)).tolist()
+    runs = max(1, _CSV_BLOCK_CELLS // values.shape[1])
+    for b in range(0, len(starts), runs):
+        for text, n in zip(_row_texts(values[starts[b:b + runs]]), lengths[b:b + runs]):
+            yield from itertools.repeat(text, n)
 
 
 def _csv(header: List[str], K: int, nodes, groups: Sequence[np.ndarray]) -> Iterator[str]:
     """A CSV file in blocks of rows: the header, then the rows of nodes 0..K
-    in the text of ``_fmt``.  ``nodes(s)`` gives the leading columns of the
-    nodes in the slice ``s``.  Each of the trailing ``groups`` is a (K+1, m)
-    array whose rows repeat in runs; a block formats each run it holds once.
-    Only one block of text is held at a time."""
+    in the text of ``_row_texts``.  ``nodes(s)`` gives the leading columns of
+    the nodes in the slice ``s``; a block holds about ``_CSV_BLOCK_CELLS`` of
+    them.  Each of the trailing ``groups`` is a (K+1, m) array whose rows
+    repeat in runs, formatted once per run by ``_run_texts``.  Only one block
+    of text is held at a time."""
     yield ",".join(header) + "\n"
-    node_columns = len(header) - sum(group.shape[1] for group in groups)
-    row_format = ",".join(["%.12g"] * node_columns + ["%s"] * len(groups)) + "\n"
-    for start in range(0, K + 1, _CSV_BLOCK_ROWS):
-        s = slice(start, min(start + _CSV_BLOCK_ROWS, K + 1))
-        cells = zip(*[_run_texts(group[s]) for group in groups])
-        yield "".join([row_format % (*row, *texts)
-                       for row, texts in zip(nodes(s).tolist(), cells)])
+    rows = max(1, _CSV_BLOCK_CELLS // (len(header) - sum(group.shape[1] for group in groups)))
+    runs = [_run_texts(group) for group in groups]
+    for start in range(0, K + 1, rows):
+        texts = _row_texts(nodes(slice(start, min(start + rows, K + 1))))
+        cells = zip(texts, *[itertools.islice(run, len(texts)) for run in runs])
+        yield "".join([",".join(row) + "\n" for row in cells])
 
 
 def _node_rows(values: np.ndarray) -> np.ndarray:
@@ -418,8 +493,13 @@ def _read_controls(path: str, scenario: Scenario):
     decimal numbers, one per column; blank lines are skipped) back into
     per-participant profiles."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(n, line) for n, line in enumerate(fh, 1) if line.strip()]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = [(n, line) for n, line in enumerate(fh, 1) if line.strip()]
+        except UnicodeDecodeError:     # name the byte's file offset, not its place in an 8 KB chunk
+            with open(path, "rb") as fh:
+                fh.read().decode("utf-8")
+            raise
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     header = lines[0][1].strip().split(",") if lines else []

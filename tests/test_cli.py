@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,12 +21,15 @@ from crowdsweep.cli import (
     ScenarioFormatError,
     _csv,
     _finite,
+    _row_texts,
     _run_texts,
+    _trajectory_csv,
     main,
     parse_scenario,
     run,
     serialize_scenario,
 )
+from crowdsweep.dynamics import ControlProfile
 
 S2 = math.sqrt(2)
 
@@ -406,6 +410,19 @@ class TestCommands:
         assert {p.name for p in tmp_path.rglob("*")} == before
         assert (tmp_path / "dir" / "trajectory.csv").read_text() == "an older run's\n"
 
+    def test_undecodable_controls_file_names_the_file_offset(self, tmp_path, capsys):
+        # line iteration decodes 8 KB at a time: the offset must be the file's
+        text = open(write_controls(tmp_path, [-0.5 * VHAT] * 2, np.linspace(0.0, 6.0, 3001))).read()
+        offset = text.index("\n3.") + 1
+        assert offset > 3 * 8192
+        controls = tmp_path / "latin1.csv"
+        controls.write_bytes(text[:offset].encode() + b"\xe9" + text[offset + 1:].encode())
+        code = run("simulate", TWODISK, out=str(tmp_path / "sim"), controls=str(controls))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: input: cannot read {controls}: 'utf-8' codec can't decode byte 0xe9 "
+            f"in position {offset}: invalid continuation byte\n")
+
     def test_whitespace_only_controls_lines_are_skipped(self, tmp_path):
         clean = write_controls(tmp_path, [-0.5 * VHAT] * 2, np.linspace(0.0, 6.0, 13))
         lines = open(clean).read().splitlines(keepends=True)
@@ -705,19 +722,54 @@ def _reference_csv(header, table):
     return ",".join(header) + "\n" + "".join(row_format % tuple(row) for row in table)
 
 
+def _hard_doubles(rng, n):
+    """n doubles, in random order, that stress a ``%.12g`` formatter: powers
+    of ten, the switches to exponent notation and their neighbours, signed
+    zeros, subnormals, infinities and NaN, each with both signs (all of them
+    when n allows), then random bit patterns, normals times 10**[-20, 20],
+    and (m + 0.5) * 10**j for a 12-digit m (exact ties at the 12th digit for
+    j in 0..3, near ties for j in -15..-1) with the doubles just below them."""
+    edges = np.concatenate([10.0 ** np.arange(-25, 26),
+                            [9.9999999999995e-5, 99999999999.95, 999999999999.5]])
+    edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    fixed = np.concatenate([edges, [0.0, 5e-324, 2.2250738585072009e-308, np.inf, np.nan]])
+    k = max(n - 2 * len(fixed), 0) // 4 + 1
+    ties = (rng.integers(10**11, 10**12, k) + 0.5) * 10.0 ** rng.integers(-15, 4, k)
+    drawn = np.concatenate([rng.integers(0, 2**64, k, dtype=np.uint64).view(np.float64),
+                            rng.normal(size=k) * 10.0 ** rng.integers(-20, 21, k),
+                            ties, np.nextafter(ties, 0)])
+    return rng.permutation(np.concatenate([fixed, -fixed, drawn])[:n])
+
+
+def test_row_texts_match_percent_format():
+    values = _hard_doubles(np.random.default_rng(28), 1_200_000)
+    got = _row_texts(values[:, None])
+    want = ["%.12g" % x for x in values.tolist()]
+    assert len(got) == len(want)
+    assert [(x, g, w) for x, g, w in zip(values.tolist(), got, want) if g != w][:5] == []
+
+
 @pytest.mark.parametrize("case", ["runs-cross-blocks", "signed-zeros", "K-1", "all-distinct",
-                                  "coarse-plan"])
+                                  "coarse-plan", "one-row", "one-column", "block-end-1",
+                                  "block-end", "block-end+1"])
 def test_csv_matches_per_row_format(case):
     rng = np.random.default_rng(11)
-    K = {"K-1": 1, "coarse-plan": 600}.get(case, 700)
-    nodes = np.column_stack([np.linspace(0.0, 4.0, K + 1), rng.normal(size=(K + 1, 3))])
+    # a block holds 4096 // (node columns) rows: 1024 of four node columns
+    # and 4096 of one; all-distinct crosses the 4096-run batches of its one-
+    # column group
+    K = {"K-1": 1, "coarse-plan": 600, "runs-cross-blocks": 2500, "all-distinct": 4200,
+         "one-row": 0, "block-end-1": 4094, "block-end": 4095, "block-end+1": 4096}.get(case, 700)
+    nodes = _hard_doubles(rng, K + 1)[:, None]
+    if not case.startswith(("one-column", "block-end")):
+        nodes = np.column_stack([np.linspace(0.0, 4.0, K + 1),
+                                 _hard_doubles(rng, 3 * (K + 1)).reshape(K + 1, 3)])
     if case == "runs-cross-blocks":
-        # run boundaries at 0, 200, 300, 555 and 690: the second and third
-        # runs cross the block ends at 256 and 512
-        starts = [0, 200, 300, 555, 690]
+        # run boundaries at 0, 700, 1000, 1800 and 2400: the third and
+        # fourth runs cross the block ends at 1024 and 2048
+        starts = [0, 700, 1000, 1800, 2400]
         pieces = rng.normal(size=(len(starts), 2))
         groups = [np.repeat(pieces, np.diff(starts + [K + 1]), axis=0),
-                  (np.arange(K + 1)[:, None] >= [250, 513]).astype(float)]
+                  (np.arange(K + 1)[:, None] >= [1020, 2049]).astype(float)]
     elif case == "signed-zeros":
         zeros = np.array([[0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
         groups = [zeros[np.arange(K + 1) % 4], -zeros[np.arange(K + 1) // 3 % 4]]
@@ -726,12 +778,47 @@ def test_csv_matches_per_row_format(case):
         plan = np.repeat(rng.normal(size=(8, 5)), 75, axis=0)
         groups = [np.vstack([plan, plan[-1:]])]
         assert len({id(text) for text in _run_texts(groups[0])}) == 8
+    elif case == "one-column":
+        groups = []
     else:
-        groups = [rng.normal(size=(K + 1, 2)) * 10.0 ** rng.integers(-20, 20, size=(K + 1, 1)),
+        groups = [_hard_doubles(rng, 2 * (K + 1)).reshape(K + 1, 2),
                   rng.normal(size=(K + 1, 1))]
     header = [f"c{j}" for j in range(nodes.shape[1] + sum(g.shape[1] for g in groups))]
     text = "".join(_csv(header, K, lambda s: nodes[s], groups))
     assert text == _reference_csv(header, np.hstack([nodes] + groups))
+
+
+def test_trajectory_csv_streams_in_blocks(tmp_path):
+    """An N=16, K=1000 trajectory, the shape of the sim-crowd benchmark (145
+    columns, piecewise-constant controls), is formatted a block at a time:
+    streamed without keeping its 1.9 MB of text, it peaks at about 1.33 MB
+    of traced memory (2.22 MB with 256-row blocks and one text format per
+    row; 16 MB in one whole-table call)."""
+    rng = np.random.default_rng(28)
+    N, T, K = 16, 4.0, 1000
+    participants = [{
+        "y0": [12.0 * (i % 4), 12.0 * (i // 4)],
+        "x0": (np.array([12.0 * (i % 4), 12.0 * (i // 4)]) + rng.uniform(-0.1, 0.1, 2)).tolist(),
+        "drift": {"family": "affine", "A": [[0.0, -0.02], [0.02, 0.0]],
+                  "B": [[1.0, 0.0], [0.0, 1.0]], "b": rng.uniform(-0.1, 0.1, 2).tolist()},
+        "U": {"shape": "ball", "radius": 1.0}, "V": {"shape": "ball", "radius": 1.0},
+        "M": 4.0, "rho": 1.0} for i in range(N)]
+    (tmp_path / "crowd.scn").write_text(json.dumps(
+        {"problem": {"N": N, "R": 1.0, "T": T}, "participants": participants}))
+    scenario, _solver = parse_scenario(str(tmp_path / "crowd.scn"))
+    grid = np.linspace(0.0, T, K + 1)
+    pieces = rng.uniform(-0.6, 0.6, size=(8, N, 4))
+    v, u = [[ControlProfile(grid=grid, values=np.repeat(pieces[:, i, c], K // 8, axis=0))
+             for i in range(N)] for c in ([0, 1], [2, 3])]
+    sol = cli._supplied(scenario, v, u)
+    tracemalloc.start()
+    try:
+        size = sum(len(chunk) for chunk in _trajectory_csv(scenario, sol.y, sol.x, sol.u, sol.v))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 10**6
+    assert peak <= 2.25e6, peak
 
 
 def _whole_line_cells(rows):
