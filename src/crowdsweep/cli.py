@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
 import itertools
 import json
 import math
@@ -27,6 +26,15 @@ import tempfile
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+# the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .bilevel import (
     BilevelSolution,
@@ -251,7 +259,7 @@ def serialize_scenario(scenario: Scenario, solver: Optional[dict] = None) -> str
 
 
 def scenario_hash(scenario: Scenario) -> str:
-    return hashlib.sha256(serialize_scenario(scenario).encode()).hexdigest()
+    return sha256(serialize_scenario(scenario).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

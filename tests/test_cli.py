@@ -980,29 +980,34 @@ _LOADED_BY_EACH_STEP = r"""
 import json, sys
 from crowdsweep import cli
 
-def layers():
-    return sorted(m for m in ("bilevel", "geometry", "nco") if "crowdsweep." + m in sys.modules)
+def loaded():
+    layers = sorted(m for m in ("bilevel", "geometry", "nco") if "crowdsweep." + m in sys.modules)
+    return {"layers": layers, "_hashlib": "_hashlib" in sys.modules}
 
 scenario, out = sys.argv[1:]
 cli.parse_scenario(scenario)
-loaded = {"parse": layers()}
+steps = {"parse": loaded()}
 for command in ("simulate", "casestudy", "h5check", "verify"):
     assert cli.run(command, scenario, out=out, h=0.05) == 0, command
-    loaded[command] = layers()
-print(json.dumps(loaded))
+    steps[command] = loaded()
+print(json.dumps(steps))
 """
 
 
 def test_each_command_loads_only_its_layers(tmp_path):
-    # a fresh interpreter: this one has imported every module already
+    # a fresh interpreter: this one has imported every module already.
+    # _hashlib is OpenSSL's libcrypto; only solve loads it (np.random imports
+    # secrets, which imports hmac), so it is not probed here
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", _LOADED_BY_EACH_STEP, TWODISK, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
+    steps = json.loads(proc.stdout)
+    assert {step: seen["layers"] for step, seen in steps.items()} == {
         "parse": ["bilevel"],
         "simulate": ["bilevel"],
         "casestudy": ["bilevel"],
         "h5check": ["bilevel"],
         "verify": ["bilevel", "geometry", "nco"],
     }
+    assert {step: seen["_hashlib"] for step, seen in steps.items()} == dict.fromkeys(steps, False)

@@ -4,20 +4,26 @@ The hashes pin ``trajectory.csv``, ``controls.csv`` and the result section
 of ``summary.txt`` of two fixed runs, so any change to the arithmetic order
 of the integrators, the feasibility audit or the CSV emitters shows up
 here.  The ``verify`` and ``h5check`` summaries of the two-disk case pin the
-witness fit, the verifier and the truncation bounds the same way.  None of
-the hashes may move under a pure performance change.
+witness fit, the verifier and the truncation bounds the same way, and the
+``scenario_hash`` of each committed scenario is pinned on its own, since the
+artifact hashes above skip the ``run`` section that carries it.  None of the
+hashes may move under a pure performance change.
 """
 
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from crowdsweep.cli import EXIT_OK, run
+from crowdsweep.cli import EXIT_OK, parse_scenario, run, scenario_hash, serialize_scenario
 
-TWODISK = os.path.join(os.path.dirname(__file__), "..", "scenarios", "twodisk.scn")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+SCENARIOS = os.path.join(ROOT, "scenarios")
+TWODISK = os.path.join(SCENARIOS, "twodisk.scn")
 
 CASESTUDY_SHA256 = {
     "trajectory.csv": "1e0bffe0eda668d4546a340a206d513bd08938feafcfab50db3f69befeeb2055",
@@ -37,6 +43,25 @@ CERTIFY_SHA256 = {
     ("h5check", 0.02): "543c8cce032bd22572c8a5e9e09ea10ba8796c3a00ae1a7980a0a120721902f6",
     ("h5check", None): "dd4076b951885763e15f66ec039a689286c172ff79ba23f7778ea53268b8ff2e",
 }
+
+
+# scenario_hash of each committed scenario: the SHA-256 of its serialization
+SCENARIO_SHA256 = {
+    "twodisk": "c46e66034fcb87f14ae456598ad6b5772231c29caadaddc9a4896abb874962be",
+    "chain3": "bbdb04721a539ad878e50673ed8b5c47713cac31c06163ef6170e23e32b8c37b",
+    "mixed4": "80355ae7d580abaaa6d87ce17eddbd3f458e23bd4090b48f79116ef63b3ac56b",
+    "freestart": "f4a302e9d700c81dcb1de8b5722102e38b850fa9c88d3b10b061900c041036e4",
+}
+
+# scenario_hash with the interpreter's built-in SHA-256 modules hidden, so
+# that crowdsweep.cli falls back to hashlib
+_FALLBACK_HASHES = r"""
+import json, sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+from crowdsweep.cli import parse_scenario, scenario_hash
+hashes = [scenario_hash(parse_scenario(path)[0]) for path in sys.argv[1:]]
+print(json.dumps({"_hashlib": "_hashlib" in sys.modules, "hashes": hashes}))
+"""
 
 
 def _sha256(path) -> str:
@@ -117,3 +142,22 @@ def test_crowd_simulate_trajectory_unchanged(tmp_path):
     # the run must exercise the projection branch for the golden to mean much
     assert any(line.rsplit(",", 4)[1:].count("1") for line in text.splitlines()[1:])
     assert {name: _sha256(out / name) for name in CROWD_SHA256} == CROWD_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_SHA256))
+def test_scenario_hash_unchanged(name):
+    scenario, _ = parse_scenario(os.path.join(SCENARIOS, name + ".scn"))
+    text = serialize_scenario(scenario).encode()
+    assert scenario_hash(scenario) == hashlib.sha256(text).hexdigest() == SCENARIO_SHA256[name]
+
+
+def test_scenario_hash_falls_back_to_hashlib():
+    names = sorted(SCENARIO_SHA256)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src") + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _FALLBACK_HASHES,
+                           *(os.path.join(SCENARIOS, name + ".scn") for name in names)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"_hashlib": True,
+                                       "hashes": [SCENARIO_SHA256[name] for name in names]}
