@@ -31,7 +31,6 @@ __all__ = [
     "FeasibilityReport",
     "InfeasibleControlError",
     "TruncationViolationError",
-    "StabilityError",
     "DEFAULT_GRID_K",
     "REPORT_TOL",
     "uniform_grid",
@@ -83,10 +82,6 @@ class TruncationViolationError(RuntimeError):
             f"participant {participant + 1} at t={time:.6g}: required cone correction "
             f"{magnitude:.6g} exceeds cap {cap:.6g}"
         )
-
-
-class StabilityError(ValueError):
-    """Explicit penalty integration step too large for the stiffness."""
 
 
 # ---------------------------------------------------------------------------
@@ -702,37 +697,30 @@ def integrate_upper(scenario: Scenario, v: Sequence[ControlProfile]) -> Trajecto
 
 
 def _lane_drift(scenario: Scenario, uvals: Sequence[np.ndarray]):
-    """``f(k, x)``: the drifts at states x (N, 2) under the k-th controls (one
-    (K, m) array per participant), ((s x + A x) + B u) + b with s = c u or 0,
-    for the penalty integrator; the zero terms can only turn a -0.0 into +0.0.
-    ``f.terms`` is (s, A, Bu, b) for the catch-up's array loop, s None without
-    a scaled-linear lane and A None without an affine one."""
+    """The drifts of all participants as lanes under their (K, m) controls,
+    f = ((s x + A x) + B u) + b, as ``(s, A, Bu, b, affine)``: s (K, N, 1) is
+    c u on the scaled-linear lanes, A, Bu and b the affine lanes' terms, each
+    zero elsewhere (where it can only turn a -0.0 into +0.0).  ``affine`` is
+    True when every lane is affine (a scalar ``where=`` is faster than an
+    all-True mask), False when none is, else the (N, 1) lane mask."""
     K, L = len(uvals[0]), len(uvals)
     s, A = np.zeros((K, L, 1)), np.zeros((L, 2, 2))
-    Bu, b = np.zeros((K, L, 2)), np.zeros((L, 2))
-    scaled = affine = False
+    Bu, b, affine = np.zeros((K, L, 2)), np.zeros((L, 2)), np.zeros((L, 1), dtype=bool)
     for lane, (drift, uv) in enumerate(zip(scenario.drift, uvals)):
         if isinstance(drift, ScaledLinearDrift):
-            scaled = True
             s[:, lane, 0] = drift.coeff * uv[:, 0]
         else:
-            affine = True
+            affine[lane] = True
             A[lane], b[lane] = drift.A, drift.b
             Bu[:, lane] = _matvec(drift.B, uv)
-
-    def f(k: int, x: np.ndarray) -> np.ndarray:
-        fx = s[k] * x
-        return ((fx + _matvec(A, x)) + Bu[k]) + b if affine else fx
-
-    f.terms = (s if scaled else None, A if affine else None, Bu, b)
-    return f
+    return s, A, Bu, b, True if affine.all() else affine if affine.any() else False
 
 
 def _lower_inputs(scenario: Scenario, y: Trajectory, u: Sequence[ControlProfile],
                   x0: np.ndarray, caller: str):
-    """y's grid, the (N, 2) initial points and the lanes' drift, once there is
-    one control profile per participant, on y's grid and inside its U, and
-    each x0 is inside its initial disk."""
+    """y's grid and the (N, 2) initial points, once there is one control
+    profile per participant, on y's grid and inside its U, and each x0 is
+    inside its initial disk."""
     grid = y.grid
     if len(u) != scenario.N:
         raise ValueError("need one lower control profile per participant")
@@ -744,7 +732,7 @@ def _lower_inputs(scenario: Scenario, y: Trajectory, u: Sequence[ControlProfile]
     outside = np.flatnonzero(_row_norms(x0 - y.states[0]) > R + 1e-9 * R)
     if outside.size:
         raise ValueError(f"participant {outside[0] + 1}: x0 outside the initial disk")
-    return grid, x0, _lane_drift(scenario, [p.values for p in u])
+    return grid, x0
 
 
 def _float_step(drift: DriftSpec, R: float):
@@ -793,7 +781,7 @@ def integrate_lower_catchup(
     family: every ufunc writes through ``out=``, and the projection is copied
     over the prediction in states for the participants with d > R.
     """
-    grid, start, drift = _lower_inputs(scenario, y, u, x0, "integrate_lower_catchup")
+    grid, start = _lower_inputs(scenario, y, u, x0, "integrate_lower_catchup")
     K, R, h, centers = grid.size - 1, scenario.R, np.diff(grid), y.states
     states, dist = np.empty((K + 1, scenario.N, 2)), np.empty((K + 1, scenario.N))
     states[0] = start
@@ -814,20 +802,18 @@ def integrate_lower_catchup(
         # one left its disk (a participant resting on its center divides by
         # zero there); an overflowing prediction, unwarned as on floats, is
         # an infinite correction
-        s, A, Bu, b = drift.terms
+        s, A, Bu, b, affine = _lane_drift(scenario, [p.values for p in u])
         f, ax, off = np.empty((N, 2)), np.empty((N, 2)), np.empty((N, 2))
         ratio, far = np.empty((N, 1)), np.empty((N, 1), dtype=bool)
         off0, off1, ratio0, far0 = off[:, 0], off[:, 1], ratio[:, 0], far[:, 0]
-        if A is not None:   # A x = A[:, 0] x0 + A[:, 1] x1 on the affine lanes
-            a0, a1 = A[..., 0].copy(), A[..., 1].copy()
-            affine = s is None or np.array([[isinstance(d, AffineDrift)] for d in scenario.drift])
+        a0, a1 = A[..., 0].copy(), A[..., 1].copy()   # A x = a0 x0 + a1 x1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for k, (x, xc0, xc1, pred, d, center) in enumerate(zip(
                     states[:-1], states[:-1, :, :1], states[:-1, :, 1:],
                     states[1:], dist[1:], centers[1:])):
-                if s is not None:
+                if affine is not True:
                     np.multiply(s[k], x, out=f)
-                if A is not None:
+                if affine is not False:
                     np.multiply(a0, xc0, out=ax)
                     np.multiply(a1, xc1, out=off)
                     np.add(ax, off, out=ax)
@@ -856,25 +842,24 @@ def integrate_lower_penalty(
     y: Trajectory,
     u: Sequence[ControlProfile],
     x0: np.ndarray,
-    step: float,
     stiffness: float,
 ) -> Trajectory:
     """Lipschitz-penalty approximation of the sweeping term.
 
     The cone is replaced by the inward field
     ``min(k * max(0, ||x-y|| - R(1-delta_k)), M) * (x-y)/||x-y||`` with
-    boundary layer ``delta_k = 1/sqrt(k)``, integrated by explicit substeps
-    bounded by ``1/(2k)`` for stability.  States are reported on the grid.
-    The controls and x0 are checked as ``integrate_lower_catchup`` checks them.
+    boundary layer ``delta_k = 1/sqrt(k)``, integrated by explicit substeps:
+    each grid interval h is cut into ceil(h / step) equal substeps, step =
+    1/(2k), the stability bound.  The stiffness k must be finite and
+    positive.  States are reported on the grid.  The controls and x0 are
+    checked as ``integrate_lower_catchup`` checks them.
     """
     k = float(stiffness)
-    if k <= 0:
-        raise ValueError("stiffness must be positive")
-    if step > 1.0 / (2.0 * k) + 1e-15:
-        raise StabilityError(
-            f"step {step:.3g} too large for stiffness {k:.3g} (need <= {1/(2*k):.3g})"
-        )
-    grid, x0, drift = _lower_inputs(scenario, y, u, x0, "integrate_lower_penalty")
+    if not 0.0 < k < math.inf:      # NaN fails too
+        raise ValueError("stiffness must be finite and positive")
+    step = 1.0 / (2.0 * k)
+    grid, x0 = _lower_inputs(scenario, y, u, x0, "integrate_lower_penalty")
+    s, A, Bu, b, affine = _lane_drift(scenario, [p.values for p in u])
     layer = scenario.R * (1.0 - 1.0 / math.sqrt(k))
     K, N = grid.size - 1, scenario.N
     states = np.empty((K + 1, N, 2))
@@ -891,7 +876,9 @@ def integrate_lower_penalty(
             for sub in range(nsub):
                 off = x - (y.states[kk] + ((sub + 0.5) * hs) * dy)
                 dist = np.hypot(off[:, 0], off[:, 1])
-                f = drift(kk, x)
+                f = s[kk] * x
+                if affine is not False:
+                    f = ((f + _matvec(A, x)) + Bu[kk]) + b
                 pull = (np.minimum(k * (dist - layer), scenario.M) / dist)[:, None] * off
                 x = x + hs * np.where(((dist > layer) & (dist > 0.0))[:, None], f - pull, f)
             states[kk + 1] = x

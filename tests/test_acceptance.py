@@ -139,9 +139,7 @@ def test_criterion_6_penalty_consistency(scenario, reference):
     xc = integrate_lower_catchup(scenario, y, u, scenario.x0)
     gaps = []
     for k in (1e2, 1e3, 1e4):
-        xp = integrate_lower_penalty(
-            scenario, y, u, scenario.x0, step=1.0 / (2 * k), stiffness=k
-        )
+        xp = integrate_lower_penalty(scenario, y, u, scenario.x0, stiffness=k)
         gaps.append(
             max(
                 float(np.linalg.norm(xp.terminal()[i] - xc.terminal()[i]))

@@ -20,7 +20,6 @@ from crowdsweep.dynamics import (
     ScaledLinearDrift,
     Scenario,
     SegmentSet,
-    StabilityError,
     Trajectory,
     TruncationViolationError,
     check_feasibility,
@@ -246,10 +245,36 @@ class TestLanesMatchPerParticipantLoops:
         assert x.contact[1:].any() and not x.contact.all()
         assert np.array_equal(x.states, states) and np.array_equal(x.contact, contact)
 
-    def test_penalty_matches(self, mixed):
-        scn, y, u = mixed
-        x = integrate_lower_penalty(scn, y, u, scn.x0, step=2e-3, stiffness=250.0)
-        assert np.array_equal(x.states, _reference_penalty(scn, y, u, scn.x0, 2e-3, 250.0))
+    @pytest.fixture
+    def affine(self):
+        """Affine lanes only, one with a scalar control and two planar ones,
+        riding their disks part of the time."""
+        rng = np.random.default_rng(10)
+        scn = Scenario(
+            N=3, R=1.0, T=2.0,
+            y0=[[3.0, 1.0], [-3.0, 2.0], [0.5, -4.0]],
+            drift=[AffineDrift([[-0.7, 0.0], [0.0, -0.7]], [[0.6], [0.3]], [0.1, 0.0]),
+                   AffineDrift([[0.1, -0.4], [0.4, -0.2]], [[1.0, 0.3], [0.0, 0.8]], [0.2, -0.1]),
+                   AffineDrift([[0.0, 0.3], [-0.3, 0.0]], np.eye(2), [-0.3, 0.1])],
+            U=[IntervalSet([0.0], [1.0]), BallSet(1.0), IntervalSet([-1.0, -0.5], [1.0, 0.5])],
+            V=[BallSet(1.5)] * 3, M=[4.0] * 3, rho=[1.0] * 3,
+            x0=[[3.2, 1.1], [-3.0, 1.5], [0.2, -4.3]],
+        )
+        grid = uniform_grid(2.0, 160)
+        v = [ControlProfile(grid=grid, values=np.resize(rng.uniform(-1, 1, (7, 2)), (160, 2)))
+             for _ in range(3)]
+        u = [ControlProfile(grid=grid, values=np.resize(rng.uniform(lo, hi, (5, m)), (160, m)))
+             for lo, hi, m in ((0, 1, 1), (-0.6, 0.6, 2), (-0.5, 0.5, 2))]
+        return scn, integrate_upper(scn, v), u
+
+    def test_penalty_matches(self, mixed, scaled, affine):
+        """Every shape of the lane arrays (mixed, all scaled-linear and all
+        affine lanes), at a soft and a stiff penalty, with the pull on."""
+        for scn, y, u in (mixed, scaled, affine):
+            for k in (250.0, 1e4):
+                x = integrate_lower_penalty(scn, y, u, scn.x0, stiffness=k)
+                reference = _reference_penalty(scn, y, u, scn.x0, 1 / (2 * k), k)
+                assert x.contact[1:].any() and np.array_equal(x.states, reference)
 
     @pytest.fixture
     def scaled(self):
@@ -572,7 +597,7 @@ class TestPenalty:
         u = [constant_profile(grid, [0.02])]
         y = integrate_upper(scn, v)
         xc = integrate_lower_catchup(scn, y, u, scn.x0)
-        xp = integrate_lower_penalty(scn, y, u, scn.x0, step=5e-4, stiffness=1e3)
+        xp = integrate_lower_penalty(scn, y, u, scn.x0, stiffness=1e3)
         err = np.max(np.linalg.norm(xc.states - xp.states, axis=2))
         assert err <= 10 * grid[1]
 
@@ -584,19 +609,19 @@ class TestPenalty:
         xc = integrate_lower_catchup(twodisk, y, u, twodisk.x0)
         gaps = []
         for k in (1e2, 1e3):
-            xp = integrate_lower_penalty(twodisk, y, u, twodisk.x0, step=1 / (2 * k), stiffness=k)
+            xp = integrate_lower_penalty(twodisk, y, u, twodisk.x0, stiffness=k)
             gaps.append(np.max(np.linalg.norm(xp.states[-1] - xc.states[-1], axis=1)))
         assert gaps[1] <= gaps[0]
 
-    def test_step_too_large_for_stiffness(self):
-        scn = single_disk()
-        grid = uniform_grid(6.0, 10)
-        v = [constant_profile(grid, np.zeros(2))]
-        y = integrate_upper(scn, v)
-        with pytest.raises(StabilityError):
-            integrate_lower_penalty(
-                scn, y, [constant_profile(grid, [0.0])], scn.x0, step=1e-2, stiffness=1e3
-            )
+    @pytest.mark.parametrize("stiffness", [math.nan, math.inf, 0.0, -1.0])
+    def test_stiffness_must_be_finite_and_positive(self, twodisk, stiffness):
+        """A NaN stiffness would never pull (no distance exceeds a NaN
+        layer), and an infinite one would take zero-length substeps."""
+        grid = uniform_grid(6.0, 60)
+        y = integrate_upper(twodisk, [constant_profile(grid, np.zeros(2))] * 2)
+        u = [constant_profile(grid, [0.5])] * 2
+        with pytest.raises(ValueError, match="^stiffness must be finite and positive$"):
+            integrate_lower_penalty(twodisk, y, u, twodisk.x0, stiffness=stiffness)
 
     @pytest.mark.parametrize("case, error", [
         ("short-list", ValueError),
@@ -616,7 +641,7 @@ class TestPenalty:
             x0[1, 0] += 4.0
         messages = []
         for integrate in (integrate_lower_catchup, lambda *args: integrate_lower_penalty(
-                *args, step=5e-4, stiffness=1e3)):
+                *args, stiffness=1e3)):
             with pytest.raises(error) as err:
                 integrate(twodisk, y, u, x0)
             assert type(err.value) is error
@@ -1081,28 +1106,37 @@ def test_grid_match_agrees_with_allclose(case, match):
 
 
 class _SetClassUses(ast.NodeVisitor):
-    """Line numbers of the ``isinstance`` tests against a control-set class
-    outside ``_match_family``, and of the imports of the retired helpers."""
+    """(function, line) of each ``isinstance`` test against one of
+    ``CLASSES`` outside ``_match_family``, and of each import of a retired
+    helper."""
 
-    SETS, RETIRED = {"IntervalSet", "SegmentSet", "BallSet"}, {"_line", "_set_scale"}
+    CLASSES, RETIRED = {"IntervalSet", "SegmentSet", "BallSet"}, {"_line", "_set_scale"}
 
-    def __init__(self):
-        self.found = []
+    def __init__(self, module):
+        self.found, self.function = [], None
+        with open(module.__file__, encoding="utf-8") as fh:
+            self.visit(ast.parse(fh.read()))
 
     def visit_FunctionDef(self, node):
         if node.name != "_match_family":    # the parametric family's own check
+            outer, self.function = self.function, node.name
             self.generic_visit(node)
+            self.function = outer
 
     def visit_Call(self, node):
         if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
             names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
-            if names & self.SETS:
-                self.found.append(node.lineno)
+            if names & self.CLASSES:
+                self.found.append((self.function, node.lineno))
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
         if {alias.name for alias in node.names} & self.RETIRED:
-            self.found.append(node.lineno)
+            self.found.append((self.function, node.lineno))
+
+
+class _DriftClassUses(_SetClassUses):
+    CLASSES, RETIRED = {"ScaledLinearDrift", "AffineDrift"}, set()
 
 
 @pytest.mark.parametrize("module", [bilevel, nco], ids=["bilevel", "nco"])
@@ -1111,7 +1145,14 @@ def test_only_the_set_classes_branch_on_the_set_class(module):
     (``_line_view``, ``_sup_effort``, ``_hull``, ``_normal_cone_distance``,
     the search box and the greedy's ``_admit``) and never branch on its
     class, apart from the two-disk family test."""
-    with open(module.__file__, encoding="utf-8") as fh:
-        uses = _SetClassUses()
-        uses.visit(ast.parse(fh.read()))
-    assert uses.found == []
+    assert _SetClassUses(module).found == []
+
+
+@pytest.mark.parametrize("module", [dynamics, bilevel, nco], ids=["dynamics", "bilevel", "nco"])
+def test_only_the_lane_drift_branches_on_the_drift_class(module):
+    """Each drift class carries its own arithmetic; the lanes of the
+    catch-up's array loop and of the penalty integrator come from
+    ``_lane_drift``, the one test of the drift family outside the two-disk
+    family test."""
+    functions = {function for function, _ in _DriftClassUses(module).found}
+    assert functions == ({"_lane_drift"} if module is dynamics else set())
