@@ -360,15 +360,16 @@ def _row_texts(values: np.ndarray) -> List[str]:
     return words.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
-def _run_texts(values: np.ndarray) -> Iterator[str]:
+def _run_texts(values: np.ndarray, rows: int) -> Iterator[str]:
     """The ``%.12g`` text of each row of values, formatted once per run of
     bitwise-equal rows (bits, not ``==``, so that ``-0.0`` still prints
-    ``-0``), and about ``_CSV_BLOCK_CELLS`` cells of runs at a time."""
+    ``-0``), and about ``_CSV_BLOCK_CELLS`` cells of runs at a time; the
+    last run is lengthened to end at row ``rows``."""
     bits = values.view(np.int64)
     new = np.ones(len(values), bool)
     new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
     starts = np.flatnonzero(new)
-    lengths = np.diff(starts, append=len(values)).tolist()
+    lengths = np.diff(starts, append=rows).tolist()
     runs = max(1, _CSV_BLOCK_CELLS // values.shape[1])
     for b in range(0, len(starts), runs):
         for text, n in zip(_row_texts(values[starts[b:b + runs]]), lengths[b:b + runs]):
@@ -379,39 +380,37 @@ def _csv(header: List[str], K: int, nodes, groups: Sequence[np.ndarray]) -> Iter
     """A CSV file in blocks of rows: the header, then the rows of nodes 0..K
     in the text of ``_row_texts``.  ``nodes(s)`` gives the leading columns of
     the nodes in the slice ``s``; a block holds about ``_CSV_BLOCK_CELLS`` of
-    them.  Each of the trailing ``groups`` is a (K+1, m) array whose rows
+    them.  Each of the trailing ``groups`` is a (K+1, m) node table, or a
+    (K, m) interval table whose last row the final node repeats; its rows
     repeat in runs, formatted once per run by ``_run_texts``.  Only one block
     of text is held at a time."""
     yield ",".join(header) + "\n"
     rows = max(1, _CSV_BLOCK_CELLS // (len(header) - sum(group.shape[1] for group in groups)))
-    runs = [_run_texts(group) for group in groups]
+    runs = [_run_texts(group, K + 1) for group in groups]
     for start in range(0, K + 1, rows):
         texts = _row_texts(nodes(slice(start, min(start + rows, K + 1))))
         cells = zip(texts, *[itertools.islice(run, len(texts)) for run in runs])
         yield "".join([",".join(row) + "\n" for row in cells])
 
 
-def _node_rows(values: np.ndarray) -> np.ndarray:
-    """Per-interval values (K, m) as rows of nodes 0..K: the last node
-    repeats the final interval."""
-    return np.vstack([values, values[-1:]])
+def _columns(kind: str, i: int, dim: int) -> List[str]:
+    """Participant i's (from 0) columns of a kind: ``v2_1, v2_2`` for ("v", 1, 2)."""
+    return [f"{kind}{i+1}_{c+1}" for c in range(dim)]
 
 
 def _trajectory_csv(scenario, y, x, u, v) -> Iterator[str]:
     """trajectory.csv (contact flags print as 0/1)."""
     header = ["t"]
     for i in range(scenario.N):
-        header += [f"y{i+1}_1", f"y{i+1}_2", f"x{i+1}_1", f"x{i+1}_2"]
+        header += _columns("y", i, 2) + _columns("x", i, 2)
     for i in range(scenario.N):
-        header += [f"u{i+1}_{c+1}" for c in range(u[i].dim)]
-        header += [f"v{i+1}_1", f"v{i+1}_2"]
-    for i in range(scenario.N):
-        header += [f"contact{i+1}"]
+        header += _columns("u", i, u[i].dim) + _columns("v", i, 2)
+    header += [f"contact{i+1}" for i in range(scenario.N)]
     controls = np.hstack([p.values for i in range(scenario.N) for p in (u[i], v[i])])
     return _csv(header, y.grid.size - 1, lambda s: np.hstack(
         [y.grid[s, None],
          np.concatenate([y.states[s], x.states[s]], axis=2).reshape(-1, 4 * scenario.N)]
-    ), [_node_rows(controls), x.contact.astype(float)])
+    ), [controls, x.contact.astype(float)])
 
 
 def _tree_lines(node, indent: int = 0) -> List[str]:
@@ -455,10 +454,9 @@ def _feasibility_node(report) -> list:
 def _controls_csv(scenario, grid, u, v) -> Iterator[str]:
     header = ["t"]
     for i in range(scenario.N):
-        header += [f"v{i+1}_1", f"v{i+1}_2"]
-        header += [f"u{i+1}_{c+1}" for c in range(u[i].dim)]
+        header += _columns("v", i, 2) + _columns("u", i, u[i].dim)
     controls = np.hstack([p.values for i in range(scenario.N) for p in (v[i], u[i])])
-    return _csv(header, grid.size - 1, lambda s: grid[s, None], [_node_rows(controls)])
+    return _csv(header, grid.size - 1, lambda s: grid[s, None], [controls])
 
 
 def _row_fault(lines: List[Tuple[int, str]], header: List[str]) -> str:
@@ -533,17 +531,14 @@ def _read_controls(path: str, scenario: Scenario):
             f"{path}: times run from {grid[0]:.12g} to {grid[-1]:.12g}, "
             f"not from 0 to at most the horizon T={scenario.T:.12g}"
         )
-    v, u = [], []
-    for i in range(scenario.N):
-        try:
-            vcols = [cols[f"v{i+1}_1"], cols[f"v{i+1}_2"]]
-            m = scenario.drift[i].control_dim
-            ucols = [cols[f"u{i+1}_{c+1}"] for c in range(m)]
-        except KeyError as exc:
-            raise ScenarioFormatError(f"{path}: missing column {exc}") from exc
-        v.append(ControlProfile(grid=grid, values=data[:-1, vcols]))
-        u.append(ControlProfile(grid=grid, values=data[:-1, ucols]))
-    return v, u
+    names = [_columns(kind, i, dim) for i in range(scenario.N)
+             for kind, dim in (("v", 2), ("u", scenario.drift[i].control_dim))]
+    missing = [name for name in itertools.chain(*names) if name not in cols]
+    if missing:
+        raise ScenarioFormatError(f"{path}: missing column {missing[0]!r}")
+    profiles = [ControlProfile(grid=grid, values=data[:-1, [cols[name] for name in group]])
+                for group in names]
+    return profiles[::2], profiles[1::2]
 
 
 # ---------------------------------------------------------------------------

@@ -393,11 +393,12 @@ class SegmentSet(_LineSet):
 
     def __post_init__(self):
         d = np.asarray(self.direction, float).reshape(2)
-        if np.max(np.abs(d)) > 1e150:       # its squares would overflow in the norm
+        finite = bool(np.isfinite(d).all())
+        if finite and np.max(np.abs(d)) > 1e150:       # its squares would overflow in the norm
             d = d / np.max(np.abs(d))
-        n = float(_row_norms(d))
-        if n < 1e-12:
-            raise ValueError("segment direction must be nonzero")
+        n = float(_row_norms(d)) if finite else math.nan
+        if not n >= 1e-12:
+            raise ValueError("segment direction must be finite and nonzero")
         object.__setattr__(self, "direction", d / n)
         if not self.halflength >= 0:
             raise ValueError("segment halflength must be nonnegative")

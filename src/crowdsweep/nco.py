@@ -74,14 +74,6 @@ class IndeterminateWitnessError(RuntimeError):
 # multiplier containers
 
 
-def _symmetrize_pairs(arr: np.ndarray) -> np.ndarray:
-    """Store pairwise measures so an asymmetric object is unrepresentable."""
-    arr = np.asarray(arr, float)
-    out = 0.5 * (arr + np.transpose(arr, (0, 2, 1)))
-    out[:, range(out.shape[1]), range(out.shape[1])] = 0.0
-    return out
-
-
 class _Lanes(NamedTuple):
     """A witness level as lanes, one per participant it covers: the costates
     of the translation (``q_hi``) and population (``q_lo``) states, the
@@ -111,7 +103,18 @@ def _costate_sup(lv: _Lanes) -> float:
 
 
 class _Witness:
-    """Rescaling and the aggregate weight, shared by both witness levels."""
+    """Validation, rescaling and the aggregate weight of both witness levels.
+    ``_SCALED`` is two costates, two measures and the weight; each level's
+    ``_check_weight`` checks its weight."""
+
+    def __post_init__(self):
+        self.grid = np.asarray(self.grid, float).ravel()
+        for name in self._SCALED[:-1]:
+            setattr(self, name, np.asarray(getattr(self, name), float))
+        _check_grid(self.grid)
+        self._check_weight()
+        if not (np.all(self.overlap >= -1e-12) and np.all(self.confinement >= -1e-12)):
+            raise ValueError("measure multipliers must be nonnegative")
 
     def scaled(self, factor: float):
         return replace(self, **{name: factor * getattr(self, name) for name in self._SCALED})
@@ -145,18 +148,15 @@ class UpperMultipliers(_Witness):
 
     _SCALED = ("q_upper", "q_lower", "overlap", "confinement", "objective_weight")
 
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, float).ravel()
-        self.q_upper = np.asarray(self.q_upper, float)
-        self.q_lower = np.asarray(self.q_lower, float)
-        self.overlap = _symmetrize_pairs(self.overlap)
-        self.confinement = np.asarray(self.confinement, float)
+    def _check_weight(self):
+        # pair measures are stored symmetric, so an asymmetric object is unrepresentable
+        self.overlap = 0.5 * (self.overlap + np.transpose(self.overlap, (0, 2, 1)))
+        self.overlap[:, range(self.overlap.shape[1]), range(self.overlap.shape[1])] = 0.0
         self.rho = np.asarray(self.rho, float).ravel()
-        _check_grid(self.grid)
+        if not np.all(self.rho >= 0):
+            raise ValueError("partial-calmness moduli rho must be nonnegative")
         if not 0.0 <= self.objective_weight <= 1.0:
             raise ValueError("objective weight must lie in [0, 1]")
-        if np.any(self.overlap < -1e-12) or np.any(self.confinement < -1e-12):
-            raise ValueError("measure multipliers must be nonnegative")
 
     @property
     def effort_weights(self) -> np.ndarray:
@@ -181,17 +181,9 @@ class LowerMultipliers(_Witness):
 
     _SCALED = ("p_upper", "p_lower", "overlap", "confinement", "effort_weight")
 
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, float).ravel()
-        self.p_upper = np.asarray(self.p_upper, float)
-        self.p_lower = np.asarray(self.p_lower, float)
-        self.overlap = np.asarray(self.overlap, float)
-        self.confinement = np.asarray(self.confinement, float)
-        _check_grid(self.grid)
-        if self.effort_weight < 0:
+    def _check_weight(self):
+        if not self.effort_weight >= 0:
             raise ValueError("effort weight must be nonnegative")
-        if np.any(self.overlap < -1e-12) or np.any(self.confinement < -1e-12):
-            raise ValueError("measure multipliers must be nonnegative")
 
     def _lanes(self) -> _Lanes:
         return _Lanes((self.participant,), self.p_upper[:, None], self.p_lower[:, None],

@@ -774,18 +774,22 @@ def test_csv_matches_per_row_format(case):
         zeros = np.array([[0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
         groups = [zeros[np.arange(K + 1) % 4], -zeros[np.arange(K + 1) // 3 % 4]]
     elif case == "coarse-plan":
-        # the shape of solve's controls: 8 coarse intervals over 600 steps
+        # the shape of solve's controls: 8 coarse intervals over 600 steps,
+        # one row per step, so the last node repeats the final interval
         plan = np.repeat(rng.normal(size=(8, 5)), 75, axis=0)
-        groups = [np.vstack([plan, plan[-1:]])]
-        assert len({id(text) for text in _run_texts(groups[0])}) == 8
+        groups = [plan]
+        assert len({id(text) for text in _run_texts(plan, K + 1)}) == 8
     elif case == "one-column":
         groups = []
     else:
         groups = [_hard_doubles(rng, 2 * (K + 1)).reshape(K + 1, 2),
                   rng.normal(size=(K + 1, 1))]
+        if case == "block-end":
+            groups.append(_hard_doubles(rng, 2 * K).reshape(K, 2))
     header = [f"c{j}" for j in range(nodes.shape[1] + sum(g.shape[1] for g in groups))]
     text = "".join(_csv(header, K, lambda s: nodes[s], groups))
-    assert text == _reference_csv(header, np.hstack([nodes] + groups))
+    table = [g if len(g) == K + 1 else np.vstack([g, g[-1:]]) for g in groups]
+    assert text == _reference_csv(header, np.hstack([nodes] + table))
 
 
 def test_trajectory_csv_streams_in_blocks(tmp_path):

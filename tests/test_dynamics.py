@@ -935,12 +935,19 @@ class TestH5Bounds:
     ("hi", "interval set needs lo <= hi componentwise"),
     ("halflength", "segment halflength must be nonnegative"),
     ("radius", "ball radius must be nonnegative"),
-], ids=["M", "rho", "lo", "hi", "halflength", "radius"])
+    ("direction nan", "segment direction must be finite and nonzero"),
+    ("direction inf", "segment direction must be finite and nonzero"),
+    ("direction -inf", "segment direction must be finite and nonzero"),
+], ids=["M", "rho", "lo", "hi", "halflength", "radius", "direction-nan", "direction-inf",
+        "direction--inf"])
 def test_nan_fails_the_sign_checks(field, message):
     """A NaN cap, modulus, bound or size is rejected like a negative one; a
-    NaN cap would switch off the truncation check."""
+    NaN cap would switch off the truncation check.  A NaN or infinite
+    segment direction is rejected like a zero one."""
     with pytest.raises(ValueError, match=f"^{message}$"):
-        if field == "lo":
+        if field.startswith("direction"):
+            SegmentSet([float(field.split()[1]), 0.0], 1.0)
+        elif field == "lo":
             IntervalSet([math.nan], [1.0])
         elif field == "hi":
             IntervalSet([0.0], [math.nan])
@@ -1067,6 +1074,34 @@ def test_control_profile_rejects_bad_grids(grid, message):
     for build in builds:
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
+
+
+@pytest.mark.parametrize("level, name, value, message", [
+    ("lower", "effort_weight", math.nan, "effort weight must be nonnegative"),
+    ("upper", "objective_weight", math.nan, r"objective weight must lie in \[0, 1\]"),
+    ("upper", "overlap", math.nan, "measure multipliers must be nonnegative"),
+    ("lower", "overlap", math.nan, "measure multipliers must be nonnegative"),
+    ("upper", "confinement", math.nan, "measure multipliers must be nonnegative"),
+    ("lower", "confinement", math.nan, "measure multipliers must be nonnegative"),
+    ("upper", "rho", math.nan, "partial-calmness moduli rho must be nonnegative"),
+    ("upper", "rho", -1.0, "partial-calmness moduli rho must be nonnegative"),
+], ids=["lower-effort_weight", "upper-objective_weight", "upper-overlap", "lower-overlap",
+        "upper-confinement", "lower-confinement", "upper-rho", "upper-rho-negative"])
+def test_witnesses_reject_nan_weights_and_measures(level, name, value, message):
+    """Both multiplier levels share one validation, in which a NaN weight,
+    measure or modulus fails like a negative one."""
+    grid = uniform_grid(1.0, 2)
+    nodes = np.zeros((3, 2, 2))
+    fields = {
+        "upper": dict(grid=grid, q_upper=nodes, q_lower=nodes, overlap=np.zeros((3, 2, 2)),
+                      confinement=np.zeros((3, 2)), objective_weight=1.0, rho=np.ones(2)),
+        "lower": dict(participant=0, grid=grid, p_upper=nodes[:, 0], p_lower=nodes[:, 0],
+                      overlap=np.zeros((3, 2)), confinement=np.zeros(3), effort_weight=1.0),
+    }[level]
+    fields[name] = np.full_like(fields[name], value) if np.ndim(fields[name]) else value
+    build = UpperMultipliers if level == "upper" else LowerMultipliers
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(**fields)
 
 
 def _grid_pair(case):
