@@ -319,7 +319,7 @@ class IntervalSet(_LineSet):
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, float))
         hi = np.atleast_1d(np.asarray(self.hi, float))
-        if lo.shape != hi.shape or not np.all(lo <= hi):   # NaN fails too
+        if lo.shape != hi.shape or not (np.all(lo <= hi) and np.isfinite([lo, hi]).all()):
             raise ValueError("interval set needs lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -400,7 +400,7 @@ class SegmentSet(_LineSet):
         if not n >= 1e-12:
             raise ValueError("segment direction must be finite and nonzero")
         object.__setattr__(self, "direction", d / n)
-        if not self.halflength >= 0:
+        if not 0 <= self.halflength < math.inf:
             raise ValueError("segment halflength must be nonnegative")
         object.__setattr__(self, "_tol", 1e-9 * max(1.0, self.halflength))
         object.__setattr__(self, "_line_view", (self.direction, -self.halflength, self.halflength))
@@ -445,7 +445,7 @@ class BallSet:
     dim, _line_view = 2, None
 
     def __post_init__(self):
-        if not self.radius >= 0:
+        if not 0 <= self.radius < math.inf:
             raise ValueError("ball radius must be nonnegative")
         object.__setattr__(self, "_tol", 1e-9 * max(1.0, self.radius))
 
@@ -490,8 +490,10 @@ class BallSet:
         hi = np.full((K, 2), self.radius)
         return -hi, hi
 
-    def _velocities(self, block: np.ndarray):
-        return [self.project(row) for row in block]
+    def _velocities(self, block: np.ndarray) -> np.ndarray:
+        n = _row_norms(block)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((n <= self.radius)[:, None], block, (self.radius / n)[:, None] * block)
 
     def _aim(self, y0: np.ndarray, T: float) -> np.ndarray:
         return self.project(-y0 / T)
@@ -552,9 +554,11 @@ class Scenario:
             raise ValueError("horizon T must be positive")
         if not self.R > 0:
             raise ValueError("disk radius R must be positive")
-        if not np.all(self.M > 0):          # so that NaN fails too
+        # NaN fails these tests too; an infinite cap or modulus would switch
+        # off the truncation check
+        if not np.all((self.M > 0) & (self.M < math.inf)):
             raise ValueError("truncation caps M must be positive")
-        if not np.all(self.rho >= 0):
+        if not np.all((self.rho >= 0) & (self.rho < math.inf)):
             raise ValueError("partial-calmness moduli rho must be nonnegative")
         if not (len(self.drift) == len(self.U) == len(self.V) == self.N):
             raise ValueError("drift/U/V lists must have one entry per participant")

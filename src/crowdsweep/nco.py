@@ -88,14 +88,12 @@ class _Lanes(NamedTuple):
     objective_weight: float
     effort: np.ndarray           # (n,)
 
-
-def _pair_measures(lv: _Lanes):
-    """(lane, participant, other) of each pair measure of a level, once per
-    pair: a pair of two lanes is charged to its lower index."""
-    for l, i in enumerate(lv.lanes):
-        for j in range(lv.pairs.shape[2]):
-            if j != i and (j > i or j not in lv.lanes):
-                yield l, i, j
+    @property
+    def charged(self) -> np.ndarray:
+        """(lanes, N) mask of the pair measures of the level, each pair
+        once: a pair of two lanes is charged to its lower index."""
+        i, j = np.array(self.lanes)[:, None], np.arange(self.pairs.shape[2])
+        return (j != i) & ((j > i) | ~np.isin(j, self.lanes))
 
 
 def _costate_sup(lv: _Lanes) -> float:
@@ -121,10 +119,13 @@ class _Witness:
 
     def nontriviality(self) -> float:
         lv = self._lanes()
-        tv = _total_variation(lv.nu)
-        for l, _i, j in _pair_measures(lv):
-            tv += _total_variation(lv.pairs[:, l, j])
-        return _costate_sup(lv) + tv + lv.objective_weight + float(np.sum(np.abs(lv.effort)))
+        tv = [_total_variation(lv.nu)]
+        if lv.pairs.any():              # no fitted family has pair measures
+            paths = lv.pairs.transpose(1, 2, 0)[lv.charged]     # (charged pairs, K+1)
+            tv += np.sum(np.abs(np.diff(paths)), axis=1).tolist()
+        # the variations are added in the order of the pairs
+        return (_costate_sup(lv) + float(np.cumsum(tv)[-1]) + lv.objective_weight
+                + float(np.sum(np.abs(lv.effort))))
 
 
 @dataclass
@@ -153,7 +154,7 @@ class UpperMultipliers(_Witness):
         self.overlap = 0.5 * (self.overlap + np.transpose(self.overlap, (0, 2, 1)))
         self.overlap[:, range(self.overlap.shape[1]), range(self.overlap.shape[1])] = 0.0
         self.rho = np.asarray(self.rho, float).ravel()
-        if not np.all(self.rho >= 0):
+        if not np.all((self.rho >= 0) & (self.rho < math.inf)):
             raise ValueError("partial-calmness moduli rho must be nonnegative")
         if not 0.0 <= self.objective_weight <= 1.0:
             raise ValueError("objective weight must lie in [0, 1]")
@@ -219,8 +220,9 @@ def _total_variation(path: np.ndarray) -> float:
 class _SolutionData:
     """Arrays of a candidate solution that every check reads.
 
-    Nodes carry the states, the offsets z = x - y, contact flags and outward
-    normals; intervals carry the drift ``f`` at the claimed controls, the
+    Nodes carry the states, the offsets z = x - y, contact flags, outward
+    normals and, per pair, the separations ``d`` = y_i - y_j and their
+    lengths ``r``; intervals carry the drift ``f`` at the claimed controls, the
     realized velocity ``xdot`` and the sweeping correction ``cone`` (their
     difference along the outward normal at the landing node).
     """
@@ -236,9 +238,8 @@ class _SolutionData:
         self.z = self.x - self.y
         self.u = [p.values for p in solution.u]
         self.v = [p.values for p in solution.v]
-        R = scn.R
-        nz = np.linalg.norm(self.z, axis=2)
-        self.contact = nz >= R - ACTIVATION_TOL
+        nz = _row_norms(self.z)
+        self.contact = nz >= scn.R - ACTIVATION_TOL
         self.normals = np.zeros_like(self.z)
         mask = nz > 1e-12
         self.normals[mask] = self.z[mask] / nz[mask][:, None]
@@ -246,39 +247,38 @@ class _SolutionData:
                            for i, (drift, u) in enumerate(zip(scn.drift, self.u))], axis=1)
         self.xdot = (self.x[1:] - self.x[:-1]) / self.h[:, None, None]
         self.cone = np.maximum(0.0, _rowdot(self.f - self.xdot, self.normals[1:]))
-        self.pair_gap = np.linalg.norm(self.y[:, :, None] - self.y[:, None], axis=3) - 2 * R
-        self.pair_gap[:, range(scn.N), range(scn.N)] = 0.0
+        self.d = self.y[:, :, None] - self.y[:, None]      # (K+1, N, N, 2): y_i - y_j
+        self.r = _row_norms(self.d)
+
+    def _pair_sum(self, base: np.ndarray, i: int, nodes: slice, overlap: np.ndarray,
+                  term) -> np.ndarray:
+        """base + sum_j overlap[:, j] term(d_ij, r_ij) at the nodes, one
+        overlap row per node, added in j order; j == i and zero weights add
+        nothing, so a level without pair measures returns base at once."""
+        weight = np.where(np.arange(self.scn.N) == i, 0.0, overlap)[..., None]
+        if not weight.any():
+            return base
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(weight != 0.0,
+                             weight * term(self.d[nodes, i], self.r[nodes, i, :, None]), 0.0)
+        terms[:, 0] += base
+        return np.sum(terms, axis=1)        # over j, one add per j (not pairwise)
 
     def pair_term(self, i: int, nodes: slice, overlap: np.ndarray) -> np.ndarray:
-        """sum_j overlap[:, j] (y_i - y_j) / |y_i - y_j| at the nodes, one
-        overlap row per node; pairs of zero weight are skipped."""
-        y = self.y[nodes]
-        out = np.zeros((y.shape[0], 2))
-        for j in range(self.scn.N):
-            weight = overlap[:, j, None]
-            if j != i and weight.any():
-                d = y[:, i] - y[:, j]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out += np.where(weight != 0.0, weight * (d / _row_norms(d)[:, None]), 0.0)
-        return out
+        """sum_j overlap[:, j] (y_i - y_j) / |y_i - y_j| at the nodes."""
+        return self._pair_sum(np.zeros((len(overlap), 2)), i, nodes, overlap, np.divide)
 
     def add_contact_terms(self, base: np.ndarray, i: int, overlap: np.ndarray,
                           v: np.ndarray) -> np.ndarray:
         """base + sum_j overlap[:, j] D_ij v per interval, with D_ij the
         contact Jacobian of the pair at the landing node."""
-        y = self.y[1:]
-        for j in range(self.scn.N):
-            weight = overlap[:, j, None]
-            if j != i and weight.any():
-                d = y[:, i] - y[:, j]
-                r = _row_norms(d)[:, None, None]
-                if np.any((r[:, 0, 0] < 1e-12) & (weight[:, 0] != 0.0)):
-                    raise SingularConfigurationError("coincident centers")
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    jac = np.eye(2) / r - (d[:, :, None] * d[:, None, :]) / r**3
-                    term = weight * _matvec(jac, v)
-                base = base + np.where(weight != 0.0, term, 0.0)
-        return base
+        if np.any((self.r[1:, i] < 1e-12) & (overlap != 0.0) & (np.arange(self.scn.N) != i)):
+            raise SingularConfigurationError("coincident centers")
+
+        def term(d, r):
+            r = r[..., None]
+            return _matvec(np.eye(2) / r - (d[..., :, None] * d[..., None, :]) / r**3, v[:, None])
+        return self._pair_sum(base, i, slice(1, None), overlap, term)
 
 
 def _worst(paths: np.ndarray, times: np.ndarray,
@@ -395,28 +395,23 @@ def _boundary(data: _SolutionData, lv: _Lanes) -> np.ndarray:
     return np.stack([_initial_defect(data, w0, idx), end])
 
 
-def _shape_violations(path: np.ndarray, inactive_steps: np.ndarray) -> np.ndarray:
-    """Per-step violation of a measure path: any increase, and any movement
-    on a step where its constraint is inactive throughout."""
-    diffs = np.diff(np.asarray(path, float))
-    return np.maximum(0.0, np.where(inactive_steps, np.abs(diffs), diffs))
-
-
-def _inactive_steps(data: _SolutionData, i: int, j: Optional[int] = None) -> np.ndarray:
-    """Steps on which disk i stays clear of disk j, or (j None) its
-    population stays clear of its disk boundary."""
-    clear = data.pair_gap[:, i, j] > ACTIVATION_TOL if j is not None else ~data.contact[:, i]
-    return clear[:-1] & clear[1:]
+def _shape_violations(paths: np.ndarray, clear: np.ndarray) -> np.ndarray:
+    """Per-step violations of measure paths, one per column: any increase,
+    and any movement on a step where the column's constraint is inactive
+    (``clear``) at both nodes."""
+    diffs = np.diff(paths, axis=0)
+    return np.maximum(0.0, np.where(clear[:-1] & clear[1:], np.abs(diffs), diffs))
 
 
 def _measure_paths(data: _SolutionData, lv: _Lanes) -> np.ndarray:
-    """(K, lanes) shape violations of a level's measures, each pair's
-    measure charged once (see :func:`_pair_measures`)."""
-    out = np.stack([_shape_violations(lv.nu[:, l], _inactive_steps(data, i))
-                    for l, i in enumerate(lv.lanes)], axis=1)
-    for l, i, j in _pair_measures(lv):
-        out[:, l] = np.maximum(out[:, l], _shape_violations(lv.pairs[:, l, j],
-                                                            _inactive_steps(data, i, j)))
+    """(K, lanes) shape violations of a level's measures: the confinement
+    measure clear of the disk boundary, and each pair's measure, charged
+    once (see :attr:`_Lanes.charged`), clear of the other disk."""
+    idx = list(lv.lanes)
+    out = _shape_violations(lv.nu, ~data.contact[:, idx])
+    if lv.pairs.any():
+        pairs = _shape_violations(lv.pairs, data.r[:, idx] - 2 * data.scn.R > ACTIVATION_TOL)
+        out = np.maximum(out, np.max(pairs, axis=2, where=lv.charged, initial=0.0))
     return out
 
 
@@ -724,7 +719,7 @@ def verify(
         for name, value, at in _inner_checks(data, low):
             record(tag + name, value, at, bound)
 
-    degenerate = int(np.sum(np.linalg.norm(data.z, axis=2) < 1e-12))
+    degenerate = int(np.sum(_row_norms(data.z) < 1e-12))
     if degenerate:
         report.notes.append(
             f"{degenerate} node(s) with coincident population/center: zero "

@@ -928,37 +928,46 @@ class TestH5Bounds:
             h5_bounds(twodisk, [[], []])
 
 
-@pytest.mark.parametrize("field, message", [
-    ("M", "truncation caps M must be positive"),
-    ("rho", "partial-calmness moduli rho must be nonnegative"),
-    ("lo", "interval set needs lo <= hi componentwise"),
-    ("hi", "interval set needs lo <= hi componentwise"),
-    ("halflength", "segment halflength must be nonnegative"),
-    ("radius", "ball radius must be nonnegative"),
-    ("direction nan", "segment direction must be finite and nonzero"),
-    ("direction inf", "segment direction must be finite and nonzero"),
-    ("direction -inf", "segment direction must be finite and nonzero"),
+@pytest.mark.parametrize("field, value, message", [
+    ("M", math.nan, "truncation caps M must be positive"),
+    ("rho", math.nan, "partial-calmness moduli rho must be nonnegative"),
+    ("lo", math.nan, "interval set needs lo <= hi componentwise"),
+    ("hi", math.nan, "interval set needs lo <= hi componentwise"),
+    ("halflength", math.nan, "segment halflength must be nonnegative"),
+    ("radius", math.nan, "ball radius must be nonnegative"),
+    ("direction", math.nan, "segment direction must be finite and nonzero"),
+    ("direction", math.inf, "segment direction must be finite and nonzero"),
+    ("direction", -math.inf, "segment direction must be finite and nonzero"),
+    ("M", math.inf, "truncation caps M must be positive"),
+    ("rho", math.inf, "partial-calmness moduli rho must be nonnegative"),
+    ("lo", -math.inf, "interval set needs lo <= hi componentwise"),
+    ("hi", math.inf, "interval set needs lo <= hi componentwise"),
+    ("halflength", math.inf, "segment halflength must be nonnegative"),
+    ("radius", math.inf, "ball radius must be nonnegative"),
 ], ids=["M", "rho", "lo", "hi", "halflength", "radius", "direction-nan", "direction-inf",
-        "direction--inf"])
-def test_nan_fails_the_sign_checks(field, message):
-    """A NaN cap, modulus, bound or size is rejected like a negative one; a
-    NaN cap would switch off the truncation check.  A NaN or infinite
-    segment direction is rejected like a zero one."""
+        "direction--inf", "M-inf", "rho-inf", "lo--inf", "hi-inf", "halflength-inf",
+        "radius-inf"])
+def test_nan_fails_the_sign_checks(field, value, message):
+    """A NaN or infinite cap, modulus, bound or size is rejected like a
+    negative one: a NaN or infinite cap would switch off the truncation
+    check, and an infinite size would make the membership tolerance
+    infinite.  A NaN or infinite segment direction is rejected like a zero
+    one."""
     with pytest.raises(ValueError, match=f"^{message}$"):
-        if field.startswith("direction"):
-            SegmentSet([float(field.split()[1]), 0.0], 1.0)
+        if field == "direction":
+            SegmentSet([value, 0.0], 1.0)
         elif field == "lo":
-            IntervalSet([math.nan], [1.0])
+            IntervalSet([value], [1.0])
         elif field == "hi":
-            IntervalSet([0.0], [math.nan])
+            IntervalSet([0.0], [value])
         elif field == "halflength":
-            SegmentSet([1.0, 0.0], math.nan)
+            SegmentSet([1.0, 0.0], value)
         elif field == "radius":
-            BallSet(math.nan)
+            BallSet(value)
         else:
             Scenario(N=1, R=3.0, T=6.0, y0=[[0.0, 0.0]], drift=[ScaledLinearDrift(-8.0)],
                      U=[IntervalSet([0.0], [1.0])], V=[BallSet(1.0)],
-                     **{"M": [6.0], "rho": [1.0], field: [math.nan]})
+                     **{"M": [6.0], "rho": [1.0], field: [value]})
 
 
 @pytest.mark.parametrize("kind", ["random", "diagonal", "rank-1", "2x1", "zero"])
@@ -1085,11 +1094,13 @@ def test_control_profile_rejects_bad_grids(grid, message):
     ("lower", "confinement", math.nan, "measure multipliers must be nonnegative"),
     ("upper", "rho", math.nan, "partial-calmness moduli rho must be nonnegative"),
     ("upper", "rho", -1.0, "partial-calmness moduli rho must be nonnegative"),
+    ("upper", "rho", math.inf, "partial-calmness moduli rho must be nonnegative"),
 ], ids=["lower-effort_weight", "upper-objective_weight", "upper-overlap", "lower-overlap",
-        "upper-confinement", "lower-confinement", "upper-rho", "upper-rho-negative"])
+        "upper-confinement", "lower-confinement", "upper-rho", "upper-rho-negative",
+        "upper-rho-inf"])
 def test_witnesses_reject_nan_weights_and_measures(level, name, value, message):
     """Both multiplier levels share one validation, in which a NaN weight,
-    measure or modulus fails like a negative one."""
+    measure or modulus, or an infinite modulus, fails like a negative one."""
     grid = uniform_grid(1.0, 2)
     nodes = np.zeros((3, 2, 2))
     fields = {

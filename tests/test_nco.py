@@ -33,7 +33,12 @@ from crowdsweep.dynamics import (
     integrate_upper,
     uniform_grid,
 )
-from crowdsweep.geometry import contact_jacobian, sigma_active_gradient, sigma_support
+from crowdsweep.geometry import (
+    SingularConfigurationError,
+    contact_jacobian,
+    sigma_active_gradient,
+    sigma_support,
+)
 from crowdsweep.nco import (
     ACTIVATION_TOL,
     KINK_BAND_FRAC,
@@ -948,9 +953,20 @@ class TestArrayVerifierMatchesLoopReference:
         sol = mixed_solution()
         assert sol.feasibility.ok()
         ref = LoopReference(sol)
+        rng = np.random.default_rng(7)
+        K, N = sol.x.grid.size - 1, sol.scenario.N
         for objective_weight in (0.5, 0.0):
             upper, lowers = designed_multipliers(sol, 3, objective_weight)
             assert_matches_reference(sol, upper, lowers, ref)
+            # every pair measure nonzero, so several j add per lane, and a
+            # nonzero inner j == i entry, which adds nothing
+            dense = dataclasses.replace(upper, overlap=rng.uniform(0.1, 0.5, (K + 1, N, N)))
+            dense_lowers = [dataclasses.replace(low, overlap=rng.uniform(0.1, 0.5, (K + 1, N)))
+                            for low in lowers]
+            report = assert_matches_reference(sol, dense, dense_lowers, ref)
+            zeroed = [dataclasses.replace(low, overlap=np.where(np.arange(N) == i, 0.0, low.overlap))
+                      for i, low in enumerate(dense_lowers)]
+            assert verify(sol, dense, zeroed).residuals == report.residuals
         # a weighted upper effort without inner witnesses has no sensitivity
         report = assert_matches_reference(sol, designed_multipliers(sol, 3, 0.5)[0], ref=ref)
         assert report.residuals["max_upper"] == math.inf and not report.verdicts["max_upper"]
@@ -987,6 +1003,40 @@ class TestArrayVerifierMatchesLoopReference:
             for i, low in enumerate(lowers)]
         report = assert_matches_reference(sol, bumped, bumped_lowers)
         assert report.residuals["adjoint_q_lower"] > 1.0 and not report.all_pass
+
+
+@pytest.mark.parametrize("level", ["upper", "inner"])
+def test_coincident_centres_raise_only_under_a_pair_weight(level):
+    """The contact Jacobian of a pair is undefined where the disk centres
+    coincide: verify raises there when the pair's measure weights that node,
+    and not when it weights only other nodes."""
+    y0 = [[-2.0, 0.0], [2.0, 0.0]]
+    scn = Scenario(N=2, R=1.0, T=2.0, y0=y0, x0=y0, drift=[ScaledLinearDrift(-1.0)] * 2,
+                   U=[IntervalSet([0.0], [1.0])] * 2, V=[BallSet(2.0)] * 2, M=[6.0] * 2,
+                   rho=[1.0] * 2)
+    grid = uniform_grid(scn.T, 2)
+    v = [ControlProfile(grid=grid, values=[[2.0, 0.0]] * 2),
+         ControlProfile(grid=grid, values=[[-2.0, 0.0]] * 2)]
+    u = [ControlProfile(grid=grid, values=[[0.0]] * 2)] * 2
+    sol = _solution(scn, v, u, scn.x0, "supplied")
+    assert np.array_equal(sol.y.states[1, 0], sol.y.states[1, 1])    # the centres meet at t=1
+    for row, raises in ((0, True), (1, False)):     # overlap row k weights landing node k+1
+        upper, lowers = zero_upper(scn, grid), None
+        if level == "upper":
+            overlap = np.zeros((3, 2, 2))
+            overlap[row, 0, 1] = 1.0
+            upper = dataclasses.replace(upper, overlap=overlap)
+        else:
+            overlap = np.zeros((3, 2))
+            overlap[row, 1] = 1.0
+            lowers = [LowerMultipliers(participant=0, grid=grid, p_upper=np.zeros((3, 2)),
+                                       p_lower=np.zeros((3, 2)), overlap=overlap,
+                                       confinement=np.zeros(3), effort_weight=0.0), None]
+        if raises:
+            with pytest.raises(SingularConfigurationError, match="^coincident centers$"):
+                verify(sol, upper, lowers)
+        else:
+            verify(sol, upper, lowers)
 
 
 # sha256 of the four costates that _backward_pair returns (upper q_lower and
