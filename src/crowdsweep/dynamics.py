@@ -103,6 +103,10 @@ class ScaledLinearDrift:
 
     coeff: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.coeff):
+            raise ValueError("drift coefficient c must be finite")
+
     @property
     def control_dim(self) -> int:
         return 1
@@ -141,6 +145,8 @@ class AffineDrift:
         B = np.asarray(self.B, float)
         object.__setattr__(self, "B", B.reshape(2, -1))
         object.__setattr__(self, "b", np.asarray(self.b, float).reshape(2))
+        if not all(np.isfinite(m).all() for m in (self.A, self.B, self.b)):
+            raise ValueError("drift A, B and b must be finite")
 
     @property
     def control_dim(self) -> int:
@@ -550,12 +556,13 @@ class Scenario:
     def validate(self) -> None:
         if self.N < 1:
             raise ValueError("need at least one participant")
-        if not self.T > 0:
+        # NaN and infinite numbers fail these tests too: an infinite horizon
+        # or radius has no grid or geometry, and an infinite cap or modulus
+        # would switch off the truncation check
+        if not 0 < self.T < math.inf:
             raise ValueError("horizon T must be positive")
-        if not self.R > 0:
+        if not 0 < self.R < math.inf:
             raise ValueError("disk radius R must be positive")
-        # NaN fails these tests too; an infinite cap or modulus would switch
-        # off the truncation check
         if not np.all((self.M > 0) & (self.M < math.inf)):
             raise ValueError("truncation caps M must be positive")
         if not np.all((self.rho >= 0) & (self.rho < math.inf)):
@@ -565,8 +572,8 @@ class Scenario:
         # squares of coordinates near the float range overflow in every norm
         # and cost downstream, so such positions are rejected here
         with np.errstate(over="ignore"):
-            dist = np.linalg.norm(self.y0[:, None] - self.y0[None], axis=2)
-            offset = np.linalg.norm((self.y0 if self.x0 is None else self.x0) - self.y0, axis=1)
+            dist = _row_norms(self.y0[:, None] - self.y0[None])
+            offset = _row_norms((self.y0 if self.x0 is None else self.x0) - self.y0)
             sizes = [cost_upper(self.y0), dist, offset]
         if not all(np.isfinite(size).all() for size in sizes):
             raise ValueError("initial positions too large: a pair distance or the "

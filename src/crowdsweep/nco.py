@@ -80,7 +80,7 @@ class _Lanes(NamedTuple):
     confinement measure, the row of pair measures, and the weights.  The
     inner level is one lane with objective weight 0."""
 
-    lanes: Tuple[int, ...]
+    lanes: np.ndarray            # (n,) participant indices
     q_hi: np.ndarray             # (K+1, n, 2)
     q_lo: np.ndarray             # (K+1, n, 2)
     nu: np.ndarray               # (K+1, n)
@@ -92,7 +92,7 @@ class _Lanes(NamedTuple):
     def charged(self) -> np.ndarray:
         """(lanes, N) mask of the pair measures of the level, each pair
         once: a pair of two lanes is charged to its lower index."""
-        i, j = np.array(self.lanes)[:, None], np.arange(self.pairs.shape[2])
+        i, j = self.lanes[:, None], np.arange(self.pairs.shape[2])
         return (j != i) & ((j > i) | ~np.isin(j, self.lanes))
 
 
@@ -102,16 +102,20 @@ def _costate_sup(lv: _Lanes) -> float:
 
 class _Witness:
     """Validation, rescaling and the aggregate weight of both witness levels.
-    ``_SCALED`` is two costates, two measures and the weight; each level's
-    ``_check_weight`` checks its weight."""
+    ``_SCALED`` is two costates, two measures and the weight (each level's
+    ``_check_weight`` checks its weight).  Costates must be finite, measures
+    and weights finite and nonnegative."""
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, float).ravel()
         for name in self._SCALED[:-1]:
             setattr(self, name, np.asarray(getattr(self, name), float))
         _check_grid(self.grid)
+        if not all(np.isfinite(getattr(self, name)).all() for name in self._SCALED[:2]):
+            raise ValueError("costates must be finite")
         self._check_weight()
-        if not (np.all(self.overlap >= -1e-12) and np.all(self.confinement >= -1e-12)):
+        measures = (self.overlap, self.confinement)
+        if not all(np.all((m >= -1e-12) & (m < math.inf)) for m in measures):
             raise ValueError("measure multipliers must be nonnegative")
 
     def scaled(self, factor: float):
@@ -164,7 +168,7 @@ class UpperMultipliers(_Witness):
         return self.objective_weight * self.rho
 
     def _lanes(self) -> _Lanes:
-        return _Lanes(tuple(range(self.rho.size)), self.q_upper, self.q_lower, self.confinement,
+        return _Lanes(np.arange(self.rho.size), self.q_upper, self.q_lower, self.confinement,
                       self.overlap, self.objective_weight, self.effort_weights)
 
 
@@ -183,11 +187,11 @@ class LowerMultipliers(_Witness):
     _SCALED = ("p_upper", "p_lower", "overlap", "confinement", "effort_weight")
 
     def _check_weight(self):
-        if not self.effort_weight >= 0:
+        if not 0 <= self.effort_weight < math.inf:
             raise ValueError("effort weight must be nonnegative")
 
     def _lanes(self) -> _Lanes:
-        return _Lanes((self.participant,), self.p_upper[:, None], self.p_lower[:, None],
+        return _Lanes(np.array([self.participant]), self.p_upper[:, None], self.p_lower[:, None],
                       self.confinement[:, None], self.overlap[:, None], 0.0,
                       np.array([self.effort_weight]))
 
@@ -237,7 +241,7 @@ class _SolutionData:
         self.x = solution.x.states
         self.z = self.x - self.y
         self.u = [p.values for p in solution.u]
-        self.v = [p.values for p in solution.v]
+        self.v = np.stack([p.values for p in solution.v], axis=1)     # (K, N, 2)
         nz = _row_norms(self.z)
         self.contact = nz >= scn.R - ACTIVATION_TOL
         self.normals = np.zeros_like(self.z)
@@ -250,35 +254,38 @@ class _SolutionData:
         self.d = self.y[:, :, None] - self.y[:, None]      # (K+1, N, N, 2): y_i - y_j
         self.r = _row_norms(self.d)
 
-    def _pair_sum(self, base: np.ndarray, i: int, nodes: slice, overlap: np.ndarray,
+    def _pair_sum(self, base: np.ndarray, lanes: np.ndarray, nodes: slice, overlap: np.ndarray,
                   term) -> np.ndarray:
-        """base + sum_j overlap[:, j] term(d_ij, r_ij) at the nodes, one
-        overlap row per node, added in j order; j == i and zero weights add
-        nothing, so a level without pair measures returns base at once."""
-        weight = np.where(np.arange(self.scn.N) == i, 0.0, overlap)[..., None]
+        """base + sum_j overlap[..., j] term(d_ij, r_ij) at the nodes, per
+        lane i, one (lanes, N) overlap block per node, added in j order;
+        j == i and zero weights add nothing, so a level without pair
+        measures returns base at once."""
+        weight = np.where(np.arange(self.scn.N) == lanes[:, None], 0.0, overlap)[..., None]
         if not weight.any():
             return base
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(weight != 0.0,
-                             weight * term(self.d[nodes, i], self.r[nodes, i, :, None]), 0.0)
-        terms[:, 0] += base
-        return np.sum(terms, axis=1)        # over j, one add per j (not pairwise)
+            terms = term(self.d[nodes, lanes], self.r[nodes, lanes, :, None])
+            terms = np.where(weight != 0.0, weight * terms, 0.0)
+        terms[:, :, 0] += base
+        return np.sum(terms, axis=2)        # over j, one add per j (not pairwise)
 
-    def pair_term(self, i: int, nodes: slice, overlap: np.ndarray) -> np.ndarray:
-        """sum_j overlap[:, j] (y_i - y_j) / |y_i - y_j| at the nodes."""
-        return self._pair_sum(np.zeros((len(overlap), 2)), i, nodes, overlap, np.divide)
+    def pair_term(self, lanes: np.ndarray, nodes: slice, overlap: np.ndarray) -> np.ndarray:
+        """sum_j overlap[..., j] (y_i - y_j) / |y_i - y_j| at the nodes."""
+        return self._pair_sum(np.zeros(overlap.shape[:2] + (2,)), lanes, nodes, overlap, np.divide)
 
-    def add_contact_terms(self, base: np.ndarray, i: int, overlap: np.ndarray,
+    def add_contact_terms(self, base: np.ndarray, lanes: np.ndarray, overlap: np.ndarray,
                           v: np.ndarray) -> np.ndarray:
-        """base + sum_j overlap[:, j] D_ij v per interval, with D_ij the
-        contact Jacobian of the pair at the landing node."""
-        if np.any((self.r[1:, i] < 1e-12) & (overlap != 0.0) & (np.arange(self.scn.N) != i)):
+        """base + sum_j overlap[..., j] D_ij v per interval and lane, with
+        D_ij the contact Jacobian of the pair at the landing node."""
+        if np.any((self.r[1:, lanes] < 1e-12) & (overlap != 0.0)
+                  & (np.arange(self.scn.N) != lanes[:, None])):
             raise SingularConfigurationError("coincident centers")
 
         def term(d, r):
             r = r[..., None]
-            return _matvec(np.eye(2) / r - (d[..., :, None] * d[..., None, :]) / r**3, v[:, None])
-        return self._pair_sum(base, i, slice(1, None), overlap, term)
+            return _matvec(np.eye(2) / r - (d[..., :, None] * d[..., None, :]) / r**3,
+                           v[:, :, None])
+        return self._pair_sum(base, lanes, slice(1, None), overlap, term)
 
 
 def _worst(paths: np.ndarray, times: np.ndarray,
@@ -287,7 +294,7 @@ def _worst(paths: np.ndarray, times: np.ndarray,
     lanes), and its (time, participant)."""
     paths = paths.reshape(len(times), -1)
     k, l = divmod(int(np.argmax(paths)), paths.shape[1])
-    return float(paths[k, l]), (float(times[k]), lanes[l])
+    return float(paths[k, l]), (float(times[k]), int(lanes[l]))
 
 
 def _prepared(solution, upper: UpperMultipliers) -> _SolutionData:
@@ -353,42 +360,42 @@ def _dist_to_hull(r: np.ndarray, c1: np.ndarray, lo1: np.ndarray, hi1: np.ndarra
     return np.maximum(0.0, best - ball)
 
 
-def _initial_defect(data: _SolutionData, w0: np.ndarray, i) -> np.ndarray:
-    """Defect of w0 = q(0) - nu(0) z(0) at the initial node(s) of i: its
-    distance to the normal line at a contact start (an initial atom of the
-    measure together with the outward ray spans it), else |w0|."""
-    n0 = data.normals[0, i]
+def _initial_defect(data: _SolutionData, w0: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """Defect of w0 = q(0) - nu(0) z(0) at the initial nodes of the lanes:
+    its distance to the normal line at a contact start (an initial
+    atom of the measure together with the outward ray spans it), else |w0|."""
+    n0 = data.normals[0, lanes]
     along = w0 - _rowdot(w0, n0)[..., None] * n0
-    return np.where(data.contact[0, i], _row_norms(along), _row_norms(w0))
+    return np.where(data.contact[0, lanes], _row_norms(along), _row_norms(w0))
 
 
 # ---------------------------------------------------------------------------
-# checks shared by both witness levels, lane by lane
+# checks shared by both witness levels, on a whole level
 
 
-def _lane_rates(data: _SolutionData, lv: _Lanes, l: int):
-    """Per interval of lane l: its confinement measure nu, w = q_lower - nu z
+def _lane_rates(data: _SolutionData, lv: _Lanes):
+    """Per interval and lane: the confinement measure nu, w = q_lower - nu z
     at the landing node, the negated finite-difference rates of q_lower and
     q_upper, and the active mask, kink mask and active gradient of the cone
     support.  Both masks need contact at the landing node; they split on the
     activation <w, n> against the kink band."""
-    K, i, h, R = data.K, lv.lanes[l], data.h[:, None], data.scn.R
-    q_lo, q_hi, nu = lv.q_lo[:, l], lv.q_hi[:, l], lv.nu[:K, l]
-    w = q_lo[1:] - nu[:, None] * data.z[1:, i]
-    m = _rowdot(w, data.normals[1:, i])
+    K, idx, h, R = data.K, lv.lanes, data.h[:, None, None], data.scn.R
+    q_lo, q_hi, nu = lv.q_lo, lv.q_hi, lv.nu[:K]
+    z = data.z[1:, idx]
+    w = q_lo[1:] - nu[..., None] * z
+    m = _rowdot(w, data.normals[1:, idx])
     band = KINK_BAND_FRAC * (_row_norms(q_lo[1:]) + np.abs(nu) * R) + 1e-12
-    contact = data.contact[1:, i]
-    g = sigma_active_gradient(data.z[1:, i], q_lo[1:], nu[:, None], R, data.scn.M[i])
+    contact = data.contact[1:, idx]
+    g = sigma_active_gradient(z, q_lo[1:], nu[..., None], R, data.scn.M[idx][:, None])
     return (nu, w, -(q_lo[1:] - q_lo[:-1]) / h, -(q_hi[1:] - q_hi[:-1]) / h,
             contact & (m < -band), contact & (m >= -band) & (m <= band), g)
 
 
 def _boundary(data: _SolutionData, lv: _Lanes) -> np.ndarray:
     """(2, lanes) worst transversality defects at t=0 (row 0) and at T (row 1)."""
-    K, idx = data.K, list(lv.lanes)
+    K, idx = data.K, lv.lanes
     nuT, zT = lv.nu[-1][:, None], data.z[-1, idx]
-    pair = np.vstack([data.pair_term(i, slice(K, K + 1), lv.pairs[-1:, l])
-                      for l, i in enumerate(idx)])
+    pair = data.pair_term(lv.lanes, slice(K, K + 1), lv.pairs[-1:])[0]
     target_hi = -lv.objective_weight * data.y[-1, idx] - nuT * zT - pair
     end = np.maximum(_row_norms(lv.q_hi[-1] - target_hi), _row_norms(lv.q_lo[-1] - nuT * zT))
     w0 = lv.q_lo[0] - lv.nu[0][:, None] * data.z[0, idx]
@@ -407,20 +414,18 @@ def _measure_paths(data: _SolutionData, lv: _Lanes) -> np.ndarray:
     """(K, lanes) shape violations of a level's measures: the confinement
     measure clear of the disk boundary, and each pair's measure, charged
     once (see :attr:`_Lanes.charged`), clear of the other disk."""
-    idx = list(lv.lanes)
-    out = _shape_violations(lv.nu, ~data.contact[:, idx])
+    out = _shape_violations(lv.nu, ~data.contact[:, lv.lanes])
     if lv.pairs.any():
-        pairs = _shape_violations(lv.pairs, data.r[:, idx] - 2 * data.scn.R > ACTIVATION_TOL)
+        pairs = _shape_violations(lv.pairs, data.r[:, lv.lanes] - 2 * data.scn.R > ACTIVATION_TOL)
         out = np.maximum(out, np.max(pairs, axis=2, where=lv.charged, initial=0.0))
     return out
 
 
-def _velocity_lhs(data: _SolutionData, lv: _Lanes, l: int) -> np.ndarray:
-    """q_upper + nu z + sum_j pair_j per interval of lane l, at the landing
-    node: the left-hand vector of the disk-velocity conditions."""
-    K, i = data.K, lv.lanes[l]
-    return (lv.q_hi[1:, l] + lv.nu[:K, l, None] * data.z[1:, i]
-            + data.pair_term(i, slice(1, None), lv.pairs[:K, l]))
+def _velocity_lhs(data: _SolutionData, lv: _Lanes) -> np.ndarray:
+    """q_upper + nu z + sum_j pair_j per interval and lane, at the landing
+    node: the left-hand vectors of the disk-velocity conditions."""
+    return (lv.q_hi[1:] + lv.nu[:-1, :, None] * data.z[1:, lv.lanes]
+            + data.pair_term(lv.lanes, slice(1, None), lv.pairs[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -437,23 +442,18 @@ def _upper_adjoint_paths(data: _SolutionData,
     theta in [0, 1]; theta is fitted to the pair, and each distance is taken
     at that theta.
     """
-    scn, K = data.scn, data.K
+    scn, K, f, v = data.scn, data.K, data.f, data.v
     lv = upper._lanes()
-    r_lo_all = np.empty((K, scn.N))
-    r_hi_all = np.empty((K, scn.N))
-    for i in range(scn.N):
-        nu, w, rate_lo, rate_hi, active, kink, g = _lane_rates(data, lv, i)
-        f, v = data.f[:, i], data.v[i]
-        r_lo = rate_lo - (scn.drift[i]._x_t(w, data.u[i]) - nu[:, None] * f + nu[:, None] * v)
-        r_hi = rate_hi - data.add_contact_terms(nu[:, None] * f - nu[:, None] * v, i,
-                                                upper.overlap[:K, i], v)
-        gg = _rowdot(g, g)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fit = np.clip((_rowdot(r_lo, g) - _rowdot(r_hi, g)) / (2 * gg), 0.0, 1.0)
-        theta = np.where(kink & (gg > 1e-30), fit, np.where(active, 1.0, 0.0))[:, None]
-        r_lo_all[:, i] = _row_norms(r_lo - theta * g)
-        r_hi_all[:, i] = _row_norms(r_hi + theta * g)
-    return r_lo_all, r_hi_all
+    nu, w, rate_lo, rate_hi, active, kink, g = _lane_rates(data, lv)
+    nu = nu[..., None]
+    x_t = np.stack([scn.drift[i]._x_t(w[:, i], u) for i, u in enumerate(data.u)], axis=1)
+    r_lo = rate_lo - (x_t - nu * f + nu * v)
+    r_hi = rate_hi - data.add_contact_terms(nu * f - nu * v, lv.lanes, lv.pairs[:K], v)
+    gg = _rowdot(g, g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fit = np.clip((_rowdot(r_lo, g) - _rowdot(r_hi, g)) / (2 * gg), 0.0, 1.0)
+    theta = np.where(kink & (gg > 1e-30), fit, np.where(active, 1.0, 0.0))[..., None]
+    return _row_norms(r_lo - theta * g), _row_norms(r_hi + theta * g)
 
 
 def _max_lower_gaps(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
@@ -462,24 +462,14 @@ def _max_lower_gaps(data: _SolutionData, upper: UpperMultipliers) -> np.ndarray:
     control, nonnegative by construction.  The map's gradient (d f/d u)^T w
     is taken at each interval's left node x[:-1], as in ``_u_hull``."""
     scn, K = data.scn, data.K
+    w = upper.q_lower[1:] - upper.confinement[:K, :, None] * data.z[1:]
     gaps = np.empty((K, scn.N))
-    for i in range(scn.N):
-        alpha = float(upper.effort_weights[i])
-        w = upper.q_lower[1:, i] - upper.confinement[:K, i, None] * data.z[1:, i]
-        g = scn.drift[i]._u_t(data.x[:-1, i], w)
+    for i, alpha in enumerate(upper.effort_weights.tolist()):
+        g = scn.drift[i]._u_t(data.x[:-1, i], w[:, i])
         sup, _u = scn.U[i]._sup_effort(g, alpha)
         uk = data.u[i]
         gaps[:, i] = np.maximum(0.0, sup - (_rowdot(g, uk) - alpha * _rowdot(uk, uk)))
     return gaps
-
-
-def _sum_participants(gaps: np.ndarray) -> np.ndarray:
-    """Row sums added participant by participant from zero; ``sum(axis=1)``
-    may add in another order."""
-    total = np.zeros(gaps.shape[0])
-    for col in gaps.T:
-        total += col
-    return total
 
 
 def _check_lowers(data: _SolutionData, lowers) -> None:
@@ -503,17 +493,17 @@ def _max_upper_paths(data: _SolutionData, upper: UpperMultipliers, lowers) -> np
     effort takes its value-function sensitivity from the inner witness
     formula, which needs an inner witness with a positive effort weight."""
     scn, K = data.scn, data.K
-    lv = upper._lanes()
+    lhs = _velocity_lhs(data, upper._lanes())
     res = np.empty((K, scn.N))
-    for i in range(scn.N):
-        lhs = _velocity_lhs(data, lv, i)
-        if lv.effort[i] != 0.0:
+    for i, effort in enumerate(upper.effort_weights):
+        lhs_i = lhs[:, i]
+        if effort != 0.0:
             low = lowers[i] if lowers is not None else None
             if low is None or not low.effort_weight > 0:
                 raise IndeterminateWitnessError(
                     f"participant {i+1}: no value-function sensitivity available")
-            lhs = lhs - lv.effort[i] * (-_velocity_lhs(data, low._lanes(), 0) / low.effort_weight)
-        res[:, i] = scn.V[i]._normal_cone_distance(lhs, data.v[i])
+            lhs_i = lhs_i - effort * (-_velocity_lhs(data, low._lanes())[:, 0] / low.effort_weight)
+        res[:, i] = scn.V[i]._normal_cone_distance(lhs_i, data.v[:, i])
     return res
 
 
@@ -538,7 +528,8 @@ def max_condition_lower(solution: BilevelSolution, upper: UpperMultipliers) -> n
     product control set; the gap is the supremum minus its value at the
     claimed control, hence nonnegative by construction.
     """
-    return _sum_participants(_max_lower_gaps(_prepared(solution, upper), upper))
+    # the participants' gaps are added in index order
+    return np.cumsum(_max_lower_gaps(_prepared(solution, upper), upper), axis=1)[:, -1]
 
 
 def max_condition_upper(
@@ -580,15 +571,15 @@ def _inner_checks(data: _SolutionData, low: LowerMultipliers):
     """
     scn, K, i = data.scn, data.K, low.participant
     starts = data.grid[:-1]
-    drift, v = scn.drift[i], data.v[i]
-    nu, w, rate_lo, rate_hi, active, kink, g = _lane_rates(data, low._lanes(), 0)
+    drift, v, lv = scn.drift[i], data.v[:, i], low._lanes()
+    nu, w, rate_lo, rate_hi, active, kink, g = (a[:, 0] for a in _lane_rates(data, lv))
     hull = _u_hull(data, i, w, low.effort_weight)
     interval, ball = hull.kind == _INTERVAL, hull.kind == _BALL
     u_eval = np.where((hull.kind == _POINT)[:, None], hull.u, 0.0)
     f = drift.value(data.x[:-1, i], u_eval)
     r_lo = rate_lo - (nu[:, None] * v + drift._x_t(w, u_eval) - nu[:, None] * f)
-    r_hi = rate_hi - (data.add_contact_terms(-nu[:, None] * v, i, low.overlap[:K], v)
-                      + nu[:, None] * f)
+    terms = data.add_contact_terms((-nu[:, None] * v)[:, None], lv.lanes, lv.pairs[:K], v[:, None])
+    r_hi = rate_hi - (terms[:, 0] + nu[:, None] * f)
     r_lo = np.where(active[:, None], r_lo - g, r_lo)
     r_hi = np.where(active[:, None], r_hi + g, r_hi)
 
@@ -628,7 +619,7 @@ def _inner_checks(data: _SolutionData, low: LowerMultipliers):
     if low.effort_weight > 0:
         yield "articulation", 0.0, None
         return
-    vec = _velocity_lhs(data, low._lanes(), 0)
+    vec = _velocity_lhs(data, lv)[:, 0]
     yield ("articulation",) + _worst(scn.V[i]._normal_cone_distance(vec, v), starts, (i,))
 
 
@@ -702,7 +693,7 @@ def verify(
     record("adjoint_q_lower", *_worst(r_lo, starts, lanes), bound)
     record("adjoint_q_upper", *_worst(r_hi, starts, lanes), bound)
     gaps = _max_lower_gaps(data, upper)
-    gap_path = _sum_participants(gaps)
+    gap_path = np.cumsum(gaps, axis=1)[:, -1]
     k = int(np.argmax(gap_path))
     record("max_lower", float(gap_path[k]), (float(starts[k]), int(np.argmax(gaps[k]))), bound)
     try:
@@ -763,7 +754,7 @@ def _backward_pair(data: _SolutionData, i: int, nu_path: np.ndarray, weight: flo
     R, cap, drift = scn.R, float(scn.M[i]), scn.drift[i]
     f, jac, gain = drift._floats(), drift._float_x_t(), -(cap / R)
     nu = nu_path[:K]
-    v, z = data.v[i], data.z[1:, i]
+    v, z = data.v[:, i], data.z[1:, i]
     nz, nv, nf = nu[:, None] * z, nu[:, None] * v, nu[:, None] * data.f[:, i]
     # per-step scalars and rows as floats
     normals = data.normals[:, i].tolist()
@@ -867,8 +858,9 @@ class MultiplierFit(tuple):
 
 
 # Scenario numbers inside the read bound can still overflow together in the
-# witness arithmetic; a non-finite residual scores rel = inf, so such a fit
-# ends not-verified, without a warning.
+# witness arithmetic.  A family whose costates overflow is no witness and is
+# skipped (the terminal family's are finite); a non-finite residual scores
+# rel = inf, so such a fit ends not-verified, without a warning.
 @np.errstate(over="ignore", invalid="ignore")
 def fit_multipliers(solution: BilevelSolution, tol: float = 1e-3) -> MultiplierFit:
     """Pick the better of the two structured witness families.
@@ -895,7 +887,10 @@ def fit_multipliers(solution: BilevelSolution, tol: float = 1e-3) -> MultiplierF
     data = _SolutionData(solution)
     fit = None
     for weight in (0.0, 1.0):           # the measure family, then the terminal one
-        upper, lowers = _build_family(data, weight)
+        try:
+            upper, lowers = _build_family(data, weight)
+        except ValueError:              # the costates overflow
+            continue
         lead = math.inf if fit is None else fit[2]
         try:
             report = verify(data, upper, lowers, tol=tol, _beat=lead)

@@ -944,15 +944,21 @@ class TestH5Bounds:
     ("hi", math.inf, "interval set needs lo <= hi componentwise"),
     ("halflength", math.inf, "segment halflength must be nonnegative"),
     ("radius", math.inf, "ball radius must be nonnegative"),
+    ("T", math.inf, "horizon T must be positive"),
+    ("R", math.inf, "disk radius R must be positive"),
+    ("c", math.nan, "drift coefficient c must be finite"),
+    ("A", math.inf, "drift A, B and b must be finite"),
 ], ids=["M", "rho", "lo", "hi", "halflength", "radius", "direction-nan", "direction-inf",
         "direction--inf", "M-inf", "rho-inf", "lo--inf", "hi-inf", "halflength-inf",
-        "radius-inf"])
+        "radius-inf", "T-inf", "R-inf", "c-nan", "A-inf"])
 def test_nan_fails_the_sign_checks(field, value, message):
-    """A NaN or infinite cap, modulus, bound or size is rejected like a
-    negative one: a NaN or infinite cap would switch off the truncation
-    check, and an infinite size would make the membership tolerance
-    infinite.  A NaN or infinite segment direction is rejected like a zero
-    one."""
+    """A NaN or infinite horizon, radius, cap, modulus, bound or size is
+    rejected like a negative one: a NaN or infinite cap would switch off the
+    truncation check, and an infinite size would make the membership
+    tolerance infinite.  A NaN or infinite segment direction is rejected
+    like a zero one, and a drift with a NaN or infinite entry as not
+    finite.  One disk has no pair distance, so only the radius check sees
+    an infinite R."""
     with pytest.raises(ValueError, match=f"^{message}$"):
         if field == "direction":
             SegmentSet([value, 0.0], 1.0)
@@ -964,10 +970,15 @@ def test_nan_fails_the_sign_checks(field, value, message):
             SegmentSet([1.0, 0.0], value)
         elif field == "radius":
             BallSet(value)
+        elif field == "c":
+            ScaledLinearDrift(value)
+        elif field == "A":
+            AffineDrift([[0.0, value], [0.0, 0.0]], np.eye(2), [0.0, 0.0])
         else:
-            Scenario(N=1, R=3.0, T=6.0, y0=[[0.0, 0.0]], drift=[ScaledLinearDrift(-8.0)],
-                     U=[IntervalSet([0.0], [1.0])], V=[BallSet(1.0)],
-                     **{"M": [6.0], "rho": [1.0], field: [value]})
+            fields = {"R": 3.0, "T": 6.0, "M": [6.0], "rho": [1.0]}
+            fields[field] = [value] if field in ("M", "rho") else value
+            Scenario(N=1, y0=[[0.0, 0.0]], drift=[ScaledLinearDrift(-8.0)],
+                     U=[IntervalSet([0.0], [1.0])], V=[BallSet(1.0)], **fields)
 
 
 @pytest.mark.parametrize("kind", ["random", "diagonal", "rank-1", "2x1", "zero"])
@@ -1095,12 +1106,24 @@ def test_control_profile_rejects_bad_grids(grid, message):
     ("upper", "rho", math.nan, "partial-calmness moduli rho must be nonnegative"),
     ("upper", "rho", -1.0, "partial-calmness moduli rho must be nonnegative"),
     ("upper", "rho", math.inf, "partial-calmness moduli rho must be nonnegative"),
+    ("lower", "effort_weight", math.inf, "effort weight must be nonnegative"),
+    ("upper", "overlap", math.inf, "measure multipliers must be nonnegative"),
+    ("lower", "overlap", math.inf, "measure multipliers must be nonnegative"),
+    ("upper", "confinement", math.inf, "measure multipliers must be nonnegative"),
+    ("lower", "confinement", math.inf, "measure multipliers must be nonnegative"),
+    ("upper", "q_upper", math.inf, "costates must be finite"),
+    ("upper", "q_lower", math.nan, "costates must be finite"),
+    ("lower", "p_upper", -math.inf, "costates must be finite"),
+    ("lower", "p_lower", math.nan, "costates must be finite"),
 ], ids=["lower-effort_weight", "upper-objective_weight", "upper-overlap", "lower-overlap",
         "upper-confinement", "lower-confinement", "upper-rho", "upper-rho-negative",
-        "upper-rho-inf"])
+        "upper-rho-inf", "lower-effort_weight-inf", "upper-overlap-inf", "lower-overlap-inf",
+        "upper-confinement-inf", "lower-confinement-inf", "upper-q_upper-inf",
+        "upper-q_lower-nan", "lower-p_upper--inf", "lower-p_lower-nan"])
 def test_witnesses_reject_nan_weights_and_measures(level, name, value, message):
-    """Both multiplier levels share one validation, in which a NaN weight,
-    measure or modulus, or an infinite modulus, fails like a negative one."""
+    """Both multiplier levels share one validation, in which a NaN or
+    infinite weight, measure or modulus fails like a negative one, and a
+    NaN or infinite costate fails as not finite."""
     grid = uniform_grid(1.0, 2)
     nodes = np.zeros((3, 2, 2))
     fields = {

@@ -985,24 +985,30 @@ class TestArrayVerifierMatchesLoopReference:
         }
 
     def test_perturbed_multipliers(self, twodisk_300):
-        sol = twodisk_300
-        upper, lowers, _ = fit_multipliers(sol)
-        rng = np.random.default_rng(5)
-        K, N = sol.x.grid.size - 1, 2
-        bumped = UpperMultipliers(
-            grid=upper.grid, q_upper=upper.q_upper + rng.normal(size=upper.q_upper.shape),
-            q_lower=upper.q_lower + rng.normal(size=upper.q_lower.shape),
-            overlap=np.abs(rng.normal(size=(K + 1, N, N))),
-            confinement=upper.confinement + np.abs(rng.normal(size=(K + 1, N))),
-            objective_weight=0.3, rho=sol.scenario.rho)
-        bumped_lowers = [LowerMultipliers(
-            participant=i, grid=low.grid, p_upper=low.p_upper + rng.normal(size=(K + 1, 2)),
-            p_lower=low.p_lower + rng.normal(size=(K + 1, 2)),
-            overlap=np.abs(rng.normal(size=(K + 1, N))), confinement=low.confinement + 0.5,
-            effort_weight=0.7)
-            for i, low in enumerate(lowers)]
-        report = assert_matches_reference(sol, bumped, bumped_lowers)
+        report = assert_matches_reference(twodisk_300, *perturbed_multipliers(twodisk_300))
         assert report.residuals["adjoint_q_lower"] > 1.0 and not report.all_pass
+
+
+def perturbed_multipliers(sol):
+    """The fitted witness of a two-participant solution with every costate
+    and measure perturbed at random, pair measures on, objective weight 0.3
+    and inner effort weights 0.7."""
+    upper, lowers, _ = fit_multipliers(sol)
+    rng = np.random.default_rng(5)
+    K, N = sol.x.grid.size - 1, 2
+    bumped = UpperMultipliers(
+        grid=upper.grid, q_upper=upper.q_upper + rng.normal(size=upper.q_upper.shape),
+        q_lower=upper.q_lower + rng.normal(size=upper.q_lower.shape),
+        overlap=np.abs(rng.normal(size=(K + 1, N, N))),
+        confinement=upper.confinement + np.abs(rng.normal(size=(K + 1, N))),
+        objective_weight=0.3, rho=sol.scenario.rho)
+    bumped_lowers = [LowerMultipliers(
+        participant=i, grid=low.grid, p_upper=low.p_upper + rng.normal(size=(K + 1, 2)),
+        p_lower=low.p_lower + rng.normal(size=(K + 1, 2)),
+        overlap=np.abs(rng.normal(size=(K + 1, N))), confinement=low.confinement + 0.5,
+        effort_weight=0.7)
+        for i, low in enumerate(lowers)]
+    return bumped, bumped_lowers
 
 
 @pytest.mark.parametrize("level", ["upper", "inner"])
@@ -1090,6 +1096,68 @@ def test_sweeps_are_pinned_bit_for_bit(name, twodisk_300):
         assert ref.hits >= {"sweep-point", "sweep-scaled", "sweep-affine", "sweep-off",
                             "sweep-inactive", "sweep-active", "sweep-kink-pinned",
                             "sweep-kink-onset"}
+
+
+def verifier_text(sol, upper, lowers):
+    """Everything the verifier reports on one witness, in float hex: each
+    ``verify`` residual with its ``worst_at`` place, ``adjoint_residual``,
+    ``boundary_residual``, and the ``max_condition_lower`` and
+    ``max_condition_upper`` paths (every pinned witness defines the
+    value-function sensitivities that the latter needs)."""
+    report = verify(sol, upper, lowers)
+    lines = []
+    for name, value in report.residuals.items():
+        at = report.worst_at.get(name)
+        lines.append(f"{name} {value.hex()}" + ("" if at is None else f" {at[0].hex()} {at[1]}"))
+    lines.append("adjoint_residual " + " ".join(v.hex() for v in adjoint_residual(sol, upper)))
+    lines.append(f"boundary_residual {boundary_residual(sol, upper).hex()}")
+    for name, path in (("max_condition_lower", max_condition_lower(sol, upper)),
+                       ("max_condition_upper", max_condition_upper(sol, upper, lowers))):
+        lines.append(name + " " + " ".join(map(float.hex, path.tolist())))
+    return "\n".join(lines) + "\n"
+
+
+def pinned_witness(name, twodisk_300):
+    """(solution, upper, lowers) of each witness of the verifier pin."""
+    if name == "twodisk-fit":
+        return (twodisk_300, *fit_multipliers(twodisk_300)[:2])
+    if name == "twodisk-perturbed":
+        return (twodisk_300, *perturbed_multipliers(twodisk_300))
+    sol = mixed_solution()
+    if name.endswith("family"):
+        return (sol, *nco._build_family(nco._SolutionData(sol), float(name == "terminal-family")))
+    upper, lowers = designed_multipliers(sol, 3, float(name.split("-")[1]))
+    if name.endswith("dense"):          # every pair measure nonzero
+        rng = np.random.default_rng(7)
+        K, N = sol.x.grid.size - 1, sol.scenario.N
+        upper = dataclasses.replace(upper, overlap=rng.uniform(0.1, 0.5, (K + 1, N, N)))
+        lowers = [dataclasses.replace(low, overlap=rng.uniform(0.1, 0.5, (K + 1, N)))
+                  for low in lowers]
+    return sol, upper, lowers
+
+
+# sha256 of verifier_text on each witness: the designed multipliers of
+# mixed_solution() at objective weight 0.5 and 0, plain and with every pair
+# measure nonzero, both fitted families there, and the two-disk fit at K=300
+# with its perturbed witness.
+VERIFIER_SHA256 = {
+    "mixed-0.5": "6e1b8d21b88c6b679db880f47e253a3fbae7d68cea9989ae9081ac3f4037638c",
+    "mixed-0.5-dense": "f357d6d675bb51c4f7dd976a362404501afed9429e4e7d1509b3d885f8ca652d",
+    "mixed-0": "d2f63bc12695da2d4b415997fdeee6c3c077807647c16adacc320f0acee0131f",
+    "mixed-0-dense": "39b5de41973ddb97a1a4b9c740b6c7e9906bf7da245c923350c2615db0da859a",
+    "measure-family": "5b952f481f880984989d401bb2852b5ebdcc118e79d0ae0c6f3366ba96875bd1",
+    "terminal-family": "fe46c6c648294bc016cdd6f4723f795063843d2544eca414f94ed9a19ed8dbc9",
+    "twodisk-fit": "25e7eb681914866848ec299fdeef0aa60bd6d7f36b9ed654566f074b5b17ceb7",
+    "twodisk-perturbed": "2d33ed7dfd7759aa442701cd955a8e280f6a4744bf41c558a2a933c98ae1c8ee",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIER_SHA256))
+def test_verifier_is_pinned_bit_for_bit(name, twodisk_300):
+    """The verifier keeps its bits: the loop reference compares to 1e-12
+    only, so a reordered sum would pass it but not this pin."""
+    text = verifier_text(*pinned_witness(name, twodisk_300))
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFIER_SHA256[name]
 
 
 def test_interval_bound_tolerance_is_the_set_scale():
